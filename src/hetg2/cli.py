@@ -23,7 +23,7 @@ from .scalar import SymbolTable
 
 SUITES = ("3ad", "su3", "spinor", "heisenberg", "bianchi", "all")
 
-PARAM_KEYS = ("alpha", "delta", "alphap", "lam", "lam1", "lam2")
+PARAM_KEYS = ("alpha", "delta", "alphap")
 
 
 @dataclass
@@ -604,17 +604,20 @@ def suite_bianchi(params) -> list:
          * (beta + l2) ** 2
          and sysm.polynomials[0]
          == 4 * al * beta - 3 * ap * al * (beta + l2) ** 2 * (l2 - 4 * al))
-    thm = bi.extract_constraints(bi.residual("3ad", t3.rat(4), t3.zero()))
+    # the exact solution pairs lam1 = -beta with lam2 = 0; at alpha = 0 the
+    # residual vanishes identically, so that point is refused, not passed
     alpha_v = params.get("alpha", Fraction(1))
     delta_v = params.get("delta", Fraction(0))
     alphap_v = params.get("alphap", Fraction(1, 12))
-    vals = thm.substituted({"alpha": alpha_v, "delta": delta_v,
-                            "alphap": alphap_v})
+    vals = sysm.substituted({"lam2": 0, "alpha": alpha_v, "delta": delta_v,
+                             "alphap": alphap_v})
     _rec(out, "bianchi.exact-solution",
          "the full residual vanishes at the supplied parameters of the "
          "degenerate exact-solution branch",
-         all(v.is_zero for v in vals),
+         alpha_v != 0 and all(v.is_zero for v in vals),
          lhs="; ".join(str(v) for v in vals),
+         notes="alpha = 0 is degenerate: the residual vanishes identically"
+         if alpha_v == 0 else "",
          params={"alpha": str(alpha_v), "delta": str(delta_v),
                  "alphap": str(alphap_v)})
 

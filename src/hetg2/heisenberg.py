@@ -205,16 +205,25 @@ def curvature_fp(conn: Connection) -> dict:
     """
     model = conn.model
     pairs = basis_multi_indices(7, 2)
+    # nonzero entries of each connection matrix, row by row
+    nz = {y: [[(k, v) for k, v in enumerate(row) if v] for row in conn.L[y]]
+          for y in range(1, 8)}
     mats = {}
     for (x, y) in pairs:
-        lx, ly = conn.L[x], conn.L[y]
-        comm = [[sum(lx[i][k] * ly[k][j] - ly[i][k] * lx[k][j]
-                     for k in range(7)) for j in range(7)] for i in range(7)]
-        for tgt, cv in model.bracket(x, y).items():
-            lk = conn.L[tgt]
-            for i in range(7):
-                for j in range(7):
-                    comm[i][j] -= cv * lk[i][j]
+        nx, ny = nz[x], nz[y]
+        bracket = model.bracket(x, y).items()
+        comm = [[0] * 7 for _ in range(7)]
+        for i in range(7):
+            row = comm[i]
+            for k, a in nx[i]:
+                for j, b in ny[k]:
+                    row[j] += a * b
+            for k, a in ny[i]:
+                for j, b in nx[k]:
+                    row[j] -= a * b
+            for tgt, cv in bracket:
+                for j, b in nz[tgt][i]:
+                    row[j] -= cv * b
         mats[(x, y)] = comm
     out = {}
     for I in pairs:
@@ -271,7 +280,7 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
                                  for w in range(1, 8))
 
     def dot(a, b):
-        return sum(p * q for p, q in zip(a, b))
+        return sum(p * q for p, q in zip(a, b) if p and q)
 
     for x in range(1, 8):
         for y in range(1, 8):

@@ -5,6 +5,13 @@ the Gaussian rationals; all spinor computations are exact.  Basis spinors are
 stored without the overall 1/sqrt(2)^m normalisation (bilinears divide by the
 squared norm, so every reconstructed coefficient is rational).
 
+Matrices are tuples of row tuples of GQ.  The kernels ``matmul``, ``matvec``,
+``herm`` and ``mat_scale`` skip zero entries and multiply only nonzero ones:
+every generator has a single nonzero entry per row, so dense products would
+spend nearly all their work on zero factors.  ``build_rep`` is cached per
+``m``; the cached ``CliffordRep`` is frozen and shared by every caller in the
+process.
+
 Convention notes, fixed once and verified exhaustively by the test suite:
 
 * the fundamental 2-form acting on spinors in the eigenspace decomposition is
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -34,8 +42,8 @@ class GQ:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, o):
         o = _gq(o)
@@ -118,15 +126,37 @@ def kron_all(mats):
     return out
 
 
+def _nonzero(row):
+    """(index, entry) pairs of the nonzero entries of a GQ row."""
+    return [(k, x) for k, x in enumerate(row) if x.re or x.im]
+
+
 def matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(m)), GQ(0))
-                       for j in range(p)) for i in range(n))
+    p = len(b[0])
+    zero = GQ(0)
+    b_rows = [_nonzero(r) for r in b]
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in _nonzero(row):
+            for j, y in b_rows[k]:
+                xy = x * y
+                acc[j] = acc[j] + xy if j in acc else xy
+        out.append(tuple(acc.get(j, zero) for j in range(p)))
+    return tuple(out)
 
 
 def matvec(a, v):
-    return tuple(sum((a[i][k] * v[k] for k in range(len(v))), GQ(0))
-                 for i in range(len(a)))
+    v_nz = _nonzero(v)
+    out = []
+    for row in a:
+        acc = None
+        for k, y in v_nz:
+            x = row[k]
+            if x.re or x.im:
+                acc = x * y if acc is None else acc + x * y
+        out.append(GQ(0) if acc is None else acc)
+    return tuple(out)
 
 
 def mat_add(a, b):
@@ -135,7 +165,7 @@ def mat_add(a, b):
 
 def mat_scale(a, c):
     c = _gq(c)
-    return tuple(tuple(c * x for x in r) for r in a)
+    return tuple(tuple(c * x if x.re or x.im else x for x in r) for r in a)
 
 
 def eye(n):
@@ -145,7 +175,11 @@ def eye(n):
 
 def herm(x: Sequence[GQ], y: Sequence[GQ]) -> GQ:
     """Hermitian product, conjugate linear in the first slot."""
-    return sum((a.conj() * b for a, b in zip(x, y)), GQ(0))
+    acc = GQ(0)
+    for a, b in zip(x, y):
+        if (a.re or a.im) and (b.re or b.im):
+            acc = acc + a.conj() * b
+    return acc
 
 
 def vec_add(x, y):
@@ -161,7 +195,7 @@ def vec_conj(x):
     return tuple(a.conj() for a in x)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliffordRep:
     """Generator matrices of the 2^m-dimensional complex representation.
 
@@ -202,8 +236,11 @@ class CliffordRep:
         return out
 
 
+@cache
 def build_rep(m: int) -> CliffordRep:
     """Kronecker-product spin representation in dimension 2m+1.
+
+    Built and checked once per ``m``; later calls return the same object.
 
     rho(e_1) = i T x...x T; the pair (e_2a, e_2a+1) acts by (g1, g2) in the
     (m+1-a)-th tensor slot with identities before it and T's after it.  The
@@ -463,28 +500,6 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
     if dims != [comb(m, r) for r in range(m + 1)]:
         raise AlgebraError(f"eigenspace dimensions {dims} are wrong")
     return SigmaDecomposition(projectors, dims)
-
-
-def gq_rank(matrix) -> int:
-    """Exact rank of a Gaussian-rational matrix."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank_ = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank_, nrows)
-                    if not rows[i][c].is_zero), None)
-        if piv is None:
-            continue
-        rows[rank_], rows[piv] = rows[piv], rows[rank_]
-        pv = rows[rank_][c]
-        rows[rank_] = [x / pv for x in rows[rank_]]
-        for i in range(nrows):
-            if i != rank_ and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank_])]
-        rank_ += 1
-    return rank_
 
 
 def gq_nullspace(matrix):

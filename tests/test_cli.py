@@ -1,9 +1,15 @@
+import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from hetg2.cli import main, parse_params, render_json, report_payload, \
     run_suite
+
+
+ALL_REPORT_SHA256 = \
+    "95120eb80e1491aa18e19a5bd4fb577fd6b99e0a7898900fe5a2e1d64090dfb4"
 
 
 class TestParams:
@@ -37,6 +43,25 @@ class TestSuites:
         records = run_suite("all", {})
         ids = [r.check_id for r in records]
         assert len(ids) == len(set(ids))
+        # the default report is byte-stable: any change to it is deliberate
+        text = render_json(report_payload("all", records))
+        assert hashlib.sha256(text.encode()).hexdigest() == ALL_REPORT_SHA256
+
+    @pytest.mark.parametrize("alpha,delta,alphap,status", [
+        (F(2), F(0), F(1, 48), "pass"),
+        (F(-1, 2), F(0), F(1, 3), "pass"),
+        (F(5, 8), F(-1, 4), F(1, 6), "fail"),
+        (F(1), F(1), F(1, 12), "fail"),
+        (F(0), F(3), F(5), "fail"),
+    ])
+    def test_exact_solution_follows_parameters(self, alpha, delta, alphap,
+                                               status):
+        # on the branch iff delta = 0 and 12 a' alpha^2 = 1 with alpha != 0
+        params = {"alpha": alpha, "delta": delta, "alphap": alphap}
+        rec = next(r for r in run_suite("bianchi", params)
+                   if r.check_id == "bianchi.exact-solution")
+        assert rec.status == status
+        assert rec.parameters == {k: str(v) for k, v in params.items()}
 
 
 class TestDriver:
@@ -61,6 +86,12 @@ class TestDriver:
     def test_bad_params_exit_two(self, capsys):
         assert main(["verify", "--suite", "3ad",
                      "--params", "bogus=1"]) == 2
+
+    @pytest.mark.parametrize("binding", ["lam=5", "lam1=7", "lam2=3"])
+    def test_unused_params_exit_two(self, capsys, binding):
+        assert main(["verify", "--suite", "bianchi",
+                     "--params", binding]) == 2
+        assert "unknown parameter" in capsys.readouterr().err
 
     def test_missing_suite_exit_two(self, capsys):
         assert main(["verify"]) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +48,82 @@ class TestRep:
                 assert h.is_zero if a != b else not h.is_zero
         assert sp.vec_conj(sp.u_spinor(REP, (1, -1, 1))) \
             == sp.u_spinor(REP, (-1, 1, -1))
+
+
+def _dense_matmul(a, b):
+    """Reference product over every entry, zero or not."""
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))),
+                           sp.GQ(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _dense_matvec(a, v):
+    return tuple(sum((a[i][k] * v[k] for k in range(len(v))), sp.GQ(0))
+                 for i in range(len(a)))
+
+
+def _dense_herm(x, y):
+    return sum((a.conj() * b for a, b in zip(x, y)), sp.GQ(0))
+
+
+def _random_gq_matrix(rng, rows, cols, zero_row=None, zero_col=None):
+    """About half the entries zero; the named row and column all zero."""
+    def entry(i, j):
+        if i == zero_row or j == zero_col or rng.random() < 0.5:
+            return sp.GQ(0)
+        return sp.GQ(F(rng.randint(-5, 5), rng.randint(1, 4)),
+                     F(rng.randint(-5, 5), rng.randint(1, 4)))
+    return tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows))
+
+
+class TestSparseKernels:
+    """The zero-skipping kernels agree with the dense products exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matmul_matvec_herm_random(self, seed):
+        rng = random.Random(seed)
+        a = _random_gq_matrix(rng, 5, 6, zero_row=2)
+        b = _random_gq_matrix(rng, 6, 4, zero_col=1)
+        prod = sp.matmul(a, b)
+        assert prod == _dense_matmul(a, b)
+        assert all(x.is_zero for x in prod[2])
+        assert all(row[1].is_zero for row in prod)
+        for col in range(4):
+            v = tuple(row[col] for row in b)
+            assert sp.matvec(a, v) == _dense_matvec(a, v)
+        x, y = a[0], a[1]
+        assert sp.herm(x, y) == _dense_herm(x, y)
+        assert sp.herm(a[2], y) == sp.GQ(0)
+
+    def test_zero_operands(self):
+        z = tuple(tuple(sp.GQ(0) for _ in range(3)) for _ in range(3))
+        a = _random_gq_matrix(random.Random(9), 3, 3)
+        assert sp.matmul(z, a) == z and sp.matmul(a, z) == z
+        assert sp.matvec(a, z[0]) == z[0]
+        assert sp.herm(z[0], a[0]) == sp.GQ(0)
+
+    def test_generator_products(self):
+        g = REP.gens
+        for mu in range(7):
+            for nu in range(7):
+                assert sp.matmul(g[mu], g[nu]) == _dense_matmul(g[mu], g[nu])
+        u = sp.u_spinor(REP, (1, -1, 1))
+        word = sp.matmul(sp.matmul(g[1], g[4]), g[6])
+        assert sp.matvec(word, u) == _dense_matvec(word, u)
+        assert sp.herm(u, sp.matvec(word, u)) \
+            == _dense_herm(u, _dense_matvec(word, u))
+
+    def test_gq_keeps_fraction_arguments(self):
+        q = F(1, 3)
+        x = sp.GQ(q, 2)
+        assert x.re is q
+        assert type(x.im) is F and x.im == 2
+
+    def test_rep_is_cached_and_frozen(self):
+        assert sp.build_rep(3) is sp.build_rep(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sp.build_rep(3).gens = ()
+        assert len(sp.build_rep(3).gens) == 7
 
 
 class TestSigma:
