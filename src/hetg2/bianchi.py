@@ -401,3 +401,25 @@ def approx_order_report(geometry: str, scaling: dict,
     ok = order is not None and order >= 8
     return ApproxOrderReport(geometry, order, 8, "pass" if ok else "fail",
                              str(norm_sq))
+
+
+def approximate_order_reports() -> tuple:
+    """Order reports of the approximate-solution scalings (a' = t^2): the
+    3ad family at delta = t^5, lam = 2 t^5, alpha = t^5 - sqrt(3)/(6t), the
+    su3 family at alpha = t^5, delta = 3 t^5 / 2, lam = 2 sqrt(6) / (3t), and
+    the constant 3ad scaling (alpha, delta, lam) = (3, 1, 1), which fails."""
+    tt3 = SymbolTable(("t",), sqrt_d=3)
+    t = tt3.sym("t")
+    rep3 = approx_order_report(
+        "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
+                "alpha": t ** 5 - (tt3.sqrt() / 6) / t}, tt3)
+    tt6 = SymbolTable(("t",), sqrt_d=6)
+    t6 = tt6.sym("t")
+    rep6 = approx_order_report(
+        "su3", {"lam": (2 * tt6.sqrt() / 3) / t6, "alpha": t6 ** 5,
+                "delta": Fraction(3, 2) * t6 ** 5}, tt6)
+    ttc = SymbolTable(("t",))
+    repc = approx_order_report(
+        "3ad", {"lam": ttc.rat(1), "delta": ttc.rat(1),
+                "alpha": ttc.rat(3)}, ttc)
+    return rep3, rep6, repc

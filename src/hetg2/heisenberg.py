@@ -56,7 +56,9 @@ def heisenberg_model(table: SymbolTable | None = None) -> LieModel:
                 c[(mu, nu)] = out
                 c[(nu, mu)] = {k: -v for k, v in out.items()}
     model = LieModel(cf, de, c)
-    _check_model(model)
+    if not model_equations_hold(model):
+        raise AlgebraError("de-table violates the Jacobi identity or the "
+                           "structure equations")
     return model
 
 
@@ -73,17 +75,13 @@ def d_form(model: LieModel, form: Form) -> Form:
     return out
 
 
-def _check_model(model: LieModel):
-    cf = model.coframe
-    for mu in range(1, 8):
-        if not d_form(model, model.de[mu]).is_zero:
-            raise AlgebraError("Jacobi identity fails (d^2 != 0)")
-    # structure equations are the adapted ones at (alpha, delta) = (1, 0)
-    frame = sp1_frame_forms(cf)
-    for i, (j, k) in CYCLIC.items():
-        target = 2 * frame["PhiH"][i]
-        if not (model.de[i] - target).is_zero:
-            raise AlgebraError("de-table violates the structure equations")
+def model_equations_hold(model: LieModel) -> bool:
+    """Jacobi identity (d^2 = 0 on the coframe) and the adapted structure
+    equations de^i = 2 Phi_i^H at (alpha, delta) = (1, 0)."""
+    frame = sp1_frame_forms(model.coframe)
+    return (all(d_form(model, model.de[mu]).is_zero for mu in range(1, 8))
+            and all((model.de[i] - 2 * frame["PhiH"][i]).is_zero
+                    for i in CYCLIC))
 
 
 class Connection:
@@ -175,14 +173,18 @@ def canonical_connection(model: LieModel) -> Connection:
     return with_torsion(levi_civita(model), canonical_torsion_form(model))
 
 
-def connection_lambda(model: LieModel, lam: Fraction) -> Connection:
-    """Canonical connection shifted by the closed-form difference tensor."""
-    cf = model.coframe
+def associative_form(cf: Coframe) -> Form:
+    """phi = e^123 + sum_i eta_i ^ Phi_i^H on the adapted coframe."""
     frame = sp1_frame_forms(cf)
     phi = cf.e(1, 2, 3)
     for i in VERT:
         phi = phi + (frame["eta"][i] ^ frame["PhiH"][i])
-    delta = contorsion_3ad(phi, Fraction(lam))
+    return phi
+
+
+def connection_lambda(model: LieModel, lam: Fraction) -> Connection:
+    """Canonical connection shifted by the closed-form difference tensor."""
+    delta = contorsion_3ad(associative_form(model.coframe), Fraction(lam))
     base = canonical_connection(model)
     L = {}
     for y in range(1, 8):
@@ -455,10 +457,7 @@ def theorem1_end_to_end(alphap: Fraction = Fraction(1, 12)) -> TheoremReport:
     """
     model = heisenberg_model()
     cf = model.coframe
-    frame = sp1_frame_forms(cf)
-    phi = cf.e(1, 2, 3)
-    for i in VERT:
-        phi = phi + (frame["eta"][i] ^ frame["PhiH"][i])
+    phi = associative_form(cf)
     psi = phi.star()
     torsion = canonical_torsion_form(model)
 

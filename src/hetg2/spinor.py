@@ -253,7 +253,8 @@ def build_rep(m: int) -> CliffordRep:
         gens.append(kron_all(pre + [G1] + post))
         gens.append(kron_all(pre + [G2] + post))
     rep = CliffordRep(m, tuple(gens))
-    _check_rep(rep)
+    if not clifford_relations_hold(rep):
+        raise AlgebraError(f"Clifford relations fail at m = {m}")
     return rep
 
 
@@ -272,18 +273,17 @@ def volume_action(rep: CliffordRep) -> GQ:
     return scalar
 
 
-def _check_rep(rep: CliffordRep):
+def clifford_relations_hold(rep: CliffordRep) -> bool:
+    """e_u e_v + e_v e_u = -2 delta_uv for all generators, and the volume
+    product acts by volume_sign (-i)^(m+1)."""
     n = rep.dim
     for mu in range(2 * rep.m + 1):
         for nu in range(mu, 2 * rep.m + 1):
             anti = mat_add(matmul(rep.gens[mu], rep.gens[nu]),
                            matmul(rep.gens[nu], rep.gens[mu]))
-            target = mat_scale(eye(n), -2 if mu == nu else 0)
-            if anti != target:
-                raise AlgebraError(f"clifford relation fails at ({mu+1},{nu+1})")
-    scalar = volume_action(rep)
-    if scalar != _minus_i_pow(rep.m + 1) * rep.volume_sign:
-        raise AlgebraError("volume scalar is not +-(-i)^(m+1)")
+            if anti != mat_scale(eye(n), -2 if mu == nu else 0):
+                return False
+    return volume_action(rep) == _minus_i_pow(rep.m + 1) * rep.volume_sign
 
 
 def u_spinor(rep: CliffordRep, eps: Sequence[int]):
@@ -302,11 +302,39 @@ def canonical_su3_spinor(rep: CliffordRep):
     return vec_scale(u_spinor(rep, (1,) * rep.m), GQ(1, 1))
 
 
+def su3_omega_action_holds(rep: CliffordRep, om_plus: Form,
+                           om_minus: Form) -> bool:
+    """Om+ Psi = -4i Psi-bar and Om+ Psi-bar = 4i Psi for the canonical
+    section Psi; Om+ and Om- annihilate the six middle u spinors."""
+    psi = canonical_su3_spinor(rep)
+    bar = vec_conj(psi)
+    mp, mm = rep.form_matrix(om_plus), rep.form_matrix(om_minus)
+    middle = [u_spinor(rep, e) for e in ((1, 1, -1), (1, -1, 1), (-1, 1, 1),
+                                         (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+    return (matvec(mp, psi) == vec_scale(bar, GQ(0, -4))
+            and matvec(mp, bar) == vec_scale(psi, GQ(0, 4))
+            and all(x.is_zero for v in middle
+                    for x in matvec(mp, v) + matvec(mm, v)))
+
+
 def charge_conjugation(rep: CliffordRep):
     """C = T x E x T (m = 3); real symmetric, C^2 = 1, C rho = -rho^T C."""
     if rep.m != 3:
         raise AlgebraError("charge conjugation implemented for m = 3")
     return kron_all([TMAT, E2X2, TMAT])
+
+
+def charge_conjugation_holds(rep: CliffordRep) -> bool:
+    """C is real symmetric, C^2 = 1 and C rho(e_mu) = -rho(e_mu)^T C."""
+    c, n = charge_conjugation(rep), rep.dim
+
+    def transpose(g):
+        return tuple(tuple(g[j][i] for j in range(n)) for i in range(n))
+    return (matmul(c, c) == eye(n)
+            and all(c[i][j] == c[j][i] and c[i][j].im == 0
+                    for i in range(n) for j in range(n))
+            and all(matmul(c, g) == mat_scale(matmul(transpose(g), c), -1)
+                    for g in rep.gens))
 
 
 def j_real_structure(rep: CliffordRep, psi):
@@ -363,6 +391,21 @@ def real_rep7():
         [((1, 3), 1), ((2, 4), -1), ((5, 7), -1), ((6, 8), 1)],
     ]
     return tuple(em(d) for d in data)
+
+
+def v_basis_intertwines(rep: CliffordRep) -> bool:
+    """The v spinors are Majorana and rho(e_mu) v_k = sum_l R_mu[l][k] v_l
+    with R = real_rep7()."""
+    vs, rr = majorana_v_basis(rep), real_rep7()
+    for mu, r_mu in enumerate(rr):
+        for k in range(8):
+            rhs = (GQ(0),) * 8
+            for ell in range(8):
+                if r_mu[ell][k]:
+                    rhs = vec_add(rhs, vec_scale(vs[ell], r_mu[ell][k]))
+            if tuple(matvec(rep.gens[mu], vs[k])) != rhs:
+                return False
+    return all(is_majorana(rep, v) for v in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -840,18 +883,22 @@ def su3_killing_consequences(table) -> list:
     return checks
 
 
-def spinor_registry(rep: CliffordRep) -> dict:
-    """Spinors addressable by label from the command line."""
-    reg = {}
-    psi = sp1_spinors(rep)
-    for i in range(4):
-        reg[f"psi{i}.sp1"] = psi[i]
+def spinor_registry() -> dict:
+    """Spinors of the m = 3 representation addressable by label from the
+    command line.
+
+    Each label maps to a zero-argument builder, so looking a label up builds
+    neither the representation nor any spinor.
+    """
+    def rep():
+        return build_rep(3)
+    reg = {f"psi{i}.sp1": lambda i=i: sp1_spinors(rep())[i] for i in range(4)}
     for eps in ((1, 1, 1), (-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
         label = "u(" + ",".join(str(e) for e in eps) + ")"
-        reg[label] = u_spinor(rep, eps)
-    for k, v in enumerate(majorana_v_basis(rep), start=1):
-        reg[f"v{k}"] = v
-    reg["Psi.su3"] = canonical_su3_spinor(rep)
+        reg[label] = lambda eps=eps: u_spinor(rep(), eps)
+    for k in range(8):
+        reg[f"v{k + 1}"] = lambda k=k: majorana_v_basis(rep())[k]
+    reg["Psi.su3"] = lambda: canonical_su3_spinor(rep())
     return reg
 
 

@@ -17,6 +17,7 @@ every wedge relation under that embedding.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Optional, Union
 
 from .exterior import Coframe, Form, basis_multi_indices, form_to_vector
@@ -684,6 +685,23 @@ def torsion_classes(phi: Form, psi: Form, dphi: Form, dpsi: Form) -> TorsionClas
     return tc
 
 
+def aux_structures_nearly_parallel(ring: "Ring3ad") -> bool:
+    """The three auxiliary 3-forms are coclosed (tau1 = tau2 = 0) and nearly
+    parallel exactly at delta = alpha (tau3 nonzero, vanishing there)."""
+    alpha = ring.table.sym("alpha")
+    for i in (1, 2, 3):
+        ph = ring.aux_phi(i).embed()
+        ps = ph.star()
+        tc = torsion_classes(ph, ps, ring.aux_phi(i).d().embed(),
+                             ring.from_form(ps).d().embed())
+        if not (tc.tau1.is_zero and tc.tau2.is_zero
+                and all(v.subs({"delta": alpha}).is_zero
+                        for v in tc.tau3.terms.values())
+                and not tc.tau3.is_zero):
+            return False
+    return True
+
+
 def characteristic_torsion(tc: TorsionClasses, phi: Form, psi: Form) -> Form:
     """Torsion of the characteristic connection: (1/6) tau0 phi - tau1 -| psi - tau3."""
     return (tc.tau0 / 6) * phi - psi.contract(tc.tau1) - tc.tau3
@@ -751,31 +769,40 @@ def endomorphism_trace(f: dict, indices) -> Fraction:
 
 def registry(table3: Optional[SymbolTable] = None,
              table_s: Optional[SymbolTable] = None) -> dict:
-    """Named forms addressable from the command line."""
+    """Named forms addressable from the command line.
+
+    Each name maps to a zero-argument builder over two rings built once, so
+    looking a name up builds no form and showing one builds only that one.
+    """
     r3 = Ring3ad(table3 or make_table("3ad"))
     rs = RingSU3(table_s or make_table("su3"))
-    reg: dict[str, object] = {
-        "phi.canonical.3ad": r3.phi(),
-        "psi.canonical.3ad": r3.psi(),
-        "dphi.canonical.3ad": r3.phi().d(),
-        "dpsi.canonical.3ad": r3.psi().d(),
-        "phi.theta.su3": rs.phi_theta(),
-        "psi.theta.su3": rs.psi_theta(),
-        "dphi.theta.su3": rs.phi_theta().d(),
-    }
-    for ring, phi, psi, tag in ((r3, r3.phi(), r3.psi(), "3ad"),
-                                (rs, rs.phi_theta(), rs.psi_theta(), "su3")):
+
+    def char_torsion(ring, phi, psi):
         tc = torsion_classes(phi.embed(), psi.embed(),
                              phi.d().embed(), psi.d().embed())
-        tcf = characteristic_torsion(tc, phi.embed(), psi.embed())
-        reg[f"Tc.{tag}"] = ring.from_form(tcf)
-        reg[f"dTc.{tag}"] = reg[f"Tc.{tag}"].d()
+        return ring.from_form(characteristic_torsion(tc, phi.embed(),
+                                                     psi.embed()))
+
+    reg = {
+        "phi.canonical.3ad": r3.phi,
+        "psi.canonical.3ad": r3.psi,
+        "dphi.canonical.3ad": lambda: r3.phi().d(),
+        "dpsi.canonical.3ad": lambda: r3.psi().d(),
+        "phi.theta.su3": rs.phi_theta,
+        "psi.theta.su3": rs.psi_theta,
+        "dphi.theta.su3": lambda: rs.phi_theta().d(),
+        "Tc.3ad": lambda: char_torsion(r3, r3.phi(), r3.psi()),
+        "dTc.3ad": lambda: char_torsion(r3, r3.phi(), r3.psi()).d(),
+        "Tc.su3": lambda: char_torsion(rs, rs.phi_theta(), rs.psi_theta()),
+        "dTc.su3": lambda: char_torsion(rs, rs.phi_theta(),
+                                        rs.psi_theta()).d(),
+        "eta.su3": rs.eta,
+        "Phi.su3": rs.Phi,
+        "Om+.su3": partial(rs.Om, "+"),
+        "Om-.su3": partial(rs.Om, "-"),
+    }
     for i in (1, 2, 3):
-        reg[f"eta{i}.3ad"] = r3.eta(i)
-        reg[f"PhiH{i}.3ad"] = r3.Phi(i)
-        reg[f"phi.aux{i}.3ad"] = r3.aux_phi(i)
-    reg["eta.su3"] = rs.eta()
-    reg["Phi.su3"] = rs.Phi()
-    reg["Om+.su3"] = rs.Om("+")
-    reg["Om-.su3"] = rs.Om("-")
+        reg[f"eta{i}.3ad"] = partial(r3.eta, i)
+        reg[f"PhiH{i}.3ad"] = partial(r3.Phi, i)
+        reg[f"phi.aux{i}.3ad"] = partial(r3.aux_phi, i)
     return reg

@@ -4,12 +4,41 @@ from fractions import Fraction as F
 
 import pytest
 
+from hetg2 import cli, structures
 from hetg2.cli import main, parse_params, render_json, report_payload, \
     run_suite
+from hetg2.spinor import spinor_registry
 
 
 ALL_REPORT_SHA256 = \
     "95120eb80e1491aa18e19a5bd4fb577fd6b99e0a7898900fe5a2e1d64090dfb4"
+
+# clibench parses this message for the known names
+UNKNOWN_NAME_ERR = (
+    "error: unknown name 'no.such.name'; known: Om+.su3, Om-.su3, Phi.su3, "
+    "PhiH1.3ad, PhiH2.3ad, PhiH3.3ad, Psi.su3, Tc.3ad, Tc.su3, dTc.3ad, "
+    "dTc.su3, dphi.canonical.3ad, dphi.theta.su3, dpsi.canonical.3ad, "
+    "eta.su3, eta1.3ad, eta2.3ad, eta3.3ad, phi.aux1.3ad, phi.aux2.3ad, "
+    "phi.aux3.3ad, phi.canonical.3ad, phi.theta.su3, psi.canonical.3ad, "
+    "psi.theta.su3, psi0.sp1, psi1.sp1, psi2.sp1, psi3.sp1, u(-1,-1,-1), "
+    "u(-1,1,1), u(1,-1,1), u(1,1,-1), u(1,1,1), v1, v2, v3, v4, v5, v6, v7, "
+    "v8\n")
+
+
+@pytest.fixture(scope="module")
+def all_records():
+    return run_suite("all", {})
+
+
+def listed_ids(capsys) -> list:
+    assert main(["verify", "--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "suites: " + ", ".join(cli.SUITES)
+    return [line.split(": ", 1)[1] for line in lines[1:]]
+
+
+def boom(*args, **kwargs):
+    raise ZeroDivisionError("boom")
 
 
 class TestParams:
@@ -39,13 +68,34 @@ class TestSuites:
         flagged = [r for r in payload["records"] if r["status"] == "flagged"]
         assert flagged[0]["check_id"] == "su3.curvature.coefficient-discrepancy"
 
-    def test_check_ids_unique(self):
-        records = run_suite("all", {})
-        ids = [r.check_id for r in records]
-        assert len(ids) == len(set(ids))
+    def test_check_ids_unique(self, all_records, capsys):
+        ids = [r.check_id for r in all_records]
+        assert len(ids) == len(set(ids)) == 74
+        # --list gives the report's ids in report order
+        assert listed_ids(capsys) == ids
         # the default report is byte-stable: any change to it is deliberate
-        text = render_json(report_payload("all", records))
+        text = render_json(report_payload("all", all_records))
         assert hashlib.sha256(text.encode()).hexdigest() == ALL_REPORT_SHA256
+
+    def test_raising_check_fails_alone(self, all_records, monkeypatch,
+                                       tmp_path, capsys):
+        idx = next(i for i, c in enumerate(cli.Suite3ad.checks)
+                   if c.check_id == "3ad.torsion.inner")
+        checks = list(cli.Suite3ad.checks)
+        checks[idx] = checks[idx]._replace(fn=boom)
+        monkeypatch.setattr(cli.Suite3ad, "checks", tuple(checks))
+        path = tmp_path / "report.json"
+        assert main(["verify", "--suite", "all", "--json", str(path)]) == 1
+        assert "ZeroDivisionError: boom" in capsys.readouterr().err
+        got = json.loads(path.read_text())["records"]
+        want = report_payload("all", all_records)["records"]
+        assert len(got) == len(want) == 74
+        diff = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(diff) == 1
+        g, w = diff[0]
+        assert g["check_id"] == w["check_id"] == "3ad.torsion.inner"
+        assert g["status"] == "fail" and w["status"] == "pass"
+        assert g["notes"] == "ZeroDivisionError: boom"
 
     @pytest.mark.parametrize("alpha,delta,alphap,status", [
         (F(2), F(0), F(1, 48), "pass"),
@@ -93,13 +143,41 @@ class TestDriver:
                      "--params", binding]) == 2
         assert "unknown parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite,binding,key", [
+        ("heisenberg", "alpha=2", "alpha"),
+        ("heisenberg", "alphap=1/12,delta=1", "delta"),
+        ("3ad", "alpha=2", "alpha"), ("su3", "alphap=1/12", "alphap"),
+        ("spinor", "delta=0", "delta"),
+    ])
+    def test_unread_params_exit_two(self, capsys, monkeypatch, suite,
+                                    binding, key):
+        monkeypatch.setattr(cli, "run_suite", boom)
+        assert main(["verify", "--suite", suite, "--params", binding]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite,binding", [
+        ("all", "alpha=2"), ("heisenberg", "alphap=1/12"),
+        ("bianchi", "alpha=2,delta=0,alphap=1/48"),
+    ])
+    def test_read_params_accepted(self, capsys, monkeypatch, suite,
+                                  binding):
+        monkeypatch.setattr(cli, "run_suite", lambda suite, params: [])
+        assert main(["verify", "--suite", suite, "--params", binding]) == 0
+
     def test_missing_suite_exit_two(self, capsys):
         assert main(["verify"]) == 2
 
-    def test_list(self, capsys):
-        assert main(["verify", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "3ad.torsion.classes" in out
+    def test_list(self, capsys, monkeypatch):
+        # --list evaluates no check body and runs no suite
+        for suite in cli.SUITE_CLASSES.values():
+            monkeypatch.setattr(suite, "checks", tuple(
+                c._replace(fn=boom) if isinstance(c, cli.Check)
+                else (lambda c=c: [d._replace(fn=boom) for d in c()])
+                for c in suite.checks))
+        for name in cli.SUITE_FUNCS:
+            monkeypatch.setitem(cli.SUITE_FUNCS, name, boom)
+        ids = listed_ids(capsys)
+        assert len(ids) == 74 and "3ad.torsion.classes" in ids
 
     def test_show(self, capsys):
         assert main(["show", "--name", "phi.canonical.3ad"]) == 0
@@ -107,6 +185,26 @@ class TestDriver:
         assert "eta123" in out
         assert main(["show", "--name", "u(1,1,1)"]) == 0
         assert main(["show", "--name", "missing"]) == 2
+
+    @pytest.mark.parametrize("name,extractions", [
+        ("v2", 0), ("PhiH2.3ad", 0), ("Tc.3ad", 1)])
+    def test_show_builds_only_the_entry(self, capsys, monkeypatch, name,
+                                        extractions):
+        calls = []
+        torsion_classes = structures.torsion_classes
+
+        def counted(*args):
+            calls.append(args)
+            return torsion_classes(*args)
+        monkeypatch.setattr(structures, "torsion_classes", counted)
+        assert main(["show", "--name", name]) == 0
+        assert len(calls) == extractions
+
+    def test_show_unknown_name(self, capsys):
+        assert main(["show", "--name", "no.such.name"]) == 2
+        assert capsys.readouterr().err == UNKNOWN_NAME_ERR
+        # a name is looked up in one registry only
+        assert not set(spinor_registry()) & set(structures.registry())
 
     def test_render_stable_under_reconstruction(self):
         payload = report_payload("su3", run_suite("su3", {}))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -22,6 +23,15 @@ def nabla_form(conn, x, form):
 
 
 class TestModel:
+    def test_equations_predicate(self):
+        assert hb.model_equations_hold(MODEL)
+        # de^1 off the structure equation de^1 = 2 Phi_1^H
+        bad = dataclasses.replace(MODEL, de={**MODEL.de, 1: 3 * MODEL.de[1]})
+        assert not hb.model_equations_hold(bad)
+        # de^4 = e^12 breaks d^2 = 0
+        bad = dataclasses.replace(MODEL, de={**MODEL.de, 4: CF.e(1, 2)})
+        assert not hb.model_equations_hold(bad)
+
     def test_jacobi(self):
         for mu in range(1, 8):
             assert hb.d_form(MODEL, MODEL.de[mu]).is_zero

@@ -22,6 +22,15 @@ class TestRep:
         assert rep.dim == 2 ** m
 
     @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_relations_predicate(self, m):
+        rep = sp.build_rep(m)
+        assert sp.clifford_relations_hold(rep)
+        # one altered generator breaks e_1^2 = -1
+        bad = dataclasses.replace(
+            rep, gens=(sp.mat_scale(rep.gens[0], 2),) + rep.gens[1:])
+        assert not sp.clifford_relations_hold(bad)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_volume_scalar(self, m):
         rep = sp.build_rep(m)
         assert sp.volume_action(rep) == sp._minus_i_pow(m + 1) * sp.GQ(-1)
@@ -341,5 +350,10 @@ def test_killing_consequences():
 
 
 def test_registry_labels():
-    reg = sp.spinor_registry(REP)
+    reg = sp.spinor_registry()
     assert "psi0.sp1" in reg and "u(1,1,1)" in reg and "v1" in reg
+    # each label maps to a builder of the spinor it names
+    assert reg["u(1,-1,1)"]() == sp.u_spinor(REP, (1, -1, 1))
+    assert reg["v8"]() == sp.majorana_v_basis(REP)[7]
+    assert reg["psi2.sp1"]() == sp.sp1_spinors(REP)[2]
+    assert reg["Psi.su3"]() == sp.canonical_su3_spinor(REP)

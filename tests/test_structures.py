@@ -225,9 +225,12 @@ class TestMisc:
     def test_registry(self):
         reg = registry()
         assert "phi.canonical.3ad" in reg and "psi.theta.su3" in reg
-        # registry objects live over their own tables; compare canonical text
-        assert reg["phi.canonical.3ad"].embed().text() \
+        # names map to builders over the registry's own tables; compare
+        # canonical text
+        assert reg["phi.canonical.3ad"]().embed().text() \
             == R3.phi().embed().text()
+        assert reg["PhiH2.3ad"]().embed().text() == R3.Phi(2).embed().text()
+        assert reg["Om-.su3"]().embed().text() == RS.Om("-").embed().text()
 
 
 class TestAlmostContactCompatibility:
@@ -285,5 +288,10 @@ class TestAlmostContactCompatibility:
             assert endomorphism_trace(sq, (1, 2, 3)) == -2
 
     def test_registry_characteristic_torsion(self):
+        from hetg2.bianchi import characteristic_torsion_genform
         reg = registry()
         assert "Tc.3ad" in reg and "dTc.su3" in reg
+        tc = reg["Tc.3ad"]()
+        assert tc.embed().text() \
+            == characteristic_torsion_genform(R3).embed().text()
+        assert reg["dTc.3ad"]().text() == tc.d().text()
