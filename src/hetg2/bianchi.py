@@ -13,49 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .curvature import (beta_of, curvature_3ad, curvature_su3,
                         instanton_obstruction, wedge_trace)
 from .linsolve import InconsistentSystemError, rank, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
-from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, RingSU3,
-                         characteristic_torsion, make_table, torsion_classes)
+from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, get_ring,
+                         structure_torsion)
 
 
 class Rho2CancellationError(AlgebraError):
     pass
-
-
-_RINGS: dict = {}
-
-
-def get_ring(geometry: str):
-    ring = _RINGS.get(geometry)
-    if ring is None:
-        ring = Ring3ad(make_table("3ad")) if geometry == "3ad" \
-            else RingSU3(make_table("su3"))
-        _RINGS[geometry] = ring
-    return ring
-
-
-_TC_CACHE: dict = {}
-
-
-def characteristic_torsion_genform(ring) -> GenForm:
-    """H = T^c recovered through the torsion-class machinery, as a GenForm."""
-    key = id(ring)
-    if key in _TC_CACHE:
-        return _TC_CACHE[key]
-    if isinstance(ring, Ring3ad):
-        phi, psi = ring.phi(), ring.psi()
-    else:
-        phi, psi = ring.phi_theta(), ring.psi_theta()
-    phi_f, psi_f = phi.embed(), psi.embed()
-    tc = torsion_classes(phi_f, psi_f, phi.d().embed(), psi.d().embed())
-    out = ring.from_form(characteristic_torsion(tc, phi_f, psi_f))
-    _TC_CACHE[key] = out
-    return out
 
 
 def basis_4forms(ring) -> list[GenForm]:
@@ -84,13 +54,11 @@ class BianchiResidual:
         return self.genform.is_zero
 
 
-def residual(geometry: str, lam1: Scalar, lam2: Scalar,
-             ring=None) -> BianchiResidual:
+def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
     """dT^c - (a'/4)(tr R^{lam1} ^ R^{lam1} - tr R^{lam2} ^ R^{lam2})."""
-    ring = ring or get_ring(geometry)
-    table = ring.table
-    alphap = table.sym("alphap")
-    dtc = characteristic_torsion_genform(ring).d()
+    ring = get_ring(geometry)
+    alphap = ring.table.sym("alphap")
+    dtc = structure_torsion(geometry).characteristic.d()
     curv = curvature_3ad if geometry == "3ad" else curvature_su3
     tr1 = wedge_trace(curv(ring, lam1))
     tr2 = wedge_trace(curv(ring, lam2))
@@ -137,11 +105,19 @@ def extract_constraints(res: BianchiResidual,
         raise AlgebraError("coefficient basis is not linearly independent")
     rhs = [res.genform.terms.get(m, table.zero()) for m in monos]
     try:
-        sol = solve_ring_rhs(matrix, rhs, table.zero(), lambda x: x.is_zero)
+        sol = solve_ring_rhs(matrix, rhs)
     except InconsistentSystemError as exc:
         raise NotInSpanError("residual is not in the span of the "
                              "declared basis", exc.residual) from exc
     return ConstraintSystem(res.geometry, sol)
+
+
+@cache
+def constraint_system(geometry: str) -> ConstraintSystem:
+    """The constraint system of the residual at symbolic (lam1, lam2)."""
+    table = get_ring(geometry).table
+    return extract_constraints(
+        residual(geometry, table.sym("lam1"), table.sym("lam2")))
 
 
 @dataclass
@@ -189,14 +165,10 @@ def _reduce_by_hypotheses(p: Scalar, hyps) -> Scalar:
     return p
 
 
-def verify_branch(branch: SolutionBranch, ring=None) -> BranchReport:
+def verify_branch(branch: SolutionBranch) -> BranchReport:
     """Substitute the branch into the constraint system and check vanishing."""
-    ring = ring or get_ring(branch.geometry)
-    table = ring.table
-    lam1 = table.sym("lam1")
-    lam2 = table.sym("lam2")
-    res = residual(branch.geometry, lam1, lam2, ring)
-    system = extract_constraints(res)
+    table = get_ring(branch.geometry).table
+    system = constraint_system(branch.geometry)
     bound = system.substituted(branch.bindings)
     leftovers = []
     for p in bound:
@@ -344,13 +316,10 @@ def sasaki_3alpha_impossibility() -> ImpossibilityReport:
     quadratic has discriminant -432 (lam1 - 2)^2 < 0 away from lam1 = 2, and
     the boundary cases reduce the first constraint to the nonzero constant 4.
     """
-    ring = get_ring("3ad")
-    table = ring.table
+    table = get_ring("3ad").table
     l1, l2 = table.sym("lam1"), table.sym("lam2")
-    res = residual("3ad", l1, l2, ring)
-    system = extract_constraints(res)
+    system = constraint_system("3ad")
     sub = {"delta": table.sym("alpha")}
-    e_b2, e_b1 = None, None
     # order: [B1 coefficient, B2 coefficient] as returned by the basis
     e_b1, e_b2 = (p.subs(sub).subs({"alpha": 1}) for p in system.polynomials)
     elim = prem(e_b1, e_b2, "alphap")

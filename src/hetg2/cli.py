@@ -52,8 +52,9 @@ def _module(name: str):
 
 class Suite:
     """A suite: ``checks`` declares each check once, in report order (an
-    entry may also be a function returning checks built from data); the
-    shared inputs of one run are cached properties, built at most once."""
+    entry may also be a function returning checks built from data); its
+    inputs are cached properties, evaluated at most once per run, that read
+    the objects the domain modules build and cache for the process."""
 
     reads: tuple = ()  # the --params keys the suite reads
     geometry = "3ad"  # the ring of r and its symbols
@@ -63,8 +64,12 @@ class Suite:
     ls = _module("linsolve")
     sp = _module("spinor")
     st = _module("structures")
-    r = cached_property(lambda s: s.bi.get_ring(s.geometry))
+    r = cached_property(lambda s: s.st.get_ring(s.geometry))
     t = cached_property(lambda s: s.r.table)
+    # torsion classes and characteristic torsion of the geometry
+    tc = cached_property(lambda s: s.st.structure_torsion(s.geometry).classes)
+    tcg = cached_property(
+        lambda s: s.st.structure_torsion(s.geometry).characteristic)
     al = cached_property(lambda s: s.t.sym("alpha"))
     de = cached_property(lambda s: s.t.sym("delta"))
     lam = cached_property(lambda s: s.t.sym("lam"))
@@ -106,10 +111,6 @@ class Suite3ad(Suite):
     psi = cached_property(lambda s: s.r.psi())
     phi_f = cached_property(lambda s: s.phi.embed())
     psi_f = cached_property(lambda s: s.psi.embed())
-    tc = cached_property(lambda s: s.st.torsion_classes(
-        s.phi_f, s.psi_f, s.phi.d().embed(), s.psi.d().embed()))
-    tcg = cached_property(lambda s: s.r.from_form(
-        s.st.characteristic_torsion(s.tc, s.phi_f, s.psi_f)))
     tcg_target = cached_property(lambda s: sum(
         (2 * s.al * s.r.eta(i).wedge(s.r.Phi(i)) for i in (1, 2, 3)),
         2 * (s.de - 4 * s.al) * s.r.eta(1, 2, 3)))
@@ -252,9 +253,6 @@ class SuiteSU3(Suite):
     pst = cached_property(lambda s: s.r.psi_theta())
     ph_f = cached_property(lambda s: s.pht.embed())
     ps_f = cached_property(lambda s: s.pst.embed())
-    tc = cached_property(lambda s: s.st.torsion_classes(
-        s.ph_f, s.ps_f, s.pht.d().embed(), s.pst.d().embed()))
-    tcg = cached_property(lambda s: s.bi.characteristic_torsion_genform(s.r))
     # the instanton threshold
     lam_k0 = cached_property(lambda s: Fraction(4, 3) * (3 * s.al - 2 * s.de))
     K = cached_property(lambda s: s.cv.su3_coefficient(s.r, s.lam))
@@ -366,7 +364,7 @@ class SuiteSpinor(Suite):
     rep = cached_property(lambda s: s.reps[3])
     vols = cached_property(lambda s: {m: s.sp.volume_action(s.reps[m])
                                       for m in (1, 2, 3)})
-    rsu = cached_property(lambda s: s.bi.get_ring("su3"))
+    rsu = cached_property(lambda s: s.st.get_ring("su3"))
     cf = cached_property(lambda s: s.r.coframe)
     frame = cached_property(lambda s: {
         **s.st.sp1_frame_forms(s.cf),
@@ -502,23 +500,20 @@ class SuiteSpinor(Suite):
               "the generalized-Killing endomorphism alternates into the "
               "structure equations (d eta, d Phi, d Om)",
               lambda s: all(c.holds for c in s.sp.su3_killing_consequences(
-                  s.st.make_table("su3")))),
+                  s.rsu.table))),
     )
 
 
 class SuiteHeisenberg(Suite):
     reads = ("alphap",)
     model = cached_property(lambda s: s.hb.heisenberg_model())
-    lc = cached_property(lambda s: s.hb.levi_civita(s.model))
-    can = cached_property(lambda s: s.hb.canonical_connection(s.model))
+    lc = cached_property(lambda s: s.hb.levi_civita())
+    can = cached_property(lambda s: s.hb.canonical_connection())
     R_can = cached_property(lambda s: s.hb.curvature_fp(s.can))
     alphap = cached_property(lambda s: s.params.get("alphap", Fraction(1, 12)))
     thm = cached_property(lambda s: s.hb.theorem1_end_to_end(s.alphap))
     neg = cached_property(lambda s: s.hb.theorem1_end_to_end(Fraction(1, 10)))
-    phi = cached_property(lambda s: s.hb.associative_form(s.model.coframe))
-    tc = cached_property(lambda s: s.st.torsion_classes(
-        s.phi, s.phi.star(), s.hb.d_form(s.model, s.phi),
-        s.hb.d_form(s.model, s.phi.star())))
+    tc = cached_property(lambda s: s.hb.associative_torsion_classes())
     seeded = cached_property(lambda s: random.Random(7))
     lams = cached_property(lambda s: [Fraction(0), Fraction(4)] + [
         Fraction(s.seeded.randint(-9, 9), s.seeded.randint(1, 5))
@@ -540,8 +535,8 @@ class SuiteHeisenberg(Suite):
         Check("heisenberg.canonical-connection",
               "the skew-torsion shift reproduces the declared torsion and "
               "parallelizes it",
-              lambda s: all(s.hb.d_form(s.model, s.model.de[m]).is_zero
-                            for m in range(1, 8)),
+              lambda s: s.hb.parallel_torsion_holds(
+                  s.can, s.hb.canonical_torsion_form(s.model)),
               notes="nabla T = 0 is exercised in the test suite "
                     "componentwise"),
         Check("heisenberg.oracle-equivalence",
@@ -549,14 +544,14 @@ class SuiteHeisenberg(Suite):
               "R2 = 0 for l in {0, 4} and five seeded rationals",
               lambda s: dict(
                   ok=all(s.hb.arrays_equal(
-                      s.hb.curvature_fp(s.hb.connection_lambda(s.model, lam)),
+                      s.hb.curvature_fp(s.hb.connection_lambda(lam)),
                       s.hb.closed_form_curvature_array(lam))
                       for lam in s.lams),
                   notes=f"lambdas: {[str(x) for x in s.lams]}")),
         Check("heisenberg.flatness",
               "the parallel-family connection (l = 4) is flat on this model",
               lambda s: not s.hb.curvature_fp(
-                  s.hb.connection_lambda(s.model, Fraction(4)))),
+                  s.hb.connection_lambda(Fraction(4)))),
         Check("heisenberg.sigma-t",
               "the first Bianchi identity with sigma_T holds for the "
               "canonical connection",
@@ -570,7 +565,7 @@ class SuiteHeisenberg(Suite):
               "the quoted derivative rules of the four distinguished "
               "spinors hold under the canonical spin lift",
               lambda s: all(c.holds
-                            for c in s.hb.spin_killing_checks(s.model)),
+                            for c in s.hb.spin_killing_checks()),
               notes="factors carry the global sign of the Clifford "
                     "realization (see CLIFFORD_REALIZATION_SIGN)"),
         Check("heisenberg.exact-solution",
@@ -745,6 +740,10 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.list:
+        if params:
+            print(f"error: --list does not read parameter "
+                  f"{next(iter(params))!r}", file=sys.stderr)
+            return 2
         list_checks(sys.stdout)
         return 0
     if args.suite is None:

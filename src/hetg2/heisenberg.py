@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .curvature import contorsion_3ad, curvature_3ad
 from .exterior import Coframe, Form, basis_multi_indices
-from .scalar import AlgebraError, SymbolTable
-from .structures import CYCLIC, Ring3ad, make_table, sp1_frame_forms
+from .scalar import AlgebraError
+from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
+                         sp1_frame_forms, torsion_classes)
 from . import spinor as sp
 
 VERT = (1, 2, 3)
@@ -37,9 +39,10 @@ class LieModel:
         return self.c.get((mu, nu), {})
 
 
-def heisenberg_model(table: SymbolTable | None = None) -> LieModel:
-    table = table or make_table("3ad")
-    cf = Coframe(table, 7)
+@cache
+def heisenberg_model() -> LieModel:
+    """The model at (alpha, delta) = (1, 0), built and checked once."""
+    cf = Coframe(make_table("3ad"), 7)
     frame = sp1_frame_forms(cf)
     de = {i: 2 * frame["PhiH"][i] for i in VERT}
     de.update({r: cf.zero() for r in HORIZ})
@@ -110,9 +113,20 @@ class Connection:
         val -= self.model.bracket(y, z).get(x, Fraction(0))
         return val
 
+    def has_torsion(self, torsion: Form) -> bool:
+        """T(X; Y, Z) equals the coefficient of the 3-form ``torsion`` on
+        every frame triple."""
+        return all(self.torsion_component(x, y, z)
+                   == torsion.coefficient((x, y, z)).as_fraction()
+                   for x in range(1, 8) for y in range(1, 8)
+                   for z in range(y + 1, 8))
 
-def levi_civita(model: LieModel) -> Connection:
-    """Koszul formula for orthonormal left-invariant fields."""
+
+@cache
+def levi_civita() -> Connection:
+    """Koszul formula for the orthonormal left-invariant frame of the model."""
+    model = heisenberg_model()
+
     def cc(a, b, x):
         return model.bracket(a, b).get(x, Fraction(0))
 
@@ -127,11 +141,8 @@ def levi_civita(model: LieModel) -> Connection:
     conn = Connection(model, L)
     if not conn.is_metric():
         raise AlgebraError("Koszul connection is not metric")
-    for x in range(1, 8):
-        for y in range(1, 8):
-            for z in range(y + 1, 8):
-                if conn.torsion_component(x, y, z) != 0:
-                    raise AlgebraError("Levi-Civita torsion does not vanish")
+    if not conn.has_torsion(model.coframe.zero()):
+        raise AlgebraError("Levi-Civita torsion does not vanish")
     return conn
 
 
@@ -149,13 +160,8 @@ def with_torsion(lc: Connection, torsion: Form) -> Connection:
     conn = Connection(model, L)
     if not conn.is_metric():
         raise AlgebraError("skew-torsion connection is not metric")
-    for x in range(1, 8):
-        for y in range(1, 8):
-            for z in range(y + 1, 8):
-                got = conn.torsion_component(x, y, z)
-                want = torsion.coefficient((x, y, z)).as_fraction()
-                if got != want:
-                    raise AlgebraError("recomputed torsion mismatch")
+    if not conn.has_torsion(torsion):
+        raise AlgebraError("recomputed torsion mismatch")
     return conn
 
 
@@ -169,8 +175,32 @@ def canonical_torsion_form(model: LieModel) -> Form:
     return out
 
 
-def canonical_connection(model: LieModel) -> Connection:
-    return with_torsion(levi_civita(model), canonical_torsion_form(model))
+@cache
+def canonical_connection() -> Connection:
+    """The characteristic connection of the model: skew torsion T."""
+    return with_torsion(levi_civita(),
+                        canonical_torsion_form(heisenberg_model()))
+
+
+def nabla_form(conn: Connection, x: int, form: Form) -> Form:
+    """Covariant derivative nabla_{e_x} of a form with constant coefficients."""
+    cf = conn.model.coframe
+    out = cf.zero()
+    for idx, c in form.terms.items():
+        for pos, mu in enumerate(idx):
+            for nu in range(1, 8):
+                coef = conn.L[x][mu - 1][nu - 1]
+                if coef:
+                    new = idx[:pos] + (nu,) + idx[pos + 1:]
+                    out = out + cf.form({new: -c * coef})
+    return out
+
+
+def parallel_torsion_holds(conn: Connection, torsion: Form) -> bool:
+    """The torsion of conn is the 3-form ``torsion``, componentwise, and
+    nabla_X torsion = 0 for every frame vector X."""
+    return conn.has_torsion(torsion) and all(
+        nabla_form(conn, x, torsion).is_zero for x in range(1, 8))
 
 
 def associative_form(cf: Coframe) -> Form:
@@ -182,10 +212,11 @@ def associative_form(cf: Coframe) -> Form:
     return phi
 
 
-def connection_lambda(model: LieModel, lam: Fraction) -> Connection:
+def connection_lambda(lam: Fraction) -> Connection:
     """Canonical connection shifted by the closed-form difference tensor."""
-    delta = contorsion_3ad(associative_form(model.coframe), Fraction(lam))
-    base = canonical_connection(model)
+    base = canonical_connection()
+    delta = contorsion_3ad(associative_form(base.model.coframe),
+                           Fraction(lam))
     L = {}
     for y in range(1, 8):
         mat = [row[:] for row in base.L[y]]
@@ -193,7 +224,7 @@ def connection_lambda(model: LieModel, lam: Fraction) -> Connection:
             if yy == y:
                 mat[x - 1][z - 1] += v
         L[y] = mat
-    conn = Connection(model, L)
+    conn = Connection(base.model, L)
     if not conn.is_metric():
         raise AlgebraError("deformed connection is not metric")
     return conn
@@ -239,9 +270,8 @@ def curvature_fp(conn: Connection) -> dict:
 
 def closed_form_curvature_array(lam: Fraction) -> dict:
     """The closed-form operator at (alpha, delta) = (1, 0) with R2 = 0."""
-    table = make_table("3ad")
-    ring = Ring3ad(table)
-    R = curvature_3ad(ring, table.rat(lam))
+    ring = get_ring("3ad")
+    R = curvature_3ad(ring, ring.table.rat(lam))
     arr = R.to_array()
     sub = {"alpha": 1, "delta": 0}
     out = {}
@@ -372,7 +402,7 @@ class KillingCheck:
 CLIFFORD_REALIZATION_SIGN = -1
 
 
-def spin_killing_checks(model: LieModel) -> list:
+def spin_killing_checks() -> list:
     """Derivative rules of the four distinguished spinors at (1, 0).
 
     With s = CLIFFORD_REALIZATION_SIGN: nabla^g_X psi_0 = -s (3/2) X psi_0 on
@@ -380,7 +410,7 @@ def spin_killing_checks(model: LieModel) -> list:
     the auxiliary spinors satisfy s(1/2) X psi_i, s((2a-d)/2) xi_i psi_i and
     s((3d-2a)/2) xi_j psi_i with (a, d) = (1, 0).
     """
-    lc = levi_civita(model)
+    lc = levi_civita()
     rep = sp.build_rep(3)
     psi = sp.sp1_spinors(rep)
     checks = []
@@ -446,6 +476,35 @@ class TheoremReport:
     notes: str
 
 
+@cache
+def associative_torsion_classes() -> TorsionClasses:
+    """Torsion classes of the associative form on the model."""
+    model = heisenberg_model()
+    phi = associative_form(model.coframe)
+    psi = phi.star()
+    return torsion_classes(phi, psi, d_form(model, phi), d_form(model, psi))
+
+
+@cache
+def _theorem_parts() -> tuple:
+    """The a'-independent parts of the exact-solution check: (instanton
+    verdict, flatness verdict, dT, tr R^4 ^ R^4 - tr R^0 ^ R^0, torsion-class
+    verdict)."""
+    model = heisenberg_model()
+    cf = model.coframe
+    psi = associative_form(cf).star()
+    arr0 = curvature_fp(canonical_connection())
+    arr4 = curvature_fp(connection_lambda(Fraction(4)))  # lam = -beta
+    instanton_zero = (not curvature_wedge_psi(arr0, psi)
+                      and not curvature_wedge_psi(arr4, psi))
+    dT = d_form(model, canonical_torsion_form(model))
+    tr_diff = trace_wedge(arr4, arr4, cf) - trace_wedge(arr0, arr0, cf)
+    tc = associative_torsion_classes()
+    tau_ok = (tc.tau0 == cf.table.rat(Fraction(24, 7))
+              and tc.tau1.is_zero and tc.tau2.is_zero)
+    return instanton_zero, not arr4, dT, tr_diff, tau_ok
+
+
 def theorem1_end_to_end(alphap: Fraction = Fraction(1, 12)) -> TheoremReport:
     """Exact-solution check from first principles at (alpha, delta) = (1, 0).
 
@@ -455,30 +514,8 @@ def theorem1_end_to_end(alphap: Fraction = Fraction(1, 12)) -> TheoremReport:
     The default a' = 1/12 satisfies 12 a' alpha^2 = 1; any other value must
     yield a nonzero residual.
     """
-    model = heisenberg_model()
-    cf = model.coframe
-    phi = associative_form(cf)
-    psi = phi.star()
-    torsion = canonical_torsion_form(model)
-
-    arr0 = curvature_fp(canonical_connection(model))
-    arr4 = curvature_fp(connection_lambda(model, Fraction(4)))  # lam = -beta
-    flat = not arr4
-    ob0 = curvature_wedge_psi(arr0, psi)
-    ob4 = curvature_wedge_psi(arr4, psi)
-    instanton_zero = not ob0 and not ob4
-
-    dT = d_form(model, torsion)
-    tr4 = trace_wedge(arr4, arr4, cf)
-    tr0 = trace_wedge(arr0, arr0, cf)
-    residual = dT - Fraction(alphap, 4) * (tr4 - tr0)
-
-    from .structures import torsion_classes
-    tc = torsion_classes(phi, psi, d_form(model, phi), d_form(model, psi))
-    table = cf.table
-    tau_ok = (tc.tau0 == table.rat(Fraction(24, 7))
-              and tc.tau1.is_zero and tc.tau2.is_zero)
-
+    instanton_zero, flat, dT, tr_diff, tau_ok = _theorem_parts()
+    residual = dT - Fraction(alphap, 4) * tr_diff
     ok = instanton_zero and flat and residual.is_zero and tau_ok
     return TheoremReport(
         "pass" if ok else "fail",

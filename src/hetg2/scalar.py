@@ -332,10 +332,6 @@ class Scalar:
         return {k: Scalar(self.table, v, {}, _reduce=False)
                 for k, v in sorted(out.items())}
 
-    def degree_in(self, var: str) -> int:
-        cs = self.coeffs_in(var)
-        return max(cs) if cs else 0
-
     def div_exact(self, q: "Scalar", var: Optional[str] = None) -> "Scalar":
         """Exact polynomial division self / q; raises if it does not divide.
 

@@ -545,36 +545,6 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
     return SigmaDecomposition(projectors, dims)
 
 
-def gq_nullspace(matrix):
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [GQ(0)] * ncols
-        v[fc] = GQ(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def purity_dim(rep: CliffordRep, psi) -> int:
     """Complex dimension of the Clifford annihilator of psi in T^C.
 
@@ -586,7 +556,10 @@ def purity_dim(rep: CliffordRep, psi) -> int:
     cols = [matvec(g, psi) for g in rep.gens]
     matrix = [tuple(cols[mu][i] for mu in range(len(cols)))
               for i in range(rep.dim)]
-    kernel = gq_nullspace(matrix)
+    # imported on use, as structures is below: `show` of a spinor needs
+    # neither module
+    from .linsolve import nullspace
+    kernel = nullspace(matrix)
     for v in kernel:
         for w in kernel:
             s = sum((a * b for a, b in zip(v, w)), GQ(0))
@@ -682,7 +655,8 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
     for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         record(f"xi{i} psi{j} = psi{k}", matvec(xi(i), psi[j]), psi[k])
     # membership in the rank-2 bundles: psi_i solves the E_j equation, j != i
-    phi_tensor = {i: _endo_from_form(frame["Phi"][i], flip=True)
+    from .structures import endomorphism_from_form
+    phi_tensor = {i: endomorphism_from_form(frame["Phi"][i])
                   for i in (1, 2, 3)}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -700,27 +674,16 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
     return checks
 
 
-def _endo_from_form(phi_form: Form, flip: bool) -> dict:
-    """(1,1)-tensor phi(e_x) = sum_y c e_y from Phi(X,Y) = g(X, phi Y)."""
-    out: dict[int, list] = {}
-    sgn = -1 if flip else 1
-    for (a, b), c in phi_form.terms.items():
-        v = c.as_fraction() * sgn
-        # Phi(e_a, e_b) = g(e_a, phi e_b) -> phi(e_b) gains v * e_a
-        out.setdefault(b, []).append((a, v))
-        out.setdefault(a, []).append((b, -v))
-    return out
-
-
 def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, psi) -> bool:
-    """(-2 phi_j(X) + xi_j X - X xi_j) psi = 0 for every frame vector X."""
+    """(-2 phi_j(X) + xi_j X - X xi_j) psi = 0 for every frame vector X,
+    with phi_j the spinor-side tensor, the negative of ``phi_tensor``."""
     xi = rep.gens[j - 1]
     for x in range(1, 8):
         acc = vec_add(matvec(xi, matvec(rep.gens[x - 1], psi)),
                       vec_scale(matvec(rep.gens[x - 1], matvec(xi, psi)), -1))
-        for (y, v) in phi_tensor.get(x, ()):
+        for y, v in phi_tensor.get(x, {}).items():
             acc = vec_add(acc, vec_scale(matvec(rep.gens[y - 1], psi),
-                                         GQ(-2 * v)))
+                                         GQ(2 * v)))
         if not all(c.is_zero for c in acc):
             return False
     return True
@@ -730,27 +693,29 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
     """Reeb and horizontal Clifford relations of the +- spinor pair.
 
     Checks xi Psi_+ = Psi_-, X Psi_+ = phi(X) Psi_- and
-    xi X Psi_+ = phi(X) Psi_+ (structure 1, spinor-side phi convention).
+    xi X Psi_+ = phi(X) Psi_+ (structure 1, spinor-side phi convention: the
+    negative of the form's tensor).
     """
     psi = canonical_su3_spinor(rep)
     bar = vec_conj(psi)
     plus = vec_add(psi, bar)
     minus = vec_scale(vec_add(psi, vec_scale(bar, -1)), -I)
-    phi_tensor = _endo_from_form(frame["Phi"][1], flip=True)
+    from .structures import endomorphism_from_form
+    phi_tensor = endomorphism_from_form(frame["Phi"][1])
     checks = [IdentityCheck("xi1 Psi+ = Psi-",
                             _eqv(matvec(rep.gens[0], plus), minus), 1)]
     ok_h, ok_hv = True, True
     for x in range(2, 8):
         rhs = (GQ(0),) * rep.dim
-        for (y, v) in phi_tensor.get(x, ()):
+        for y, v in phi_tensor.get(x, {}).items():
             rhs = vec_add(rhs, vec_scale(matvec(rep.gens[y - 1], minus),
-                                         GQ(v)))
+                                         GQ(-v)))
         if not _eqv(matvec(rep.gens[x - 1], plus), rhs):
             ok_h = False
         rhs2 = (GQ(0),) * rep.dim
-        for (y, v) in phi_tensor.get(x, ()):
+        for y, v in phi_tensor.get(x, {}).items():
             rhs2 = vec_add(rhs2, vec_scale(matvec(rep.gens[y - 1], plus),
-                                           GQ(v)))
+                                           GQ(-v)))
         lhs2 = matvec(rep.gens[0], matvec(rep.gens[x - 1], plus))
         if not _eqv(lhs2, rhs2):
             ok_hv = False
@@ -769,10 +734,11 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
     m = rep.m
     psi = canonical_su3_spinor(rep)
     bar = vec_conj(psi)
-    phi_tensor = _endo_from_form(phi_form, flip=False)
+    from .structures import endomorphism_from_form
+    phi_tensor = endomorphism_from_form(phi_form)
     for x in range(1, 2 * m + 2):
         acc = vec_scale(matvec(rep.gens[x - 1], psi), I)
-        for (y, v) in phi_tensor.get(x, ()):
+        for y, v in phi_tensor.get(x, {}).items():
             acc = vec_add(acc, vec_scale(matvec(rep.gens[y - 1], psi),
                                          GQ(-v)))
         if x == 1:
@@ -780,7 +746,7 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
         if not all(c.is_zero for c in acc):
             return False
         accb = vec_scale(matvec(rep.gens[x - 1], bar), -I)
-        for (y, v) in phi_tensor.get(x, ()):
+        for y, v in phi_tensor.get(x, {}).items():
             accb = vec_add(accb, vec_scale(matvec(rep.gens[y - 1], bar),
                                            GQ(-v)))
         if x == 1:
@@ -828,7 +794,7 @@ def su3_killing_consequences(table) -> list:
     covariant derivatives of (eta, Phi, Om) alternate into the structure
     equations: d eta = 2a Phi, d Phi = 0 and d Om = 4 i d eta ^ Om.
     """
-    from .structures import su3_frame_forms
+    from .structures import endomorphism_from_form, su3_frame_forms
     cf = Coframe(table, 7)
     frame = su3_frame_forms(cf)
     a, d = table.sym("alpha"), table.sym("delta")
@@ -867,13 +833,13 @@ def su3_killing_consequences(table) -> list:
         d_omm == 4 * d * (frame["eta"] ^ om_p), 1))
     # the two quoted derivative routes agree: the metric dual of
     # nabla xi = -phi(S(X)) equals nabla eta = S(X) -| Phi on every frame leg
-    phi_tensor = _endo_from_form(frame["Phi"], flip=False)
+    phi_tensor = endomorphism_from_form(frame["Phi"])
     routes_ok = True
     for mu in range(1, 8):
         coef = s_of.get(mu, a)
         via_eta = coef * frame["Phi"].contract(mu)
         dual = cf.zero()
-        for (y, v) in phi_tensor.get(mu, ()):
+        for y, v in phi_tensor.get(mu, {}).items():
             dual = dual + cf.form({(y,): -v}) * coef
         if not (via_eta - dual).is_zero:
             routes_ok = False

@@ -16,8 +16,9 @@ every wedge relation under that embedding.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Mapping, Optional, Union
 
 from .exterior import Coframe, Form, basis_multi_indices, form_to_vector
@@ -45,6 +46,18 @@ def make_table(geometry: str, sqrt_d=None) -> SymbolTable:
         t.add_relation(t.sym("s") ** 2 + t.sym("c") ** 2 - 1)
         return t
     raise AlgebraError(f"unknown geometry: {geometry}")
+
+
+# Caching policy: an exact object shared by several checks is built by one
+# function of the module that owns it, cached with functools.cache on value
+# arguments (a geometry name, m or lam) for the life of the process; callers
+# never mutate what it returns.
+
+@cache
+def get_ring(geometry: str) -> "_BaseRing":
+    """The generated ring of one geometry ('3ad' or 'su3'), built once."""
+    ring_cls = Ring3ad if geometry == "3ad" else RingSU3
+    return ring_cls(make_table(geometry))
 
 
 def sp1_frame_forms(cf: Coframe) -> dict:
@@ -219,8 +232,7 @@ class _BaseRing:
                                for e in embeds])
             rhs = form_to_vector(part, basis)
             try:
-                sol = solve_ring_rhs(matrix, rhs, self.table.zero(),
-                                     lambda x: x.is_zero)
+                sol = solve_ring_rhs(matrix, rhs)
             except InconsistentSystemError as exc:
                 raise NotInSpanError("form is not in the ring's span",
                                      exc.residual) from exc
@@ -524,9 +536,6 @@ class TorsionClasses:
         self.tau2 = tau2
         self.tau3 = tau3
 
-    def is_coclosed(self) -> bool:
-        return self.tau1.is_zero and self.tau2.is_zero
-
 
 class ExtractionError(AlgebraError):
     def __init__(self, message, residual=None):
@@ -616,7 +625,7 @@ def _extract_at(phi, psi, dphi, dpsi):
     rhs = form_to_vector(dphi, b4) + form_to_vector(dpsi, b5)
     rhs += [table.zero()] * (7 + 7 + 1)
     try:
-        sol = solve_ring_rhs(matrix, rhs, table.zero(), lambda x: x.is_zero)
+        sol = solve_ring_rhs(matrix, rhs)
     except InconsistentSystemError as exc:
         raise ExtractionError("torsion-class system is inconsistent",
                               exc.residual) from exc
@@ -674,8 +683,7 @@ def torsion_classes(phi: Form, psi: Form, dphi: Form, dpsi: Form) -> TorsionClas
         s_sym, c_sym = table.sym("s"), table.sym("c")
         sol = []
         for i in range(n):
-            comps = solve_ring_rhs(vand, [sols[p][i] for p in range(3)],
-                                   table.zero(), lambda x: x.is_zero)
+            comps = solve_ring_rhs(vand, [sols[p][i] for p in range(3)])
             sol.append(comps[0] + s_sym * comps[1] + c_sym * comps[2])
         tc = _classes_from_vector(cf, sol)
     r1, r2 = decomposition_residuals(phi, psi, dphi, dpsi, tc)
@@ -705,6 +713,25 @@ def aux_structures_nearly_parallel(ring: "Ring3ad") -> bool:
 def characteristic_torsion(tc: TorsionClasses, phi: Form, psi: Form) -> Form:
     """Torsion of the characteristic connection: (1/6) tau0 phi - tau1 -| psi - tau3."""
     return (tc.tau0 / 6) * phi - psi.contract(tc.tau1) - tc.tau3
+
+
+Torsion = namedtuple("Torsion", "classes characteristic")
+
+
+@cache
+def structure_torsion(geometry: str) -> Torsion:
+    """Torsion classes and characteristic torsion (as a GenForm) of the
+    distinguished G2 structure of one geometry: (phi, psi) on '3ad', the
+    circle family (phi(t), psi(t)) on 'su3'.  Extracted once."""
+    ring = get_ring(geometry)
+    if geometry == "3ad":
+        phi, psi = ring.phi(), ring.psi()
+    else:
+        phi, psi = ring.phi_theta(), ring.psi_theta()
+    phi_f, psi_f = phi.embed(), psi.embed()
+    tc = torsion_classes(phi_f, psi_f, phi.d().embed(), psi.d().embed())
+    return Torsion(tc, ring.from_form(characteristic_torsion(tc, phi_f,
+                                                             psi_f)))
 
 
 def h_homothety(alpha: Scalar, delta: Scalar, a, c):
@@ -742,13 +769,15 @@ def endomorphism_from_form(phi_form: Form) -> dict:
     """(1,1)-tensor phi(e_b) = sum_a c_ab e_a from Phi(X, Y) = g(X, phi Y).
 
     Returned as a dict b -> {a: coefficient} over frame indices; only
-    rational-coefficient forms are supported.
+    rational-coefficient forms are supported.  This is the only
+    form-to-endomorphism convention of the package; the spinor side uses
+    the negative of a form's tensor where its convention differs.
     """
     out: dict[int, dict] = {}
     for (a, b), c in phi_form.terms.items():
         v = c.as_fraction()
-        out.setdefault(b, {})[a] = out.setdefault(b, {}).get(a, 0) + v
-        out.setdefault(a, {})[b] = out.setdefault(a, {}).get(b, 0) - v
+        out.setdefault(b, {})[a] = v
+        out.setdefault(a, {})[b] = -v
     return out
 
 
@@ -767,22 +796,13 @@ def endomorphism_trace(f: dict, indices) -> Fraction:
     return sum(Fraction(f.get(i, {}).get(i, 0)) for i in indices)
 
 
-def registry(table3: Optional[SymbolTable] = None,
-             table_s: Optional[SymbolTable] = None) -> dict:
+def registry() -> dict:
     """Named forms addressable from the command line.
 
-    Each name maps to a zero-argument builder over two rings built once, so
+    Each name maps to a zero-argument builder over the two shared rings, so
     looking a name up builds no form and showing one builds only that one.
     """
-    r3 = Ring3ad(table3 or make_table("3ad"))
-    rs = RingSU3(table_s or make_table("su3"))
-
-    def char_torsion(ring, phi, psi):
-        tc = torsion_classes(phi.embed(), psi.embed(),
-                             phi.d().embed(), psi.d().embed())
-        return ring.from_form(characteristic_torsion(tc, phi.embed(),
-                                                     psi.embed()))
-
+    r3, rs = get_ring("3ad"), get_ring("su3")
     reg = {
         "phi.canonical.3ad": r3.phi,
         "psi.canonical.3ad": r3.psi,
@@ -791,11 +811,10 @@ def registry(table3: Optional[SymbolTable] = None,
         "phi.theta.su3": rs.phi_theta,
         "psi.theta.su3": rs.psi_theta,
         "dphi.theta.su3": lambda: rs.phi_theta().d(),
-        "Tc.3ad": lambda: char_torsion(r3, r3.phi(), r3.psi()),
-        "dTc.3ad": lambda: char_torsion(r3, r3.phi(), r3.psi()).d(),
-        "Tc.su3": lambda: char_torsion(rs, rs.phi_theta(), rs.psi_theta()),
-        "dTc.su3": lambda: char_torsion(rs, rs.phi_theta(),
-                                        rs.psi_theta()).d(),
+        "Tc.3ad": lambda: structure_torsion("3ad").characteristic,
+        "dTc.3ad": lambda: structure_torsion("3ad").characteristic.d(),
+        "Tc.su3": lambda: structure_torsion("su3").characteristic,
+        "dTc.su3": lambda: structure_torsion("su3").characteristic.d(),
         "eta.su3": rs.eta,
         "Phi.su3": rs.Phi,
         "Om+.su3": partial(rs.Om, "+"),

@@ -117,12 +117,11 @@ def test_criterion_5_exact_solution_end_to_end():
 
 
 def test_criterion_6_oracle_equivalence():
-    model = hb.heisenberg_model()
     rng = random.Random(2026)
     lams = [F(0), F(4)] + [F(rng.randint(-12, 12), rng.randint(1, 7))
                            for _ in range(5)]
     for lam in lams:
-        fp = hb.curvature_fp(hb.connection_lambda(model, lam))
+        fp = hb.curvature_fp(hb.connection_lambda(lam))
         cl = hb.closed_form_curvature_array(lam)
         assert hb.arrays_equal(fp, cl), lam
     _report(6, f"closed-form curvature equals the first-principles "

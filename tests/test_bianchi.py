@@ -3,11 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from hetg2.bianchi import (approx_order_report, branches,
-                           characteristic_torsion_genform,
                            extract_constraints, get_ring, residual,
                            sasaki_3alpha_impossibility, verify_branch)
 from hetg2.scalar import SymbolTable, prem
-from hetg2.structures import NotInSpanError
+from hetg2.structures import NotInSpanError, structure_torsion
 
 R3 = get_ring("3ad")
 T3 = R3.table
@@ -22,7 +21,7 @@ class TestResidual:
         assert res.genform is not None  # construction implies cancellation
 
     def test_flux_source_is_characteristic_torsion(self):
-        tcg = characteristic_torsion_genform(R3)
+        tcg = structure_torsion("3ad").characteristic
         expect = 2 * (DE - 4 * AL) * R3.eta(1, 2, 3)
         for i in (1, 2, 3):
             expect = expect + 2 * AL * R3.eta(i).wedge(R3.Phi(i))
@@ -52,7 +51,7 @@ class TestResidual:
         rs = get_ring("su3")
         ts = rs.table
         sysm = extract_constraints(
-            residual("su3", ts.sym("lam1"), ts.sym("lam2"), rs))
+            residual("su3", ts.sym("lam1"), ts.sym("lam2")))
         de, al = ts.sym("delta"), ts.sym("alpha")
         s, c = ts.sym("s"), ts.sym("c")
         by_monomial = dict(zip(["PhiPhi", "etaOm+", "etaOm-"],

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hetg2 import cli, structures
+from hetg2 import bianchi, cli, heisenberg, spinor, structures
 from hetg2.cli import main, parse_params, render_json, report_payload, \
     run_suite
 from hetg2.spinor import spinor_registry
@@ -76,6 +76,26 @@ class TestSuites:
         # the default report is byte-stable: any change to it is deliberate
         text = render_json(report_payload("all", all_records))
         assert hashlib.sha256(text.encode()).hexdigest() == ALL_REPORT_SHA256
+
+    def test_second_run_identical(self, all_records):
+        # the shared builders' objects are cached for the process; a caller
+        # that mutated one would change the second report
+        assert render_json(report_payload("all", run_suite("all", {}))) \
+            == render_json(report_payload("all", all_records))
+
+    @pytest.mark.parametrize("builder,args", [
+        (structures.get_ring, ("3ad",)), (structures.get_ring, ("su3",)),
+        (structures.structure_torsion, ("3ad",)),
+        (structures.structure_torsion, ("su3",)),
+        (bianchi.constraint_system, ("3ad",)),
+        (bianchi.constraint_system, ("su3",)),
+        (heisenberg.heisenberg_model, ()), (heisenberg.levi_civita, ()),
+        (heisenberg.canonical_connection, ()),
+        (heisenberg.associative_torsion_classes, ()),
+        (heisenberg._theorem_parts, ()), (spinor.build_rep, (3,)),
+    ])
+    def test_shared_builders_cached(self, builder, args):
+        assert builder(*args) is builder(*args)
 
     def test_raising_check_fails_alone(self, all_records, monkeypatch,
                                        tmp_path, capsys):
@@ -164,6 +184,11 @@ class TestDriver:
         monkeypatch.setattr(cli, "run_suite", lambda suite, params: [])
         assert main(["verify", "--suite", suite, "--params", binding]) == 0
 
+    def test_list_refuses_params(self, capsys):
+        assert main(["verify", "--list", "--params", "alpha=2"]) == 2
+        assert capsys.readouterr().err \
+            == "error: --list does not read parameter 'alpha'\n"
+
     def test_missing_suite_exit_two(self, capsys):
         assert main(["verify"]) == 2
 
@@ -197,6 +222,8 @@ class TestDriver:
             calls.append(args)
             return torsion_classes(*args)
         monkeypatch.setattr(structures, "torsion_classes", counted)
+        # an extraction made earlier in the process is cached
+        structures.structure_torsion.cache_clear()
         assert main(["show", "--name", name]) == 0
         assert len(calls) == extractions
 

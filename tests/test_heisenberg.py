@@ -10,18 +10,6 @@ CF = MODEL.coframe
 FRAME = sp1_frame_forms(CF)
 
 
-def nabla_form(conn, x, form):
-    out = CF.zero()
-    for idx, c in form.terms.items():
-        for pos, mu in enumerate(idx):
-            for nu in range(1, 8):
-                coef = conn.L[x][mu - 1][nu - 1]
-                if coef:
-                    new = idx[:pos] + (nu,) + idx[pos + 1:]
-                    out = out + CF.form({new: -c * coef})
-    return out
-
-
 class TestModel:
     def test_equations_predicate(self):
         assert hb.model_equations_hold(MODEL)
@@ -50,38 +38,52 @@ class TestModel:
 
 class TestConnections:
     def test_levi_civita_reeb_derivatives(self):
-        lc = hb.levi_civita(MODEL)
+        lc = hb.levi_civita()
         assert lc.nabla(4, 1) == {5: F(-1)}  # -phi_1(e_4) = -e_5
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert lc.nabla(i, j) == {}
 
     def test_canonical_parallel_torsion(self):
-        can = hb.canonical_connection(MODEL)
+        can = hb.canonical_connection()
         T = hb.canonical_torsion_form(MODEL)
         for x in range(1, 8):
-            assert nabla_form(can, x, T).is_zero
+            assert hb.nabla_form(can, x, T).is_zero
+
+    def test_parallel_torsion_predicate(self):
+        T = hb.canonical_torsion_form(MODEL)
+        can = hb.canonical_connection()
+        assert hb.parallel_torsion_holds(can, T)
+        assert not hb.parallel_torsion_holds(hb.levi_civita(), T)
+        # one altered entry: g(e_1, nabla_4 e_2) changes the torsion;
+        # g(e_4, nabla_1 e_1) keeps it but breaks nabla T = 0
+        for y, x, z, torsion_kept in ((4, 1, 2, False), (1, 4, 1, True)):
+            L = {k: [row[:] for row in m] for k, m in can.L.items()}
+            L[y][x - 1][z - 1] += 1
+            conn = hb.Connection(MODEL, L)
+            assert conn.has_torsion(T) == torsion_kept
+            assert not hb.parallel_torsion_holds(conn, T)
 
     def test_canonical_nabla_phi(self):
-        can = hb.canonical_connection(MODEL)
+        can = hb.canonical_connection()
         for x in range(1, 8):
             for i, (j, k) in CYCLIC.items():
-                got = nabla_form(can, x, FRAME["Phi"][i])
+                got = hb.nabla_form(can, x, FRAME["Phi"][i])
                 etak = F(1) if x == k else F(0)
                 etaj = F(1) if x == j else F(0)
                 want = -4 * (etak * FRAME["Phi"][j] - etaj * FRAME["Phi"][k])
                 assert (got - want).is_zero
 
     def test_parallel_family_parallelizes(self):
-        c4 = hb.connection_lambda(MODEL, F(4))
+        c4 = hb.connection_lambda(F(4))
         for x in range(1, 8):
             for i in (1, 2, 3):
-                assert nabla_form(c4, x, FRAME["Phi"][i]).is_zero
+                assert hb.nabla_form(c4, x, FRAME["Phi"][i]).is_zero
 
     def test_horizontal_lift_coefficient(self):
         # g(X, nabla^lam_Y Z) = (2a - lam/2) sum eta_i(Y) Phi_i(Z, X)
         for lam in (F(0), F(3), F(-1, 2)):
-            conn = hb.connection_lambda(MODEL, lam)
+            conn = hb.connection_lambda(lam)
             for y in (1, 2, 3):
                 for z in (4, 5, 6, 7):
                     for x in (4, 5, 6, 7):
@@ -96,19 +98,19 @@ class TestCurvature:
         lams = [F(0), F(4)] + [F(rng.randint(-9, 9), rng.randint(1, 5))
                                for _ in range(5)]
         for lam in lams:
-            fp = hb.curvature_fp(hb.connection_lambda(MODEL, lam))
+            fp = hb.curvature_fp(hb.connection_lambda(lam))
             cl = hb.closed_form_curvature_array(lam)
             assert hb.arrays_equal(fp, cl), lam
 
     def test_flatness_of_parallel_family(self):
-        assert not hb.curvature_fp(hb.connection_lambda(MODEL, F(4)))
+        assert not hb.curvature_fp(hb.connection_lambda(F(4)))
 
     def test_sigma_t_bianchi(self):
-        can = hb.canonical_connection(MODEL)
+        can = hb.canonical_connection()
         assert hb.sigma_t_identity(can, hb.canonical_torsion_form(MODEL))
 
     def test_pair_symmetry_canonical(self):
-        arr = hb.curvature_fp(hb.canonical_connection(MODEL))
+        arr = hb.curvature_fp(hb.canonical_connection())
         for (i, j), v in arr.items():
             assert arr.get((j, i), F(0)) == v
 
@@ -116,7 +118,7 @@ class TestCurvature:
         # R(X,Y) xi_i = 2a(b+l)(Phi_k^H(X,Y) xi_j - Phi_j^H(X,Y) xi_k)
         #   - (b+l)(4a-l)(eta_ij(X,Y) xi_j - eta_ki(X,Y) xi_k)
         for lam in (F(0), F(1), F(-3, 2)):
-            arr = hb.curvature_fp(hb.connection_lambda(MODEL, lam))
+            arr = hb.curvature_fp(hb.connection_lambda(lam))
             bl = -4 + lam
 
             def pairval(form, x, y):
@@ -143,7 +145,7 @@ class TestCurvature:
 
 class TestSpinParts:
     def test_killing_checks(self):
-        for c in hb.spin_killing_checks(MODEL):
+        for c in hb.spin_killing_checks():
             assert c.holds, c.name
 
 

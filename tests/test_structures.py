@@ -288,10 +288,12 @@ class TestAlmostContactCompatibility:
             assert endomorphism_trace(sq, (1, 2, 3)) == -2
 
     def test_registry_characteristic_torsion(self):
-        from hetg2.bianchi import characteristic_torsion_genform
         reg = registry()
         assert "Tc.3ad" in reg and "dTc.su3" in reg
         tc = reg["Tc.3ad"]()
+        phi, psi = R3.phi().embed(), R3.psi().embed()
+        classes = torsion_classes(phi, psi, R3.phi().d().embed(),
+                                  R3.psi().d().embed())
         assert tc.embed().text() \
-            == characteristic_torsion_genform(R3).embed().text()
+            == characteristic_torsion(classes, phi, psi).text()
         assert reg["dTc.3ad"]().text() == tc.d().text()
