@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .curvature import (beta_of, curvature_3ad, curvature_su3,
-                        instanton_obstruction, wedge_trace)
+from .curvature import (curvature_3ad, curvature_su3, instanton_obstruction,
+                        wedge_trace)
 from .linsolve import InconsistentSystemError, rank, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
 from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, get_ring,
@@ -78,10 +78,6 @@ class ConstraintSystem:
     def substituted(self, bindings) -> list[Scalar]:
         return [p.subs(bindings) for p in self.polynomials]
 
-    @property
-    def is_satisfied(self) -> bool:
-        return all(p.is_zero for p in self.polynomials)
-
 
 def extract_constraints(res: BianchiResidual,
                         basis: Optional[list] = None) -> ConstraintSystem:
@@ -120,6 +116,24 @@ def constraint_system(geometry: str) -> ConstraintSystem:
         residual(geometry, table.sym("lam1"), table.sym("lam2")))
 
 
+# The solution branches by id, with their descriptions, in report order.
+# They are declared apart from the branch data, so that listing the branches
+# builds no ring.
+BRANCHES = {
+    "3ad.exact": "delta = 0, A = parallel-family instanton, Theta = canonical, "
+                 "12 a' alpha^2 = 1",
+    "3ad.case-i": "A = parallel-family instanton, lam2 = 2 delta, "
+                  "12 a' (delta-alpha)^2 = 1",
+    "3ad.case-ii": "A = canonical, 3a'(beta+lam2)^2 = 3a' beta^2 + 4 with the "
+                   "squared compatibility relation; verified as a conditional "
+                   "identity",
+    "su3.case-a": "delta = 0, 3a'(4a - lam2)^2 = 3a'(4a - lam1)^2 - 8",
+    "su3.case-b": "delta = 3a/2, 3a' lam2^2 = 3a' lam1^2 + 8",
+    "3ad.negative-control": "wrong slope lam2 = 3 delta; residual must be "
+                            "nonzero",
+}
+
+
 @dataclass
 class SolutionBranch:
     """One solution family: bindings, defining relations, sign samples.
@@ -132,13 +146,19 @@ class SolutionBranch:
     """
 
     branch_id: str
-    geometry: str
     bindings: dict
     hypotheses: list
     samples: list
-    description: str
     expect_zero: bool = True
     conditional_pair: Optional[tuple] = None  # (h1 var, h2 poly) for case ii
+
+    @property
+    def geometry(self) -> str:
+        return self.branch_id.split(".")[0]
+
+    @property
+    def description(self) -> str:
+        return BRANCHES[self.branch_id]
 
 
 @dataclass
@@ -225,7 +245,8 @@ def _conditional_identity_reduce(p: Scalar, branch: SolutionBranch,
 
 
 def branches() -> list[SolutionBranch]:
-    """The solution branches of both geometries plus a negative control."""
+    """The solution branches of both geometries plus a negative control, in
+    the order of ``BRANCHES``."""
     t3 = get_ring("3ad").table
     ts = get_ring("su3").table
     a3, d3 = t3.sym("alpha"), t3.sym("delta")
@@ -236,63 +257,54 @@ def branches() -> list[SolutionBranch]:
     out = []
     # exact solution: degenerate case, both instantons
     out.append(SolutionBranch(
-        "3ad.exact", "3ad",
+        "3ad.exact",
         {"delta": t3.zero(), "lam1": -beta3.subs({"delta": 0}),
          "lam2": t3.zero()},
         [(12 * ap3 * a3 ** 2 - 1, "alphap")],
         [{"alpha": 1, "delta": 0, "lam1": Fraction(4), "lam2": 0,
-          "alphap": Fraction(1, 12)}],
-        "delta = 0, A = parallel-family instanton, Theta = canonical, "
-        "12 a' alpha^2 = 1"))
+          "alphap": Fraction(1, 12)}]))
     # case i: lam2 = 2 delta with 1/a' = 12 (delta - alpha)^2
     out.append(SolutionBranch(
-        "3ad.case-i", "3ad",
+        "3ad.case-i",
         {"lam1": -beta3, "lam2": 2 * d3},
         [(12 * ap3 * (d3 - a3) ** 2 - 1, "alphap")],
         [{"alpha": 1, "delta": 3, "lam1": -2, "lam2": 6,
-          "alphap": Fraction(1, 48)}],
-        "A = parallel-family instanton, lam2 = 2 delta, "
-        "12 a' (delta-alpha)^2 = 1"))
+          "alphap": Fraction(1, 48)}]))
     # case ii: lam1 = 0, lam2 from the quadratic, nested-radical condition
     h1 = 3 * ap3 * (beta3 + l2_3) ** 2 - 3 * ap3 * beta3 ** 2 - 4
     h2 = (4 + 3 * ap3 * (beta3 ** 2 - 2 * d3 ** 2 - 2 * d3 * beta3)) ** 2 \
         - 36 * ap3 ** 2 * d3 ** 3 * (d3 + 2 * beta3)
     out.append(SolutionBranch(
-        "3ad.case-ii", "3ad",
+        "3ad.case-ii",
         {"lam1": t3.zero()},
         [(h1, "lam2")],
         [{"alpha": Fraction(1, 2), "delta": 1, "lam1": 0, "lam2": 2,
           "alphap": Fraction(1, 3)}],
-        "A = canonical, 3a'(beta+lam2)^2 = 3a' beta^2 + 4 with the squared "
-        "compatibility relation; verified as a conditional identity",
         conditional_pair=(h2, "alphap")))
     # contact case a: delta = 0
     out.append(SolutionBranch(
-        "su3.case-a", "su3",
+        "su3.case-a",
         {"delta": ts.zero()},
         [(3 * aps * (4 * as_ - l2_s) ** 2
           - 3 * aps * (4 * as_ - l1_s) ** 2 + 8, "lam2")],
         [{"alpha": 1, "delta": 0, "lam1": 0, "lam2": 2,
           "alphap": Fraction(2, 9)},
          {"alpha": 1, "delta": 0, "lam1": 0, "lam2": 6,
-          "alphap": Fraction(2, 9)}],
-        "delta = 0, 3a'(4a - lam2)^2 = 3a'(4a - lam1)^2 - 8"))
+          "alphap": Fraction(2, 9)}]))
     # contact case b: delta = 3 alpha / 2
     out.append(SolutionBranch(
-        "su3.case-b", "su3",
+        "su3.case-b",
         {"delta": Fraction(3, 2) * as_},
         [(3 * aps * l2_s ** 2 - 3 * aps * l1_s ** 2 - 8, "lam2")],
         [{"alpha": 1, "delta": Fraction(3, 2), "lam1": 1, "lam2": 3,
-          "alphap": Fraction(1, 3)}],
-        "delta = 3a/2, 3a' lam2^2 = 3a' lam1^2 + 8"))
+          "alphap": Fraction(1, 3)}]))
     # deliberately wrong branch: lam2 = 3 delta instead of 2 delta
     out.append(SolutionBranch(
-        "3ad.negative-control", "3ad",
+        "3ad.negative-control",
         {"lam1": -beta3, "lam2": 3 * d3},
         [(12 * ap3 * (d3 - a3) ** 2 - 1, "alphap")],
         [{"alpha": 1, "delta": 3, "lam1": -2, "lam2": 9,
           "alphap": Fraction(1, 48)}],
-        "wrong slope lam2 = 3 delta; residual must be nonzero",
         expect_zero=False))
     return out
 

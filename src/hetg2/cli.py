@@ -584,19 +584,23 @@ class SuiteHeisenberg(Suite):
 
 
 def _branch_checks() -> list:
-    from .bianchi import branches
-    return [Check(f"bianchi.branch.{b.branch_id}", b.description,
-                  partial(SuiteBianchi.branch, branch=b)) for b in branches()]
+    from .bianchi import BRANCHES
+    return [Check(f"bianchi.branch.{bid}", text,
+                  partial(SuiteBianchi.branch, branch_id=bid))
+            for bid, text in BRANCHES.items()]
 
 
 class SuiteBianchi(Suite):
     reads = PARAM_KEYS
     ap = cached_property(lambda s: s.t.sym("alphap"))
     l2 = cached_property(lambda s: s.t.sym("lam2"))
-    sysm = cached_property(lambda s: s.bi.extract_constraints(
-        s.bi.residual("3ad", -s.beta, s.l2)))
+    # the case-i system: the symbolic (lam1, lam2) system at lam1 = -beta
+    sysm = cached_property(lambda s: s.bi.ConstraintSystem(
+        "3ad", s.bi.constraint_system("3ad").substituted({"lam1": -s.beta})))
     res_thm = cached_property(lambda s: s.bi.residual("3ad", s.t.rat(4),
                                                       s.t.zero()))
+    branches = cached_property(
+        lambda s: {b.branch_id: b for b in s.bi.branches()})
     imp = cached_property(lambda s: s.bi.sasaki_3alpha_impossibility())
     # the 3ad and su3 approximate solutions and a failing constant scaling
     approx = cached_property(lambda s: s.bi.approximate_order_reports())
@@ -619,7 +623,8 @@ class SuiteBianchi(Suite):
                           "identically" if point["alpha"] == 0 else "",
                     parameters={k: str(v) for k, v in point.items()})
 
-    def branch(self, branch) -> dict:
+    def branch(self, branch_id: str) -> dict:
+        branch = self.branches[branch_id]
         rep = self.bi.verify_branch(branch)
         payload = rep.as_record()
         return dict(ok=rep.status == "pass",

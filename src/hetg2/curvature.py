@@ -62,21 +62,6 @@ class TorsionLambda3ad:
     def is_skew(self) -> bool:
         return (self.value_vertical_coeff - self.arg_vertical_coeff).is_zero
 
-    def canonical_part(self) -> GenForm:
-        """The lam = 0 skew torsion as a generated 3-form."""
-        r = self.ring
-        out = 2 * (r.delta - 4 * r.alpha) * r.eta(1, 2, 3)
-        for i in (1, 2, 3):
-            out = out + 2 * r.alpha * r.eta(i).wedge(r.Phi(i))
-        return out
-
-    def as_form(self) -> GenForm:
-        """Skew 3-form for lam = 0 only; undefined otherwise."""
-        if not self.is_skew():
-            raise AlgebraError("deformed torsion is not totally skew "
-                               "for lam != 0")
-        return self.canonical_part()
-
 
 def torsion_lambda_3ad(ring: Ring3ad, lam: Scalar) -> TorsionLambda3ad:
     return TorsionLambda3ad(ring, lam)
@@ -101,7 +86,7 @@ def contorsion_3ad(phi: Form, lam: Fraction) -> dict:
                 if x in vert and y in vert and z in vert:
                     val = lam * pv
                 elif y in vert and x not in vert and z not in vert:
-                    val = -lam / 2 * pv
+                    val = -lam * pv / 2
                 else:
                     continue
                 if val:

@@ -5,7 +5,12 @@ parameter symbols, optionally extended by a single adjoined square root
 ``sqrt(d)`` (written as a conjugate pair ``a + b*sqrt(d)``).  A symbol table
 may declare relation-ideal generators (e.g. ``s^2 + c^2 - 1``); every scalar
 is kept in the unique normal form obtained by rewriting the leading pure
-power of each relation.  No floating point is used anywhere.
+power of each relation.
+
+Coefficients are exact rationals: an integral value is stored as a plain
+``int`` and only a value with denominator other than 1 as a ``Fraction``
+(see :func:`exact`).  No coefficient is ever a ``float``; the division sites
+that could see two ``int`` operands build a ``Fraction`` first.
 """
 
 from __future__ import annotations
@@ -14,6 +19,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 Rat = Union[int, Fraction]
+
+
+def exact(q: Rat) -> Rat:
+    """The stored form of an exact rational: ``int`` when ``q`` is integral,
+    otherwise a ``Fraction``.  A ``float`` (or any other type) is refused."""
+    if type(q) is int:
+        return q
+    if isinstance(q, Fraction):
+        return q.numerator if q.denominator == 1 else q
+    raise TypeError(f"exact coefficient must be int or Fraction, "
+                    f"not {type(q).__name__}")
 
 
 class AlgebraError(Exception):
@@ -42,7 +58,7 @@ class SymbolTable:
         if len(set(self.symbols)) != len(self.symbols):
             raise AlgebraError("duplicate symbols in table")
         self.index = {s: i for i, s in enumerate(self.symbols)}
-        self.sqrt_d: Optional[Fraction] = None if sqrt_d is None else Fraction(sqrt_d)
+        self.sqrt_d: Optional[Rat] = None if sqrt_d is None else exact(sqrt_d)
         if self.sqrt_d is not None and self.sqrt_d <= 0:
             raise AlgebraError("adjoined square root must be of a positive rational")
         self.rules: list[tuple[int, int, Scalar]] = []
@@ -73,7 +89,7 @@ class SymbolTable:
                 continue
             if mono[i] != 0:
                 raise AlgebraError("relation tail must be free of the lead symbol")
-            rest[mono] = -c / coef
+            rest[mono] = Fraction(-c, coef)
         return (i, k, Scalar(self, rest, {}))
 
     # -- constructors ------------------------------------------------------
@@ -84,7 +100,7 @@ class SymbolTable:
         return self.rat(1)
 
     def rat(self, q: Rat) -> "Scalar":
-        q = Fraction(q)
+        q = exact(q)
         if q == 0:
             return self.zero()
         return Scalar(self, {self._unit(): q}, {})
@@ -97,7 +113,7 @@ class SymbolTable:
             raise UnknownSymbolError(name)
         exps = [0] * len(self.symbols)
         exps[self.index[name]] = power
-        coef = Fraction(coef)
+        coef = exact(coef)
         if coef == 0:
             return self.zero()
         return Scalar(self, {tuple(exps): coef}, {})
@@ -106,7 +122,7 @@ class SymbolTable:
         """The adjoined root sqrt(d) as a scalar."""
         if self.sqrt_d is None:
             raise AlgebraError("table has no adjoined square root")
-        return Scalar(self, {}, {self._unit(): Fraction(1)})
+        return Scalar(self, {}, {self._unit(): 1})
 
     def _unit(self) -> tuple[int, ...]:
         return (0,) * len(self.symbols)
@@ -121,16 +137,18 @@ class Scalar:
 
     __slots__ = ("table", "_a", "_b")
 
-    def __init__(self, table: SymbolTable, a: Mapping[tuple, Fraction],
-                 b: Mapping[tuple, Fraction], _reduce: bool = True):
+    def __init__(self, table: SymbolTable, a: Mapping[tuple, Rat],
+                 b: Mapping[tuple, Rat], _reduce: bool = True):
         self.table = table
         if b and table.sqrt_d is None:
             raise AlgebraError("radical part without an adjoined root")
         if _reduce and table.rules:
             a = _rewrite(table, a)
             b = _rewrite(table, b)
-        self._a = {m: c for m, c in a.items() if c != 0}
-        self._b = {m: c for m, c in b.items() if c != 0}
+        self._a = {m: c if type(c) is int else exact(c)
+                   for m, c in a.items() if c}
+        self._b = {m: c if type(c) is int else exact(c)
+                   for m, c in b.items() if c}
 
     # -- predicates --------------------------------------------------------
     @property
@@ -146,7 +164,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_rational():
             raise AlgebraError(f"not a rational constant: {self}")
-        return self._a[self.table._unit()]
+        return Fraction(self._a[self.table._unit()])
 
     def support(self) -> set[str]:
         used = set()
@@ -230,12 +248,12 @@ class Scalar:
         if len(self._a) == 1 and not self._b:
             (mono, c), = self._a.items()
             inv = tuple(-e for e in mono)
-            return Scalar(t, {inv: 1 / c}, {})
+            return Scalar(t, {inv: Fraction(1, c)}, {})
         if len(self._b) == 1 and not self._a:
             (mono, c), = self._b.items()
             inv = tuple(-e for e in mono)
             assert t.sqrt_d is not None
-            return Scalar(t, {}, {inv: 1 / (c * t.sqrt_d)})
+            return Scalar(t, {}, {inv: Fraction(1, c * t.sqrt_d)})
         raise AlgebraError(f"cannot invert non-monomial scalar: {self}")
 
     def conjugate(self) -> "Scalar":
@@ -390,7 +408,7 @@ class Scalar:
     __repr__ = __str__
 
 
-def _madd(x: Mapping[tuple, Fraction], y: Mapping[tuple, Fraction]) -> dict:
+def _madd(x: Mapping[tuple, Rat], y: Mapping[tuple, Rat]) -> dict:
     out = dict(x)
     for m, c in y.items():
         s = out.get(m, 0) + c
@@ -401,7 +419,7 @@ def _madd(x: Mapping[tuple, Fraction], y: Mapping[tuple, Fraction]) -> dict:
     return out
 
 
-def _mmul(x: Mapping[tuple, Fraction], y: Mapping[tuple, Fraction]) -> dict:
+def _mmul(x: Mapping[tuple, Rat], y: Mapping[tuple, Rat]) -> dict:
     out: dict = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
@@ -414,13 +432,13 @@ def _mmul(x: Mapping[tuple, Fraction], y: Mapping[tuple, Fraction]) -> dict:
     return out
 
 
-def _mscale(x: Mapping[tuple, Fraction], q: Fraction) -> dict:
+def _mscale(x: Mapping[tuple, Rat], q: Rat) -> dict:
     if q == 0:
         return {}
     return {m: c * q for m, c in x.items()}
 
 
-def _rewrite(table: SymbolTable, part: Mapping[tuple, Fraction]) -> dict:
+def _rewrite(table: SymbolTable, part: Mapping[tuple, Rat]) -> dict:
     cur = dict(part)
     changed = True
     while changed:
@@ -449,7 +467,7 @@ def _rewrite(table: SymbolTable, part: Mapping[tuple, Fraction]) -> dict:
     return cur
 
 
-def _part_text(table: SymbolTable, part: Mapping[tuple, Fraction]) -> str:
+def _part_text(table: SymbolTable, part: Mapping[tuple, Rat]) -> str:
     bits = []
     for mono in sorted(part, reverse=True):
         c = part[mono]

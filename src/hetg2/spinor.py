@@ -30,20 +30,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exterior import Coframe, Form, basis_multi_indices
-from .scalar import AlgebraError, SymbolTable
+from .scalar import AlgebraError, exact
 
 
 class GQ:
-    """Gaussian rational a + b i."""
+    """Gaussian rational a + b i; each part is stored as by ``scalar.exact``."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) is int else exact(re)
+        self.im = im if type(im) is int else exact(im)
 
     def __add__(self, o):
         o = _gq(o)
@@ -70,7 +70,7 @@ class GQ:
 
     def __truediv__(self, o):
         o = _gq(o)
-        n = o.re * o.re + o.im * o.im
+        n = Fraction(o.re * o.re + o.im * o.im)
         if n == 0:
             raise ZeroDivisionError("gaussian rational division by zero")
         return GQ((self.re * o.re + self.im * o.im) / n,
@@ -214,15 +214,6 @@ class CliffordRep:
     @property
     def dim(self) -> int:
         return 2 ** self.m
-
-    def act_vector(self, coeffs: Sequence, psi):
-        """Clifford action of sum coeffs[mu] e_mu on a spinor."""
-        out = (GQ(0),) * self.dim
-        for mu, c in enumerate(coeffs, start=1):
-            c = _gq(c)
-            if not c.is_zero:
-                out = vec_add(out, vec_scale(matvec(self.gens[mu - 1], psi), c))
-        return out
 
     def form_matrix(self, form: Form):
         """Matrix of the Clifford action of a form with rational coefficients."""
@@ -460,7 +451,7 @@ def form_from_spinor(rep: CliffordRep, psi, degree: int,
             continue
         if c.im != 0:
             raise AlgebraError(f"non-real coefficient at {idx}: {c}")
-        terms[idx] = Fraction(c.re)
+        terms[idx] = c.re
     return coframe.form(terms)
 
 

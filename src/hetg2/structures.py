@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Mapping, Optional, Union
 
 from .exterior import Coframe, Form, basis_multi_indices, form_to_vector
@@ -781,47 +781,38 @@ def endomorphism_from_form(phi_form: Form) -> dict:
     return out
 
 
-def compose_endomorphisms(f: dict, g: dict) -> dict:
-    out: dict[int, dict] = {}
-    for b, col in g.items():
-        acc: dict[int, Fraction] = {}
-        for mid, cg in col.items():
-            for a, cf_ in f.get(mid, {}).items():
-                acc[a] = acc.get(a, 0) + cf_ * cg
-        out[b] = {a: v for a, v in acc.items() if v}
-    return {b: col for b, col in out.items() if col}
-
-
-def endomorphism_trace(f: dict, indices) -> Fraction:
-    return sum(Fraction(f.get(i, {}).get(i, 0)) for i in indices)
-
-
 def registry() -> dict:
     """Named forms addressable from the command line.
 
-    Each name maps to a zero-argument builder over the two shared rings, so
-    looking a name up builds no form and showing one builds only that one.
+    Each name maps to a zero-argument builder that looks up its shared ring
+    only when called, so looking a name up builds no ring and no form, and
+    showing one builds only that one.
     """
-    r3, rs = get_ring("3ad"), get_ring("su3")
+    def built(geometry, method, *args, d=False):
+        def build():
+            form = getattr(get_ring(geometry), method)(*args)
+            return form.d() if d else form
+        return build
+
     reg = {
-        "phi.canonical.3ad": r3.phi,
-        "psi.canonical.3ad": r3.psi,
-        "dphi.canonical.3ad": lambda: r3.phi().d(),
-        "dpsi.canonical.3ad": lambda: r3.psi().d(),
-        "phi.theta.su3": rs.phi_theta,
-        "psi.theta.su3": rs.psi_theta,
-        "dphi.theta.su3": lambda: rs.phi_theta().d(),
+        "phi.canonical.3ad": built("3ad", "phi"),
+        "psi.canonical.3ad": built("3ad", "psi"),
+        "dphi.canonical.3ad": built("3ad", "phi", d=True),
+        "dpsi.canonical.3ad": built("3ad", "psi", d=True),
+        "phi.theta.su3": built("su3", "phi_theta"),
+        "psi.theta.su3": built("su3", "psi_theta"),
+        "dphi.theta.su3": built("su3", "phi_theta", d=True),
         "Tc.3ad": lambda: structure_torsion("3ad").characteristic,
         "dTc.3ad": lambda: structure_torsion("3ad").characteristic.d(),
         "Tc.su3": lambda: structure_torsion("su3").characteristic,
         "dTc.su3": lambda: structure_torsion("su3").characteristic.d(),
-        "eta.su3": rs.eta,
-        "Phi.su3": rs.Phi,
-        "Om+.su3": partial(rs.Om, "+"),
-        "Om-.su3": partial(rs.Om, "-"),
+        "eta.su3": built("su3", "eta"),
+        "Phi.su3": built("su3", "Phi"),
+        "Om+.su3": built("su3", "Om", "+"),
+        "Om-.su3": built("su3", "Om", "-"),
     }
     for i in (1, 2, 3):
-        reg[f"eta{i}.3ad"] = partial(r3.eta, i)
-        reg[f"PhiH{i}.3ad"] = partial(r3.Phi, i)
-        reg[f"phi.aux{i}.3ad"] = partial(r3.aux_phi, i)
+        reg[f"eta{i}.3ad"] = built("3ad", "eta", i)
+        reg[f"PhiH{i}.3ad"] = built("3ad", "Phi", i)
+        reg[f"phi.aux{i}.3ad"] = built("3ad", "aux_phi", i)
     return reg

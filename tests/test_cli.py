@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,40 @@ UNKNOWN_NAME_ERR = (
     "psi.theta.su3, psi0.sp1, psi1.sp1, psi2.sp1, psi3.sp1, u(-1,-1,-1), "
     "u(-1,1,1), u(1,-1,1), u(1,1,-1), u(1,1,1), v1, v2, v3, v4, v5, v6, v7, "
     "v8\n")
+
+
+# Runs --suite all in a fresh interpreter, so that no shared object is
+# already cached, with the Scalar and GQ constructors wrapped to record every
+# stored coefficient that is not an int or a non-integral Fraction.
+STORED_COEFFICIENTS_SCRIPT = """
+import json
+from fractions import Fraction
+from hetg2 import cli
+from hetg2.scalar import Scalar
+from hetg2.spinor import GQ
+
+seen = {"Scalar": 0, "GQ": 0, "float": 0, "bad": []}
+
+
+def wrap(cls, values):
+    init = cls.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen[cls.__name__] += 1
+        for c in values(self):
+            seen["float"] += isinstance(c, float)
+            if not (type(c) is int
+                    or (type(c) is Fraction and c.denominator != 1)):
+                seen["bad"].append(repr(c))
+    cls.__init__ = checked
+
+
+wrap(Scalar, lambda x: [*x._a.values(), *x._b.values()])
+wrap(GQ, lambda x: (x.re, x.im))
+seen["records"] = len(cli.run_suite("all", {}))
+print(json.dumps(seen))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +114,18 @@ class TestSuites:
         # the default report is byte-stable: any change to it is deliberate
         text = render_json(report_payload("all", all_records))
         assert hashlib.sha256(text.encode()).hexdigest() == ALL_REPORT_SHA256
+
+    def test_no_float_coefficient_stored(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", STORED_COEFFICIENTS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        seen = json.loads(out.stdout)
+        assert seen["records"] == 74
+        assert seen["Scalar"] > 10_000 and seen["GQ"] > 10_000
+        assert seen["float"] == 0
+        assert seen["bad"] == []
 
     def test_second_run_identical(self, all_records):
         # the shared builders' objects are cached for the process; a caller

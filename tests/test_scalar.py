@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetg2.scalar import AlgebraError, SymbolTable, UnknownSymbolError, prem
+from hetg2.scalar import (AlgebraError, SymbolTable, UnknownSymbolError, exact,
+                          prem)
 
 
 def table():
@@ -138,6 +139,50 @@ class TestDivisionAndPrem:
         h = 3 * ap * l2 ** 2 - 8
         p = 9 * ap ** 2 * l2 ** 4 - 64  # (3 ap l2^2 - 8)(3 ap l2^2 + 8)
         assert prem(p, h, "lam2").is_zero
+
+
+def stored(x):
+    return [c for part in (x._a, x._b) for c in part.values()]
+
+
+class TestExactCoefficients:
+    def test_exact(self):
+        assert type(exact(F(6, 3))) is int and exact(F(6, 3)) == 2
+        assert type(exact(-4)) is int
+        q = F(-1, 3)
+        assert exact(q) is q
+        for bad in (0.5, 2.0, "1/2"):
+            with pytest.raises(TypeError):
+                exact(bad)
+
+    def test_constructors_store_int_when_integral(self):
+        tt = SymbolTable(("t",), sqrt_d=F(8, 2))
+        assert tt.sqrt_d == 4 and type(tt.sqrt_d) is int
+        for x in (tt.rat(F(6, 3)), tt.monomial("t", 2, F(-4, 2)), tt.sqrt(),
+                  tt.sym("t") * F(3, 2) * 2, (2 * tt.sym("t") + 4) / 2):
+            assert all(type(c) is int for c in stored(x))
+        assert stored(tt.rat(F(1, 2))) == [F(1, 2)]
+        for bad in (lambda: tt.rat(0.5), lambda: tt.monomial("t", 1, 1.0)):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_division_sites_stay_rational(self):
+        tt = SymbolTable(("t", "u"), sqrt_d=3)
+        t = tt.sym("t")
+        # Scalar.inverse of an integral monomial and of an integral radical
+        assert stored((2 * t).inverse()) == [F(1, 2)]
+        assert stored((2 * t * tt.sqrt()).inverse()) == [F(1, 6)]
+        # relation tail -c / coef with integral c and coef
+        tr = SymbolTable(("s", "c"))
+        tr.add_relation(2 * tr.sym("s") ** 2 + 3 * tr.sym("c") - 1)
+        tail = tr.rules[0][2]
+        assert sorted(stored(tail)) == [F(-3, 2), F(1, 2)]
+        assert tr.sym("s") ** 2 == F(1, 2) - F(3, 2) * tr.sym("c")
+
+    def test_as_fraction_type(self):
+        assert type(T.rat(3).as_fraction()) is F
+        assert type(T.zero().as_fraction()) is F
+        assert T.rat(F(2, 3)).as_fraction() == F(2, 3)
 
 
 class TestProperties:

@@ -123,10 +123,22 @@ class TestSparseKernels:
             == _dense_herm(u, _dense_matvec(word, u))
 
     def test_gq_keeps_fraction_arguments(self):
+        # parts are exact: int when integral, Fraction otherwise, never float
         q = F(1, 3)
         x = sp.GQ(q, 2)
         assert x.re is q
-        assert type(x.im) is F and x.im == 2
+        assert type(x.im) is int and x.im == 2
+        y = sp.GQ(F(4, 2), F(-3))
+        assert (type(y.re), type(y.im)) == (int, int) and (y.re, y.im) == (2, -3)
+        z = sp.GQ(1) / sp.GQ(0, 2)
+        assert type(z.re) is int and z.re == 0
+        assert type(z.im) is F and z.im == F(-1, 2)
+        w = sp.GQ(2, 4) / 2
+        assert (type(w.re), type(w.im)) == (int, int) and w == sp.GQ(1, 2)
+        assert type((sp.GQ(F(1, 2)) * 2).re) is int
+        for bad in ((0.5, 0), (1, 2.0)):
+            with pytest.raises(TypeError):
+                sp.GQ(*bad)
 
     def test_rep_is_cached_and_frozen(self):
         assert sp.build_rep(3) is sp.build_rep(3)

@@ -15,6 +15,22 @@ R3 = Ring3ad(make_table("3ad"))
 RS = RingSU3(make_table("su3"))
 
 
+def compose_endomorphisms(f: dict, g: dict) -> dict:
+    """f o g for (1,1)-tensors stored as b -> {a: coefficient}."""
+    out: dict[int, dict] = {}
+    for b, col in g.items():
+        acc: dict[int, F] = {}
+        for mid, cg in col.items():
+            for a, cf_ in f.get(mid, {}).items():
+                acc[a] = acc.get(a, 0) + cf_ * cg
+        out[b] = {a: v for a, v in acc.items() if v}
+    return {b: col for b, col in out.items() if col}
+
+
+def endomorphism_trace(f: dict, indices) -> F:
+    return sum(F(f.get(i, {}).get(i, 0)) for i in indices)
+
+
 class TestRing3ad:
     def test_structure_equation(self):
         t = R3.table
@@ -243,7 +259,6 @@ class TestAlmostContactCompatibility:
                     for i in (1, 2, 3)}
 
     def test_phi_compose(self):
-        from hetg2.structures import compose_endomorphisms
         # with Phi(X, Y) = g(X, phi Y) the adapted frame satisfies
         # phi_i phi_j = phi_k + eta_j (x) xi_i (the commonly quoted
         # compatibility carries a minus sign, which fails on the vertical
@@ -264,7 +279,6 @@ class TestAlmostContactCompatibility:
                            for b, col in minus.items() if col}
 
     def test_phi_squares(self):
-        from hetg2.structures import compose_endomorphisms
         for i in (1, 2, 3):
             sq = compose_endomorphisms(self.phi[i], self.phi[i])
             # phi_i^2 = -Id + eta_i (x) xi_i
@@ -280,8 +294,6 @@ class TestAlmostContactCompatibility:
                 assert got == (1 if b == k else 0)
 
     def test_block_traces(self):
-        from hetg2.structures import compose_endomorphisms, \
-            endomorphism_trace
         for i in (1, 2, 3):
             sq = compose_endomorphisms(self.phi[i], self.phi[i])
             assert endomorphism_trace(sq, (4, 5, 6, 7)) == -4
