@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .scalar import AlgebraError, Scalar, SymbolTable
+from .scalar import AlgebraError, Scalar, SymbolTable, exact
 
 
 class DegreeError(AlgebraError):
@@ -158,8 +158,8 @@ class Form:
         if isinstance(c, Scalar):
             return Form(self.coframe,
                         {k: v * c.inverse() for k, v in self.terms.items()})
-        return Form(self.coframe,
-                    {k: v / Fraction(c) for k, v in self.terms.items()})
+        c = exact(c)  # a float divisor raises TypeError, as in __mul__
+        return Form(self.coframe, {k: v / c for k, v in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
         self._check(other)

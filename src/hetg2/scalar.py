@@ -240,6 +240,8 @@ class Scalar:
             return Scalar(self.table, _mscale(self._a, 1 / q),
                           _mscale(self._b, 1 / q), _reduce=False)
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         return self * o.inverse()
 
     def inverse(self) -> "Scalar":

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Union
 
 from .exterior import Coframe, Form, basis_multi_indices, form_to_vector
 from .linsolve import InconsistentSystemError, nullspace, solve_ring_rhs
-from .scalar import AlgebraError, Scalar, SymbolTable
+from .scalar import AlgebraError, Scalar, SymbolTable, exact
 
 CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
@@ -133,8 +133,8 @@ class GenForm:
     def __truediv__(self, c) -> "GenForm":
         if isinstance(c, Scalar):
             return self * c.inverse()
-        return GenForm(self.ring,
-                       {m: v / Fraction(c) for m, v in self.terms.items()})
+        c = exact(c)  # a float divisor raises TypeError, as in __mul__
+        return GenForm(self.ring, {m: v / c for m, v in self.terms.items()})
 
     def wedge(self, other: "GenForm") -> "GenForm":
         out: dict[tuple, Scalar] = {}
@@ -544,19 +544,21 @@ class ExtractionError(AlgebraError):
 
 
 def gram_matrix(phi: Form) -> list[list[Scalar]]:
-    """Metric induced by a 3-form via (X -| phi)^(Y -| phi)^phi = 6 g(X,Y) vol."""
+    """Metric induced by a 3-form via (X -| phi)^(Y -| phi)^phi = 6 g(X,Y) vol.
+
+    Each row builds (X -| phi)^phi once and wedges it with Y -| phi, the same
+    product since moving a 2-form past a 3-form has sign +1; the entries
+    with Y < X are mirrored, not recomputed.
+    """
     cf = phi.coframe
-    table = cf.table
-    vol_idx = cf.indices
-    out = []
-    for x in cf.indices:
-        row = []
-        ix = phi.contract(x)
-        for y in cf.indices:
-            iy = phi.contract(y)
-            w = ix ^ iy ^ phi
-            row.append(w.terms.get(vol_idx, table.zero()) / 6)
-        out.append(row)
+    zero = cf.table.zero()
+    contractions = [phi.contract(x) for x in cf.indices]
+    out = [[zero] * len(contractions) for _ in contractions]
+    for x, ix in enumerate(contractions):
+        ix_phi = ix ^ phi
+        for y in range(x, len(contractions)):
+            w = ix_phi ^ contractions[y]
+            out[x][y] = out[y][x] = w.coefficient(cf.indices) / 6
     return out
 
 
@@ -574,123 +576,42 @@ def is_g2_form(phi: Form, psi: Form) -> bool:
     return True
 
 
-def _extraction_matrix(phi: Form, psi: Form):
-    """Rational matrix of the torsion-class system for numeric phi, psi.
-
-    Unknown layout: [tau0 | tau1 (7) | tau2 (21) | tau3 (35)]; equation rows:
-    Lambda^4 (35), Lambda^5 (21), tau2^psi (7), tau3^phi (7), tau3^psi (1).
-    """
-    cf = phi.coframe
-    table = cf.table
-    b2 = basis_multi_indices(7, 2)
-    b3 = basis_multi_indices(7, 3)
-    b4 = basis_multi_indices(7, 4)
-    b5 = basis_multi_indices(7, 5)
-    b6 = basis_multi_indices(7, 6)
-    cols: list[list[Fraction]] = []
-
-    def col_from(pieces):
-        vec = []
-        for f, basis in pieces:
-            vec.extend(x.as_fraction() for x in form_to_vector(f, basis))
-        return vec
-
-    z4, z5, z6, z7 = (cf.zero(),) * 4
-    # tau0 column
-    cols.append(col_from([(psi, b4), (z5, b5), (z6, b6), (z6, b6), (z7, [cf.indices])]))
-    # tau1 columns
-    for j in cf.indices:
-        ej = cf.e(j)
-        cols.append(col_from([(3 * (ej ^ phi), b4), (4 * (ej ^ psi), b5),
-                              (z6, b6), (z6, b6), (z7, [cf.indices])]))
-    # tau2 columns
-    for idx in b2:
-        b = cf.e(*idx)
-        cols.append(col_from([(z4, b4), (b.star(), b5), (b ^ psi, b6),
-                              (z6, b6), (z7, [cf.indices])]))
-    # tau3 columns
-    for idx in b3:
-        g = cf.e(*idx)
-        cols.append(col_from([(g.star(), b4), (z5, b5), (z6, b6),
-                              (g ^ phi, b6), (g ^ psi, [cf.indices])]))
-    nrows = len(cols[0])
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
-    return matrix, (b4, b5)
-
-
-def _extract_at(phi, psi, dphi, dpsi):
-    cf = phi.coframe
-    table = cf.table
-    matrix, (b4, b5) = _extraction_matrix(phi, psi)
-    rhs = form_to_vector(dphi, b4) + form_to_vector(dpsi, b5)
-    rhs += [table.zero()] * (7 + 7 + 1)
-    try:
-        sol = solve_ring_rhs(matrix, rhs)
-    except InconsistentSystemError as exc:
-        raise ExtractionError("torsion-class system is inconsistent",
-                              exc.residual) from exc
-    return sol
-
-
-def _classes_from_vector(cf: Coframe, sol) -> TorsionClasses:
-    b2 = basis_multi_indices(7, 2)
-    b3 = basis_multi_indices(7, 3)
-    tau0 = sol[0]
-    tau1 = cf.form({(j,): sol[1 + j - 1] for j in cf.indices})
-    tau2 = cf.form({idx: sol[8 + i] for i, idx in enumerate(b2)})
-    tau3 = cf.form({idx: sol[8 + 21 + i] for i, idx in enumerate(b3)})
-    return TorsionClasses(tau0, tau1, tau2, tau3)
-
-
-def decomposition_residuals(phi, psi, dphi, dpsi, tc: TorsionClasses):
-    """The two defining residuals; both must vanish exactly."""
-    r1 = dphi - tc.tau0 * psi - 3 * (tc.tau1 ^ phi) - tc.tau3.star()
-    r2 = dpsi - 4 * (tc.tau1 ^ psi) - tc.tau2.star()
-    return r1, r2
-
-
 def torsion_classes(phi: Form, psi: Form, dphi: Form, dpsi: Form) -> TorsionClasses:
     """Exact extraction of (tau0, tau1, tau2, tau3) from d(phi), d(psi).
 
-    Inputs with coefficients polynomial in the circle parameters (s, c) are
-    handled by solving at rational circle points, fitting an affine ansatz in
-    (s, c) and verifying the result symbolically modulo s^2 + c^2 = 1.
+    With d phi = tau0 psi + 3 tau1^phi + *tau3 and d psi = 4 tau1^psi + *tau2
+    (tau2 in Lambda^2_14, tau3 in Lambda^3_27), the classes are the type
+    projections, computed in closed form over the coefficient ring, so
+    symbolic parameters, the circle family (s, c) included, need no sampling:
+
+        tau0 = (d phi ^ phi)[vol] / 7,    tau1 = *(*d psi ^ psi) / 12,
+        tau2 = *d psi - 4 *(tau1 ^ psi),  tau3 = *(d phi - tau0 psi - 3 tau1^phi).
+
+    The input must be pointwise G2 (identity induced metric, psi = *phi).
+    The type conditions tau2^psi = 0, tau3^phi = 0 and tau3^psi = 0 are then
+    checked exactly; one fails when the Lambda^4_7 part of d phi disagrees
+    with the Lambda^5_7 part of d psi, and the ExtractionError names it and
+    carries the failing forms.
     """
     cf = phi.coframe
-    table = cf.table
-    if not is_g2_form(phi, psi):
-        raise ExtractionError("input 3-form is not pointwise G2 "
-                              "(phi^psi != 7 vol or metric != identity)")
-    sc_used = set()
-    for f in (phi, psi, dphi, dpsi):
-        for c in f.terms.values():
-            sc_used |= (c.support() & {"s", "c"})
-    if not sc_used:
-        sol = _extract_at(phi, psi, dphi, dpsi)
-        tc = _classes_from_vector(cf, sol)
-    else:
-        pts = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
-               (Fraction(3, 5), Fraction(4, 5))]
-        sols = []
-        for sv, cv in pts:
-            sub = {"s": table.rat(sv), "c": table.rat(cv)}
-            fs = [Form(cf, {k: v.subs(sub) for k, v in f.terms.items()})
-                  for f in (phi, psi, dphi, dpsi)]
-            sols.append(_extract_at(*fs))
-        # fit x = x0 + s*xs + c*xc through the three samples
-        vand = [[Fraction(1), sv, cv] for sv, cv in pts]
-        n = len(sols[0])
-        s_sym, c_sym = table.sym("s"), table.sym("c")
-        sol = []
-        for i in range(n):
-            comps = solve_ring_rhs(vand, [sols[p][i] for p in range(3)])
-            sol.append(comps[0] + s_sym * comps[1] + c_sym * comps[2])
-        tc = _classes_from_vector(cf, sol)
-    r1, r2 = decomposition_residuals(phi, psi, dphi, dpsi, tc)
-    if not (r1.is_zero and r2.is_zero):
-        raise ExtractionError("torsion classes do not reproduce inputs",
-                              (r1, r2))
-    return tc
+    if not is_g2_form(phi, psi) or psi != phi.star():
+        raise ExtractionError("input 3-form is not pointwise G2 (phi^psi != "
+                              "7 vol, metric != identity or psi != *phi)")
+    for name, form, k in (("d phi", dphi, 4), ("d psi", dpsi, 5)):
+        if any(len(idx) != k for idx in form.terms):
+            raise ExtractionError(f"{name} is not a {k}-form", form)
+    tau0 = (dphi ^ phi).coefficient(cf.indices) / 7
+    star_dpsi = dpsi.star()
+    tau1 = (star_dpsi ^ psi).star() / 12
+    tau2 = star_dpsi - 4 * (tau1 ^ psi).star()
+    tau3 = (dphi - tau0 * psi - 3 * (tau1 ^ phi)).star()
+    for name, residual in (("tau2^psi", tau2 ^ psi), ("tau3^phi", tau3 ^ phi),
+                           ("tau3^psi", tau3 ^ psi)):
+        if not residual.is_zero:
+            raise ExtractionError(
+                f"torsion classes fail the type condition: {name} != 0",
+                residual)
+    return TorsionClasses(tau0, tau1, tau2, tau3)
 
 
 def aux_structures_nearly_parallel(ring: "Ring3ad") -> bool:

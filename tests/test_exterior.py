@@ -104,6 +104,21 @@ class TestHodge:
                 assert (b ^ sa) == b.inner(a) * CF.vol()
 
 
+class TestScalarDivision:
+    def test_float_divisor_refused(self):
+        # a float used to divide silently by Fraction(0.1)
+        f = TAB.sym("alpha") * CF.e(1, 2)
+        for bad in (0.1, 2.0):
+            with pytest.raises(TypeError):
+                f * bad
+            with pytest.raises(TypeError):
+                f / bad
+        assert f / 2 == F(1, 2) * f and f / F(2, 3) == F(3, 2) * f
+        assert f / TAB.sym("alpha") == CF.e(1, 2)
+        with pytest.raises(ZeroDivisionError):
+            f / 0
+
+
 class TestInnerAndNorm:
     def test_basis_inner(self):
         assert CF.e(1, 2).inner(CF.e(1, 2)) == 1

@@ -179,6 +179,16 @@ class TestExactCoefficients:
         assert sorted(stored(tail)) == [F(-3, 2), F(1, 2)]
         assert tr.sym("s") ** 2 == F(1, 2) - F(3, 2) * tr.sym("c")
 
+    def test_division_by_uncoercible_raises_type_error(self):
+        # used to crash with AttributeError on NotImplemented.inverse()
+        a = SymbolTable(("a",)).sym("a")
+        for bad in (0.5, "x"):
+            with pytest.raises(TypeError):
+                a * bad
+            with pytest.raises(TypeError):
+                a / bad
+        assert a / F(1, 2) == 2 * a
+
     def test_as_fraction_type(self):
         assert type(T.rat(3).as_fraction()) is F
         assert type(T.zero().as_fraction()) is F

@@ -2,14 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from hetg2.exterior import Form
+from hetg2.exterior import Form, basis_multi_indices, form_to_vector
+from hetg2.heisenberg import associative_form, d_form, heisenberg_model
 from hetg2.scalar import AlgebraError
 from hetg2.structures import (CYCLIC, ExtractionError, GenForm, NotInSpanError,
-                              Ring3ad, RingSU3, characteristic_torsion,
+                              Ring3ad, RingSU3, TorsionClasses,
+                              characteristic_torsion, gram_matrix,
                               h_homothety, is_g2_form,
                               lambda214_double_characterization, make_table,
                               registry, sp1_frame_forms, torsion_classes)
-from hetg2.linsolve import rank
+from hetg2.linsolve import nullspace, rank, solve_ring_rhs
 
 R3 = Ring3ad(make_table("3ad"))
 RS = RingSU3(make_table("su3"))
@@ -29,6 +31,69 @@ def compose_endomorphisms(f: dict, g: dict) -> dict:
 
 def endomorphism_trace(f: dict, indices) -> F:
     return sum(F(f.get(i, {}).get(i, 0)) for i in indices)
+
+
+def reference_torsion_classes(phi, psi, dphi, dpsi) -> TorsionClasses:
+    """The full 64-unknown linear solve, kept as a reference for the closed
+    form projection (like the dense matmul of TestSparseKernels).
+
+    phi and psi need rational coefficients; d phi and d psi may carry
+    symbols.  Unknowns [tau0 | tau1 (7) | tau2 (21) | tau3 (35)]; equation
+    rows d phi (35), d psi (21), tau2^psi (7), tau3^phi (7), tau3^psi (1).
+    """
+    cf = phi.coframe
+    basis = {k: basis_multi_indices(7, k) for k in range(2, 8)}
+    zero = cf.zero()
+
+    def column(in_dphi, in_dpsi, t2_psi=zero, t3_phi=zero, t3_psi=zero):
+        pieces = ((in_dphi, 4), (in_dpsi, 5), (t2_psi, 6), (t3_phi, 6),
+                  (t3_psi, 7))
+        return [x.as_fraction() for f, k in pieces
+                for x in form_to_vector(f, basis[k])]
+
+    cols = [column(psi, zero)]
+    cols += [column(3 * (cf.e(j) ^ phi), 4 * (cf.e(j) ^ psi))
+             for j in cf.indices]
+    cols += [column(zero, cf.e(*i).star(), t2_psi=cf.e(*i) ^ psi)
+             for i in basis[2]]
+    cols += [column(cf.e(*i).star(), zero, t3_phi=cf.e(*i) ^ phi,
+                    t3_psi=cf.e(*i) ^ psi) for i in basis[3]]
+    matrix = [list(row) for row in zip(*cols)]
+    rhs = (form_to_vector(dphi, basis[4]) + form_to_vector(dpsi, basis[5])
+           + [cf.table.zero()] * 15)
+    sol = solve_ring_rhs(matrix, rhs)
+    return TorsionClasses(sol[0],
+                          cf.form({(j,): sol[j] for j in cf.indices}),
+                          cf.form(dict(zip(basis[2], sol[8:29]))),
+                          cf.form(dict(zip(basis[3], sol[29:]))))
+
+
+def same_classes(a: TorsionClasses, b: TorsionClasses) -> bool:
+    return (a.tau0 == b.tau0 and a.tau1 == b.tau1 and a.tau2 == b.tau2
+            and a.tau3 == b.tau3)
+
+
+def at_circle_point(form: Form, s, c) -> Form:
+    table = form.coframe.table
+    sub = {"s": table.rat(s), "c": table.rat(c)}
+    return Form(form.coframe, {k: v.subs(sub) for k, v in form.terms.items()})
+
+
+CIRCLE_POINTS = [(F(0), F(1)), (F(1), F(0)), (F(3, 5), F(4, 5))]
+
+
+def structure_inputs(geometry):
+    """(phi, psi, d phi, d psi) of the distinguished structure, embedded."""
+    ring = R3 if geometry == "3ad" else RS
+    phi, psi = ((ring.phi(), ring.psi()) if geometry == "3ad"
+                else (ring.phi_theta(), ring.psi_theta()))
+    return phi.embed(), psi.embed(), phi.d().embed(), psi.d().embed()
+
+
+def aux_inputs(i):
+    ph = R3.aux_phi(i).embed()
+    ps = ph.star()
+    return ph, ps, R3.aux_phi(i).d().embed(), R3.from_form(ps).d().embed()
 
 
 class TestRing3ad:
@@ -62,6 +127,17 @@ class TestRing3ad:
 
     def test_star_in_ring(self):
         assert R3.star(R3.phi()) == R3.psi()
+
+    def test_float_divisor_refused(self):
+        # a float used to divide silently by Fraction(0.1)
+        gf = R3.phi()
+        for bad in (0.1, 2.0):
+            with pytest.raises(TypeError):
+                gf * bad
+            with pytest.raises(TypeError):
+                gf / bad
+        assert gf / 2 == F(1, 2) * gf
+        assert gf / R3.table.sym("alpha") * R3.table.sym("alpha") == gf
 
 
 class TestRingSU3:
@@ -152,6 +228,126 @@ class TestTorsionClasses3ad:
                             cf.zero(), cf.zero())
 
 
+class TestProjection:
+    """The closed-form projection against the full linear solve, and the
+    type conditions that make it an exact extraction."""
+
+    @pytest.mark.parametrize("geometry", ["3ad", "su3"])
+    def test_inconsistent_dphi_raises(self, geometry):
+        phi, psi, dphi, dpsi = structure_inputs(geometry)
+        extra = 3 * (phi.coframe.e(1) ^ phi)
+        with pytest.raises(ExtractionError) as err:
+            torsion_classes(phi, psi, dphi + extra, dpsi)
+        assert str(err.value) == ("torsion classes fail the type condition: "
+                                  "tau3^phi != 0")
+        # the evidence is the failing form: tau3 picks up *(3 e1^phi)
+        assert err.value.residual == extra.star() ^ phi
+        assert not err.value.residual.is_zero
+
+    @pytest.mark.parametrize("geometry", ["3ad", "su3"])
+    def test_inconsistent_dpsi_raises(self, geometry):
+        phi, psi, dphi, dpsi = structure_inputs(geometry)
+        with pytest.raises(ExtractionError, match=r"tau3\^phi != 0"):
+            torsion_classes(phi, psi, dphi,
+                            dpsi + 4 * (phi.coframe.e(2) ^ psi))
+
+    @pytest.mark.parametrize("geometry", ["3ad", "su3"])
+    def test_consistent_shift_gives_tau1(self, geometry):
+        phi, psi, dphi, dpsi = structure_inputs(geometry)
+        e1 = phi.coframe.e(1)
+        base = torsion_classes(phi, psi, dphi, dpsi)
+        tc = torsion_classes(phi, psi, dphi + 3 * (e1 ^ phi),
+                             dpsi + 4 * (e1 ^ psi))
+        assert tc.tau1 == e1 and base.tau1.is_zero
+        assert (tc.tau0, tc.tau2, tc.tau3) == (base.tau0, base.tau2,
+                                               base.tau3)
+
+    def test_psi_must_be_star_phi(self):
+        phi, psi, dphi, dpsi = structure_inputs("3ad")
+        bad_psi = psi + phi.coframe.e(1, 2, 3, 4)
+        assert is_g2_form(phi, bad_psi)  # phi ^ e1234 = 0, same metric
+        with pytest.raises(ExtractionError, match="not pointwise G2"):
+            torsion_classes(phi, bad_psi, dphi, dpsi)
+
+    def test_wrong_degree_rejected(self):
+        phi, psi, dphi, dpsi = structure_inputs("3ad")
+        with pytest.raises(ExtractionError, match="d phi is not a 4-form"):
+            torsion_classes(phi, psi, dphi + phi, dpsi)
+
+    def test_reference_3ad(self, tc_3ad):
+        assert same_classes(tc_3ad,
+                            reference_torsion_classes(*structure_inputs("3ad")))
+
+    @pytest.mark.parametrize("s,c", CIRCLE_POINTS)
+    def test_reference_su3_circle_points(self, tc_su3, s, c):
+        inputs = [at_circle_point(f, s, c) for f in structure_inputs("su3")]
+        ref = reference_torsion_classes(*inputs)
+        assert same_classes(torsion_classes(*inputs), ref)
+        sub = {"s": RS.table.rat(s), "c": RS.table.rat(c)}
+        assert ref.tau0 == tc_su3.tau0.subs(sub)
+        assert ref.tau3 == at_circle_point(tc_su3.tau3, s, c)
+
+    def test_reference_heisenberg(self):
+        model = heisenberg_model()
+        phi = associative_form(model.coframe)
+        psi = phi.star()
+        inputs = (phi, psi, d_form(model, phi), d_form(model, psi))
+        assert same_classes(torsion_classes(*inputs),
+                            reference_torsion_classes(*inputs))
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_reference_aux_structures(self, i):
+        inputs = aux_inputs(i)
+        assert same_classes(torsion_classes(*inputs),
+                            reference_torsion_classes(*inputs))
+
+    @pytest.mark.parametrize("point", [None, (F(3, 5), F(4, 5))])
+    def test_all_four_classes_recovered(self, point):
+        """A synthetic d phi, d psi with every class nonzero and symbolic."""
+        phi, psi, _, _ = structure_inputs("3ad" if point is None else "su3")
+        if point is not None:
+            phi, psi = at_circle_point(phi, *point), at_circle_point(psi, *point)
+        cf = phi.coframe
+        al, de = cf.table.sym("alpha"), cf.table.sym("delta")
+        b2, b3 = basis_multi_indices(7, 2), basis_multi_indices(7, 3)
+        b6, b7 = basis_multi_indices(7, 6), basis_multi_indices(7, 7)
+        lam2_14 = lambda214_double_characterization(phi, psi)[0]
+        rows = [[(cf.e(*g) ^ phi).coefficient(t).as_fraction() for g in b3]
+                for t in b6]
+        rows += [[(cf.e(*g) ^ psi).coefficient(t).as_fraction() for g in b3]
+                 for t in b7]
+        lam3_27 = nullspace(rows)
+        assert (len(lam2_14), len(lam3_27)) == (14, 27)
+        tau0 = 2 * al - de
+        tau1 = cf.e(1) + de * cf.e(5)
+        tau2 = (al * cf.form(dict(zip(b2, lam2_14[0])))
+                + cf.form(dict(zip(b2, lam2_14[9]))))
+        tau3 = (de * cf.form(dict(zip(b3, lam3_27[2])))
+                - 3 * cf.form(dict(zip(b3, lam3_27[20]))))
+        dphi = tau0 * psi + 3 * (tau1 ^ phi) + tau3.star()
+        dpsi = 4 * (tau1 ^ psi) + tau2.star()
+        tc = torsion_classes(phi, psi, dphi, dpsi)
+        assert same_classes(tc, TorsionClasses(tau0, tau1, tau2, tau3))
+        assert same_classes(tc, reference_torsion_classes(phi, psi, dphi,
+                                                          dpsi))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_gram_matrix(self, perturbed):
+        phi = RS.phi_theta().embed()
+        cf = phi.coframe
+        if perturbed:  # not G2: a full, symbolic Gram matrix
+            phi = phi + cf.table.sym("alpha") * cf.e(1, 4, 5) \
+                - 2 * cf.e(2, 3, 7)
+        g = gram_matrix(phi)
+        for x in cf.indices:
+            for y in cf.indices:
+                w = phi.contract(x) ^ phi.contract(y) ^ phi
+                assert g[x - 1][y - 1] == w.coefficient(cf.indices) / 6
+                assert g[x - 1][y - 1] == g[y - 1][x - 1]
+        off = [g[x][y] for x in range(7) for y in range(7) if x != y]
+        assert any(not v.is_zero for v in off) == perturbed
+
+
 class TestTorsionClassesSU3:
     @pytest.fixture
     def tc(self, tc_su3):
@@ -228,11 +424,7 @@ class TestMisc:
 
     def test_aux_structures(self):
         t = R3.table
-        phi1 = R3.aux_phi(1)
-        ph = phi1.embed()
-        ps = ph.star()
-        tc = torsion_classes(ph, ps, phi1.d().embed(),
-                             R3.from_form(ps).d().embed())
+        tc = torsion_classes(*aux_inputs(1))
         assert tc.tau1.is_zero and tc.tau2.is_zero
         sub = {"delta": t.sym("alpha")}
         assert all(v.subs(sub).is_zero for v in tc.tau3.terms.values())
