@@ -18,6 +18,7 @@ from typing import Optional
 
 from .curvature import (curvature_3ad, curvature_su3, instanton_obstruction,
                         wedge_trace)
+from .exterior import coefficient_matrix, form_to_vector
 from .linsolve import InconsistentSystemError, rank, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
 from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, get_ring,
@@ -88,18 +89,14 @@ def extract_constraints(res: BianchiResidual,
     :class:`NotInSpanError` carrying the leftover component.
     """
     ring = res.ring
-    table = ring.table
     basis = basis if basis is not None else res.basis
     monos = sorted({m for b in basis for m in b.terms}
                    | set(res.genform.terms),
                    key=lambda m: (ring.mono_degree(m), ring.mono_label(m)))
-    matrix = []
-    for m in monos:
-        matrix.append([b.terms.get(m, table.zero()).as_fraction()
-                       for b in basis])
+    matrix = coefficient_matrix(basis, monos)
     if rank(matrix) != len(basis):
         raise AlgebraError("coefficient basis is not linearly independent")
-    rhs = [res.genform.terms.get(m, table.zero()) for m in monos]
+    rhs = form_to_vector(res.genform, monos)
     try:
         sol = solve_ring_rhs(matrix, rhs)
     except InconsistentSystemError as exc:

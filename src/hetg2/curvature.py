@@ -212,7 +212,7 @@ class Obstruction:
 def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
     """Apply the opaque-R2 rules and wedge the curvature with psi."""
     ring = R.ring
-    if psi.ring is not ring:
+    if psi.space is not ring:
         raise AlgebraError("coassociative form from a different geometry ring")
     table = ring.table
     if R.geometry == "3ad":

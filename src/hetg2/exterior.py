@@ -1,60 +1,22 @@
 """Exterior algebra on a fixed orthonormal coframe with Scalar coefficients.
 
-The metric is the identity in this frame, the volume form is e^{1...n} and
-vectors are identified with one-forms index-by-index.  Forms store only
-strictly increasing multi-indices; all antisymmetry signs are absorbed into
-the coefficients.
+``Form`` is the package's one sparse graded-form algebra: a coefficient per
+monomial of its space.  On a ``Coframe`` the monomials are strictly
+increasing multi-indices, with all antisymmetry signs absorbed into the
+coefficients; the metric is the identity in this frame, the volume form is
+e^{1...n} and vectors are identified with one-forms index-by-index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .scalar import AlgebraError, Scalar, SymbolTable, exact
 
 
 class DegreeError(AlgebraError):
     pass
-
-
-class Coframe:
-    def __init__(self, table: SymbolTable, dim: int = 7):
-        self.table = table
-        self.dim = dim
-        self.indices = tuple(range(1, dim + 1))
-
-    def zero(self) -> "Form":
-        return Form(self, {})
-
-    def one(self) -> "Form":
-        return Form(self, {(): self.table.one()})
-
-    def e(self, *idx: int) -> "Form":
-        """Basis form e^{i1...ik} for strictly increasing indices."""
-        if any(not 1 <= i <= self.dim for i in idx):
-            raise AlgebraError(f"index out of range: {idx}")
-        if len(set(idx)) != len(idx) or tuple(sorted(idx)) != tuple(idx):
-            raise AlgebraError("basis indices must be strictly increasing")
-        return Form(self, {tuple(idx): self.table.one()})
-
-    def vol(self) -> "Form":
-        return self.e(*self.indices)
-
-    def form(self, terms: Mapping[tuple, Union[Scalar, int, Fraction]]) -> "Form":
-        out: dict[tuple, Scalar] = {}
-        for idx, c in terms.items():
-            if not isinstance(c, Scalar):
-                c = self.table.rat(c)
-            key, sign = _sort_index(tuple(idx))
-            if key is None:
-                continue
-            cur = out.get(key, self.table.zero()) + (c if sign > 0 else -c)
-            if cur.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = cur
-        return Form(self, out)
 
 
 def _sort_index(idx: tuple) -> tuple[Optional[tuple], int]:
@@ -92,13 +54,69 @@ def _merge(a: tuple, b: tuple) -> tuple[Optional[tuple], int]:
     return tuple(out), sign
 
 
+class Coframe:
+    """The space of forms on an orthonormal coframe: monomials are strictly
+    increasing multi-indices."""
+
+    def __init__(self, table: SymbolTable, dim: int = 7):
+        self.table = table
+        self.dim = dim
+        self.indices = tuple(range(1, dim + 1))
+
+    mono_mul = staticmethod(_merge)
+    mono_degree = staticmethod(len)
+
+    @staticmethod
+    def mono_label(idx: tuple) -> str:
+        return f"e^{{{''.join(map(str, idx))}}}" if idx else "1"
+
+    def zero(self) -> "Form":
+        return Form(self, {})
+
+    def one(self) -> "Form":
+        return Form(self, {(): self.table.one()})
+
+    def e(self, *idx: int) -> "Form":
+        """Basis form e^{i1...ik} for strictly increasing indices."""
+        if any(not 1 <= i <= self.dim for i in idx):
+            raise AlgebraError(f"index out of range: {idx}")
+        if len(set(idx)) != len(idx) or tuple(sorted(idx)) != tuple(idx):
+            raise AlgebraError("basis indices must be strictly increasing")
+        return Form(self, {tuple(idx): self.table.one()})
+
+    def vol(self) -> "Form":
+        return self.e(*self.indices)
+
+    def form(self, terms: Mapping[tuple, Union[Scalar, int, Fraction]]) -> "Form":
+        out: dict[tuple, Scalar] = {}
+        for idx, c in terms.items():
+            if not isinstance(c, Scalar):
+                c = self.table.rat(c)
+            key, sign = _sort_index(tuple(idx))
+            if key is None:
+                continue
+            cur = out.get(key, self.table.zero()) + (c if sign > 0 else -c)
+            if cur.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = cur
+        return Form(self, out)
+
+
 class Form:
-    """Exterior form; possibly inhomogeneous."""
+    """Sparse graded form over a space; possibly inhomogeneous.
 
-    __slots__ = ("coframe", "terms")
+    The space supplies the coefficient ``table`` and its monomials:
+    ``mono_mul(a, b)`` returns (product monomial or None, coefficient),
+    ``mono_degree`` and ``mono_label``.  A Coframe is the space of coframe
+    forms; a generated ring is the space of its GenForms.  ``coefficient``
+    and the metric operations need a Coframe.
+    """
 
-    def __init__(self, coframe: Coframe, terms: Mapping[tuple, Scalar]):
-        self.coframe = coframe
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space, terms: Mapping[tuple, Scalar]):
+        self.space = space
         self.terms = {k: v for k, v in terms.items() if not v.is_zero}
 
     @property
@@ -107,7 +125,7 @@ class Form:
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous form, None for the zero form."""
-        degs = {len(k) for k in self.terms}
+        degs = {self.space.mono_degree(m) for m in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -115,86 +133,92 @@ class Form:
         return degs.pop()
 
     def homogeneous_part(self, k: int) -> "Form":
-        return Form(self.coframe, {i: c for i, c in self.terms.items()
-                                   if len(i) == k})
+        deg = self.space.mono_degree
+        return self.__class__(self.space, {m: c for m, c in self.terms.items()
+                                           if deg(m) == k})
 
     def coefficient(self, idx: tuple) -> Scalar:
         key, sign = _sort_index(tuple(idx))
         if key is None or key not in self.terms:
-            return self.coframe.table.zero()
+            return self.space.table.zero()
         c = self.terms[key]
         return c if sign > 0 else -c
 
     # -- algebra -------------------------------------------------------------
     def _check(self, other: "Form"):
-        if other.coframe is not self.coframe:
-            raise AlgebraError("forms over different coframes")
+        if other.space is not self.space:
+            raise AlgebraError("forms over different spaces")
 
     def __add__(self, other: "Form") -> "Form":
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, self.coframe.table.zero()) + v
+            s = out.get(k, self.space.table.zero()) + v
             if s.is_zero:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return Form(self.coframe, out)
+        return self.__class__(self.space, out)
 
     def __neg__(self) -> "Form":
-        return Form(self.coframe, {k: -v for k, v in self.terms.items()})
+        return self.__class__(self.space,
+                              {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __mul__(self, c) -> "Form":
         if not isinstance(c, Scalar):
-            c = self.coframe.table.rat(c)
-        return Form(self.coframe, {k: v * c for k, v in self.terms.items()})
+            c = self.space.table.rat(c)
+        return self.__class__(self.space,
+                              {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Form":
         if isinstance(c, Scalar):
-            return Form(self.coframe,
-                        {k: v * c.inverse() for k, v in self.terms.items()})
+            return self * c.inverse()
         c = exact(c)  # a float divisor raises TypeError, as in __mul__
-        return Form(self.coframe, {k: v / c for k, v in self.terms.items()})
+        return self.__class__(self.space,
+                              {k: v / c for k, v in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
         self._check(other)
-        table = self.coframe.table
+        mono_mul = self.space.mono_mul
+        zero = self.space.table.zero()
         out: dict[tuple, Scalar] = {}
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
-                key, sign = _merge(i1, i2)
-                if key is None or len(key) > self.coframe.dim:
+                key, q = mono_mul(i1, i2)
+                if key is None:
                     continue
                 c = c1 * c2
-                if sign < 0:
+                if q == -1:
                     c = -c
-                s = out.get(key, table.zero()) + c
+                elif q != 1:
+                    c = c * q
+                s = out.get(key, zero) + c
                 if s.is_zero:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return Form(self.coframe, out)
+        return self.__class__(self.space, out)
 
     __xor__ = wedge
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
-        return self.coframe is other.coframe and self.terms == other.terms
+        return self.space is other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.coframe), frozenset(self.terms)))
+        return hash((id(self.space), frozenset(self.terms)))
 
     # -- metric operations -----------------------------------------------------
     def star(self) -> "Form":
         """Hodge star for the identity metric and volume e^{1...n}."""
         self.degree()  # raises on mixed degree
-        cf = self.coframe
+        cf = self.space
         allidx = cf.indices
         out: dict[tuple, Scalar] = {}
         for idx, c in self.terms.items():
@@ -209,7 +233,7 @@ class Form:
         d1, d2 = self.degree(), other.degree()
         if d1 is not None and d2 is not None and d1 != d2:
             raise DegreeError(f"inner product of degrees {d1} and {d2}")
-        acc = self.coframe.table.zero()
+        acc = self.space.table.zero()
         for idx, c in self.terms.items():
             o = other.terms.get(idx)
             if o is not None:
@@ -217,14 +241,14 @@ class Form:
         return acc
 
     def norm_sq(self) -> Scalar:
-        acc = self.coframe.table.zero()
+        acc = self.space.table.zero()
         for c in self.terms.values():
             acc = acc + c * c
         return acc
 
     def contract(self, v: Union[int, "Form"]) -> "Form":
         """Interior product with a frame vector (index) or a one-form."""
-        cf = self.coframe
+        cf = self.space
         if isinstance(v, Form):
             if v.degree() not in (None, 1):
                 raise DegreeError("contraction vector must be a one-form")
@@ -248,12 +272,14 @@ class Form:
 
     # -- rendering ---------------------------------------------------------------
     def text(self) -> str:
-        """Canonical dump: terms sorted by degree then multi-index."""
+        """Canonical dump: terms sorted by degree then monomial label."""
         if self.is_zero:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (len(k), k))
-        return "; ".join(f"{self.terms[k]} : e^{{{''.join(map(str, k))}}}"
-                         if k else f"{self.terms[k]} : 1" for k in keys)
+        sp = self.space
+        keys = sorted(self.terms,
+                      key=lambda m: (sp.mono_degree(m), sp.mono_label(m)))
+        return "; ".join(f"{self.terms[m]} : {sp.mono_label(m)}"
+                         for m in keys)
 
     def __str__(self) -> str:
         return self.text()
@@ -263,7 +289,7 @@ class Form:
 
 def contract_biform(beta: Form, omega: Form) -> Form:
     """Contraction of a 2-form into omega: sum beta_{mu<nu} e_mu-,(e_nu-,omega)."""
-    cf = omega.coframe
+    cf = omega.space
     acc = cf.zero()
     for (m, n), c in beta.terms.items():
         acc = acc + c * omega.contract(n).contract(m)
@@ -276,4 +302,25 @@ def basis_multi_indices(dim: int, k: int) -> list[tuple]:
 
 
 def form_to_vector(f: Form, basis: Iterable[tuple]) -> list[Scalar]:
-    return [f.terms.get(idx, f.coframe.table.zero()) for idx in basis]
+    return [f.terms.get(idx, f.space.table.zero()) for idx in basis]
+
+
+def derivation(form: Form, endo) -> Form:
+    """A coframe endomorphism acting on a constant-coefficient form as a
+    derivation: e^mu -> -sum_nu endo[mu - 1][nu - 1] e^nu."""
+    zero = form.space.table.zero()
+    out: dict[tuple, Scalar] = {}
+    for idx, c in form.terms.items():
+        for pos, mu in enumerate(idx):
+            for nu, coef in enumerate(endo[mu - 1], 1):
+                if coef:
+                    new = idx[:pos] + (nu,) + idx[pos + 1:]
+                    out[new] = out.get(new, zero) - c * coef
+    return form.space.form(out)
+
+
+def coefficient_matrix(cols: Sequence[Form], keys: Iterable) -> list[list]:
+    """Rational matrix: one row per monomial key, one column per form."""
+    zero = Fraction(0)
+    return [[f.terms[k].as_fraction() if k in f.terms else zero
+             for f in cols] for k in keys]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .curvature import contorsion_3ad, curvature_3ad
-from .exterior import Coframe, Form, basis_multi_indices
+from .exterior import Coframe, Form, basis_multi_indices, derivation
 from .scalar import AlgebraError
 from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
                          sp1_frame_forms, torsion_classes)
@@ -184,16 +184,7 @@ def canonical_connection() -> Connection:
 
 def nabla_form(conn: Connection, x: int, form: Form) -> Form:
     """Covariant derivative nabla_{e_x} of a form with constant coefficients."""
-    cf = conn.model.coframe
-    out = cf.zero()
-    for idx, c in form.terms.items():
-        for pos, mu in enumerate(idx):
-            for nu in range(1, 8):
-                coef = conn.L[x][mu - 1][nu - 1]
-                if coef:
-                    new = idx[:pos] + (nu,) + idx[pos + 1:]
-                    out = out + cf.form({new: -c * coef})
-    return out
+    return derivation(form, conn.L[x])
 
 
 def parallel_torsion_holds(conn: Connection, torsion: Form) -> bool:
@@ -329,7 +320,7 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
 
 def curvature_wedge_psi(arr: dict, psi: Form) -> dict:
     """(R ^ psi) as an endomorphism-valued 6-form: keys (I6, (z, v))."""
-    cf = psi.coframe
+    cf = psi.space
     out: dict = {}
     for ((x, y), J), val in arr.items():
         wedge = cf.e(x, y) ^ psi

@@ -32,7 +32,8 @@ from functools import cache
 from itertools import combinations
 from typing import Sequence
 
-from .exterior import Coframe, Form, basis_multi_indices
+from .exterior import (Coframe, Form, basis_multi_indices, coefficient_matrix,
+                       derivation)
 from .scalar import AlgebraError, exact
 
 
@@ -749,33 +750,13 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
 
 def stabilizer_dimension(phi: Form) -> int:
     """Dimension of the so(7) stabilizer of a 3-form (14 for a G2 form)."""
-    cf = phi.coframe
-    pairs = basis_multi_indices(7, 2)
-    triples = basis_multi_indices(7, 3)
-    rows = []
     cols = []
-    for (a, b) in pairs:
-        acted = _so7_action_on_form(cf, a, b, phi)
-        cols.append(acted)
-    for tid in triples:
-        rows.append([col.terms.get(tid, cf.table.zero()).as_fraction()
-                     for col in cols])
+    for a, b in basis_multi_indices(7, 2):
+        rotation = [[0] * 7 for _ in range(7)]  # in the (a, b)-plane
+        rotation[a - 1][b - 1], rotation[b - 1][a - 1] = 1, -1
+        cols.append(derivation(phi, rotation))
     from .linsolve import nullspace
-    return len(nullspace(rows))
-
-
-def _so7_action_on_form(cf: Coframe, a: int, b: int, omega: Form) -> Form:
-    """Action of the rotation generator in the (a,b)-plane on a form."""
-    out = cf.zero()
-    for idx, c in omega.terms.items():
-        for pos, mu in enumerate(idx):
-            if mu == a:
-                rep_idx = idx[:pos] + (b,) + idx[pos + 1:]
-                out = out + cf.form({rep_idx: -c})
-            elif mu == b:
-                rep_idx = idx[:pos] + (a,) + idx[pos + 1:]
-                out = out + cf.form({rep_idx: c})
-    return out
+    return len(nullspace(coefficient_matrix(cols, basis_multi_indices(7, 3))))
 
 
 def su3_killing_consequences(table) -> list:

@@ -19,11 +19,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
-from .exterior import Coframe, Form, basis_multi_indices, form_to_vector
+from .exterior import (Coframe, Form, _merge, _sort_index, basis_multi_indices,
+                       coefficient_matrix, form_to_vector)
 from .linsolve import InconsistentSystemError, nullspace, solve_ring_rhs
-from .scalar import AlgebraError, Scalar, SymbolTable, exact
+from .scalar import AlgebraError, Scalar, SymbolTable
 
 CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
@@ -82,115 +83,39 @@ def su3_frame_forms(cf: Coframe) -> dict:
     return {"eta": eta, "Phi": phi2, "Om+": om_p, "Om-": om_m}
 
 
-class GenForm:
-    """Element of a generated graded ring, in normal form."""
+class GenForm(Form):
+    """Element of a generated graded ring, in normal form.
 
-    __slots__ = ("ring", "terms")
+    Its space is the ring: the algebra is Form's over the ring's monomial
+    table, and a GenForm adds only the exterior derivative and the
+    embedding into the coframe.
+    """
 
-    def __init__(self, ring, terms: Mapping[tuple, Scalar]):
-        self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> Optional[int]:
-        degs = {self.ring.mono_degree(m) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise AlgebraError("mixed-degree generated form")
-        return degs.pop()
-
-    def _coerce_scalar(self, c) -> Scalar:
-        if isinstance(c, Scalar):
-            return c
-        return self.ring.table.rat(c)
-
-    def __add__(self, other: "GenForm") -> "GenForm":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, self.ring.table.zero()) + c
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return GenForm(self.ring, out)
-
-    def __neg__(self) -> "GenForm":
-        return GenForm(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "GenForm") -> "GenForm":
-        return self + (-other)
-
-    def __mul__(self, c) -> "GenForm":
-        c = self._coerce_scalar(c)
-        return GenForm(self.ring, {m: v * c for m, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c) -> "GenForm":
-        if isinstance(c, Scalar):
-            return self * c.inverse()
-        c = exact(c)  # a float divisor raises TypeError, as in __mul__
-        return GenForm(self.ring, {m: v / c for m, v in self.terms.items()})
-
-    def wedge(self, other: "GenForm") -> "GenForm":
-        out: dict[tuple, Scalar] = {}
-        table = self.ring.table
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for q, m in self.ring.mono_mul(m1, m2):
-                    c = c1 * c2 * q
-                    s = out.get(m, table.zero()) + c
-                    if s.is_zero:
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-        return GenForm(self.ring, out)
-
-    __xor__ = wedge
+    __slots__ = ()
 
     def d(self) -> "GenForm":
-        out = self.ring.zero()
+        out = self.space.zero()
         for m, c in self.terms.items():
-            out = out + c * self.ring.mono_d(m)
+            out = out + c * self.space.mono_d(m)
         return out
 
     def embed(self) -> Form:
-        out = self.ring.coframe.zero()
+        out = self.space.coframe.zero()
         for m, c in self.terms.items():
-            out = out + c * self.ring.mono_embed(m)
+            out = out + c * self.space.mono_embed(m)
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GenForm):
-            return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms)))
-
-    def text(self) -> str:
-        if self.is_zero:
-            return "0"
-        keys = sorted(self.terms, key=lambda m: (self.ring.mono_degree(m),
-                                                 self.ring.mono_label(m)))
-        return "; ".join(f"{self.terms[m]} : {self.ring.mono_label(m)}"
-                         for m in keys)
-
-    __str__ = text
-    __repr__ = text
 
 
 class _BaseRing:
-    """Shared machinery: embedding cache, from_form, star, setup checks."""
+    """Shared machinery: the space of its GenForms, from_form, setup checks.
+
+    Each ring memoizes its monomials' derivatives (``mono_d``) and coframe
+    embeddings (``mono_embed``) with functools.cache.
+    """
 
     def __init__(self, table: SymbolTable):
         self.table = table
         self.coframe = Coframe(table, 7)
-        self._embed_cache: dict[tuple, Form] = {}
         self._setup()
         self._check_construction()
 
@@ -208,13 +133,6 @@ class _BaseRing:
             fixed[m] = c
         return GenForm(self, fixed)
 
-    def mono_embed(self, mono: tuple) -> Form:
-        f = self._embed_cache.get(mono)
-        if f is None:
-            f = self._embed(mono)
-            self._embed_cache[mono] = f
-        return f
-
     def from_form(self, form: Form) -> GenForm:
         """Express a coframe form in ring generators (error if impossible)."""
         out = self.zero()
@@ -225,11 +143,8 @@ class _BaseRing:
             if not monos:
                 raise NotInSpanError(f"no degree-{k} monomials", part)
             basis = basis_multi_indices(7, k)
-            matrix = []
-            embeds = [self.mono_embed(m) for m in monos]
-            for idx in basis:
-                matrix.append([e.terms.get(idx, self.table.zero()).as_fraction()
-                               for e in embeds])
+            matrix = coefficient_matrix([self.mono_embed(m) for m in monos],
+                                        basis)
             rhs = form_to_vector(part, basis)
             try:
                 sol = solve_ring_rhs(matrix, rhs)
@@ -240,10 +155,6 @@ class _BaseRing:
                 if not c.is_zero:
                     out = out + GenForm(self, {m: c})
         return out
-
-    def star(self, gf: GenForm) -> GenForm:
-        """Hodge star computed through the coframe embedding."""
-        return self.from_form(gf.embed().star())
 
     def _check_construction(self):
         for g in self.generators():
@@ -272,7 +183,6 @@ class Ring3ad(_BaseRing):
         return ((), ())
 
     def eta(self, *idx: int) -> GenForm:
-        from .exterior import _sort_index
         key, sign = _sort_index(tuple(idx))
         if key is None:
             return self.zero()
@@ -308,23 +218,22 @@ class Ring3ad(_BaseRing):
         return out
 
     def mono_mul(self, m1, m2):
-        from .exterior import _merge
         e1, p1 = m1
         e2, p2 = m2
         etas, sign = _merge(e1, e2)
         if etas is None:
-            return []
+            return None, 0
         if not p1:
             phis = p2
         elif not p2:
             phis = p1
         elif len(p1) == 1 and len(p2) == 1:
             if p1[0] != p2[0]:
-                return []  # Phi_i ^ Phi_j = 0 for i != j
+                return None, 0  # Phi_i ^ Phi_j = 0 for i != j
             phis = (1, 1)
         else:
-            return []  # horizontal degree would exceed 4
-        return [(Fraction(sign), (etas, phis))]
+            return None, 0  # horizontal degree would exceed 4
+        return (etas, phis), sign
 
     def d_eta(self, i: int) -> GenForm:
         j, k = CYCLIC[i]
@@ -335,6 +244,7 @@ class Ring3ad(_BaseRing):
         return 2 * self.delta * (self.Phi(j).wedge(self.eta(k))
                                  - self.eta(j).wedge(self.Phi(k)))
 
+    @cache
     def mono_d(self, m) -> GenForm:
         etas, phis = m
         out = self.zero()
@@ -353,7 +263,8 @@ class Ring3ad(_BaseRing):
             out = out.wedge(self.eta(i) if kind == "eta" else self.Phi(i))
         return out
 
-    def _embed(self, m) -> Form:
+    @cache
+    def mono_embed(self, m) -> Form:
         etas, phis = m
         out = self.coframe.one()
         for i in etas:
@@ -458,24 +369,22 @@ class RingSU3(_BaseRing):
         e1, p1, w1 = m1
         e2, p2, w2 = m2
         if e1 and e2:
-            return []
-        sign = 1
-        if e2 and w1:
-            sign = -sign  # eta from the right crosses Om (odd x odd)
-        coeff = Fraction(sign)
+            return None, 0
+        coeff = -1 if e2 and w1 else 1  # eta crosses Om (odd x odd)
         p = p1 + p2
         if w1 and w2:
             if w1 == w2:
-                return []
+                return None, 0
             coeff *= self.OM_PAIR if (w1, w2) == ("+", "-") else -self.OM_PAIR
             p += 3
             w = ""
         else:
             w = w1 or w2
         if p > 3 or (p and w):
-            return []
-        return [(coeff, (e1 + e2, p, w))]
+            return None, 0
+        return (e1 + e2, p, w), coeff
 
+    @cache
     def mono_d(self, m) -> GenForm:
         e, p, w = m
         out = self.zero()
@@ -491,7 +400,8 @@ class RingSU3(_BaseRing):
             out = out + (term if e % 2 == 0 else -term)
         return out
 
-    def _embed(self, m) -> Form:
+    @cache
+    def mono_embed(self, m) -> Form:
         e, p, w = m
         out = self.coframe.one()
         if e:
@@ -550,7 +460,7 @@ def gram_matrix(phi: Form) -> list[list[Scalar]]:
     product since moving a 2-form past a 3-form has sign +1; the entries
     with Y < X are mirrored, not recomputed.
     """
-    cf = phi.coframe
+    cf = phi.space
     zero = cf.table.zero()
     contractions = [phi.contract(x) for x in cf.indices]
     out = [[zero] * len(contractions) for _ in contractions]
@@ -564,7 +474,7 @@ def gram_matrix(phi: Form) -> list[list[Scalar]]:
 
 def is_g2_form(phi: Form, psi: Form) -> bool:
     """Pointwise check: phi^psi = 7 vol and the induced metric is the identity."""
-    cf = phi.coframe
+    cf = phi.space
     if (phi ^ psi) != 7 * cf.vol():
         return False
     g = gram_matrix(phi)
@@ -593,7 +503,7 @@ def torsion_classes(phi: Form, psi: Form, dphi: Form, dpsi: Form) -> TorsionClas
     with the Lambda^5_7 part of d psi, and the ExtractionError names it and
     carries the failing forms.
     """
-    cf = phi.coframe
+    cf = phi.space
     if not is_g2_form(phi, psi) or psi != phi.star():
         raise ExtractionError("input 3-form is not pointwise G2 (phi^psi != "
                               "7 vol, metric != identity or psi != *phi)")
@@ -670,19 +580,11 @@ def h_homothety(alpha: Scalar, delta: Scalar, a, c):
 def lambda214_double_characterization(phi: Form, psi: Form):
     """Bases of {b : b^psi = 0} and {b : b -| phi = 0}; both 14-dimensional."""
     from .exterior import contract_biform
-    cf = phi.coframe
-    b2 = basis_multi_indices(7, 2)
-    b6 = basis_multi_indices(7, 6)
-    b1 = basis_multi_indices(7, 1)
-    rows_w, rows_c = [], []
-    for target, rows, mapper in (
-        (b6, rows_w, lambda b: b ^ psi),
-        (b1, rows_c, lambda b: contract_biform(b, phi)),
-    ):
-        cols = [mapper(cf.e(*idx)) for idx in b2]
-        for tid in target:
-            rows.append([col.terms.get(tid, cf.table.zero()).as_fraction()
-                         for col in cols])
+    b2 = [phi.space.e(*idx) for idx in basis_multi_indices(7, 2)]
+    rows_w = coefficient_matrix([b ^ psi for b in b2],
+                                basis_multi_indices(7, 6))
+    rows_c = coefficient_matrix([contract_biform(b, phi) for b in b2],
+                                basis_multi_indices(7, 1))
     return nullspace(rows_w), nullspace(rows_c)
 
 

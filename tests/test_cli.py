@@ -17,6 +17,10 @@ from hetg2.spinor import spinor_registry
 ALL_REPORT_SHA256 = \
     "95120eb80e1491aa18e19a5bd4fb577fd6b99e0a7898900fe5a2e1d64090dfb4"
 
+# sha256 of "<name>\n<stdout>" over every `show` name, in sorted order
+SHOW_OUTPUTS_SHA256 = \
+    "b5fa9da137201643d59331028b0c142644c69c587906265d74e5abaff083b556"
+
 # clibench parses this message for the known names
 UNKNOWN_NAME_ERR = (
     "error: unknown name 'no.such.name'; known: Om+.su3, Om-.su3, Phi.su3, "
@@ -276,6 +280,15 @@ class TestDriver:
         structures.structure_torsion.cache_clear()
         assert main(["show", "--name", name]) == 0
         assert len(calls) == extractions
+
+    def test_show_outputs_pinned(self, capsys):
+        names = sorted([*structures.registry(), *spinor_registry()])
+        assert len(names) == 42
+        digest = hashlib.sha256()
+        for name in names:
+            assert main(["show", "--name", name]) == 0
+            digest.update(f"{name}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == SHOW_OUTPUTS_SHA256
 
     def test_show_unknown_name(self, capsys):
         assert main(["show", "--name", "no.such.name"]) == 2

@@ -41,7 +41,7 @@ def reference_torsion_classes(phi, psi, dphi, dpsi) -> TorsionClasses:
     symbols.  Unknowns [tau0 | tau1 (7) | tau2 (21) | tau3 (35)]; equation
     rows d phi (35), d psi (21), tau2^psi (7), tau3^phi (7), tau3^psi (1).
     """
-    cf = phi.coframe
+    cf = phi.space
     basis = {k: basis_multi_indices(7, k) for k in range(2, 8)}
     zero = cf.zero()
 
@@ -74,9 +74,9 @@ def same_classes(a: TorsionClasses, b: TorsionClasses) -> bool:
 
 
 def at_circle_point(form: Form, s, c) -> Form:
-    table = form.coframe.table
+    table = form.space.table
     sub = {"s": table.rat(s), "c": table.rat(c)}
-    return Form(form.coframe, {k: v.subs(sub) for k, v in form.terms.items()})
+    return Form(form.space, {k: v.subs(sub) for k, v in form.terms.items()})
 
 
 CIRCLE_POINTS = [(F(0), F(1)), (F(1), F(0)), (F(3, 5), F(4, 5))]
@@ -126,7 +126,7 @@ class TestRing3ad:
             R3.from_form(bad)
 
     def test_star_in_ring(self):
-        assert R3.star(R3.phi()) == R3.psi()
+        assert R3.from_form(R3.phi().embed().star()) == R3.psi()
 
     def test_float_divisor_refused(self):
         # a float used to divide silently by Fraction(0.1)
@@ -165,7 +165,7 @@ class TestRingSU3:
         assert is_g2_form(RS.phi_theta().embed(), RS.psi_theta().embed())
 
     def test_star_roundtrip(self):
-        assert RS.star(RS.phi_theta()) == RS.psi_theta()
+        assert RS.from_form(RS.phi_theta().embed().star()) == RS.psi_theta()
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +235,7 @@ class TestProjection:
     @pytest.mark.parametrize("geometry", ["3ad", "su3"])
     def test_inconsistent_dphi_raises(self, geometry):
         phi, psi, dphi, dpsi = structure_inputs(geometry)
-        extra = 3 * (phi.coframe.e(1) ^ phi)
+        extra = 3 * (phi.space.e(1) ^ phi)
         with pytest.raises(ExtractionError) as err:
             torsion_classes(phi, psi, dphi + extra, dpsi)
         assert str(err.value) == ("torsion classes fail the type condition: "
@@ -249,12 +249,12 @@ class TestProjection:
         phi, psi, dphi, dpsi = structure_inputs(geometry)
         with pytest.raises(ExtractionError, match=r"tau3\^phi != 0"):
             torsion_classes(phi, psi, dphi,
-                            dpsi + 4 * (phi.coframe.e(2) ^ psi))
+                            dpsi + 4 * (phi.space.e(2) ^ psi))
 
     @pytest.mark.parametrize("geometry", ["3ad", "su3"])
     def test_consistent_shift_gives_tau1(self, geometry):
         phi, psi, dphi, dpsi = structure_inputs(geometry)
-        e1 = phi.coframe.e(1)
+        e1 = phi.space.e(1)
         base = torsion_classes(phi, psi, dphi, dpsi)
         tc = torsion_classes(phi, psi, dphi + 3 * (e1 ^ phi),
                              dpsi + 4 * (e1 ^ psi))
@@ -264,7 +264,7 @@ class TestProjection:
 
     def test_psi_must_be_star_phi(self):
         phi, psi, dphi, dpsi = structure_inputs("3ad")
-        bad_psi = psi + phi.coframe.e(1, 2, 3, 4)
+        bad_psi = psi + phi.space.e(1, 2, 3, 4)
         assert is_g2_form(phi, bad_psi)  # phi ^ e1234 = 0, same metric
         with pytest.raises(ExtractionError, match="not pointwise G2"):
             torsion_classes(phi, bad_psi, dphi, dpsi)
@@ -307,7 +307,7 @@ class TestProjection:
         phi, psi, _, _ = structure_inputs("3ad" if point is None else "su3")
         if point is not None:
             phi, psi = at_circle_point(phi, *point), at_circle_point(psi, *point)
-        cf = phi.coframe
+        cf = phi.space
         al, de = cf.table.sym("alpha"), cf.table.sym("delta")
         b2, b3 = basis_multi_indices(7, 2), basis_multi_indices(7, 3)
         b6, b7 = basis_multi_indices(7, 6), basis_multi_indices(7, 7)
@@ -334,7 +334,7 @@ class TestProjection:
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_gram_matrix(self, perturbed):
         phi = RS.phi_theta().embed()
-        cf = phi.coframe
+        cf = phi.space
         if perturbed:  # not G2: a full, symbolic Gram matrix
             phi = phi + cf.table.sym("alpha") * cf.e(1, 4, 5) \
                 - 2 * cf.e(2, 3, 7)
@@ -429,6 +429,22 @@ class TestMisc:
         sub = {"delta": t.sym("alpha")}
         assert all(v.subs(sub).is_zero for v in tc.tau3.terms.values())
         assert not tc.tau3.is_zero
+
+    def test_forms_of_different_rings_do_not_mix(self):
+        # both rings over one table: only the space tells them apart
+        t = make_table("su3")
+        r3, rs = Ring3ad(t), RingSU3(t)
+        with pytest.raises(AlgebraError):
+            r3.eta(1) + rs.eta()
+        with pytest.raises(AlgebraError):
+            r3.Phi(1).wedge(rs.eta())
+        with pytest.raises(AlgebraError):
+            r3.eta(1) + r3.eta(1).embed()
+
+    def test_homogeneous_part_of_genform(self):
+        mixed = R3.eta(1) + R3.phi()
+        assert mixed.homogeneous_part(3) == R3.phi()
+        assert mixed.homogeneous_part(1) == R3.eta(1)
 
     def test_registry(self):
         reg = registry()
