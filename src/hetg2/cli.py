@@ -400,7 +400,7 @@ class SuiteSpinor(Suite):
                     "convention is kept and the sign recorded"),
         Check("spinor.basis.e1-action",
               "e_1 u(eps) = -i (prod eps) u(eps) at m = 3",
-              lambda s: all(s.sp.matvec(s.rep.gens[0], s.u(e))
+              lambda s: all(s.sp.word_apply(s.rep.words[0], s.u(e))
                             == s.sp.vec_scale(
                                 s.u(e), s.sp.GQ(0, -e[0] * e[1] * e[2]))
                             for e in ((1, 1, 1), (1, -1, 1), (-1, -1, -1)))),

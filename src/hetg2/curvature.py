@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional
 
 from .exterior import Form, basis_multi_indices
-from .scalar import AlgebraError, Scalar
+from .scalar import AlgebraError, Scalar, exact
 from .structures import CYCLIC, GenForm, Ring3ad, RingSU3
 
 # Calibration of the pointwise norm of End-valued 6-forms.  The natural
@@ -76,21 +77,16 @@ def contorsion_3ad(phi: Form, lam: Fraction) -> dict:
     """
     vert = {1, 2, 3}
     out = {}
-    for x in range(1, 8):
-        for y in range(1, 8):
-            for z in range(1, 8):
-                pv = phi.coefficient((x, y, z))
-                if pv.is_zero:
-                    continue
-                pv = pv.as_fraction()
-                if x in vert and y in vert and z in vert:
-                    val = lam * pv
-                elif y in vert and x not in vert and z not in vert:
-                    val = -lam * pv / 2
-                else:
-                    continue
-                if val:
-                    out[(x, y, z)] = val
+    for idx in phi.homogeneous_part(3).terms:
+        for x, y, z in permutations(idx):
+            if x in vert and y in vert and z in vert:
+                val = lam * phi.coefficient((x, y, z)).as_rat()
+            elif y in vert and x not in vert and z not in vert:
+                val = -lam * phi.coefficient((x, y, z)).as_rat() / 2
+            else:
+                continue
+            if val:
+                out[(x, y, z)] = exact(val)
     return out
 
 
@@ -124,34 +120,25 @@ class CurvOp:
 
     def to_array(self) -> dict:
         """Explicit part as a Lambda^2 (x) Lambda^2 coefficient array."""
-        table = self.ring.table
-        pairs = basis_multi_indices(7, 2)
-        comps = _hermitian_pair_components(self.geometry)
         arr = {}
-        for I in pairs:
-            for J in pairs:
-                acc = table.zero()
-                for comp in comps:
-                    ci = comp.get(I)
-                    cj = comp.get(J)
-                    if ci is None or cj is None:
-                        continue
-                    fb = "V" if set(I) <= {1, 2, 3} else "H"
+        for comp in _hermitian_pair_components(self.geometry):
+            for I, ci in comp.items():
+                fb = "V" if set(I) <= {1, 2, 3} else "H"
+                for J, cj in comp.items():
                     eb = "V" if set(J) <= {1, 2, 3} else "H"
-                    acc = acc + self.block(fb, eb) * (ci * cj)
-                if not acc.is_zero:
-                    arr[(I, J)] = acc
-        return arr
+                    term = self.block(fb, eb) * (ci * cj)
+                    arr[(I, J)] = arr[(I, J)] + term if (I, J) in arr else term
+        return {key: v for key, v in arr.items() if not v.is_zero}
 
 
 def _hermitian_pair_components(geometry: str) -> list[dict]:
     if geometry == "3ad":
         return [
-            {(2, 3): Fraction(-1), (4, 5): Fraction(-1), (6, 7): Fraction(-1)},
-            {(1, 3): Fraction(1), (4, 6): Fraction(-1), (5, 7): Fraction(1)},
-            {(1, 2): Fraction(-1), (4, 7): Fraction(-1), (5, 6): Fraction(-1)},
+            {(2, 3): -1, (4, 5): -1, (6, 7): -1},
+            {(1, 3): 1, (4, 6): -1, (5, 7): 1},
+            {(1, 2): -1, (4, 7): -1, (5, 6): -1},
         ]
-    return [{(2, 3): Fraction(-1), (4, 5): Fraction(-1), (6, 7): Fraction(-1)}]
+    return [{(2, 3): -1, (4, 5): -1, (6, 7): -1}]
 
 
 def curvature_3ad(ring: Ring3ad, lam: Scalar) -> CurvOp:

@@ -109,8 +109,9 @@ class Form:
     The space supplies the coefficient ``table`` and its monomials:
     ``mono_mul(a, b)`` returns (product monomial or None, coefficient),
     ``mono_degree`` and ``mono_label``.  A Coframe is the space of coframe
-    forms; a generated ring is the space of its GenForms.  ``coefficient``
-    and the metric operations need a Coframe.
+    forms; a generated ring is the space of its GenForms.  ``coefficient``,
+    ``contract`` and the metric operations read multi-indices, so they need
+    a Coframe and raise AlgebraError over any other space.
     """
 
     __slots__ = ("space", "terms")
@@ -137,10 +138,17 @@ class Form:
         return self.__class__(self.space, {m: c for m, c in self.terms.items()
                                            if deg(m) == k})
 
+    def _coframe(self, method: str) -> Coframe:
+        if not isinstance(self.space, Coframe):
+            raise AlgebraError(f"{method} needs a coframe form, not a form "
+                               f"over {type(self.space).__name__}")
+        return self.space
+
     def coefficient(self, idx: tuple) -> Scalar:
+        cf = self._coframe("coefficient")
         key, sign = _sort_index(tuple(idx))
         if key is None or key not in self.terms:
-            return self.space.table.zero()
+            return cf.table.zero()
         c = self.terms[key]
         return c if sign > 0 else -c
 
@@ -217,8 +225,8 @@ class Form:
     # -- metric operations -----------------------------------------------------
     def star(self) -> "Form":
         """Hodge star for the identity metric and volume e^{1...n}."""
+        cf = self._coframe("star")
         self.degree()  # raises on mixed degree
-        cf = self.space
         allidx = cf.indices
         out: dict[tuple, Scalar] = {}
         for idx, c in self.terms.items():
@@ -229,6 +237,7 @@ class Form:
 
     def inner(self, other: "Form") -> Scalar:
         """Orthonormal-frame inner product (multi-index basis orthonormal)."""
+        self._coframe("inner")
         self._check(other)
         d1, d2 = self.degree(), other.degree()
         if d1 is not None and d2 is not None and d1 != d2:
@@ -241,14 +250,14 @@ class Form:
         return acc
 
     def norm_sq(self) -> Scalar:
-        acc = self.space.table.zero()
+        acc = self._coframe("norm_sq").table.zero()
         for c in self.terms.values():
             acc = acc + c * c
         return acc
 
     def contract(self, v: Union[int, "Form"]) -> "Form":
         """Interior product with a frame vector (index) or a one-form."""
-        cf = self.space
+        cf = self._coframe("contract")
         if isinstance(v, Form):
             if v.degree() not in (None, 1):
                 raise DegreeError("contraction vector must be a one-form")

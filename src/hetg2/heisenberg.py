@@ -18,7 +18,7 @@ from functools import cache
 
 from .curvature import contorsion_3ad, curvature_3ad
 from .exterior import Coframe, Form, basis_multi_indices, derivation
-from .scalar import AlgebraError
+from .scalar import AlgebraError, exact
 from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
                          sp1_frame_forms, torsion_classes)
 from . import spinor as sp
@@ -33,7 +33,7 @@ class LieModel:
 
     coframe: Coframe
     de: dict           # index -> Form (exterior derivative of e^i)
-    c: dict            # (mu, nu) -> dict target -> Fraction, brackets
+    c: dict            # (mu, nu) -> dict target -> rational, brackets
 
     def bracket(self, mu: int, nu: int) -> dict:
         return self.c.get((mu, nu), {})
@@ -54,7 +54,7 @@ def heisenberg_model() -> LieModel:
                 # de^t(X, Y) = -e^t([X, Y])
                 v = de[tgt].coefficient((mu, nu))
                 if not v.is_zero:
-                    out[tgt] = -v.as_fraction()
+                    out[tgt] = -v.as_rat()
             if out:
                 c[(mu, nu)] = out
                 c[(nu, mu)] = {k: -v for k, v in out.items()}
@@ -63,6 +63,10 @@ def heisenberg_model() -> LieModel:
         raise AlgebraError("de-table violates the Jacobi identity or the "
                            "structure equations")
     return model
+
+
+def _half(q):
+    return exact(Fraction(q, 2))
 
 
 def d_form(model: LieModel, form: Form) -> Form:
@@ -88,11 +92,15 @@ def model_equations_hold(model: LieModel) -> bool:
 
 
 class Connection:
-    """Left-invariant metric connection: L[y][x][z] = g(e_x, nabla_{e_y} e_z)."""
+    """Left-invariant metric connection: L[y][x][z] = g(e_x, nabla_{e_y} e_z).
+
+    Entries are stored as by ``scalar.exact``: ``int`` when integral, else
+    ``Fraction``.
+    """
 
     def __init__(self, model: LieModel, coeffs):
         self.model = model
-        self.L = coeffs  # dict y -> 7x7 list of Fractions
+        self.L = coeffs  # dict y -> 7x7 list of rationals
 
     def nabla(self, y: int, z: int) -> dict:
         return {x: self.L[y][x - 1][z - 1] for x in range(1, 8)
@@ -107,17 +115,16 @@ class Connection:
                         return False
         return True
 
-    def torsion_component(self, x: int, y: int, z: int) -> Fraction:
+    def torsion_component(self, x: int, y: int, z: int):
         """T(X; Y, Z) = g(X, nabla_Y Z - nabla_Z Y - [Y, Z])."""
-        val = self.L[y][x - 1][z - 1] - self.L[z][x - 1][y - 1]
-        val -= self.model.bracket(y, z).get(x, Fraction(0))
-        return val
+        return (self.L[y][x - 1][z - 1] - self.L[z][x - 1][y - 1]
+                - self.model.bracket(y, z).get(x, 0))
 
     def has_torsion(self, torsion: Form) -> bool:
         """T(X; Y, Z) equals the coefficient of the 3-form ``torsion`` on
         every frame triple."""
         return all(self.torsion_component(x, y, z)
-                   == torsion.coefficient((x, y, z)).as_fraction()
+                   == torsion.coefficient((x, y, z)).as_rat()
                    for x in range(1, 8) for y in range(1, 8)
                    for z in range(y + 1, 8))
 
@@ -128,16 +135,12 @@ def levi_civita() -> Connection:
     model = heisenberg_model()
 
     def cc(a, b, x):
-        return model.bracket(a, b).get(x, Fraction(0))
+        return model.bracket(a, b).get(x, 0)
 
     L = {}
     for y in range(1, 8):
-        mat = [[Fraction(0)] * 7 for _ in range(7)]
-        for x in range(1, 8):
-            for z in range(1, 8):
-                mat[x - 1][z - 1] = (cc(y, z, x) - cc(z, x, y)
-                                     + cc(x, y, z)) / 2
-        L[y] = mat
+        L[y] = [[_half(cc(y, z, x) - cc(z, x, y) + cc(x, y, z))
+                 for z in range(1, 8)] for x in range(1, 8)]
     conn = Connection(model, L)
     if not conn.is_metric():
         raise AlgebraError("Koszul connection is not metric")
@@ -154,8 +157,9 @@ def with_torsion(lc: Connection, torsion: Form) -> Connection:
         mat = [row[:] for row in lc.L[y]]
         for x in range(1, 8):
             for z in range(1, 8):
-                mat[x - 1][z - 1] += torsion.coefficient((x, y, z)) \
-                    .as_fraction() / 2
+                t = torsion.coefficient((x, y, z)).as_rat()
+                if t:
+                    mat[x - 1][z - 1] = exact(mat[x - 1][z - 1] + _half(t))
         L[y] = mat
     conn = Connection(model, L)
     if not conn.is_metric():
@@ -203,17 +207,22 @@ def associative_form(cf: Coframe) -> Form:
     return phi
 
 
+@cache
+def model_associative_form() -> Form:
+    """The associative form of the model's adapted coframe, built once."""
+    return associative_form(heisenberg_model().coframe)
+
+
 def connection_lambda(lam: Fraction) -> Connection:
     """Canonical connection shifted by the closed-form difference tensor."""
     base = canonical_connection()
-    delta = contorsion_3ad(associative_form(base.model.coframe),
-                           Fraction(lam))
+    delta = contorsion_3ad(model_associative_form(), Fraction(lam))
     L = {}
     for y in range(1, 8):
         mat = [row[:] for row in base.L[y]]
         for (x, yy, z), v in delta.items():
             if yy == y:
-                mat[x - 1][z - 1] += v
+                mat[x - 1][z - 1] = exact(mat[x - 1][z - 1] + v)
         L[y] = mat
     conn = Connection(base.model, L)
     if not conn.is_metric():
@@ -222,7 +231,7 @@ def connection_lambda(lam: Fraction) -> Connection:
 
 
 def curvature_fp(conn: Connection) -> dict:
-    """First-principles curvature array R[(I, J)] = R(e_I; e_J) as Fractions.
+    """First-principles curvature array R[(I, J)] = R(e_I; e_J), rational.
 
     R(X, Y, Z, V) = g(([nabla_X, nabla_Y] - nabla_[X,Y]) Z, V); the array key
     pairs the 2-form slot I = (x, y) with the endomorphism slot J = (z, v).
@@ -255,27 +264,38 @@ def curvature_fp(conn: Connection) -> dict:
         for (z, v) in pairs:
             val = m[v - 1][z - 1]
             if val != 0:
-                out[(I, (z, v))] = val
+                out[(I, (z, v))] = exact(val)
+    return out
+
+
+@cache
+def _closed_form_in_lam() -> dict:
+    """The closed-form array at (alpha, delta) = (1, 0) in the ring symbol
+    lam: key -> {power of lam: rational coefficient}."""
+    ring = get_ring("3ad")
+    arr = curvature_3ad(ring, ring.table.sym("lam")).to_array()
+    out = {}
+    for key, val in arr.items():
+        v = val.subs({"alpha": 1, "delta": 0})
+        if not v.is_zero:
+            out[key] = {k: c.as_rat() for k, c in v.coeffs_in("lam").items()}
     return out
 
 
 def closed_form_curvature_array(lam: Fraction) -> dict:
     """The closed-form operator at (alpha, delta) = (1, 0) with R2 = 0."""
-    ring = get_ring("3ad")
-    R = curvature_3ad(ring, ring.table.rat(lam))
-    arr = R.to_array()
-    sub = {"alpha": 1, "delta": 0}
+    lam = Fraction(lam)
     out = {}
-    for key, val in arr.items():
-        v = val.subs(sub)
-        if not v.is_zero:
-            out[key] = v.as_fraction()
+    for key, poly in _closed_form_in_lam().items():
+        v = exact(sum(c * lam ** k for k, c in poly.items()))
+        if v:
+            out[key] = v
     return out
 
 
 def arrays_equal(a: dict, b: dict) -> bool:
     keys = set(a) | set(b)
-    return all(a.get(k, Fraction(0)) == b.get(k, Fraction(0)) for k in keys)
+    return all(a.get(k, 0) == b.get(k, 0) for k in keys)
 
 
 def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
@@ -289,21 +309,22 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
     def rc(x, y, z, v):
         sx = 1
         if x == y or z == v:
-            return Fraction(0)
+            return 0
         if x > y:
             x, y, sx = y, x, -sx
         if z > v:
             z, v, sx = v, z, -sx
-        return sx * arr.get(((x, y), (z, v)), Fraction(0))
+        return sx * arr.get(((x, y), (z, v)), 0)
 
-    tvec = {}
+    tvec = {}  # (x, y) -> {w: T(e_w; e_x, e_y)}, nonzero entries only
     for x in range(1, 8):
         for y in range(1, 8):
-            tvec[(x, y)] = tuple(torsion.coefficient((w, x, y)).as_fraction()
-                                 for w in range(1, 8))
+            col = {w: torsion.coefficient((w, x, y)).as_rat()
+                   for w in range(1, 8)}
+            tvec[(x, y)] = {w: c for w, c in col.items() if c}
 
     def dot(a, b):
-        return sum(p * q for p, q in zip(a, b) if p and q)
+        return sum(p * b[w] for w, p in a.items() if w in b)
 
     for x in range(1, 8):
         for y in range(1, 8):
@@ -326,7 +347,7 @@ def curvature_wedge_psi(arr: dict, psi: Form) -> dict:
         wedge = cf.e(x, y) ^ psi
         for idx, c in wedge.terms.items():
             key = (idx, J)
-            cur = out.get(key, Fraction(0)) + val * c.as_fraction()
+            cur = out.get(key, 0) + val * c.as_rat()
             if cur:
                 out[key] = cur
             else:
@@ -347,7 +368,7 @@ def trace_wedge(arr1: dict, arr2: dict, cf: Coframe) -> Form:
     for I1, row1 in by_I1.items():
         f1 = cf.e(*I1)
         for I2, row2 in by_I2.items():
-            tr = Fraction(0)
+            tr = 0
             for J, a in row1.items():
                 b = row2.get(J)
                 if b is not None:
@@ -363,19 +384,17 @@ def trace_wedge(arr1: dict, arr2: dict, cf: Coframe) -> Form:
 # spinor checks on the model
 # ---------------------------------------------------------------------------
 
-def spin_connection_action(conn: Connection, rep, x: int):
-    """Spinor covariant derivative matrix (1/2) sum_{n<r} G_{nr} e_n e_r."""
-    mat = tuple(tuple(sp.GQ(0) for _ in range(rep.dim))
-                for _ in range(rep.dim))
+def spin_connection_action(conn: Connection, rep, x: int) -> list:
+    """Spinor covariant derivative (1/2) sum_{n<r} G_{nr} e_n e_r, as its
+    (rational coefficient, word) terms."""
+    terms = []
     for n in range(1, 8):
         for r in range(n + 1, 8):
             # L[x][n][r] = g(e_n, nabla_x e_r); Gamma_{nr}(x) = g(nabla_x e_n, e_r)
             coef = conn.L[x][r - 1][n - 1]
-            if coef == 0:
-                continue
-            prod = sp.matmul(rep.gens[n - 1], rep.gens[r - 1])
-            mat = sp.mat_add(mat, sp.mat_scale(prod, Fraction(coef, 2)))
-    return mat
+            if coef:
+                terms.append((_half(coef), rep.word((n, r))))
+    return terms
 
 
 @dataclass
@@ -406,12 +425,13 @@ def spin_killing_checks() -> list:
     psi = sp.sp1_spinors(rep)
     checks = []
     nabla = {x: spin_connection_action(lc, rep, x) for x in range(1, 8)}
+    rows = {x: sp.word_rows(terms, rep.dim) for x, terms in nabla.items()}
     s = CLIFFORD_REALIZATION_SIGN
 
     def ok(x, spinor, factor):
-        lhs = sp.matvec(nabla[x], spinor)
-        rhs = sp.vec_scale(sp.matvec(rep.gens[x - 1], spinor), s * factor)
-        return tuple(lhs) == tuple(rhs)
+        lhs = sp.rows_apply(rows[x], spinor)
+        rhs = sp.vec_scale(sp.word_apply(rep.words[x - 1], spinor), s * factor)
+        return lhs == rhs
 
     checks.append(KillingCheck(
         "nabla_X psi0 = -(3/2) X psi0 for horizontal X",
@@ -436,19 +456,19 @@ def spin_killing_checks() -> list:
 
 
 def _leibniz_compatible(conn: Connection, rep, nabla) -> bool:
+    """[Omega(X), rho(Z)] = rho(nabla_X Z) on every frame pair, compared as
+    sparse rows of word combinations."""
     for x in range(1, 8):
-        om = nabla[x]
         for z in range(1, 8):
-            comm = sp.mat_add(sp.matmul(om, rep.gens[z - 1]),
-                              sp.mat_scale(sp.matmul(rep.gens[z - 1], om), -1))
-            target = tuple(tuple(sp.GQ(0) for _ in range(rep.dim))
-                           for _ in range(rep.dim))
-            for w in range(1, 8):
-                c = conn.L[x][w - 1][z - 1]
-                if c:
-                    target = sp.mat_add(target,
-                                        sp.mat_scale(rep.gens[w - 1], c))
-            if comm != target:
+            g = rep.words[z - 1]
+            comm = []
+            for c, w in nabla[x]:
+                wg, gw = sp.word_mul(w, g), sp.word_mul(g, w)
+                if wg != gw:
+                    comm += [(c, wg), (-c, gw)]
+            target = [(conn.L[x][w - 1][z - 1], rep.words[w - 1])
+                      for w in range(1, 8) if conn.L[x][w - 1][z - 1]]
+            if sp.word_rows(comm, rep.dim) != sp.word_rows(target, rep.dim):
                 return False
     return True
 
@@ -471,7 +491,7 @@ class TheoremReport:
 def associative_torsion_classes() -> TorsionClasses:
     """Torsion classes of the associative form on the model."""
     model = heisenberg_model()
-    phi = associative_form(model.coframe)
+    phi = model_associative_form()
     psi = phi.star()
     return torsion_classes(phi, psi, d_form(model, phi), d_form(model, psi))
 
@@ -483,7 +503,7 @@ def _theorem_parts() -> tuple:
     verdict)."""
     model = heisenberg_model()
     cf = model.coframe
-    psi = associative_form(cf).star()
+    psi = model_associative_form().star()
     arr0 = curvature_fp(canonical_connection())
     arr4 = curvature_fp(connection_lambda(Fraction(4)))  # lam = -beta
     instanton_zero = (not curvature_wedge_psi(arr0, psi)

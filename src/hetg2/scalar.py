@@ -159,12 +159,17 @@ class Scalar:
         unit = self.table._unit()
         return not self._b and all(m == unit for m in self._a)
 
-    def as_fraction(self) -> Fraction:
+    def as_rat(self) -> Rat:
+        """The rational value of a constant scalar as stored (see
+        :func:`exact`): an ``int`` when integral, else a ``Fraction``."""
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_rational():
             raise AlgebraError(f"not a rational constant: {self}")
-        return Fraction(self._a[self.table._unit()])
+        return self._a[self.table._unit()]
+
+    def as_fraction(self) -> Fraction:
+        return Fraction(self.as_rat())
 
     def support(self) -> set[str]:
         used = set()

@@ -5,12 +5,19 @@ the Gaussian rationals; all spinor computations are exact.  Basis spinors are
 stored without the overall 1/sqrt(2)^m normalisation (bilinears divide by the
 squared norm, so every reconstructed coefficient is rational).
 
-Matrices are tuples of row tuples of GQ.  The kernels ``matmul``, ``matvec``,
-``herm`` and ``mat_scale`` skip zero entries and multiply only nonzero ones:
-every generator has a single nonzero entry per row, so dense products would
-spend nearly all their work on zero factors.  ``build_rep`` is cached per
-``m``; the cached ``CliffordRep`` is frozen and shared by every caller in the
-process.
+``CliffordRep.gens`` are the generators as dense matrices, tuples of row
+tuples of GQ.  Every generator is a signed permutation matrix with unit
+phases, one entry i^k per row, and so is every product of generators.  Each
+representation therefore also holds its generators as *words*: a pair
+(perm, phase) with row r carrying i^phase[r] in column perm[r], phases taken
+mod 4.  Words compose and act on spinors in O(dim) by index lookups and part
+swaps, with no multiplication; ``clifford_relations_hold``,
+``volume_action``, ``form_matrix`` and the spinor bilinears work on words.
+``word_rows`` turns a rational combination of words into sparse rows.  The
+zero-skipping dense kernels ``matmul``, ``matvec`` and ``mat_scale`` remain
+for dense operands (form matrices and eigenprojectors) and as the tests'
+reference for words.  ``build_rep`` is cached per ``m``; the cached
+``CliffordRep`` is frozen and shared by every caller in the process.
 
 Convention notes, fixed once and verified exhaustively by the test suite:
 
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -196,6 +203,85 @@ def vec_conj(x):
     return tuple(a.conj() for a in x)
 
 
+# ---------------------------------------------------------------------------
+# words: signed permutation matrices with unit phases
+# ---------------------------------------------------------------------------
+
+_I_POWERS = (GQ(1), I, GQ(-1), GQ(0, -1))  # i^k for k = 0..3
+
+
+def times_i_pow(x: GQ, k: int) -> GQ:
+    """i^k x for k in 0..3, by swapping and negating parts."""
+    if k == 0:
+        return x
+    if k == 1:
+        return GQ(-x.im, x.re)
+    if k == 2:
+        return GQ(-x.re, -x.im)
+    return GQ(x.im, -x.re)
+
+
+def monomial_word(mat) -> tuple:
+    """The word (perm, phase) of a matrix with one entry i^k per row.
+
+    Row r of the matrix carries i^phase[r] in column perm[r]; any other
+    matrix is refused with AlgebraError.
+    """
+    perm, phase = [], []
+    for row in mat:
+        nz = _nonzero(row)
+        if len(nz) != 1 or nz[0][1] not in _I_POWERS:
+            raise AlgebraError("not a monomial matrix with unit phases i^k")
+        perm.append(nz[0][0])
+        phase.append(_I_POWERS.index(nz[0][1]))
+    return tuple(perm), tuple(phase)
+
+
+def word_mul(a: tuple, b: tuple) -> tuple:
+    """The word of the matrix product a b."""
+    (pa, ka), (pb, kb) = a, b
+    return (tuple(pb[j] for j in pa),
+            tuple((k + kb[j]) % 4 for j, k in zip(pa, ka)))
+
+
+def word_apply(w: tuple, v) -> tuple:
+    """The vector W v."""
+    return tuple(times_i_pow(v[j], k) for j, k in zip(*w))
+
+
+def _word_neg(w: tuple) -> tuple:
+    return w[0], tuple((k + 2) % 4 for k in w[1])
+
+
+def _word_transpose(w: tuple) -> tuple:
+    """The word of the transpose; AlgebraError if perm is not a bijection."""
+    perm, phase = w
+    if sorted(perm) != list(range(len(perm))):
+        raise AlgebraError("word is not invertible")
+    tp, tk = [0] * len(perm), [0] * len(perm)
+    for r, (j, k) in enumerate(zip(perm, phase)):
+        tp[j], tk[j] = r, k
+    return tuple(tp), tuple(tk)
+
+
+def word_rows(terms, dim: int) -> list:
+    """Sparse rows {column: entry} of sum c W over pairs (rational c, word W),
+    zero entries dropped."""
+    rows = [{} for _ in range(dim)]
+    for c, (perm, phase) in terms:
+        c = GQ(c)
+        for row, j, k in zip(rows, perm, phase):
+            x = times_i_pow(c, k)
+            row[j] = row[j] + x if j in row else x
+    return [{j: x for j, x in row.items() if not x.is_zero} for row in rows]
+
+
+def rows_apply(rows: list, v) -> tuple:
+    """Sparse rows applied to a vector."""
+    return tuple(sum((x * v[j] for j, x in row.items()), GQ(0))
+                 for row in rows)
+
+
 @dataclass(frozen=True)
 class CliffordRep:
     """Generator matrices of the 2^m-dimensional complex representation.
@@ -216,16 +302,26 @@ class CliffordRep:
     def dim(self) -> int:
         return 2 ** self.m
 
+    @cached_property
+    def words(self) -> tuple:
+        """The generators as words, derived once; AlgebraError if one is not
+        a monomial matrix with unit phases."""
+        return tuple(monomial_word(g) for g in self.gens)
+
+    def word(self, idx) -> tuple:
+        """The word of the ordered product e_idx[0] ... e_idx[-1]."""
+        w = (tuple(range(self.dim)), (0,) * self.dim)
+        for mu in idx:
+            w = word_mul(w, self.words[mu - 1])
+        return w
+
     def form_matrix(self, form: Form):
         """Matrix of the Clifford action of a form with rational coefficients."""
-        out = tuple(tuple(GQ(0) for _ in range(self.dim))
-                    for _ in range(self.dim))
-        for idx, c in form.terms.items():
-            m = self.gens[idx[0] - 1] if idx else eye(self.dim)
-            for mu in idx[1:]:
-                m = matmul(m, self.gens[mu - 1])
-            out = mat_add(out, mat_scale(m, c.as_fraction()))
-        return out
+        rows = word_rows(((c.as_rat(), self.word(idx))
+                          for idx, c in form.terms.items()), self.dim)
+        zero = GQ(0)
+        return tuple(tuple(row.get(j, zero) for j in range(self.dim))
+                     for row in rows)
 
 
 @cache
@@ -251,29 +347,38 @@ def build_rep(m: int) -> CliffordRep:
 
 
 def _minus_i_pow(k: int) -> GQ:
-    return [GQ(1), -I, GQ(-1), I][k % 4]
+    return _I_POWERS[-k % 4]
 
 
 def volume_action(rep: CliffordRep) -> GQ:
     """Exact scalar by which e_1 ... e_{2m+1} acts (the product is central)."""
-    vol = rep.gens[0]
-    for g in rep.gens[1:]:
-        vol = matmul(vol, g)
-    scalar = vol[0][0]
-    if vol != mat_scale(eye(rep.dim), scalar):
+    perm, phase = rep.word(range(1, 2 * rep.m + 2))
+    if perm != tuple(range(rep.dim)) or len(set(phase)) != 1:
         raise AlgebraError("volume element does not act by a scalar")
-    return scalar
+    return _I_POWERS[phase[0]]
 
 
 def clifford_relations_hold(rep: CliffordRep) -> bool:
     """e_u e_v + e_v e_u = -2 delta_uv for all generators, and the volume
-    product acts by volume_sign (-i)^(m+1)."""
-    n = rep.dim
-    for mu in range(2 * rep.m + 1):
-        for nu in range(mu, 2 * rep.m + 1):
-            anti = mat_add(matmul(rep.gens[mu], rep.gens[nu]),
-                           matmul(rep.gens[nu], rep.gens[mu]))
-            if anti != mat_scale(eye(n), -2 if mu == nu else 0):
+    product acts by volume_sign (-i)^(m+1).
+
+    The relations are checked on words, so a generator that is not a
+    monomial matrix with unit phases i^k (as every generator of
+    ``build_rep`` is) fails the predicate.
+    """
+    try:
+        words = rep.words
+    except AlgebraError:
+        return False
+    ident = tuple(range(rep.dim))
+    for mu, a in enumerate(words):
+        p, k = word_mul(a, a)
+        if p != ident or any(x != 2 for x in k):  # e_mu^2 = -1
+            return False
+        for b in words[mu + 1:]:
+            (p1, k1), (p2, k2) = word_mul(a, b), word_mul(b, a)
+            # two words cancel iff one permutation, phases apart by i^2
+            if p1 != p2 or any((x - y) % 4 != 2 for x, y in zip(k1, k2)):
                 return False
     return volume_action(rep) == _minus_i_pow(rep.m + 1) * rep.volume_sign
 
@@ -318,20 +423,17 @@ def charge_conjugation(rep: CliffordRep):
 
 def charge_conjugation_holds(rep: CliffordRep) -> bool:
     """C is real symmetric, C^2 = 1 and C rho(e_mu) = -rho(e_mu)^T C."""
-    c, n = charge_conjugation(rep), rep.dim
-
-    def transpose(g):
-        return tuple(tuple(g[j][i] for j in range(n)) for i in range(n))
-    return (matmul(c, c) == eye(n)
-            and all(c[i][j] == c[j][i] and c[i][j].im == 0
-                    for i in range(n) for j in range(n))
-            and all(matmul(c, g) == mat_scale(matmul(transpose(g), c), -1)
-                    for g in rep.gens))
+    c = monomial_word(charge_conjugation(rep))
+    ident = (tuple(range(rep.dim)), (0,) * rep.dim)
+    tr = _word_transpose
+    return (word_mul(c, c) == ident
+            and tr(c) == c and all(k % 2 == 0 for k in c[1])
+            and all(word_mul(c, g) == _word_neg(word_mul(tr(g), c))
+                    for g in rep.words))
 
 
 def j_real_structure(rep: CliffordRep, psi):
-    c = charge_conjugation(rep)
-    return matvec(c, vec_conj(psi))
+    return word_apply(monomial_word(charge_conjugation(rep)), vec_conj(psi))
 
 
 def is_majorana(rep: CliffordRep, psi) -> bool:
@@ -395,7 +497,7 @@ def v_basis_intertwines(rep: CliffordRep) -> bool:
             for ell in range(8):
                 if r_mu[ell][k]:
                     rhs = vec_add(rhs, vec_scale(vs[ell], r_mu[ell][k]))
-            if tuple(matvec(rep.gens[mu], vs[k])) != rhs:
+            if word_apply(rep.words[mu], vs[k]) != rhs:
                 return False
     return all(is_majorana(rep, v) for v in vs)
 
@@ -405,10 +507,7 @@ def v_basis_intertwines(rep: CliffordRep) -> bool:
 # ---------------------------------------------------------------------------
 
 def _bilinear(rep: CliffordRep, left, right, idx) -> GQ:
-    v = tuple(right)
-    for mu in reversed(idx):
-        v = matvec(rep.gens[mu - 1], v)
-    return herm(left, v)
+    return herm(left, word_apply(rep.word(idx), right))
 
 
 def _norm_sq(psi) -> Fraction:
@@ -504,28 +603,34 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
     n = rep.dim
     a = rep.form_matrix(phi_form)
     eigs = [GQ(0, -(2 * r - m)) for r in range(m + 1)]
-    projectors = []
+    # P_r = prod_{s != r} (A - e_s) / prod_{s != r} (e_r - e_s); the
+    # numerators have Gaussian-integral entries and carry the checks
+    numerators, projectors = [], []
     for r in range(m + 1):
-        p = eye(n)
+        num, den = None, GQ(1)
         for r2 in range(m + 1):
             if r2 == r:
                 continue
-            num = mat_add(a, mat_scale(eye(n), -eigs[r2]))
-            p = matmul(p, mat_scale(num, GQ(1) / (eigs[r] - eigs[r2])))
-        projectors.append(p)
+            f = mat_add(a, mat_scale(eye(n), -eigs[r2]))
+            num = f if num is None else matmul(num, f)
+            den = den * (eigs[r] - eigs[r2])
+        numerators.append(num)
+        projectors.append(tuple(tuple(x / den if x.re or x.im else x
+                                      for x in row) for row in num))
     total = projectors[0]
     for p in projectors[1:]:
         total = mat_add(total, p)
     if total != eye(n):
         raise AlgebraError("eigenprojectors do not resolve the identity")
     dims = []
-    xi = rep.gens[xi_index - 1]
-    for r, p in enumerate(projectors):
-        ap = matmul(a, p)
-        if ap != mat_scale(p, eigs[r]):
+    perm, phase = rep.words[xi_index - 1]
+    for r, (num, p) in enumerate(zip(numerators, projectors)):
+        if matmul(a, num) != mat_scale(num, eigs[r]):
             raise AlgebraError(f"eigenvalue check fails on Sigma_{r}")
         xi_eval = GQ(0, (-1) ** r * (-1) ** m)
-        if matmul(xi, p) != mat_scale(p, xi_eval):
+        xi_num = tuple(tuple(times_i_pow(x, k) for x in num[j])
+                       for j, k in zip(perm, phase))
+        if xi_num != mat_scale(num, xi_eval):
             raise AlgebraError(f"Reeb eigenvalue check fails on Sigma_{r}")
         tr = sum((p[i][i] for i in range(n)), GQ(0))
         if tr.im != 0 or tr.re.denominator != 1:
@@ -545,7 +650,7 @@ def purity_dim(rep: CliffordRep, psi) -> int:
     """
     if all(x.is_zero for x in psi):
         raise AlgebraError("zero spinor")
-    cols = [matvec(g, psi) for g in rep.gens]
+    cols = [word_apply(w, psi) for w in rep.words]
     matrix = [tuple(cols[mu][i] for mu in range(len(cols)))
               for i in range(rep.dim)]
     # imported on use, as structures is below: `show` of a spinor needs
@@ -577,10 +682,10 @@ def sp1_spinors(rep: CliffordRep) -> dict:
     bar = vec_conj(psi)
     plus = vec_add(psi, bar)
     minus = vec_scale(vec_add(psi, vec_scale(bar, -1)), -I)
-    xi2 = rep.gens[1]
+    xi2 = rep.words[1]
     return {
-        0: vec_scale(matvec(xi2, plus), -1),
-        1: matvec(xi2, minus),
+        0: vec_scale(word_apply(xi2, plus), -1),
+        1: word_apply(xi2, minus),
         2: tuple(plus),
         3: tuple(minus),
     }
@@ -618,9 +723,8 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
     the structure-module fundamental form); every check is exact.
     """
     psi = sp1_spinors(rep)
-    xi = lambda i: rep.gens[i - 1]
-    phi_spin = {i: mat_scale(rep.form_matrix(frame["Phi"][i]), -1)
-                for i in (1, 2, 3)}
+    xi = lambda i: rep.words[i - 1]
+    phi_spin = {i: rep.form_matrix(-frame["Phi"][i]) for i in (1, 2, 3)}
     checks: list[IdentityCheck] = []
 
     def record(name, lhs, rhs):
@@ -632,20 +736,20 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
             checks.append(IdentityCheck(name, False, 0))
 
     for i in (1, 2, 3):
-        record(f"xi{i} psi0 = psi{i}", matvec(xi(i), psi[0]), psi[i])
+        record(f"xi{i} psi0 = psi{i}", word_apply(xi(i), psi[0]), psi[i])
         record(f"psi0 = -xi{i} psi{i}",
-               vec_scale(matvec(xi(i), psi[i]), -1), psi[0])
+               vec_scale(word_apply(xi(i), psi[i]), -1), psi[0])
         record(f"Phi{i} psi0 = xi{i} psi0",
-               matvec(phi_spin[i], psi[0]), matvec(xi(i), psi[0]))
+               matvec(phi_spin[i], psi[0]), word_apply(xi(i), psi[0]))
         record(f"Phi{i} psi{i} = xi{i} psi{i}",
-               matvec(phi_spin[i], psi[i]), matvec(xi(i), psi[i]))
+               matvec(phi_spin[i], psi[i]), word_apply(xi(i), psi[i]))
         for j in (1, 2, 3):
             if j != i:
                 record(f"Phi{i} psi{j} = -3 xi{i} psi{j}",
                        matvec(phi_spin[i], psi[j]),
-                       vec_scale(matvec(xi(i), psi[j]), -3))
+                       vec_scale(word_apply(xi(i), psi[j]), -3))
     for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        record(f"xi{i} psi{j} = psi{k}", matvec(xi(i), psi[j]), psi[k])
+        record(f"xi{i} psi{j} = psi{k}", word_apply(xi(i), psi[j]), psi[k])
     # membership in the rank-2 bundles: psi_i solves the E_j equation, j != i
     from .structures import endomorphism_from_form
     phi_tensor = {i: endomorphism_from_form(frame["Phi"][i])
@@ -662,19 +766,21 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
         m_phi = rep.form_matrix(herm_form)
         sec = canonical_su3_spinor(rep)
         record("Phi Psi = -3 xi Psi (Sigma_0 section)",
-               matvec(m_phi, sec), vec_scale(matvec(rep.gens[0], sec), -3))
+               matvec(m_phi, sec),
+               vec_scale(word_apply(rep.words[0], sec), -3))
     return checks
 
 
 def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, psi) -> bool:
     """(-2 phi_j(X) + xi_j X - X xi_j) psi = 0 for every frame vector X,
     with phi_j the spinor-side tensor, the negative of ``phi_tensor``."""
-    xi = rep.gens[j - 1]
+    xi = rep.words[j - 1]
+    g = rep.words
     for x in range(1, 8):
-        acc = vec_add(matvec(xi, matvec(rep.gens[x - 1], psi)),
-                      vec_scale(matvec(rep.gens[x - 1], matvec(xi, psi)), -1))
+        acc = vec_add(word_apply(xi, word_apply(g[x - 1], psi)),
+                      vec_scale(word_apply(g[x - 1], word_apply(xi, psi)), -1))
         for y, v in phi_tensor.get(x, {}).items():
-            acc = vec_add(acc, vec_scale(matvec(rep.gens[y - 1], psi),
+            acc = vec_add(acc, vec_scale(word_apply(g[y - 1], psi),
                                          GQ(2 * v)))
         if not all(c.is_zero for c in acc):
             return False
@@ -695,20 +801,20 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
     from .structures import endomorphism_from_form
     phi_tensor = endomorphism_from_form(frame["Phi"][1])
     checks = [IdentityCheck("xi1 Psi+ = Psi-",
-                            _eqv(matvec(rep.gens[0], plus), minus), 1)]
+                            _eqv(word_apply(rep.words[0], plus), minus), 1)]
     ok_h, ok_hv = True, True
     for x in range(2, 8):
         rhs = (GQ(0),) * rep.dim
         for y, v in phi_tensor.get(x, {}).items():
-            rhs = vec_add(rhs, vec_scale(matvec(rep.gens[y - 1], minus),
+            rhs = vec_add(rhs, vec_scale(word_apply(rep.words[y - 1], minus),
                                          GQ(-v)))
-        if not _eqv(matvec(rep.gens[x - 1], plus), rhs):
+        if not _eqv(word_apply(rep.words[x - 1], plus), rhs):
             ok_h = False
         rhs2 = (GQ(0),) * rep.dim
         for y, v in phi_tensor.get(x, {}).items():
-            rhs2 = vec_add(rhs2, vec_scale(matvec(rep.gens[y - 1], plus),
+            rhs2 = vec_add(rhs2, vec_scale(word_apply(rep.words[y - 1], plus),
                                            GQ(-v)))
-        lhs2 = matvec(rep.gens[0], matvec(rep.gens[x - 1], plus))
+        lhs2 = word_apply(rep.words[0], word_apply(rep.words[x - 1], plus))
         if not _eqv(lhs2, rhs2):
             ok_hv = False
     checks.append(IdentityCheck("X Psi+ = phi(X) Psi-", ok_h, 1))
@@ -729,17 +835,17 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
     from .structures import endomorphism_from_form
     phi_tensor = endomorphism_from_form(phi_form)
     for x in range(1, 2 * m + 2):
-        acc = vec_scale(matvec(rep.gens[x - 1], psi), I)
+        acc = vec_scale(word_apply(rep.words[x - 1], psi), I)
         for y, v in phi_tensor.get(x, {}).items():
-            acc = vec_add(acc, vec_scale(matvec(rep.gens[y - 1], psi),
+            acc = vec_add(acc, vec_scale(word_apply(rep.words[y - 1], psi),
                                          GQ(-v)))
         if x == 1:
             acc = vec_add(acc, vec_scale(psi, GQ((-1) ** m)))
         if not all(c.is_zero for c in acc):
             return False
-        accb = vec_scale(matvec(rep.gens[x - 1], bar), -I)
+        accb = vec_scale(word_apply(rep.words[x - 1], bar), -I)
         for y, v in phi_tensor.get(x, {}).items():
-            accb = vec_add(accb, vec_scale(matvec(rep.gens[y - 1], bar),
+            accb = vec_add(accb, vec_scale(word_apply(rep.words[y - 1], bar),
                                            GQ(-v)))
         if x == 1:
             accb = vec_add(accb, vec_scale(bar, GQ(-1)))
@@ -863,10 +969,11 @@ def majorana_family_form(rep: CliffordRep, plus, minus, degree: int,
     terms = {}
     dim = 2 * rep.m + 1
     for idx in combinations(range(1, dim + 1), degree):
-        bpp = pref * _bilinear(rep, plus, plus, idx) / npp
-        bmm = pref * _bilinear(rep, minus, minus, idx) / npp
-        cross = pref * (_bilinear(rep, plus, minus, idx)
-                        + _bilinear(rep, minus, plus, idx)) / npp
+        w = rep.word(idx)
+        wp, wm = word_apply(w, plus), word_apply(w, minus)
+        bpp = pref * herm(plus, wp) / npp
+        bmm = pref * herm(minus, wm) / npp
+        cross = pref * (herm(plus, wm) + herm(minus, wp)) / npp
         for val in (bpp, bmm, cross):
             if val.im != 0:
                 raise AlgebraError("non-real family coefficient")

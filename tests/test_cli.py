@@ -131,6 +131,21 @@ class TestSuites:
         assert seen["float"] == 0
         assert seen["bad"] == []
 
+    def test_heisenberg_arrays_int_exact(self):
+        # the first-principles arrays hold plain rationals, outside Scalar
+        # and GQ, under the same storage rule
+        def stored(q):
+            return type(q) is int or (type(q) is F and q.denominator != 1)
+        lams = cli.SuiteHeisenberg({}).lams
+        assert len(lams) == 7
+        conns = [heisenberg.levi_civita(), heisenberg.canonical_connection()]
+        conns += [heisenberg.connection_lambda(lam) for lam in lams]
+        for conn in conns:
+            assert all(stored(q) for mat in conn.L.values() for row in mat
+                       for q in row)
+            assert all(stored(q)
+                       for q in heisenberg.curvature_fp(conn).values())
+
     def test_second_run_identical(self, all_records):
         # the shared builders' objects are cached for the process; a caller
         # that mutated one would change the second report

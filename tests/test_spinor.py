@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -29,6 +30,12 @@ class TestRep:
         bad = dataclasses.replace(
             rep, gens=(sp.mat_scale(rep.gens[0], 2),) + rep.gens[1:])
         assert not sp.clifford_relations_hold(bad)
+        g = rep.gens
+        # a repeated generator breaks e_1 e_2 + e_2 e_1 = 0; a negated one
+        # keeps the anticommutators but flips the volume scalar
+        for gens in ((g[1],) + g[1:], (sp.mat_scale(g[0], -1),) + g[1:]):
+            bad = dataclasses.replace(rep, gens=gens)
+            assert not sp.clifford_relations_hold(bad)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_volume_scalar(self, m):
@@ -145,6 +152,82 @@ class TestSparseKernels:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sp.build_rep(3).gens = ()
         assert len(sp.build_rep(3).gens) == 7
+
+
+def _dense_chain(rep, idx):
+    """Dense product e_idx[0] ... e_idx[-1] of the generator matrices."""
+    out = sp.eye(rep.dim)
+    for mu in idx:
+        out = sp.matmul(out, rep.gens[mu - 1])
+    return out
+
+
+def _dense_form_matrix(rep, form):
+    """Clifford action of a form as a sum of scaled dense chains."""
+    out = tuple((sp.GQ(0),) * rep.dim for _ in range(rep.dim))
+    for idx, c in form.terms.items():
+        out = sp.mat_add(out, sp.mat_scale(_dense_chain(rep, idx),
+                                           c.as_fraction()))
+    return out
+
+
+def _fraction_projectors(rep, phi_form):
+    """Eigenprojectors as the product of Fraction-scaled factors
+    (A - e_s) / (e_r - e_s), each factor divided before multiplying."""
+    m, n = rep.m, rep.dim
+    a = _dense_form_matrix(rep, phi_form)
+    eigs = [sp.GQ(0, -(2 * r - m)) for r in range(m + 1)]
+    out = []
+    for r in range(m + 1):
+        p = sp.eye(n)
+        for r2 in range(m + 1):
+            if r2 != r:
+                num = sp.mat_add(a, sp.mat_scale(sp.eye(n), -eigs[r2]))
+                p = sp.matmul(p, sp.mat_scale(
+                    num, sp.GQ(1) / (eigs[r] - eigs[r2])))
+        out.append(p)
+    return out
+
+
+class TestWords:
+    """Words (perm, phase) against the dense matrices they stand for."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_words_up_to_length_three(self, m):
+        rep = sp.build_rep(m)
+        rng = random.Random(m)
+        v = tuple(sp.GQ(F(rng.randint(-5, 5), rng.randint(1, 3)),
+                        rng.randint(-5, 5)) for _ in range(rep.dim))
+        gens = range(1, 2 * m + 2)
+        for length in range(4):
+            for idx in itertools.product(gens, repeat=length):
+                w, dense = rep.word(idx), _dense_chain(rep, idx)
+                assert sp.word_apply(w, v) == sp.matvec(dense, v), idx
+                assert sp.word_rows([(1, w)], rep.dim) \
+                    == [dict(sp._nonzero(row)) for row in dense], idx
+                assert sp.monomial_word(dense) == w
+
+    def test_form_matrices_match_dense_chains(self):
+        f = su3_frame_forms(CF)
+        for form in (f["Om+"], f["Om-"], sp.sigma_fundamental_form(CF, 3),
+                     F(1, 3) * f["Om+"] - sp.sigma_fundamental_form(CF, 3)):
+            assert REP.form_matrix(form) == _dense_form_matrix(REP, form)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_projectors_match_fraction_product(self, m):
+        rep = sp.build_rep(m)
+        form = sp.sigma_fundamental_form(Coframe(TAB, 2 * m + 1), m)
+        dec = sp.sigma_decompose(rep, form, 1)
+        assert len(dec.projectors) == m + 1
+        assert dec.projectors == _fraction_projectors(rep, form)
+
+    def test_monomial_word_refuses_other_matrices(self):
+        g = REP.gens[0]
+        for bad in (sp.mat_scale(g, 2), sp.mat_scale(g, sp.GQ(3, 4) / 5),
+                    sp.mat_add(g, REP.gens[1]),
+                    tuple((sp.GQ(0),) * 8 for _ in range(8))):
+            with pytest.raises(AlgebraError):
+                sp.monomial_word(bad)
 
 
 class TestSigma:
@@ -314,6 +397,16 @@ class TestRealStructure:
             g = REP.gens[mu]
             gt = tuple(tuple(g[j][i] for j in range(8)) for i in range(8))
             assert sp.matmul(c, g) == sp.mat_scale(sp.matmul(gt, c), -1)
+        assert sp.charge_conjugation_holds(REP)
+        # relabelling the basis by a cyclic shift keeps the relations but
+        # not C rho = -rho^T C for the fixed C
+        shift = tuple(tuple(sp.GQ(int(j == (i + 1) % 8)) for j in range(8))
+                      for i in range(8))
+        back = tuple(tuple(shift[j][i] for j in range(8)) for i in range(8))
+        moved = dataclasses.replace(REP, gens=tuple(
+            sp.matmul(sp.matmul(shift, g), back) for g in REP.gens))
+        assert sp.clifford_relations_hold(moved)
+        assert not sp.charge_conjugation_holds(moved)
 
     def test_j_is_antilinear_involution(self):
         psi = sp.u_spinor(REP, (1, -1, 1))

@@ -441,6 +441,22 @@ class TestMisc:
         with pytest.raises(AlgebraError):
             r3.eta(1) + r3.eta(1).embed()
 
+    @pytest.mark.parametrize("method,call", [
+        ("coefficient", lambda f: f.coefficient(next(iter(f.terms)))),
+        ("star", lambda f: f.star()),
+        ("contract", lambda f: f.contract(1)),
+        ("inner", lambda f: f.inner(f)),
+        ("norm_sq", lambda f: f.norm_sq()),
+    ])
+    @pytest.mark.parametrize("ring", [R3, RS])
+    def test_coframe_methods_refuse_ring_forms(self, ring, method, call):
+        # a ring monomial is not a multi-index: these used to read it as one
+        # (coefficient returned 0, star raised AttributeError)
+        with pytest.raises(AlgebraError, match=method):
+            call(ring.phi() if ring is R3 else ring.phi_theta())
+        # the same methods on the embedded coframe form still work
+        call((ring.phi() if ring is R3 else ring.phi_theta()).embed())
+
     def test_homogeneous_part_of_genform(self):
         mixed = R3.eta(1) + R3.phi()
         assert mixed.homogeneous_part(3) == R3.phi()
