@@ -1,18 +1,33 @@
 """Exact verification engine for heterotic G2 identities on
 3-(alpha,delta)-Sasaki and (alpha,delta)-Sasaki 7-manifolds."""
 
-from .scalar import AlgebraError, Scalar, SymbolTable, UnknownSymbolError, prem
-from .exterior import Coframe, DegreeError, Form
+# name -> defining submodule; each is imported on first access (PEP 562), so
+# that importing the package, or only its command line, imports no domain
+# module
+_EXPORTS = {
+    "AlgebraError": "scalar",
+    "Coframe": "exterior",
+    "DegreeError": "exterior",
+    "Form": "exterior",
+    "Scalar": "scalar",
+    "SymbolTable": "scalar",
+    "UnknownSymbolError": "scalar",
+    "prem": "scalar",
+}
 
-__all__ = [
-    "AlgebraError",
-    "Coframe",
-    "DegreeError",
-    "Form",
-    "Scalar",
-    "SymbolTable",
-    "UnknownSymbolError",
-    "prem",
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS})

@@ -113,24 +113,6 @@ def constraint_system(geometry: str) -> ConstraintSystem:
         residual(geometry, table.sym("lam1"), table.sym("lam2")))
 
 
-# The solution branches by id, with their descriptions, in report order.
-# They are declared apart from the branch data, so that listing the branches
-# builds no ring.
-BRANCHES = {
-    "3ad.exact": "delta = 0, A = parallel-family instanton, Theta = canonical, "
-                 "12 a' alpha^2 = 1",
-    "3ad.case-i": "A = parallel-family instanton, lam2 = 2 delta, "
-                  "12 a' (delta-alpha)^2 = 1",
-    "3ad.case-ii": "A = canonical, 3a'(beta+lam2)^2 = 3a' beta^2 + 4 with the "
-                   "squared compatibility relation; verified as a conditional "
-                   "identity",
-    "su3.case-a": "delta = 0, 3a'(4a - lam2)^2 = 3a'(4a - lam1)^2 - 8",
-    "su3.case-b": "delta = 3a/2, 3a' lam2^2 = 3a' lam1^2 + 8",
-    "3ad.negative-control": "wrong slope lam2 = 3 delta; residual must be "
-                            "nonzero",
-}
-
-
 @dataclass
 class SolutionBranch:
     """One solution family: bindings, defining relations, sign samples.
@@ -152,10 +134,6 @@ class SolutionBranch:
     @property
     def geometry(self) -> str:
         return self.branch_id.split(".")[0]
-
-    @property
-    def description(self) -> str:
-        return BRANCHES[self.branch_id]
 
 
 @dataclass
@@ -243,7 +221,7 @@ def _conditional_identity_reduce(p: Scalar, branch: SolutionBranch,
 
 def branches() -> list[SolutionBranch]:
     """The solution branches of both geometries plus a negative control, in
-    the order of ``BRANCHES``."""
+    report order."""
     t3 = get_ring("3ad").table
     ts = get_ring("su3").table
     a3, d3 = t3.sym("alpha"), t3.sym("delta")

@@ -11,33 +11,41 @@ expected: the suites deliberately surface source-convention discrepancies),
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from importlib import import_module
+from operator import methodcaller
 
+# Importing the driver imports no domain module: each command imports only
+# what its work needs (``--list`` none, ``show`` one registry's module).
 from . import __version__
-from .exterior import Form
-from .scalar import SymbolTable
 
 SUITES = ("3ad", "su3", "spinor", "heisenberg", "bianchi", "all")
 
 PARAM_KEYS = ("alpha", "delta", "alphap")
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    claim: str
-    status: str  # pass | fail | flagged
-    lhs: str = ""
-    rhs: str = ""
-    parameters: dict = field(default_factory=dict)
-    notes: str = ""
+    """One record of the report; the slot order is its key order."""
+
+    __slots__ = ("check_id", "claim", "status", "lhs", "rhs", "parameters",
+                 "notes")
+
+    def __init__(self, check_id: str, claim: str, status: str, lhs: str = "",
+                 rhs: str = "", parameters: dict | None = None,
+                 notes: str = ""):
+        self.check_id = check_id
+        self.claim = claim
+        self.status = status  # pass | fail | flagged
+        self.lhs = lhs
+        self.rhs = rhs
+        self.parameters = {} if parameters is None else parameters
+        self.notes = notes
+
+    def as_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 # A declared check.  fn(suite) returns a truth value, or a dict of record
@@ -51,8 +59,7 @@ def _module(name: str):
 
 
 class Suite:
-    """A suite: ``checks`` declares each check once, in report order (an
-    entry may also be a function returning checks built from data); its
+    """A suite: ``checks`` declares each check once, in report order; its
     inputs are cached properties, evaluated at most once per run, that read
     the objects the domain modules build and cache for the process."""
 
@@ -79,13 +86,9 @@ class Suite:
         self.params = params
 
     @classmethod
-    def declared(cls) -> list:
-        return [c for e in cls.checks for c in (e() if callable(e) else [e])]
-
-    @classmethod
     def records(cls, params: dict) -> list:
         suite = cls(params)
-        return [suite.evaluate(chk) for chk in cls.declared()]
+        return [suite.evaluate(chk) for chk in cls.checks]
 
     def evaluate(self, chk: Check) -> CheckRecord:
         try:
@@ -265,6 +268,7 @@ class SuiteSU3(Suite):
         for x in (0, Fraction(3, 2) * s.al)])
 
     def instanton_norm(self) -> bool:
+        from .scalar import SymbolTable
         tt = SymbolTable(self.t.symbols)
         tt.add_relation(tt.sym("lam2") ** 2
                         - Fraction(8, 3) * tt.monomial("alphap", -1))
@@ -298,8 +302,8 @@ class SuiteSU3(Suite):
               lambda s: s.ph_f.star() == s.ps_f),
         Check("su3.family.basepoint",
               "phi(t) reduces at (s, c) = (0, 1) to -eta^Phi + Om-",
-              lambda s: Form(s.r.coframe, {k: v.subs({"s": 0, "c": 1})
-                                           for k, v in s.ph_f.terms.items()})
+              lambda s: s.r.coframe.form({k: v.subs({"s": 0, "c": 1})
+                                          for k, v in s.ph_f.terms.items()})
               == (-s.eta_phi + s.r.Om("-")).embed()),
         Check("su3.torsion.classes",
               "tau0 = -(4/7)(3a + 4d) free of the circle parameters; tau1 "
@@ -509,12 +513,12 @@ class SuiteHeisenberg(Suite):
     model = cached_property(lambda s: s.hb.heisenberg_model())
     lc = cached_property(lambda s: s.hb.levi_civita())
     can = cached_property(lambda s: s.hb.canonical_connection())
-    R_can = cached_property(lambda s: s.hb.curvature_fp(s.can))
+    R_can = cached_property(lambda s: s.can.curvature)
     alphap = cached_property(lambda s: s.params.get("alphap", Fraction(1, 12)))
     thm = cached_property(lambda s: s.hb.theorem1_end_to_end(s.alphap))
     neg = cached_property(lambda s: s.hb.theorem1_end_to_end(Fraction(1, 10)))
     tc = cached_property(lambda s: s.hb.associative_torsion_classes())
-    seeded = cached_property(lambda s: random.Random(7))
+    seeded = cached_property(lambda s: import_module("random").Random(7))
     lams = cached_property(lambda s: [Fraction(0), Fraction(4)] + [
         Fraction(s.seeded.randint(-9, 9), s.seeded.randint(1, 5))
         for _ in range(5)])
@@ -544,14 +548,13 @@ class SuiteHeisenberg(Suite):
               "R2 = 0 for l in {0, 4} and five seeded rationals",
               lambda s: dict(
                   ok=all(s.hb.arrays_equal(
-                      s.hb.curvature_fp(s.hb.connection_lambda(lam)),
+                      s.hb.connection_lambda(lam).curvature,
                       s.hb.closed_form_curvature_array(lam))
                       for lam in s.lams),
                   notes=f"lambdas: {[str(x) for x in s.lams]}")),
         Check("heisenberg.flatness",
               "the parallel-family connection (l = 4) is flat on this model",
-              lambda s: not s.hb.curvature_fp(
-                  s.hb.connection_lambda(Fraction(4)))),
+              lambda s: not s.hb.connection_lambda(Fraction(4)).curvature),
         Check("heisenberg.sigma-t",
               "the first Bianchi identity with sigma_T holds for the "
               "canonical connection",
@@ -583,11 +586,21 @@ class SuiteHeisenberg(Suite):
     )
 
 
-def _branch_checks() -> list:
-    from .bianchi import BRANCHES
-    return [Check(f"bianchi.branch.{bid}", text,
-                  partial(SuiteBianchi.branch, branch_id=bid))
-            for bid, text in BRANCHES.items()]
+# The solution branches by id, with their claims, in report order;
+# ``bianchi.branches()`` builds their data in the same order.
+BRANCHES = {
+    "3ad.exact": "delta = 0, A = parallel-family instanton, Theta = canonical, "
+                 "12 a' alpha^2 = 1",
+    "3ad.case-i": "A = parallel-family instanton, lam2 = 2 delta, "
+                  "12 a' (delta-alpha)^2 = 1",
+    "3ad.case-ii": "A = canonical, 3a'(beta+lam2)^2 = 3a' beta^2 + 4 with the "
+                   "squared compatibility relation; verified as a conditional "
+                   "identity",
+    "su3.case-a": "delta = 0, 3a'(4a - lam2)^2 = 3a'(4a - lam1)^2 - 8",
+    "su3.case-b": "delta = 3a/2, 3a' lam2^2 = 3a' lam1^2 + 8",
+    "3ad.negative-control": "wrong slope lam2 = 3 delta; residual must be "
+                            "nonzero",
+}
 
 
 class SuiteBianchi(Suite):
@@ -653,7 +666,8 @@ class SuiteBianchi(Suite):
         Check("bianchi.exact-solution",
               "the full residual vanishes at the supplied parameters of the "
               "degenerate exact-solution branch", exact_solution),
-        _branch_checks,
+        *(Check(f"bianchi.branch.{bid}", claim, methodcaller("branch", bid))
+          for bid, claim in BRANCHES.items()),
         Check("bianchi.impossibility.3-alpha",
               "no (lam1, lam2, a' > 0) solves the system at a = d: the "
               "eliminant factors with a negative-definite quadratic",
@@ -722,19 +736,20 @@ def report_payload(suite: str, records) -> dict:
     return {
         "version": __version__,
         "suite": suite,
-        "records": [asdict(r) for r in records],
+        "records": [r.as_dict() for r in records],
         "summary": summary,
     }
 
 
 def render_json(payload: dict) -> str:
+    import json
     return json.dumps(payload, indent=2, sort_keys=False, ensure_ascii=True)
 
 
 def list_checks(stream) -> None:
     print("suites:", ", ".join(SUITES), file=stream)
     for name, suite in SUITE_CLASSES.items():
-        for chk in suite.declared():
+        for chk in suite.checks:
             print(f"  {name}: {chk.check_id}", file=stream)
 
 
@@ -778,16 +793,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_show(args) -> int:
+    # forms first: structures costs less to import than spinor
+    from .structures import registry
+    reg = registry()
+    if args.name in reg:
+        print(reg[args.name]().text())
+        return 0
     from .spinor import spinor_registry
     sreg = spinor_registry()
     if args.name in sreg:
         print(tuple(sreg[args.name]()))
-        return 0
-    from .structures import registry
-    reg = registry()
-    if args.name in reg:
-        obj = reg[args.name]()
-        print(obj.text() if hasattr(obj, "text") else str(obj))
         return 0
     print(f"error: unknown name {args.name!r}; known: "
           + ", ".join(sorted(list(reg) + list(sreg))), file=sys.stderr)

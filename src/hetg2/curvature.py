@@ -27,6 +27,9 @@ from .structures import CYCLIC, GenForm, Ring3ad, RingSU3
 # uncalibrated one.
 NORM_SQ_CALIBRATION = {"3ad": Fraction(4), "su3": Fraction(3, 2)}
 
+# the vertical (Reeb) frame indices of each geometry
+VERTICAL = {"3ad": {1, 2, 3}, "su3": {1}}
+
 
 def beta_of(ring: Ring3ad) -> Scalar:
     return 2 * (ring.delta - 2 * ring.alpha)
@@ -121,11 +124,12 @@ class CurvOp:
     def to_array(self) -> dict:
         """Explicit part as a Lambda^2 (x) Lambda^2 coefficient array."""
         arr = {}
+        vert = VERTICAL[self.geometry]
         for comp in _hermitian_pair_components(self.geometry):
             for I, ci in comp.items():
-                fb = "V" if set(I) <= {1, 2, 3} else "H"
+                fb = "V" if set(I) <= vert else "H"
                 for J, cj in comp.items():
-                    eb = "V" if set(J) <= {1, 2, 3} else "H"
+                    eb = "V" if set(J) <= vert else "H"
                     term = self.block(fb, eb) * (ci * cj)
                     arr[(I, J)] = arr[(I, J)] + term if (I, J) in arr else term
         return {key: v for key, v in arr.items() if not v.is_zero}

@@ -329,7 +329,11 @@ def derivation(form: Form, endo) -> Form:
 
 
 def coefficient_matrix(cols: Sequence[Form], keys: Iterable) -> list[list]:
-    """Rational matrix: one row per monomial key, one column per form."""
+    """Rational matrix: one row per monomial key, one column per form.
+
+    Entries are the stored values (``int`` or ``Fraction``, see
+    :func:`scalar.exact`), which ``linsolve.rref`` converts once, and one
+    shared ``Fraction`` zero for an absent key."""
     zero = Fraction(0)
-    return [[f.terms[k].as_fraction() if k in f.terms else zero
-             for f in cols] for k in keys]
+    return [[f.terms[k].as_rat() if k in f.terms else zero for f in cols]
+            for k in keys]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .curvature import contorsion_3ad, curvature_3ad
 from .exterior import Coframe, Form, basis_multi_indices, derivation
@@ -101,6 +101,11 @@ class Connection:
     def __init__(self, model: LieModel, coeffs):
         self.model = model
         self.L = coeffs  # dict y -> 7x7 list of rationals
+
+    @cached_property
+    def curvature(self) -> dict:
+        """The array ``curvature_fp(self)``, computed once per connection."""
+        return curvature_fp(self)
 
     def nabla(self, y: int, z: int) -> dict:
         return {x: self.L[y][x - 1][z - 1] for x in range(1, 8)
@@ -213,10 +218,15 @@ def model_associative_form() -> Form:
     return associative_form(heisenberg_model().coframe)
 
 
+@cache
 def connection_lambda(lam: Fraction) -> Connection:
-    """Canonical connection shifted by the closed-form difference tensor."""
+    """Canonical connection shifted by the closed-form difference tensor,
+    built once per lam.  The tensor vanishes at lam = 0, where this is the
+    canonical connection itself."""
     base = canonical_connection()
     delta = contorsion_3ad(model_associative_form(), Fraction(lam))
+    if not delta:
+        return base
     L = {}
     for y in range(1, 8):
         mat = [row[:] for row in base.L[y]]
@@ -304,7 +314,7 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
     cyclic R(X,Y,Z,V) = cyclic g(T(X,Y), T(Z,V)) over (X, Y, Z), checked on
     every frame quadruple.
     """
-    arr = curvature_fp(conn)
+    arr = conn.curvature
 
     def rc(x, y, z, v):
         sx = 1
@@ -504,8 +514,8 @@ def _theorem_parts() -> tuple:
     model = heisenberg_model()
     cf = model.coframe
     psi = model_associative_form().star()
-    arr0 = curvature_fp(canonical_connection())
-    arr4 = curvature_fp(connection_lambda(Fraction(4)))  # lam = -beta
+    arr0 = canonical_connection().curvature
+    arr4 = connection_lambda(Fraction(4)).curvature  # lam = -beta
     instanton_zero = (not curvature_wedge_psi(arr0, psi)
                       and not curvature_wedge_psi(arr4, psi))
     dT = d_form(model, canonical_torsion_form(model))

@@ -308,6 +308,11 @@ class CliffordRep:
         a monomial matrix with unit phases."""
         return tuple(monomial_word(g) for g in self.gens)
 
+    @cached_property
+    def charge_word(self) -> tuple:
+        """The word of the charge conjugation C, derived once."""
+        return monomial_word(charge_conjugation(self))
+
     def word(self, idx) -> tuple:
         """The word of the ordered product e_idx[0] ... e_idx[-1]."""
         w = (tuple(range(self.dim)), (0,) * self.dim)
@@ -423,7 +428,7 @@ def charge_conjugation(rep: CliffordRep):
 
 def charge_conjugation_holds(rep: CliffordRep) -> bool:
     """C is real symmetric, C^2 = 1 and C rho(e_mu) = -rho(e_mu)^T C."""
-    c = monomial_word(charge_conjugation(rep))
+    c = rep.charge_word
     ident = (tuple(range(rep.dim)), (0,) * rep.dim)
     tr = _word_transpose
     return (word_mul(c, c) == ident
@@ -433,7 +438,7 @@ def charge_conjugation_holds(rep: CliffordRep) -> bool:
 
 
 def j_real_structure(rep: CliffordRep, psi):
-    return word_apply(monomial_word(charge_conjugation(rep)), vec_conj(psi))
+    return word_apply(rep.charge_word, vec_conj(psi))
 
 
 def is_majorana(rep: CliffordRep, psi) -> bool:

@@ -67,6 +67,72 @@ print(json.dumps(seen))
 """
 
 
+# Runs three commands in one fresh interpreter and prints the hetg2 modules,
+# and the stdlib modules that only the domain needs, loaded after each step.
+IMPORT_HYGIENE_SCRIPT = """
+import contextlib, io, sys
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("hetg2")
+                  or m in ("dataclasses", "json"))
+
+
+steps = {}
+import hetg2.cli
+steps["import"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hetg2.cli.main(["verify", "--list"]) == 0
+    steps["list"] = loaded()
+    assert hetg2.cli.main(["show", "--name", "Tc.3ad"]) == 0
+    steps["show"] = loaded()
+from hetg2 import Scalar, Form, prem
+steps["names"] = [Scalar.__module__, Form.__module__, prem.__module__]
+import json
+print(json.dumps(steps))
+"""
+
+# Runs the heisenberg suite in a fresh interpreter, so that no connection or
+# array is already cached, counting the connections built per lam and the
+# curvature arrays computed.
+HEISENBERG_CALLS_SCRIPT = """
+import json
+from hetg2 import cli, heisenberg
+
+connection_lambda = heisenberg.connection_lambda
+curvature_fp = heisenberg.curvature_fp
+calls = {"lams": [], "built": {}, "curvature_fp": []}
+
+
+def counted_lambda(lam):
+    conn = connection_lambda(lam)
+    calls["lams"].append(str(lam))
+    calls["built"].setdefault(str(lam), set()).add(id(conn))
+    return conn
+
+
+def counted_curvature(conn):
+    calls["curvature_fp"].append(id(conn))
+    return curvature_fp(conn)
+
+
+heisenberg.connection_lambda = counted_lambda
+heisenberg.curvature_fp = counted_curvature
+records = cli.run_suite("heisenberg", {})
+assert all(r.status == "pass" for r in records)
+calls["built"] = {k: len(v) for k, v in calls["built"].items()}
+print(json.dumps(calls))
+"""
+
+
+def run_script(script: str) -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 @pytest.fixture(scope="module")
 def all_records():
     return run_suite("all", {})
@@ -120,12 +186,7 @@ class TestSuites:
         assert hashlib.sha256(text.encode()).hexdigest() == ALL_REPORT_SHA256
 
     def test_no_float_coefficient_stored(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", STORED_COEFFICIENTS_SCRIPT],
-                             env=env, capture_output=True, text=True,
-                             check=True)
-        seen = json.loads(out.stdout)
+        seen = run_script(STORED_COEFFICIENTS_SCRIPT)
         assert seen["records"] == 74
         assert seen["Scalar"] > 10_000 and seen["GQ"] > 10_000
         assert seen["float"] == 0
@@ -146,6 +207,17 @@ class TestSuites:
             assert all(stored(q)
                        for q in heisenberg.curvature_fp(conn).values())
 
+    def test_heisenberg_builds_each_array_once(self):
+        calls = run_script(HEISENBERG_CALLS_SCRIPT)
+        # the oracle's seven lams, then lam = 4 for flatness and the theorem
+        assert len(calls["lams"]) == 9 and calls["lams"].count("4") == 3
+        # one connection per distinct lam
+        assert len(calls["built"]) == 7
+        assert set(calls["built"].values()) == {1}
+        # seven distinct arrays: lam = 0 is the canonical connection's
+        assert len(calls["curvature_fp"]) == 7
+        assert len(set(calls["curvature_fp"])) == 7
+
     def test_second_run_identical(self, all_records):
         # the shared builders' objects are cached for the process; a caller
         # that mutated one would change the second report
@@ -162,6 +234,7 @@ class TestSuites:
         (heisenberg.canonical_connection, ()),
         (heisenberg.associative_torsion_classes, ()),
         (heisenberg._theorem_parts, ()), (spinor.build_rep, (3,)),
+        (heisenberg.connection_lambda, (F(4),)),
     ])
     def test_shared_builders_cached(self, builder, args):
         assert builder(*args) is builder(*args)
@@ -272,6 +345,23 @@ class TestDriver:
             monkeypatch.setitem(cli.SUITE_FUNCS, name, boom)
         ids = listed_ids(capsys)
         assert len(ids) == 74 and "3ad.torsion.classes" in ids
+
+    def test_commands_import_only_what_they_use(self):
+        steps = run_script(IMPORT_HYGIENE_SCRIPT)
+        # the driver alone: no domain module, no dataclasses and no json
+        assert steps["import"] == ["hetg2", "hetg2.cli"]
+        # --list evaluates and imports nothing from the domain
+        assert steps["list"] == ["hetg2", "hetg2.cli"]
+        # a form needs structures (and what it imports), not spinor
+        assert "hetg2.structures" in steps["show"]
+        assert not {"hetg2.spinor", "hetg2.bianchi", "hetg2.curvature",
+                    "dataclasses"} & set(steps["show"])
+        # the package's names are still served, from their modules
+        assert steps["names"] == ["hetg2.scalar", "hetg2.exterior",
+                                  "hetg2.scalar"]
+
+    def test_branch_claims_follow_the_branch_data(self):
+        assert [b.branch_id for b in bianchi.branches()] == list(cli.BRANCHES)
 
     def test_show(self, capsys):
         assert main(["show", "--name", "phi.canonical.3ad"]) == 0

@@ -159,6 +159,17 @@ class TestSU3:
         assert k.subs({"delta": 0}) == al * (4 * al - lam)
         assert k.subs({"delta": 0, "lam": 4 * al}).is_zero
 
+    def test_array_is_k_phi_phi(self):
+        # the explicit part K Phi (x) Phi over the three horizontal pairs;
+        # e^23 is horizontal here, although it is vertical in the 3ad case
+        lam = TS.sym("lam")
+        k = su3_coefficient(RS, lam)
+        phi = RS.Phi().embed()
+        assert curvature_su3(RS, lam).to_array() == {
+            (I, J): k * phi.coefficient(I) * phi.coefficient(J)
+            for I in phi.terms for J in phi.terms}
+        assert set(phi.terms) == {(2, 3), (4, 5), (6, 7)}
+
     def test_obstruction(self):
         lam = TS.sym("lam")
         k = su3_coefficient(RS, lam)

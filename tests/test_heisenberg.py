@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 from hetg2 import heisenberg as hb
+from hetg2 import spinor as sp
 from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
 
 MODEL = hb.heisenberg_model()
@@ -43,6 +44,15 @@ class TestConnections:
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert lc.nabla(i, j) == {}
+
+    def test_has_torsion_reads_the_first_frame_triple(self):
+        # one entry of L[1] moves T(e_1; e_1, e_2) and no other checked
+        # component, so a loop that skips index 1 would miss it
+        lc = hb.levi_civita()
+        assert lc.has_torsion(CF.zero())
+        L = {y: [row[:] for row in mat] for y, mat in lc.L.items()}
+        L[1][0][1] += 1
+        assert not hb.Connection(MODEL, L).has_torsion(CF.zero())
 
     def test_canonical_parallel_torsion(self):
         can = hb.canonical_connection()
@@ -109,6 +119,20 @@ class TestCurvature:
         can = hb.canonical_connection()
         assert hb.sigma_t_identity(can, hb.canonical_torsion_form(MODEL))
 
+    def test_sigma_t_reads_the_first_frame_index_last(self, monkeypatch):
+        # adding 1 to R(e_1, e_2; e_1, e_3) breaks the cyclic sum only at
+        # quadruples whose last index is 1, e.g. (2, 1, 3, 1)
+        can = hb.canonical_connection()
+        torsion = hb.canonical_torsion_form(MODEL)
+        arr = dict(can.curvature)
+        arr[((1, 2), (1, 3))] = arr.get(((1, 2), (1, 3)), 0) + 1
+        monkeypatch.setattr(hb, "curvature_fp", lambda conn: arr)
+        assert not hb.sigma_t_identity(hb.Connection(MODEL, can.L), torsion)
+
+    def test_connection_lambda_zero_is_canonical(self):
+        # the difference tensor vanishes at lam = 0
+        assert hb.connection_lambda(F(0)) is hb.canonical_connection()
+
     def test_pair_symmetry_canonical(self):
         arr = hb.curvature_fp(hb.canonical_connection())
         for (i, j), v in arr.items():
@@ -147,6 +171,17 @@ class TestSpinParts:
     def test_killing_checks(self):
         for c in hb.spin_killing_checks():
             assert c.holds, c.name
+
+    def test_leibniz_reads_the_first_frame_pair(self):
+        lc = hb.levi_civita()
+        rep = sp.build_rep(3)
+        nabla = {x: hb.spin_connection_action(lc, rep, x) for x in range(1, 8)}
+        assert hb._leibniz_compatible(lc, rep, nabla)
+        # nabla_{e_1} e_1 gains an e_2 part: only the pair (x, z) = (1, 1)
+        # changes, so a loop that skips index 1 would miss it
+        L = {y: [row[:] for row in mat] for y, mat in lc.L.items()}
+        L[1][1][0] += 1
+        assert not hb._leibniz_compatible(hb.Connection(MODEL, L), rep, nabla)
 
 
 class TestTheorem:

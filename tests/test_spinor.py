@@ -408,6 +408,11 @@ class TestRealStructure:
         assert sp.clifford_relations_hold(moved)
         assert not sp.charge_conjugation_holds(moved)
 
+    def test_charge_word_cached(self):
+        # derived once per representation, not on every is_majorana call
+        assert REP.charge_word == sp.monomial_word(sp.charge_conjugation(REP))
+        assert REP.charge_word is REP.charge_word
+
     def test_j_is_antilinear_involution(self):
         psi = sp.u_spinor(REP, (1, -1, 1))
         assert sp.j_real_structure(REP, sp.j_real_structure(REP, psi)) \
