@@ -10,9 +10,11 @@ e^{1...n} and vectors are identified with one-forms index-by-index.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .scalar import AlgebraError, Scalar, SymbolTable, exact
+from .scalar import (AlgebraError, Scalar, SymbolTable, _accumulate, _Sums,
+                     exact)
 
 
 class DegreeError(AlgebraError):
@@ -34,6 +36,7 @@ def _sort_index(idx: tuple) -> tuple[Optional[tuple], int]:
     return tuple(lst), sign
 
 
+@cache
 def _merge(a: tuple, b: tuple) -> tuple[Optional[tuple], int]:
     """Concatenate and sort two increasing multi-indices with sign."""
     if set(a) & set(b):
@@ -52,6 +55,13 @@ def _merge(a: tuple, b: tuple) -> tuple[Optional[tuple], int]:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out), sign
+
+
+def _drop(idx: tuple, i: int) -> tuple[tuple, int]:
+    """The multi-index without its entry i, and the sign of moving i to the
+    front."""
+    pos = idx.index(i)
+    return idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1
 
 
 class Coframe:
@@ -88,19 +98,20 @@ class Coframe:
         return self.e(*self.indices)
 
     def form(self, terms: Mapping[tuple, Union[Scalar, int, Fraction]]) -> "Form":
-        out: dict[tuple, Scalar] = {}
+        """Sum of c e^{idx}, each idx sorted with its sign, in range 1..dim."""
+        out = _Sums()
+        one = self.table.one()
         for idx, c in terms.items():
-            if not isinstance(c, Scalar):
-                c = self.table.rat(c)
+            if any(not 1 <= i <= self.dim for i in idx):
+                raise AlgebraError(f"index out of range: {idx}")
             key, sign = _sort_index(tuple(idx))
             if key is None:
                 continue
-            cur = out.get(key, self.table.zero()) + (c if sign > 0 else -c)
-            if cur.is_zero:
-                out.pop(key, None)
+            if isinstance(c, Scalar):
+                out.add(key, sign, c)
             else:
-                out[key] = cur
-        return Form(self, out)
+                out.add(key, sign * exact(c), one)
+        return Form(self, out.scalars(self.table))
 
 
 class Form:
@@ -161,11 +172,7 @@ class Form:
         self._check(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, self.space.table.zero()) + v
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out[k] + v if k in out else v
         return self.__class__(self.space, out)
 
     def __neg__(self) -> "Form":
@@ -176,10 +183,12 @@ class Form:
         return self + (-other)
 
     def __mul__(self, c) -> "Form":
-        if not isinstance(c, Scalar):
-            c = self.space.table.rat(c)
+        if isinstance(c, Scalar):
+            return self.__class__(self.space,
+                                  {k: v * c for k, v in self.terms.items()})
+        c = exact(c)  # a float raises TypeError
         return self.__class__(self.space,
-                              {k: v * c for k, v in self.terms.items()})
+                              {k: v._scale(c) for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -193,26 +202,25 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         self._check(other)
         mono_mul = self.space.mono_mul
-        zero = self.space.table.zero()
-        out: dict[tuple, Scalar] = {}
+        out = _Sums()
         for i1, c1 in self.terms.items():
             for i2, c2 in other.terms.items():
                 key, q = mono_mul(i1, i2)
-                if key is None:
-                    continue
-                c = c1 * c2
-                if q == -1:
-                    c = -c
-                elif q != 1:
-                    c = c * q
-                s = out.get(key, zero) + c
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return self.__class__(self.space, out)
+                if key is not None:
+                    out.add(key, q, c1, c2)
+        return self.__class__(self.space, out.scalars(self.space.table))
 
     __xor__ = wedge
+
+    @classmethod
+    def combination(cls, space, coefficients: Mapping, image) -> "Form":
+        """Sum of c * image(m) over the items (m, c) of ``coefficients``;
+        each image is a form over ``space``."""
+        out = _Sums()
+        for m, c in coefficients.items():
+            for k, v in image(m).terms.items():
+                out.add(k, 1, c, v)
+        return cls(space, out.scalars(space.table))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
@@ -242,18 +250,21 @@ class Form:
         d1, d2 = self.degree(), other.degree()
         if d1 is not None and d2 is not None and d1 != d2:
             raise DegreeError(f"inner product of degrees {d1} and {d2}")
-        acc = self.space.table.zero()
+        a: dict = {}
+        b: dict = {}
         for idx, c in self.terms.items():
             o = other.terms.get(idx)
             if o is not None:
-                acc = acc + c * o
-        return acc
+                _accumulate(a, b, 1, c, o)
+        return Scalar(self.space.table, a, b)
 
     def norm_sq(self) -> Scalar:
-        acc = self._coframe("norm_sq").table.zero()
+        cf = self._coframe("norm_sq")
+        a: dict = {}
+        b: dict = {}
         for c in self.terms.values():
-            acc = acc + c * c
-        return acc
+            _accumulate(a, b, 1, c, c)
+        return Scalar(cf.table, a, b)
 
     def contract(self, v: Union[int, "Form"]) -> "Form":
         """Interior product with a frame vector (index) or a one-form."""
@@ -261,23 +272,16 @@ class Form:
         if isinstance(v, Form):
             if v.degree() not in (None, 1):
                 raise DegreeError("contraction vector must be a one-form")
-            acc = cf.zero()
-            for (i,), c in v.terms.items():
-                acc = acc + c * self.contract(i)
-            return acc
-        out: dict[tuple, Scalar] = {}
-        for idx, c in self.terms.items():
-            if v not in idx:
-                continue
-            pos = idx.index(v)
-            key = idx[:pos] + idx[pos + 1:]
-            cc = c if pos % 2 == 0 else -c
-            s = out.get(key, cf.table.zero()) + cc
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Form(cf, out)
+            vector = [(i, c) for (i,), c in v.terms.items()]
+        else:
+            vector = [(v, None)]
+        out = _Sums()
+        for i, c in vector:
+            for idx, w in self.terms.items():
+                if i in idx:
+                    key, sign = _drop(idx, i)
+                    out.add(key, sign, w, c)
+        return Form(cf, out.scalars(cf.table))
 
     # -- rendering ---------------------------------------------------------------
     def text(self) -> str:
@@ -298,11 +302,15 @@ class Form:
 
 def contract_biform(beta: Form, omega: Form) -> Form:
     """Contraction of a 2-form into omega: sum beta_{mu<nu} e_mu-,(e_nu-,omega)."""
-    cf = omega.space
-    acc = cf.zero()
+    cf = omega._coframe("contract_biform")
+    out = _Sums()
     for (m, n), c in beta.terms.items():
-        acc = acc + c * omega.contract(n).contract(m)
-    return acc
+        for idx, w in omega.terms.items():
+            if m in idx and n in idx:
+                rest, s1 = _drop(idx, n)
+                key, s2 = _drop(rest, m)
+                out.add(key, s1 * s2, w, c)
+    return Form(cf, out.scalars(cf.table))
 
 
 def basis_multi_indices(dim: int, k: int) -> list[tuple]:
@@ -317,15 +325,16 @@ def form_to_vector(f: Form, basis: Iterable[tuple]) -> list[Scalar]:
 def derivation(form: Form, endo) -> Form:
     """A coframe endomorphism acting on a constant-coefficient form as a
     derivation: e^mu -> -sum_nu endo[mu - 1][nu - 1] e^nu."""
-    zero = form.space.table.zero()
-    out: dict[tuple, Scalar] = {}
+    cf = form._coframe("derivation")
+    out = _Sums()
     for idx, c in form.terms.items():
         for pos, mu in enumerate(idx):
             for nu, coef in enumerate(endo[mu - 1], 1):
                 if coef:
-                    new = idx[:pos] + (nu,) + idx[pos + 1:]
-                    out[new] = out.get(new, zero) - c * coef
-    return form.space.form(out)
+                    key, sign = _sort_index(idx[:pos] + (nu,) + idx[pos + 1:])
+                    if key is not None:
+                        out.add(key, -sign * coef, c)
+    return Form(cf, out.scalars(cf.table))
 
 
 def coefficient_matrix(cols: Sequence[Form], keys: Iterable) -> list[list]:

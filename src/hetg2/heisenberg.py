@@ -18,7 +18,7 @@ from functools import cache, cached_property
 
 from .curvature import contorsion_3ad, curvature_3ad
 from .exterior import Coframe, Form, basis_multi_indices, derivation
-from .scalar import AlgebraError, exact
+from .scalar import AlgebraError, Rat, exact
 from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
                          sp1_frame_forms, torsion_classes)
 from . import spinor as sp
@@ -218,11 +218,16 @@ def model_associative_form() -> Form:
     return associative_form(heisenberg_model().coframe)
 
 
-@cache
-def connection_lambda(lam: Fraction) -> Connection:
+def connection_lambda(lam: Rat) -> Connection:
     """Canonical connection shifted by the closed-form difference tensor,
-    built once per lam.  The tensor vanishes at lam = 0, where this is the
-    canonical connection itself."""
+    built once per value of lam (4 and Fraction(4) give one connection; a
+    float raises TypeError).  The tensor vanishes at lam = 0, where this is
+    the canonical connection itself."""
+    return _connection_lambda(exact(lam))
+
+
+@cache
+def _connection_lambda(lam: Rat) -> Connection:
     base = canonical_connection()
     delta = contorsion_3ad(model_associative_form(), Fraction(lam))
     if not delta:

@@ -16,6 +16,7 @@ that could see two ``int`` operands build a ``Fraction`` first.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Union
 
 Rat = Union[int, Fraction]
@@ -63,6 +64,9 @@ class SymbolTable:
             raise AlgebraError("adjoined square root must be of a positive rational")
         self.rules: list[tuple[int, int, Scalar]] = []
         self.relations: tuple[Scalar, ...] = ()
+        # scalars are immutable, so 0 and 1 are shared
+        self._zero = Scalar(self, {}, {})
+        self._one = Scalar(self, {self._unit(): 1}, {})
         for rel in relations:
             self.add_relation(rel)
 
@@ -94,15 +98,17 @@ class SymbolTable:
 
     # -- constructors ------------------------------------------------------
     def zero(self) -> "Scalar":
-        return Scalar(self, {}, {})
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.rat(1)
+        return self._one
 
     def rat(self, q: Rat) -> "Scalar":
         q = exact(q)
         if q == 0:
-            return self.zero()
+            return self._zero
+        if q == 1:
+            return self._one
         return Scalar(self, {self._unit(): q}, {})
 
     def sym(self, name: str) -> "Scalar":
@@ -194,14 +200,20 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(self.table, _madd(self._a, o._a), _madd(self._b, o._b),
-                      _reduce=False)
+        a, b = dict(self._a), dict(self._b)
+        _accumulate(a, b, 1, o)
+        return Scalar(self.table, a, b, _reduce=False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.table, {m: -c for m, c in self._a.items()},
-                      {m: -c for m, c in self._b.items()}, _reduce=False)
+        return self._scale(-1)
+
+    def _scale(self, q: Rat) -> "Scalar":
+        """q * self for an exact rational q; a float raises TypeError."""
+        q = exact(q)
+        return Scalar(self.table, {m: c * q for m, c in self._a.items()},
+                      {m: c * q for m, c in self._b.items()}, _reduce=False)
 
     def __sub__(self, other) -> "Scalar":
         o = self._coerce(other)
@@ -213,13 +225,14 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other) -> "Scalar":
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.table.sqrt_d
-        a = _madd(_mmul(self._a, o._a),
-                  _mscale(_mmul(self._b, o._b), d) if d is not None else {})
-        b = _madd(_mmul(self._a, o._b), _mmul(self._b, o._a))
+        a: dict = {}
+        b: dict = {}
+        _accumulate(a, b, 1, self, o)
         return Scalar(self.table, a, b)
 
     __rmul__ = __mul__
@@ -242,8 +255,7 @@ class Scalar:
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("scalar division by zero")
-            return Scalar(self.table, _mscale(self._a, 1 / q),
-                          _mscale(self._b, 1 / q), _reduce=False)
+            return self._scale(1 / q)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -304,28 +316,36 @@ class Scalar:
             if v.table is not dst:
                 raise AlgebraError("binding value over the wrong table")
             vals[src.index[name]] = v
-        out = dst.zero()
+        # group the terms by their bound exponents: each group is a product
+        # of bound powers (each power built once) times a polynomial in the
+        # unbound symbols, and the groups are summed raw and reduced once
+        groups: dict[tuple, tuple[dict, dict]] = {}
         for part, radical in ((self._a, False), (self._b, True)):
+            if part and radical and dst.sqrt_d != src.sqrt_d:
+                raise AlgebraError("adjoined roots differ between tables")
             for mono, c in part.items():
-                term = dst.rat(c)
+                bound, free = [], [0] * len(dst.symbols)
                 for i, e in enumerate(mono):
-                    if e == 0:
-                        continue
-                    if i in vals:
-                        base = vals[i]
-                        term = term * (base ** e if e > 0
-                                       else base.inverse() ** (-e))
-                    else:
+                    if e and i in vals:
+                        bound.append((i, e))
+                    elif e:
                         name = src.symbols[i]
                         if name not in dst.index:
                             raise UnknownSymbolError(name)
-                        term = term * dst.monomial(name, e)
-                if radical:
-                    if dst.sqrt_d != src.sqrt_d:
-                        raise AlgebraError("adjoined roots differ between tables")
-                    term = term * dst.sqrt()
-                out = out + term
-        return out.reduced()
+                        free[dst.index[name]] = e
+                groups.setdefault(tuple(bound), ({}, {}))[radical][tuple(free)] = c
+        powers: dict[tuple[int, int], Scalar] = {}
+        a: dict = {}
+        b: dict = {}
+        for bound, (pa, pb) in groups.items():
+            value = None
+            for i, e in bound:
+                if (i, e) not in powers:
+                    powers[i, e] = (vals[i] ** e if e > 0
+                                    else vals[i].inverse() ** -e)
+                value = powers[i, e] if value is None else value * powers[i, e]
+            _accumulate(a, b, 1, Scalar(dst, pa, pb), value)
+        return Scalar(dst, a, b)
 
     def laurent_order(self, var: str = "t") -> Optional[int]:
         """Lowest exponent of ``var`` with nonzero coefficient; None if zero.
@@ -415,34 +435,43 @@ class Scalar:
     __repr__ = __str__
 
 
-def _madd(x: Mapping[tuple, Rat], y: Mapping[tuple, Rat]) -> dict:
-    out = dict(x)
-    for m, c in y.items():
-        s = out.get(m, 0) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+def _accumulate(a: dict, b: dict, q: Rat, x: Scalar,
+                y: Optional[Scalar] = None) -> None:
+    """Add q*x*y (q*x when y is None) into the raw monomial dicts of
+    a + b*sqrt(d), rewriting nothing: the caller builds one Scalar from them.
+    Rewriting acts monomial by monomial, so reducing the sum once gives the
+    sum of the reduced products."""
+    if y is None:
+        for src, out in ((x._a, a), (x._b, b)):
+            for m, c in src.items():
+                out[m] = out.get(m, 0) + (c if q == 1 else c * q)
+        return
+    qd = q * x.table.sqrt_d if x._b and y._b else None
+    for xs, ys, out, r in ((x._a, y._a, a, q), (x._a, y._b, b, q),
+                           (x._b, y._a, b, q), (x._b, y._b, a, qd)):
+        if not xs or not ys:
+            continue
+        for m1, c1 in xs.items():
+            if r != 1:
+                c1 = c1 * r
+            for m2, c2 in ys.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
 
 
-def _mmul(x: Mapping[tuple, Rat], y: Mapping[tuple, Rat]) -> dict:
-    out: dict = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+class _Sums(dict):
+    """Raw sums of rational multiples of scalar products, per key: each value
+    is the pair (a, b) that :func:`_accumulate` adds into, and ``scalars``
+    builds every key's coefficient with one Scalar call."""
 
+    def add(self, key, q: Rat, x: Scalar, y: Optional[Scalar] = None) -> None:
+        pair = self.get(key)
+        if pair is None:
+            pair = self[key] = ({}, {})
+        _accumulate(pair[0], pair[1], q, x, y)
 
-def _mscale(x: Mapping[tuple, Rat], q: Rat) -> dict:
-    if q == 0:
-        return {}
-    return {m: c * q for m, c in x.items()}
+    def scalars(self, table: SymbolTable) -> dict:
+        return {k: Scalar(table, a, b) for k, (a, b) in self.items()}
 
 
 def _rewrite(table: SymbolTable, part: Mapping[tuple, Rat]) -> dict:

@@ -94,16 +94,11 @@ class GenForm(Form):
     __slots__ = ()
 
     def d(self) -> "GenForm":
-        out = self.space.zero()
-        for m, c in self.terms.items():
-            out = out + c * self.space.mono_d(m)
-        return out
+        return GenForm.combination(self.space, self.terms, self.space.mono_d)
 
     def embed(self) -> Form:
-        out = self.space.coframe.zero()
-        for m, c in self.terms.items():
-            out = out + c * self.space.mono_embed(m)
-        return out
+        return Form.combination(self.space.coframe, self.terms,
+                                self.space.mono_embed)
 
 
 class _BaseRing:

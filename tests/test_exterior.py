@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetg2.exterior import Coframe, DegreeError, basis_multi_indices, \
     contract_biform
-from hetg2.scalar import SymbolTable
+from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import sp1_frame_forms, su3_frame_forms
 
 TAB = SymbolTable(("alpha", "delta"))
@@ -117,6 +117,22 @@ class TestScalarDivision:
         assert f / TAB.sym("alpha") == CF.e(1, 2)
         with pytest.raises(ZeroDivisionError):
             f / 0
+
+
+class TestCoframeForm:
+    def test_index_out_of_range_refused(self):
+        # form({(8,): 1}) used to return e^{8}, whose star was a 7-form and
+        # whose wedge with the volume form an 8-form
+        for idx in ((8,), (0, 1), (1, 2, 9), (-1,)):
+            with pytest.raises(AlgebraError):
+                CF.form({idx: 1})
+        with pytest.raises(AlgebraError):
+            CF.e(8)
+
+    def test_signs_and_repeats(self):
+        assert CF.form({(2, 1): 1}) == -CF.e(1, 2)
+        assert CF.form({(1, 1): 3}).is_zero
+        assert CF.form({(1, 2): 1, (2, 1): 1}).is_zero
 
 
 class TestInnerAndNorm:

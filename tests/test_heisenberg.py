@@ -2,6 +2,8 @@ import dataclasses
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from hetg2 import heisenberg as hb
 from hetg2 import spinor as sp
 from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
@@ -132,6 +134,18 @@ class TestCurvature:
     def test_connection_lambda_zero_is_canonical(self):
         # the difference tensor vanishes at lam = 0
         assert hb.connection_lambda(F(0)) is hb.canonical_connection()
+
+    def test_connection_lambda_keyed_by_value(self):
+        # an int and an equal Fraction used to be two cache keys, so the
+        # connection and its curvature array were built twice
+        assert hb.connection_lambda(4) is hb.connection_lambda(F(4))
+        assert hb.connection_lambda(F(8, 2)) is hb.connection_lambda(4)
+
+    def test_connection_lambda_refuses_float(self):
+        # Fraction(0.5) used to be accepted silently
+        for bad in (0.5, 4.0):
+            with pytest.raises(TypeError):
+                hb.connection_lambda(bad)
 
     def test_pair_symmetry_canonical(self):
         arr = hb.curvature_fp(hb.canonical_connection())
