@@ -196,6 +196,8 @@ class Form:
         if isinstance(c, Scalar):
             return self * c.inverse()
         c = exact(c)  # a float divisor raises TypeError, as in __mul__
+        if c == 0:  # refused even when the form is zero
+            raise ZeroDivisionError("form division by zero")
         return self.__class__(self.space,
                               {k: v / c for k, v in self.terms.items()})
 

@@ -119,6 +119,8 @@ class SymbolTable:
             raise UnknownSymbolError(name)
         exps = [0] * len(self.symbols)
         exps[self.index[name]] = power
+        if power < 0:
+            self._refuse_negative_lead(exps)
         coef = exact(coef)
         if coef == 0:
             return self.zero()
@@ -132,6 +134,12 @@ class SymbolTable:
 
     def _unit(self) -> tuple[int, ...]:
         return (0,) * len(self.symbols)
+
+    def _refuse_negative_lead(self, mono) -> None:
+        """AlgebraError if a rule's lead symbol has a negative exponent: rules
+        rewrite only its non-negative powers, so s^-2 * s^2 would not be 1."""
+        if any(mono[i] < 0 for i, _, _ in self.rules):
+            raise AlgebraError("negative power of a relation's lead symbol")
 
 
 class Scalar:
@@ -264,14 +272,13 @@ class Scalar:
     def inverse(self) -> "Scalar":
         """Inverse of a single-term scalar (monomial, possibly times sqrt(d))."""
         t = self.table
-        if len(self._a) == 1 and not self._b:
-            (mono, c), = self._a.items()
+        part = self._a or self._b
+        if len(part) == 1 and not (self._a and self._b):
+            (mono, c), = part.items()
             inv = tuple(-e for e in mono)
-            return Scalar(t, {inv: Fraction(1, c)}, {})
-        if len(self._b) == 1 and not self._a:
-            (mono, c), = self._b.items()
-            inv = tuple(-e for e in mono)
-            assert t.sqrt_d is not None
+            t._refuse_negative_lead(inv)
+            if self._a:
+                return Scalar(t, {inv: Fraction(1, c)}, {})
             return Scalar(t, {}, {inv: Fraction(1, c * t.sqrt_d)})
         raise AlgebraError(f"cannot invert non-monomial scalar: {self}")
 

@@ -1,23 +1,23 @@
 """Clifford representations, spinor bases and bilinear form reconstruction.
 
-Representations are built from Kronecker products of four 2x2 matrices over
+Representations are built from Kronecker products of four 2x2 words over
 the Gaussian rationals; all spinor computations are exact.  Basis spinors are
 stored without the overall 1/sqrt(2)^m normalisation (bilinears divide by the
 squared norm, so every reconstructed coefficient is rational).
 
-``CliffordRep.gens`` are the generators as dense matrices, tuples of row
-tuples of GQ.  Every generator is a signed permutation matrix with unit
-phases, one entry i^k per row, and so is every product of generators.  Each
-representation therefore also holds its generators as *words*: a pair
+Every generator is a signed permutation matrix with unit phases, one entry
+i^k per row, and so is every product of generators and the charge
+conjugation C.  ``CliffordRep.words`` holds the generators as *words*: a pair
 (perm, phase) with row r carrying i^phase[r] in column perm[r], phases taken
-mod 4.  Words compose and act on spinors in O(dim) by index lookups and part
-swaps, with no multiplication; ``clifford_relations_hold``,
-``volume_action``, ``form_matrix`` and the spinor bilinears work on words.
-``word_rows`` turns a rational combination of words into sparse rows.  The
-zero-skipping dense kernels ``matmul``, ``matvec`` and ``mat_scale`` remain
-for dense operands (form matrices and eigenprojectors) and as the tests'
-reference for words.  ``build_rep`` is cached per ``m``; the cached
-``CliffordRep`` is frozen and shared by every caller in the process.
+mod 4.  Words compose, take Kronecker products and act on spinors in O(dim)
+by index lookups and part swaps, with no multiplication;
+``clifford_relations_hold``, ``volume_action`` and the spinor bilinears work
+on words.  Every other operator (a form's Clifford action, an
+eigenprojector) is held as sparse rows, one {column: entry} dict per row:
+``word_rows`` turns a combination of words into sparse rows, and
+``rows_apply``, ``rows_scale`` and ``matmul`` act on them.  ``build_rep`` is
+cached per ``m``; the cached ``CliffordRep`` is frozen and shared by every
+caller in the process.
 
 Convention notes, fixed once and verified exhaustively by the test suite:
 
@@ -114,72 +114,6 @@ def _gq(x) -> GQ:
 
 I = GQ(0, 1)
 
-# matrices as tuples of row tuples of GQ
-G1 = ((I, GQ(0)), (GQ(0), -I))
-G2 = ((GQ(0), I), (I, GQ(0)))
-E2X2 = ((GQ(1), GQ(0)), (GQ(0), GQ(1)))
-TMAT = ((GQ(0), -I), (I, GQ(0)))
-
-
-def kron(a, b):
-    return tuple(tuple(a[i][j] * b[k][l]
-                       for j in range(len(a[0])) for l in range(len(b[0])))
-                 for i in range(len(a)) for k in range(len(b)))
-
-
-def kron_all(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
-def _nonzero(row):
-    """(index, entry) pairs of the nonzero entries of a GQ row."""
-    return [(k, x) for k, x in enumerate(row) if x.re or x.im]
-
-
-def matmul(a, b):
-    p = len(b[0])
-    zero = GQ(0)
-    b_rows = [_nonzero(r) for r in b]
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in _nonzero(row):
-            for j, y in b_rows[k]:
-                xy = x * y
-                acc[j] = acc[j] + xy if j in acc else xy
-        out.append(tuple(acc.get(j, zero) for j in range(p)))
-    return tuple(out)
-
-
-def matvec(a, v):
-    v_nz = _nonzero(v)
-    out = []
-    for row in a:
-        acc = None
-        for k, y in v_nz:
-            x = row[k]
-            if x.re or x.im:
-                acc = x * y if acc is None else acc + x * y
-        out.append(GQ(0) if acc is None else acc)
-    return tuple(out)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c):
-    c = _gq(c)
-    return tuple(tuple(c * x if x.re or x.im else x for x in r) for r in a)
-
-
-def eye(n):
-    return tuple(tuple(GQ(1) if i == j else GQ(0) for j in range(n))
-                 for i in range(n))
-
 
 def herm(x: Sequence[GQ], y: Sequence[GQ]) -> GQ:
     """Hermitian product, conjugate linear in the first slot."""
@@ -221,22 +155,6 @@ def times_i_pow(x: GQ, k: int) -> GQ:
     return GQ(x.im, -x.re)
 
 
-def monomial_word(mat) -> tuple:
-    """The word (perm, phase) of a matrix with one entry i^k per row.
-
-    Row r of the matrix carries i^phase[r] in column perm[r]; any other
-    matrix is refused with AlgebraError.
-    """
-    perm, phase = [], []
-    for row in mat:
-        nz = _nonzero(row)
-        if len(nz) != 1 or nz[0][1] not in _I_POWERS:
-            raise AlgebraError("not a monomial matrix with unit phases i^k")
-        perm.append(nz[0][0])
-        phase.append(_I_POWERS.index(nz[0][1]))
-    return tuple(perm), tuple(phase)
-
-
 def word_mul(a: tuple, b: tuple) -> tuple:
     """The word of the matrix product a b."""
     (pa, ka), (pb, kb) = a, b
@@ -264,12 +182,35 @@ def _word_transpose(w: tuple) -> tuple:
     return tuple(tp), tuple(tk)
 
 
+def word_kron(*words) -> tuple:
+    """The word of the Kronecker product of words: row i dim_b + k of a x b
+    carries i^(ka[i] + kb[k]) in column pa[i] dim_b + pb[k]."""
+    perm, phase = (0,), (0,)
+    for pb, kb in words:
+        d = len(pb)
+        perm = tuple(p * d + q for p in perm for q in pb)
+        phase = tuple((k + l) % 4 for k in phase for l in kb)
+    return perm, phase
+
+
+# the 2x2 words of build_rep, and the scalar i as a 1x1 word
+_W_I = ((0,), (1,))
+_W_G1 = ((0, 1), (1, 3))  # diag(i, -i)
+_W_G2 = ((1, 0), (1, 1))  # [[0, i], [i, 0]]
+_W_E = ((0, 1), (0, 0))   # the identity
+_W_T = ((1, 0), (3, 1))   # [[0, -i], [i, 0]]
+
+
+# ---------------------------------------------------------------------------
+# sparse rows: every other operator, one {column: entry} dict per row
+# ---------------------------------------------------------------------------
+
 def word_rows(terms, dim: int) -> list:
-    """Sparse rows {column: entry} of sum c W over pairs (rational c, word W),
-    zero entries dropped."""
+    """Sparse rows of sum c W over pairs (coefficient c, word W), zero
+    entries dropped."""
     rows = [{} for _ in range(dim)]
     for c, (perm, phase) in terms:
-        c = GQ(c)
+        c = _gq(c)
         for row, j, k in zip(rows, perm, phase):
             x = times_i_pow(c, k)
             row[j] = row[j] + x if j in row else x
@@ -282,9 +223,29 @@ def rows_apply(rows: list, v) -> tuple:
                  for row in rows)
 
 
+def rows_scale(rows: list, c) -> list:
+    """Sparse rows times a scalar c, zero entries dropped."""
+    c = _gq(c)
+    return [{j: y for j, x in row.items() if not (y := c * x).is_zero}
+            for row in rows]
+
+
+def matmul(a: list, b: list) -> list:
+    """The product of two sparse-row operators, zero entries dropped."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                xy = x * y
+                acc[j] = acc[j] + xy if j in acc else xy
+        out.append({j: x for j, x in acc.items() if not x.is_zero})
+    return out
+
+
 @dataclass(frozen=True)
 class CliffordRep:
-    """Generator matrices of the 2^m-dimensional complex representation.
+    """Generator words of the 2^m-dimensional complex representation.
 
     ``volume_sign`` records the exact scalar by which the ordered product
     e_1 ... e_{2m+1} acts, relative to (-i)^{m+1}: with the quoted
@@ -295,7 +256,7 @@ class CliffordRep:
     """
 
     m: int
-    gens: tuple  # gens[mu-1] = rho(e_mu), 2m+1 matrices
+    words: tuple  # words[mu-1] = rho(e_mu), 2m+1 words
     volume_sign: int = -1
 
     @property
@@ -303,15 +264,9 @@ class CliffordRep:
         return 2 ** self.m
 
     @cached_property
-    def words(self) -> tuple:
-        """The generators as words, derived once; AlgebraError if one is not
-        a monomial matrix with unit phases."""
-        return tuple(monomial_word(g) for g in self.gens)
-
-    @cached_property
     def charge_word(self) -> tuple:
-        """The word of the charge conjugation C, derived once."""
-        return monomial_word(charge_conjugation(self))
+        """The word of the charge conjugation C, built once."""
+        return charge_conjugation(self)
 
     def word(self, idx) -> tuple:
         """The word of the ordered product e_idx[0] ... e_idx[-1]."""
@@ -320,13 +275,11 @@ class CliffordRep:
             w = word_mul(w, self.words[mu - 1])
         return w
 
-    def form_matrix(self, form: Form):
-        """Matrix of the Clifford action of a form with rational coefficients."""
-        rows = word_rows(((c.as_rat(), self.word(idx))
+    def form_matrix(self, form: Form) -> list:
+        """Sparse rows of the Clifford action of a form with rational
+        coefficients."""
+        return word_rows(((c.as_rat(), self.word(idx))
                           for idx, c in form.terms.items()), self.dim)
-        zero = GQ(0)
-        return tuple(tuple(row.get(j, zero) for j in range(self.dim))
-                     for row in rows)
 
 
 @cache
@@ -339,13 +292,13 @@ def build_rep(m: int) -> CliffordRep:
     (m+1-a)-th tensor slot with identities before it and T's after it.  The
     volume product e_1 ... e_{2m+1} acts as (-i)^{m+1}.
     """
-    gens = [mat_scale(kron_all([TMAT] * m), I)]
+    words = [word_kron(_W_I, *[_W_T] * m)]
     for a in range(1, m + 1):
-        pre = [E2X2] * (m - a)
-        post = [TMAT] * (a - 1)
-        gens.append(kron_all(pre + [G1] + post))
-        gens.append(kron_all(pre + [G2] + post))
-    rep = CliffordRep(m, tuple(gens))
+        pre = [_W_E] * (m - a)
+        post = [_W_T] * (a - 1)
+        words.append(word_kron(*pre, _W_G1, *post))
+        words.append(word_kron(*pre, _W_G2, *post))
+    rep = CliffordRep(m, tuple(words))
     if not clifford_relations_hold(rep):
         raise AlgebraError(f"Clifford relations fail at m = {m}")
     return rep
@@ -365,16 +318,8 @@ def volume_action(rep: CliffordRep) -> GQ:
 
 def clifford_relations_hold(rep: CliffordRep) -> bool:
     """e_u e_v + e_v e_u = -2 delta_uv for all generators, and the volume
-    product acts by volume_sign (-i)^(m+1).
-
-    The relations are checked on words, so a generator that is not a
-    monomial matrix with unit phases i^k (as every generator of
-    ``build_rep`` is) fails the predicate.
-    """
-    try:
-        words = rep.words
-    except AlgebraError:
-        return False
+    product acts by volume_sign (-i)^(m+1), checked on the words."""
+    words = rep.words
     ident = tuple(range(rep.dim))
     for mu, a in enumerate(words):
         p, k = word_mul(a, a)
@@ -413,25 +358,25 @@ def su3_omega_action_holds(rep: CliffordRep, om_plus: Form,
     mp, mm = rep.form_matrix(om_plus), rep.form_matrix(om_minus)
     middle = [u_spinor(rep, e) for e in ((1, 1, -1), (1, -1, 1), (-1, 1, 1),
                                          (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
-    return (matvec(mp, psi) == vec_scale(bar, GQ(0, -4))
-            and matvec(mp, bar) == vec_scale(psi, GQ(0, 4))
+    return (rows_apply(mp, psi) == vec_scale(bar, GQ(0, -4))
+            and rows_apply(mp, bar) == vec_scale(psi, GQ(0, 4))
             and all(x.is_zero for v in middle
-                    for x in matvec(mp, v) + matvec(mm, v)))
+                    for x in rows_apply(mp, v) + rows_apply(mm, v)))
 
 
-def charge_conjugation(rep: CliffordRep):
-    """C = T x E x T (m = 3); real symmetric, C^2 = 1, C rho = -rho^T C."""
+def charge_conjugation(rep: CliffordRep) -> tuple:
+    """The word of C = T x E x T (m = 3); real symmetric, C^2 = 1,
+    C rho = -rho^T C."""
     if rep.m != 3:
         raise AlgebraError("charge conjugation implemented for m = 3")
-    return kron_all([TMAT, E2X2, TMAT])
+    return word_kron(_W_T, _W_E, _W_T)
 
 
 def charge_conjugation_holds(rep: CliffordRep) -> bool:
     """C is real symmetric, C^2 = 1 and C rho(e_mu) = -rho(e_mu)^T C."""
     c = rep.charge_word
-    ident = (tuple(range(rep.dim)), (0,) * rep.dim)
     tr = _word_transpose
-    return (word_mul(c, c) == ident
+    return (word_mul(c, c) == rep.word(())
             and tr(c) == c and all(k % 2 == 0 for k in c[1])
             and all(word_mul(c, g) == _word_neg(word_mul(tr(g), c))
                     for g in rep.words))
@@ -606,8 +551,10 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
     """
     m = rep.m
     n = rep.dim
-    a = rep.form_matrix(phi_form)
+    terms = [(c.as_rat(), rep.word(idx)) for idx, c in phi_form.terms.items()]
     eigs = [GQ(0, -(2 * r - m)) for r in range(m + 1)]
+    factors = [word_rows(terms + [(-e, rep.word(()))], n)  # A - e
+               for e in eigs]
     # P_r = prod_{s != r} (A - e_s) / prod_{s != r} (e_r - e_s); the
     # numerators have Gaussian-integral entries and carry the checks
     numerators, projectors = [], []
@@ -616,28 +563,26 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
         for r2 in range(m + 1):
             if r2 == r:
                 continue
-            f = mat_add(a, mat_scale(eye(n), -eigs[r2]))
+            f = factors[r2]
             num = f if num is None else matmul(num, f)
             den = den * (eigs[r] - eigs[r2])
         numerators.append(num)
-        projectors.append(tuple(tuple(x / den if x.re or x.im else x
-                                      for x in row) for row in num))
-    total = projectors[0]
-    for p in projectors[1:]:
-        total = mat_add(total, p)
-    if total != eye(n):
+        projectors.append(rows_scale(num, GQ(1) / den))
+    zero = GQ(0)
+    if any(sum((p[i].get(j, zero) for p in projectors), zero) != int(i == j)
+           for i in range(n) for j in range(n)):
         raise AlgebraError("eigenprojectors do not resolve the identity")
     dims = []
     perm, phase = rep.words[xi_index - 1]
     for r, (num, p) in enumerate(zip(numerators, projectors)):
-        if matmul(a, num) != mat_scale(num, eigs[r]):
+        if any(matmul(factors[r], num)):  # (A - e_r) num = 0
             raise AlgebraError(f"eigenvalue check fails on Sigma_{r}")
-        xi_eval = GQ(0, (-1) ** r * (-1) ** m)
-        xi_num = tuple(tuple(times_i_pow(x, k) for x in num[j])
-                       for j, k in zip(perm, phase))
-        if xi_num != mat_scale(num, xi_eval):
+        # the Reeb word permutes the rows of num and turns their phases
+        xi_num = [{j: times_i_pow(x, k) for j, x in num[q].items()}
+                  for q, k in zip(perm, phase)]
+        if xi_num != rows_scale(num, GQ(0, (-1) ** r * (-1) ** m)):
             raise AlgebraError(f"Reeb eigenvalue check fails on Sigma_{r}")
-        tr = sum((p[i][i] for i in range(n)), GQ(0))
+        tr = sum((p[i].get(i, zero) for i in range(n)), zero)
         if tr.im != 0 or tr.re.denominator != 1:
             raise AlgebraError("projector trace is not an integer")
         dims.append(int(tr.re))
@@ -745,13 +690,13 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
         record(f"psi0 = -xi{i} psi{i}",
                vec_scale(word_apply(xi(i), psi[i]), -1), psi[0])
         record(f"Phi{i} psi0 = xi{i} psi0",
-               matvec(phi_spin[i], psi[0]), word_apply(xi(i), psi[0]))
+               rows_apply(phi_spin[i], psi[0]), word_apply(xi(i), psi[0]))
         record(f"Phi{i} psi{i} = xi{i} psi{i}",
-               matvec(phi_spin[i], psi[i]), word_apply(xi(i), psi[i]))
+               rows_apply(phi_spin[i], psi[i]), word_apply(xi(i), psi[i]))
         for j in (1, 2, 3):
             if j != i:
                 record(f"Phi{i} psi{j} = -3 xi{i} psi{j}",
-                       matvec(phi_spin[i], psi[j]),
+                       rows_apply(phi_spin[i], psi[j]),
                        vec_scale(word_apply(xi(i), psi[j]), -3))
     for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         record(f"xi{i} psi{j} = psi{k}", word_apply(xi(i), psi[j]), psi[k])
@@ -771,7 +716,7 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
         m_phi = rep.form_matrix(herm_form)
         sec = canonical_su3_spinor(rep)
         record("Phi Psi = -3 xi Psi (Sigma_0 section)",
-               matvec(m_phi, sec),
+               rows_apply(m_phi, sec),
                vec_scale(word_apply(rep.words[0], sec), -3))
     return checks
 

@@ -169,7 +169,7 @@ def test_criterion_9_spinor_suite():
     f = su3_frame_forms(cf)
     psi = sp.canonical_su3_spinor(rep)
     bar = sp.vec_conj(psi)
-    assert sp.matvec(rep.form_matrix(f["Om+"]), psi) \
+    assert sp.rows_apply(rep.form_matrix(f["Om+"]), psi) \
         == sp.vec_scale(bar, sp.GQ(0, -4))
     assert sp.purity_dim(rep, sp.u_spinor(rep, (1, 1, 1))) == 3
     frame = sp1_frame_forms(cf)

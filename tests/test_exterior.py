@@ -118,6 +118,13 @@ class TestScalarDivision:
         with pytest.raises(ZeroDivisionError):
             f / 0
 
+    def test_zero_form_divided_by_zero_refused(self):
+        # the zero form used to come back from / 0 unchanged
+        for f in (CF.zero(), TAB.sym("alpha") * CF.e(1, 2)):
+            for zero in (0, F(0)):
+                with pytest.raises(ZeroDivisionError):
+                    f / zero
+
 
 class TestCoframeForm:
     def test_index_out_of_range_refused(self):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetg2.exterior import (Coframe, Form, basis_multi_indices,
                             contract_biform, derivation)
-from hetg2.scalar import Scalar, SymbolTable, exact
+from hetg2.scalar import AlgebraError, Scalar, SymbolTable, exact
 from hetg2.structures import get_ring
 
 sympy = pytest.importorskip("sympy")
@@ -452,6 +452,12 @@ class TestScalarKernel:
         x = data.draw(scalars(table))
         delta = data.draw(single_terms(table) if negative_power(x, "delta")
                           else scalars(table))
+        # delta^-k -> s^-k would have no normal form, so it is refused
+        refused = negative_power(x, "delta") and "s" in delta.support()
         for bindings in ({"alpha": 2, "c": data.draw(scalars(table))},
                          {"delta": delta, "s": data.draw(scalars(table))}):
-            assert_same(x.subs(bindings), ref_subs(x, bindings))
+            if refused and "delta" in bindings:
+                with pytest.raises(AlgebraError, match="lead symbol"):
+                    x.subs(bindings)
+            else:
+                assert_same(x.subs(bindings), ref_subs(x, bindings))

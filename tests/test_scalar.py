@@ -47,6 +47,26 @@ class TestReduce:
         x = (S + C) ** 3 * AL - 5 * DE * S ** 4
         assert x.reduced() == x
 
+    def test_negative_power_of_lead_symbol_refused(self):
+        # s^-2 s^2 used to be stored as -s^-2*c^2 + s^-2, not 1: the rule
+        # s^2 -> 1 - c^2 rewrites only non-negative powers
+        with pytest.raises(AlgebraError, match="lead symbol"):
+            T.monomial("s", -2)
+        for x in (S, 3 * S * AL, T.monomial("s", 1, F(2, 3))):
+            with pytest.raises(AlgebraError, match="lead symbol"):
+                x.inverse()
+            with pytest.raises(AlgebraError, match="lead symbol"):
+                AL / x
+        # symbols that lead no rule keep their negative powers
+        assert T.monomial("c", -2) * C ** 2 == 1
+        assert (S * C ** 2 / C) == S * C
+        rt = SymbolTable(("s", "c"), sqrt_d=2)
+        rt.add_relation(rt.sym("s") ** 2 + rt.sym("c") ** 2 - 1)
+        with pytest.raises(AlgebraError, match="lead symbol"):
+            (rt.sqrt() * rt.sym("s")).inverse()
+        assert (rt.sqrt() * rt.sym("c")).inverse() \
+            == rt.monomial("c", -1) * rt.sqrt() / 2
+
 
 class TestSubstitute:
     def test_exact_solution_point(self):

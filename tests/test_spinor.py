@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import dense_clifford as dc
 from hetg2 import spinor as sp
 from hetg2.exterior import Coframe
 from hetg2.scalar import AlgebraError, SymbolTable
@@ -26,15 +27,15 @@ class TestRep:
     def test_relations_predicate(self, m):
         rep = sp.build_rep(m)
         assert sp.clifford_relations_hold(rep)
-        # one altered generator breaks e_1^2 = -1
-        bad = dataclasses.replace(
-            rep, gens=(sp.mat_scale(rep.gens[0], 2),) + rep.gens[1:])
-        assert not sp.clifford_relations_hold(bad)
-        g = rep.gens
-        # a repeated generator breaks e_1 e_2 + e_2 e_1 = 0; a negated one
-        # keeps the anticommutators but flips the volume scalar
-        for gens in ((g[1],) + g[1:], (sp.mat_scale(g[0], -1),) + g[1:]):
-            bad = dataclasses.replace(rep, gens=gens)
+        g = rep.words
+        times_i = (g[0][0], tuple((k + 1) % 4 for k in g[0][1]))
+        negated = (g[0][0], tuple((k + 2) % 4 for k in g[0][1]))
+        # i e_1 breaks e_1^2 = -1; a repeated generator breaks
+        # e_1 e_2 + e_2 e_1 = 0; a negated one keeps the anticommutators
+        # but flips the volume scalar
+        for words in ((times_i,) + g[1:], (g[1],) + g[1:],
+                      (negated,) + g[1:]):
+            bad = dataclasses.replace(rep, words=words)
             assert not sp.clifford_relations_hold(bad)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -46,15 +47,15 @@ class TestRep:
         for eps in ((1, 1, 1), (1, -1, 1), (-1, -1, -1), (1, 1, -1)):
             u = sp.u_spinor(REP, eps)
             prod = eps[0] * eps[1] * eps[2]
-            assert sp.matvec(REP.gens[0], u) \
+            assert sp.word_apply(REP.words[0], u) \
                 == sp.vec_scale(u, sp.GQ(0, -prod))
 
     def test_skew_adjointness(self):
         u1 = sp.u_spinor(REP, (1, 1, 1))
         u2 = sp.u_spinor(REP, (1, -1, 1))
         for mu in range(7):
-            assert sp.herm(sp.matvec(REP.gens[mu], u1), u2) \
-                == -sp.herm(u1, sp.matvec(REP.gens[mu], u2))
+            assert sp.herm(sp.word_apply(REP.words[mu], u1), u2) \
+                == -sp.herm(u1, sp.word_apply(REP.words[mu], u2))
 
     def test_basis_orthogonal_and_conjugation(self):
         eps_list = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, -1)]
@@ -64,18 +65,6 @@ class TestRep:
                 assert h.is_zero if a != b else not h.is_zero
         assert sp.vec_conj(sp.u_spinor(REP, (1, -1, 1))) \
             == sp.u_spinor(REP, (-1, 1, -1))
-
-
-def _dense_matmul(a, b):
-    """Reference product over every entry, zero or not."""
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))),
-                           sp.GQ(0))
-                       for j in range(len(b[0]))) for i in range(len(a)))
-
-
-def _dense_matvec(a, v):
-    return tuple(sum((a[i][k] * v[k] for k in range(len(v))), sp.GQ(0))
-                 for i in range(len(a)))
 
 
 def _dense_herm(x, y):
@@ -93,20 +82,23 @@ def _random_gq_matrix(rng, rows, cols, zero_row=None, zero_col=None):
 
 
 class TestSparseKernels:
-    """The zero-skipping kernels agree with the dense products exactly."""
+    """The sparse-row kernels agree with the dense products exactly."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matmul_matvec_herm_random(self, seed):
         rng = random.Random(seed)
         a = _random_gq_matrix(rng, 5, 6, zero_row=2)
         b = _random_gq_matrix(rng, 6, 4, zero_col=1)
-        prod = sp.matmul(a, b)
-        assert prod == _dense_matmul(a, b)
-        assert all(x.is_zero for x in prod[2])
-        assert all(row[1].is_zero for row in prod)
+        prod = sp.matmul(dc.rows_of(a), dc.rows_of(b))
+        assert prod == dc.rows_of(dc.matmul(a, b))
+        assert prod[2] == {}
+        assert all(1 not in row for row in prod)
         for col in range(4):
             v = tuple(row[col] for row in b)
-            assert sp.matvec(a, v) == _dense_matvec(a, v)
+            assert sp.rows_apply(dc.rows_of(a), v) == dc.matvec(a, v)
+        c = sp.GQ(F(2, 3), -1)
+        assert sp.rows_scale(dc.rows_of(a), c) \
+            == dc.rows_of(dc.mat_scale(a, c))
         x, y = a[0], a[1]
         assert sp.herm(x, y) == _dense_herm(x, y)
         assert sp.herm(a[2], y) == sp.GQ(0)
@@ -114,20 +106,26 @@ class TestSparseKernels:
     def test_zero_operands(self):
         z = tuple(tuple(sp.GQ(0) for _ in range(3)) for _ in range(3))
         a = _random_gq_matrix(random.Random(9), 3, 3)
-        assert sp.matmul(z, a) == z and sp.matmul(a, z) == z
-        assert sp.matvec(a, z[0]) == z[0]
+        zr, ar = dc.rows_of(z), dc.rows_of(a)
+        assert zr == [{}, {}, {}]
+        assert sp.matmul(zr, ar) == zr and sp.matmul(ar, zr) == zr
+        assert sp.rows_scale(ar, 0) == zr
+        assert sp.rows_apply(ar, z[0]) == z[0]
         assert sp.herm(z[0], a[0]) == sp.GQ(0)
 
     def test_generator_products(self):
-        g = REP.gens
+        g, w = dc.generators(3), REP.words
+        rows = [sp.word_rows([(1, x)], REP.dim) for x in w]
         for mu in range(7):
             for nu in range(7):
-                assert sp.matmul(g[mu], g[nu]) == _dense_matmul(g[mu], g[nu])
+                assert sp.matmul(rows[mu], rows[nu]) \
+                    == dc.rows_of(dc.matmul(g[mu], g[nu]))
         u = sp.u_spinor(REP, (1, -1, 1))
-        word = sp.matmul(sp.matmul(g[1], g[4]), g[6])
-        assert sp.matvec(word, u) == _dense_matvec(word, u)
-        assert sp.herm(u, sp.matvec(word, u)) \
-            == _dense_herm(u, _dense_matvec(word, u))
+        dense = dc.matmul(dc.matmul(g[1], g[4]), g[6])
+        word = sp.matmul(sp.matmul(rows[1], rows[4]), rows[6])
+        assert sp.rows_apply(word, u) == dc.matvec(dense, u)
+        assert sp.herm(u, sp.rows_apply(word, u)) \
+            == _dense_herm(u, dc.matvec(dense, u))
 
     def test_gq_keeps_fraction_arguments(self):
         # parts are exact: int when integral, Fraction otherwise, never float
@@ -150,24 +148,17 @@ class TestSparseKernels:
     def test_rep_is_cached_and_frozen(self):
         assert sp.build_rep(3) is sp.build_rep(3)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            sp.build_rep(3).gens = ()
-        assert len(sp.build_rep(3).gens) == 7
-
-
-def _dense_chain(rep, idx):
-    """Dense product e_idx[0] ... e_idx[-1] of the generator matrices."""
-    out = sp.eye(rep.dim)
-    for mu in idx:
-        out = sp.matmul(out, rep.gens[mu - 1])
-    return out
+            sp.build_rep(3).words = ()
+        assert len(sp.build_rep(3).words) == 7
 
 
 def _dense_form_matrix(rep, form):
     """Clifford action of a form as a sum of scaled dense chains."""
-    out = tuple((sp.GQ(0),) * rep.dim for _ in range(rep.dim))
+    gens = dc.generators(rep.m)
+    out = dc.mat_scale(dc.eye(rep.dim), sp.GQ(0))
     for idx, c in form.terms.items():
-        out = sp.mat_add(out, sp.mat_scale(_dense_chain(rep, idx),
-                                           c.as_fraction()))
+        out = dc.mat_add(out, dc.mat_scale(dc.chain(gens, idx),
+                                           sp.GQ(c.as_fraction())))
     return out
 
 
@@ -179,11 +170,11 @@ def _fraction_projectors(rep, phi_form):
     eigs = [sp.GQ(0, -(2 * r - m)) for r in range(m + 1)]
     out = []
     for r in range(m + 1):
-        p = sp.eye(n)
+        p = dc.eye(n)
         for r2 in range(m + 1):
             if r2 != r:
-                num = sp.mat_add(a, sp.mat_scale(sp.eye(n), -eigs[r2]))
-                p = sp.matmul(p, sp.mat_scale(
+                num = dc.mat_add(a, dc.mat_scale(dc.eye(n), -eigs[r2]))
+                p = dc.matmul(p, dc.mat_scale(
                     num, sp.GQ(1) / (eigs[r] - eigs[r2])))
         out.append(p)
     return out
@@ -195,23 +186,24 @@ class TestWords:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_words_up_to_length_three(self, m):
         rep = sp.build_rep(m)
+        gens = dc.generators(m)
         rng = random.Random(m)
         v = tuple(sp.GQ(F(rng.randint(-5, 5), rng.randint(1, 3)),
                         rng.randint(-5, 5)) for _ in range(rep.dim))
-        gens = range(1, 2 * m + 2)
         for length in range(4):
-            for idx in itertools.product(gens, repeat=length):
-                w, dense = rep.word(idx), _dense_chain(rep, idx)
-                assert sp.word_apply(w, v) == sp.matvec(dense, v), idx
+            for idx in itertools.product(range(1, 2 * m + 2), repeat=length):
+                w, dense = rep.word(idx), dc.chain(gens, idx)
+                assert sp.word_apply(w, v) == dc.matvec(dense, v), idx
                 assert sp.word_rows([(1, w)], rep.dim) \
-                    == [dict(sp._nonzero(row)) for row in dense], idx
-                assert sp.monomial_word(dense) == w
+                    == dc.rows_of(dense), idx
+                assert dc.word_of(dense) == w
 
     def test_form_matrices_match_dense_chains(self):
         f = su3_frame_forms(CF)
         for form in (f["Om+"], f["Om-"], sp.sigma_fundamental_form(CF, 3),
                      F(1, 3) * f["Om+"] - sp.sigma_fundamental_form(CF, 3)):
-            assert REP.form_matrix(form) == _dense_form_matrix(REP, form)
+            assert REP.form_matrix(form) \
+                == dc.rows_of(_dense_form_matrix(REP, form))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_projectors_match_fraction_product(self, m):
@@ -219,15 +211,17 @@ class TestWords:
         form = sp.sigma_fundamental_form(Coframe(TAB, 2 * m + 1), m)
         dec = sp.sigma_decompose(rep, form, 1)
         assert len(dec.projectors) == m + 1
-        assert dec.projectors == _fraction_projectors(rep, form)
+        assert dec.projectors \
+            == [dc.rows_of(p) for p in _fraction_projectors(rep, form)]
 
     def test_monomial_word_refuses_other_matrices(self):
-        g = REP.gens[0]
-        for bad in (sp.mat_scale(g, 2), sp.mat_scale(g, sp.GQ(3, 4) / 5),
-                    sp.mat_add(g, REP.gens[1]),
-                    tuple((sp.GQ(0),) * 8 for _ in range(8))):
-            with pytest.raises(AlgebraError):
-                sp.monomial_word(bad)
+        # the dense reference reads words only off monomial matrices
+        g = dc.generators(3)
+        for bad in (dc.mat_scale(g[0], sp.GQ(2)),
+                    dc.mat_scale(g[0], sp.GQ(3, 4) / 5),
+                    dc.mat_add(g[0], g[1]), dc.mat_scale(g[0], sp.GQ(0))):
+            with pytest.raises(ValueError):
+                dc.word_of(bad)
 
 
 class TestSigma:
@@ -241,14 +235,24 @@ class TestSigma:
         dec = sp.sigma_decompose(rep2, sp.sigma_fundamental_form(cf5, 2), 1)
         assert dec.dims == [1, 2, 1]
 
+    def test_wrong_inputs_refused(self):
+        # 2 phi has eigenvalues -2i(2r - 3); e_2 does not commute with
+        # phi; -phi swaps Sigma_r with Sigma_{3-r}, against the Reeb signs
+        phi = sp.sigma_fundamental_form(CF, 3)
+        for form, xi, match in ((2 * phi, 1, "eigenvalue check"),
+                                (phi, 2, "Reeb eigenvalue"),
+                                (-phi, 1, "Reeb eigenvalue")):
+            with pytest.raises(AlgebraError, match=match):
+                sp.sigma_decompose(REP, form, xi)
+
     def test_membership(self):
         assert sp.sigma_membership(REP, sp.sigma_fundamental_form(CF, 3))
 
     def test_sigma0_identity(self):
         psi = sp.canonical_su3_spinor(REP)
         m = REP.form_matrix(sp.sigma_fundamental_form(CF, 3))
-        assert sp.matvec(m, psi) \
-            == sp.vec_scale(sp.matvec(REP.gens[0], psi), sp.GQ(-3))
+        assert sp.rows_apply(m, psi) \
+            == sp.vec_scale(sp.word_apply(REP.words[0], psi), sp.GQ(-3))
 
 
 class TestOmegaAction:
@@ -257,8 +261,8 @@ class TestOmegaAction:
         psi = sp.canonical_su3_spinor(REP)
         bar = sp.vec_conj(psi)
         mp = REP.form_matrix(f["Om+"])
-        assert sp.matvec(mp, psi) == sp.vec_scale(bar, sp.GQ(0, -4))
-        assert sp.matvec(mp, bar) == sp.vec_scale(psi, sp.GQ(0, 4))
+        assert sp.rows_apply(mp, psi) == sp.vec_scale(bar, sp.GQ(0, -4))
+        assert sp.rows_apply(mp, bar) == sp.vec_scale(psi, sp.GQ(0, 4))
 
     def test_middle_annihilated(self):
         f = su3_frame_forms(CF)
@@ -267,16 +271,16 @@ class TestOmegaAction:
         for eps in ((1, 1, -1), (1, -1, 1), (-1, 1, 1),
                     (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
             u = sp.u_spinor(REP, eps)
-            assert all(x.is_zero for x in sp.matvec(mp, u))
-            assert all(x.is_zero for x in sp.matvec(mm, u))
+            assert all(x.is_zero for x in sp.rows_apply(mp, u))
+            assert all(x.is_zero for x in sp.rows_apply(mm, u))
 
     def test_minus_constants_with_recorded_sign(self):
         f = su3_frame_forms(CF)
         psi = sp.canonical_su3_spinor(REP)
         bar = sp.vec_conj(psi)
         mm = REP.form_matrix(f["Om-"])
-        assert sp.matvec(mm, psi) == sp.vec_scale(bar, sp.GQ(4))
-        assert sp.matvec(mm, bar) == sp.vec_scale(psi, sp.GQ(4))
+        assert sp.rows_apply(mm, psi) == sp.vec_scale(bar, sp.GQ(4))
+        assert sp.rows_apply(mm, bar) == sp.vec_scale(psi, sp.GQ(4))
 
 
 class TestReconstruction:
@@ -389,28 +393,28 @@ class TestSp1Suite:
 
 class TestRealStructure:
     def test_charge_conjugation(self):
-        c = sp.charge_conjugation(REP)
-        assert sp.matmul(c, c) == sp.eye(8)
-        assert all(c[i][j] == c[j][i] and c[i][j].im == 0
-                   for i in range(8) for j in range(8))
+        c, g = dc.charge_conjugation(), dc.generators(3)
+        assert dc.word_of(c) == sp.charge_conjugation(REP)
+        assert dc.matmul(c, c) == dc.eye(8)
+        assert c == dc.transpose(c) and all(x.im == 0 for r in c for x in r)
         for mu in range(7):
-            g = REP.gens[mu]
-            gt = tuple(tuple(g[j][i] for j in range(8)) for i in range(8))
-            assert sp.matmul(c, g) == sp.mat_scale(sp.matmul(gt, c), -1)
+            assert dc.matmul(c, g[mu]) \
+                == dc.mat_scale(dc.matmul(dc.transpose(g[mu]), c), -1)
         assert sp.charge_conjugation_holds(REP)
         # relabelling the basis by a cyclic shift keeps the relations but
         # not C rho = -rho^T C for the fixed C
         shift = tuple(tuple(sp.GQ(int(j == (i + 1) % 8)) for j in range(8))
                       for i in range(8))
-        back = tuple(tuple(shift[j][i] for j in range(8)) for i in range(8))
-        moved = dataclasses.replace(REP, gens=tuple(
-            sp.matmul(sp.matmul(shift, g), back) for g in REP.gens))
+        moved = dataclasses.replace(REP, words=tuple(
+            dc.word_of(dc.matmul(dc.matmul(shift, x), dc.transpose(shift)))
+            for x in g))
+        assert moved.words != REP.words
         assert sp.clifford_relations_hold(moved)
         assert not sp.charge_conjugation_holds(moved)
 
     def test_charge_word_cached(self):
-        # derived once per representation, not on every is_majorana call
-        assert REP.charge_word == sp.monomial_word(sp.charge_conjugation(REP))
+        # built once per representation, not on every is_majorana call
+        assert REP.charge_word == sp.charge_conjugation(REP)
         assert REP.charge_word is REP.charge_word
 
     def test_j_is_antilinear_involution(self):
@@ -445,7 +449,7 @@ class TestRealStructure:
         vs = sp.majorana_v_basis(REP)
         for mu in range(7):
             for k in range(8):
-                lhs = sp.matvec(REP.gens[mu], vs[k])
+                lhs = sp.word_apply(REP.words[mu], vs[k])
                 rhs = (sp.GQ(0),) * 8
                 for ell in range(8):
                     if rr[mu][ell][k]:
