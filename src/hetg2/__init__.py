@@ -19,6 +19,14 @@ __all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 
+# Each name below is read by the driver and by one other module; it is kept
+# here so that the driver reads it without importing that module.
+PARAM_KEYS = ("alpha", "delta", "alphap")  # the --params keys
+# the spinor names of ``show``; ``spinor.spinor_registry`` has one entry each
+SPINOR_LABELS = (*(f"psi{i}.sp1" for i in range(4)), "u(1,1,1)",
+                 "u(-1,-1,-1)", "u(1,1,-1)", "u(1,-1,1)", "u(-1,1,1)",
+                 *(f"v{k}" for k in range(1, 9)), "Psi.su3")
+
 
 def __getattr__(name: str):
     if name not in _EXPORTS:

@@ -11,7 +11,7 @@ defining relations via pseudo-remainders.  No tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from typing import Optional
@@ -43,12 +43,9 @@ def basis_4forms(ring) -> list[GenForm]:
             ring.eta().wedge(ring.Om("-"))]
 
 
-@dataclass
-class BianchiResidual:
-    geometry: str
-    ring: object
-    genform: GenForm
-    basis: list
+class BianchiResidual(namedtuple("BianchiResidual",
+                                 "geometry ring genform basis")):
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -71,10 +68,8 @@ def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
     return BianchiResidual(geometry, ring, gf, basis_4forms(ring))
 
 
-@dataclass
-class ConstraintSystem:
-    geometry: str
-    polynomials: list
+class ConstraintSystem(namedtuple("ConstraintSystem", "geometry polynomials")):
+    __slots__ = ()
 
     def substituted(self, bindings) -> list[Scalar]:
         return [p.subs(bindings) for p in self.polynomials]
@@ -113,8 +108,9 @@ def constraint_system(geometry: str) -> ConstraintSystem:
         residual(geometry, table.sym("lam1"), table.sym("lam2")))
 
 
-@dataclass
-class SolutionBranch:
+class SolutionBranch(namedtuple(
+        "SolutionBranch", "branch_id bindings hypotheses samples expect_zero "
+        "conditional_pair", defaults=(True, None))):
     """One solution family: bindings, defining relations, sign samples.
 
     ``hypotheses`` are (polynomial, main variable) pairs; a constraint holds
@@ -122,27 +118,19 @@ class SolutionBranch:
     ``samples`` are rational points satisfying bindings, hypotheses and the
     branch's sign conditions (a' > 0 and the stated parameter ranges), used
     for fully numeric confirmation of closed-form root expressions.
+    ``conditional_pair`` is (h2 poly, its variable) for case ii.
     """
 
-    branch_id: str
-    bindings: dict
-    hypotheses: list
-    samples: list
-    expect_zero: bool = True
-    conditional_pair: Optional[tuple] = None  # (h1 var, h2 poly) for case ii
+    __slots__ = ()
 
     @property
     def geometry(self) -> str:
         return self.branch_id.split(".")[0]
 
 
-@dataclass
-class BranchReport:
-    branch_id: str
-    status: str
-    residuals: list
-    notes: str = ""
-    hypotheses: list = field(default_factory=list)
+class BranchReport(namedtuple("BranchReport",
+                              "branch_id status residuals notes hypotheses")):
+    __slots__ = ()
 
     def as_record(self) -> dict:
         """Per-branch payload: id, hypotheses, residual normal form, status."""
@@ -284,13 +272,9 @@ def branches() -> list[SolutionBranch]:
     return out
 
 
-@dataclass
-class ImpossibilityReport:
-    status: str
-    eliminant: Scalar
-    quadratic_factor: Scalar
-    discriminant: Scalar
-    notes: str
+ImpossibilityReport = namedtuple(
+    "ImpossibilityReport",
+    "status eliminant quadratic_factor discriminant notes")
 
 
 def sasaki_3alpha_impossibility() -> ImpossibilityReport:
@@ -328,13 +312,9 @@ def sasaki_3alpha_impossibility() -> ImpossibilityReport:
         "discriminant -432(lam1-2)^2; lam2 = lam1 forces 4 = 0")
 
 
-@dataclass
-class ApproxOrderReport:
-    geometry: str
-    leading_order: Optional[int]
-    required_order: int
-    status: str
-    norm_sq_text: str
+ApproxOrderReport = namedtuple(
+    "ApproxOrderReport",
+    "geometry leading_order required_order status norm_sq_text")
 
 
 def approx_order_report(geometry: str, scaling: dict,

@@ -10,7 +10,7 @@ closed forms are checked against a first-principles computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional
@@ -35,7 +35,6 @@ def beta_of(ring: Ring3ad) -> Scalar:
     return 2 * (ring.delta - 2 * ring.alpha)
 
 
-@dataclass
 class TorsionLambda3ad:
     """Torsion data of the deformed 3-contact connection.
 
@@ -51,17 +50,15 @@ class TorsionLambda3ad:
     At lam = 0 all three agree with the canonical skew torsion.
     """
 
-    ring: Ring3ad
-    lam: Scalar
-    vertical_coeff: Scalar = field(init=False)
-    value_vertical_coeff: Scalar = field(init=False)
-    arg_vertical_coeff: Scalar = field(init=False)
+    __slots__ = ("ring", "lam", "vertical_coeff", "value_vertical_coeff",
+                 "arg_vertical_coeff")
 
-    def __post_init__(self):
-        r = self.ring
-        self.vertical_coeff = 2 * (r.delta - 4 * r.alpha) + 2 * self.lam
-        self.value_vertical_coeff = 2 * r.alpha
-        self.arg_vertical_coeff = 2 * r.alpha - self.lam / 2
+    def __init__(self, ring: Ring3ad, lam: Scalar):
+        self.ring = ring
+        self.lam = lam
+        self.vertical_coeff = 2 * (ring.delta - 4 * ring.alpha) + 2 * lam
+        self.value_vertical_coeff = 2 * ring.alpha
+        self.arg_vertical_coeff = 2 * ring.alpha - lam / 2
 
     def is_skew(self) -> bool:
         return (self.value_vertical_coeff - self.arg_vertical_coeff).is_zero
@@ -93,7 +90,6 @@ def contorsion_3ad(phi: Form, lam: Fraction) -> dict:
     return out
 
 
-@dataclass
 class CurvOp:
     """Curvature operator as block coefficients plus the opaque remainder.
 
@@ -102,11 +98,15 @@ class CurvOp:
     (+ R2), with a single hermitian form in the contact case.
     """
 
-    geometry: str
-    ring: object
-    lam: Scalar
-    blocks: dict
-    has_r2: bool = True
+    __slots__ = ("geometry", "ring", "lam", "blocks", "has_r2")
+
+    def __init__(self, geometry: str, ring, lam: Scalar, blocks: dict,
+                 has_r2: bool = True):
+        self.geometry = geometry
+        self.ring = ring
+        self.lam = lam
+        self.blocks = blocks
+        self.has_r2 = has_r2
 
     def block(self, fb: str, eb: str) -> Scalar:
         return self.blocks.get((fb, eb), self.ring.table.zero())
@@ -180,8 +180,8 @@ def curvature_su3(ring: RingSU3, lam: Scalar, variant: str = "derived") -> CurvO
     return CurvOp("su3", ring, lam, {("H", "H"): k}, has_r2=True)
 
 
-@dataclass
-class Obstruction:
+class Obstruction(namedtuple("Obstruction", "geometry terms norm_sq "
+                              "norm_sq_natural zero_factors")):
     """R ^ psi as an endomorphism-valued 6-form plus norms and factors.
 
     terms: list of (form part as GenForm, endomorphism label).  The
@@ -189,11 +189,7 @@ class Obstruction:
     (contact case); coefficients sit inside the form parts.
     """
 
-    geometry: str
-    terms: list
-    norm_sq: Scalar
-    norm_sq_natural: Scalar
-    zero_factors: list
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -242,12 +238,14 @@ def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
     return Obstruction("su3", [(term, "phi")], cal * nat, nat, factors)
 
 
-@dataclass
 class TraceForm:
     """tr(R ^ R') = explicit 4-form + rho2 * (formal tr(R2 ^ R2) token)."""
 
-    explicit: GenForm
-    rho2: Scalar
+    __slots__ = ("explicit", "rho2")
+
+    def __init__(self, explicit: GenForm, rho2: Scalar):
+        self.explicit = explicit
+        self.rho2 = rho2
 
     def __sub__(self, other: "TraceForm") -> "TraceForm":
         return TraceForm(self.explicit - other.explicit, self.rho2 - other.rho2)

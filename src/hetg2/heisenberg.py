@@ -12,7 +12,7 @@ closed-form curvature module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -27,13 +27,15 @@ VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
 
 
-@dataclass
 class LieModel:
     """Left-invariant frame data: coframe, de-table and structure constants."""
 
-    coframe: Coframe
-    de: dict           # index -> Form (exterior derivative of e^i)
-    c: dict            # (mu, nu) -> dict target -> rational, brackets
+    __slots__ = ("coframe", "de", "c")
+
+    def __init__(self, coframe: Coframe, de: dict, c: dict):
+        self.coframe = coframe
+        self.de = de  # index -> Form (exterior derivative of e^i)
+        self.c = c    # (mu, nu) -> dict target -> rational, brackets
 
     def bracket(self, mu: int, nu: int) -> dict:
         return self.c.get((mu, nu), {})
@@ -412,10 +414,7 @@ def spin_connection_action(conn: Connection, rep, x: int) -> list:
     return terms
 
 
-@dataclass
-class KillingCheck:
-    name: str
-    holds: bool
+KillingCheck = namedtuple("KillingCheck", "name holds")
 
 
 # The Clifford action is only defined up to a global sign of all generator
@@ -492,14 +491,9 @@ def _leibniz_compatible(conn: Connection, rep, nabla) -> bool:
 # the end-to-end theorem check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TheoremReport:
-    status: str
-    instanton_zero: bool
-    flat_parallel: bool
-    bianchi_residual: Form
-    torsion_classes_ok: bool
-    notes: str
+TheoremReport = namedtuple(
+    "TheoremReport", "status instanton_zero flat_parallel bianchi_residual "
+    "torsion_classes_ok notes")
 
 
 @cache

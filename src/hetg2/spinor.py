@@ -33,12 +33,13 @@ Convention notes, fixed once and verified exhaustively by the test suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, partial
 from itertools import combinations
 from typing import Sequence
 
+from . import SPINOR_LABELS
 from .exterior import (Coframe, Form, basis_multi_indices, coefficient_matrix,
                        derivation)
 from .scalar import AlgebraError, exact
@@ -243,7 +244,6 @@ def matmul(a: list, b: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class CliffordRep:
     """Generator words of the 2^m-dimensional complex representation.
 
@@ -255,18 +255,27 @@ class CliffordRep:
     The e_1 convention is kept; the sign is reported, not hidden.
     """
 
-    m: int
-    words: tuple  # words[mu-1] = rho(e_mu), 2m+1 words
-    volume_sign: int = -1
+    __slots__ = ("m", "words", "volume_sign", "_charge_word")
+
+    def __init__(self, m: int, words: tuple, volume_sign: int = -1):
+        # frozen: build_rep shares one representation per m
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "words", words)  # rho(e_mu) = words[mu-1]
+        object.__setattr__(self, "volume_sign", volume_sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def dim(self) -> int:
         return 2 ** self.m
 
-    @cached_property
+    @property
     def charge_word(self) -> tuple:
         """The word of the charge conjugation C, built once."""
-        return charge_conjugation(self)
+        if not hasattr(self, "_charge_word"):
+            object.__setattr__(self, "_charge_word", charge_conjugation(self))
+        return self._charge_word
 
     def word(self, idx) -> tuple:
         """The word of the ordered product e_idx[0] ... e_idx[-1]."""
@@ -535,10 +544,7 @@ def sigma_fundamental_form(coframe: Coframe, m: int) -> Form:
     return coframe.form(terms)
 
 
-@dataclass
-class SigmaDecomposition:
-    projectors: list
-    dims: list
+SigmaDecomposition = namedtuple("SigmaDecomposition", "projectors dims")
 
 
 def sigma_decompose(rep: CliffordRep, phi_form: Form,
@@ -654,11 +660,8 @@ SP1_IDENTITY_SIGNS = {
 }
 
 
-@dataclass
-class IdentityCheck:
-    name: str
-    holds: bool
-    sign: int  # +1: quoted sign, -1: quoted identity with a sign flip
+# sign: +1 at the quoted sign, -1 for the quoted identity with a sign flip
+IdentityCheck = namedtuple("IdentityCheck", "name holds sign")
 
 
 def _eqv(a, b) -> bool:
@@ -881,19 +884,22 @@ def spinor_registry() -> dict:
     """Spinors of the m = 3 representation addressable by label from the
     command line.
 
-    Each label maps to a zero-argument builder, so looking a label up builds
-    neither the representation nor any spinor.
+    Each label of ``SPINOR_LABELS`` maps to a zero-argument builder, so
+    looking a label up builds neither the representation nor any spinor.
     """
-    def rep():
-        return build_rep(3)
-    reg = {f"psi{i}.sp1": lambda i=i: sp1_spinors(rep())[i] for i in range(4)}
-    for eps in ((1, 1, 1), (-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
-        label = "u(" + ",".join(str(e) for e in eps) + ")"
-        reg[label] = lambda eps=eps: u_spinor(rep(), eps)
-    for k in range(8):
-        reg[f"v{k + 1}"] = lambda k=k: majorana_v_basis(rep())[k]
-    reg["Psi.su3"] = lambda: canonical_su3_spinor(rep())
-    return reg
+    return {label: partial(_labelled_spinor, label)
+            for label in SPINOR_LABELS}
+
+
+def _labelled_spinor(label: str):
+    rep = build_rep(3)
+    if label.startswith("psi"):  # psi<i>.sp1
+        return sp1_spinors(rep)[int(label[3])]
+    if label.startswith("u("):  # u(e1,e2,e3)
+        return u_spinor(rep, tuple(map(int, label[2:-1].split(","))))
+    if label.startswith("v"):  # v1 .. v8
+        return majorana_v_basis(rep)[int(label[1:]) - 1]
+    return canonical_su3_spinor(rep)  # Psi.su3
 
 
 def majorana_family_form(rep: CliffordRep, plus, minus, degree: int,

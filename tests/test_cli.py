@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hetg2 import bianchi, cli, heisenberg, spinor, structures
+from hetg2 import SPINOR_LABELS, bianchi, cli, heisenberg, spinor, \
+    structures, suites
 from hetg2.cli import main, parse_params, render_json, report_payload, \
     run_suite
 from hetg2.spinor import spinor_registry
@@ -96,15 +97,16 @@ print(json.dumps(counts))
 """
 
 
-# Runs three commands in one fresh interpreter and prints the hetg2 modules,
-# and the stdlib modules that only the domain needs, loaded after each step.
+# Runs four commands in one fresh interpreter and prints the hetg2 modules,
+# and the stdlib modules that only some commands need, loaded after each
+# step.
 IMPORT_HYGIENE_SCRIPT = """
 import contextlib, io, sys
 
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("hetg2")
-                  or m in ("dataclasses", "json"))
+                  or m in ("dataclasses", "fractions", "inspect", "json"))
 
 
 steps = {}
@@ -115,10 +117,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     steps["list"] = loaded()
     assert hetg2.cli.main(["show", "--name", "Tc.3ad"]) == 0
     steps["show"] = loaded()
+    assert hetg2.cli.main(["verify", "--suite", "su3"]) == 0
+    steps["verify"] = loaded()
 from hetg2 import Scalar, Form, prem
 steps["names"] = [Scalar.__module__, Form.__module__, prem.__module__]
 import json
 print(json.dumps(steps))
+"""
+
+# Shows one spinor in a fresh interpreter and prints the hetg2 modules loaded.
+SPINOR_SHOW_SCRIPT = """
+import contextlib, io, json, sys
+import hetg2.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hetg2.cli.main(["show", "--name", "v1"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("hetg2"))))
 """
 
 # Runs the heisenberg suite in a fresh interpreter, so that no connection or
@@ -192,6 +205,15 @@ class TestParams:
         with pytest.raises(ValueError):
             parse_params("alpha")
 
+    def test_repeated_key_refused(self, capsys):
+        # the first binding was silently dropped: the run passed at alpha = 2
+        with pytest.raises(ValueError, match="'alpha' given twice"):
+            parse_params("alpha=1,alpha=2,delta=0,alphap=1/48")
+        assert main(["verify", "--suite", "bianchi", "--params",
+                     "alpha=1,alpha=2,delta=0,alphap=1/48"]) == 2
+        assert capsys.readouterr().err \
+            == "error: parameter 'alpha' given twice\n"
+
 
 class TestSuites:
     def test_each_suite_green(self):
@@ -236,7 +258,7 @@ class TestSuites:
         # and GQ, under the same storage rule
         def stored(q):
             return type(q) is int or (type(q) is F and q.denominator != 1)
-        lams = cli.SuiteHeisenberg({}).lams
+        lams = suites.SuiteHeisenberg({}).lams
         assert len(lams) == 7
         conns = [heisenberg.levi_civita(), heisenberg.canonical_connection()]
         conns += [heisenberg.connection_lambda(lam) for lam in lams]
@@ -280,11 +302,11 @@ class TestSuites:
 
     def test_raising_check_fails_alone(self, all_records, monkeypatch,
                                        tmp_path, capsys):
-        idx = next(i for i, c in enumerate(cli.Suite3ad.checks)
+        idx = next(i for i, c in enumerate(suites.Suite3ad.checks)
                    if c.check_id == "3ad.torsion.inner")
-        checks = list(cli.Suite3ad.checks)
+        checks = list(suites.Suite3ad.checks)
         checks[idx] = checks[idx]._replace(fn=boom)
-        monkeypatch.setattr(cli.Suite3ad, "checks", tuple(checks))
+        monkeypatch.setattr(suites.Suite3ad, "checks", tuple(checks))
         path = tmp_path / "report.json"
         assert main(["verify", "--suite", "all", "--json", str(path)]) == 1
         assert "ZeroDivisionError: boom" in capsys.readouterr().err
@@ -375,9 +397,9 @@ class TestDriver:
 
     def test_list(self, capsys, monkeypatch):
         # --list evaluates no check body and runs no suite
-        for suite in cli.SUITE_CLASSES.values():
+        for suite in suites.SUITE_CLASSES.values():
             monkeypatch.setattr(suite, "checks", tuple(
-                c._replace(fn=boom) if isinstance(c, cli.Check)
+                c._replace(fn=boom) if isinstance(c, suites.Check)
                 else (lambda c=c: [d._replace(fn=boom) for d in c()])
                 for c in suite.checks))
         for name in cli.SUITE_FUNCS:
@@ -387,20 +409,31 @@ class TestDriver:
 
     def test_commands_import_only_what_they_use(self):
         steps = run_script(IMPORT_HYGIENE_SCRIPT)
-        # the driver alone: no domain module, no dataclasses and no json
+        # the driver alone: no domain module, no check declaration, no
+        # dataclasses, fractions or json
         assert steps["import"] == ["hetg2", "hetg2.cli"]
-        # --list evaluates and imports nothing from the domain
-        assert steps["list"] == ["hetg2", "hetg2.cli"]
+        # --list reads the declarations and imports nothing from the domain
+        assert steps["list"] == ["fractions", "hetg2", "hetg2.cli",
+                                 "hetg2.suites"]
         # a form needs structures (and what it imports), not spinor
         assert "hetg2.structures" in steps["show"]
         assert not {"hetg2.spinor", "hetg2.bianchi", "hetg2.curvature",
                     "dataclasses"} & set(steps["show"])
+        # a suite runs no generated dataclass code
+        assert not {"dataclasses", "inspect"} & set(steps["verify"])
         # the package's names are still served, from their modules
         assert steps["names"] == ["hetg2.scalar", "hetg2.exterior",
                                   "hetg2.scalar"]
+        # a spinor needs spinor (and what it imports), not the form
+        # registry, its solver or the declarations
+        loaded = run_script(SPINOR_SHOW_SCRIPT)
+        assert "hetg2.spinor" in loaded
+        assert not {"hetg2.structures", "hetg2.linsolve",
+                    "hetg2.suites"} & set(loaded)
 
     def test_branch_claims_follow_the_branch_data(self):
-        assert [b.branch_id for b in bianchi.branches()] == list(cli.BRANCHES)
+        assert [b.branch_id for b in bianchi.branches()] \
+            == list(suites.BRANCHES)
 
     def test_show(self, capsys):
         assert main(["show", "--name", "phi.canonical.3ad"]) == 0
@@ -439,6 +472,15 @@ class TestDriver:
         assert capsys.readouterr().err == UNKNOWN_NAME_ERR
         # a name is looked up in one registry only
         assert not set(spinor_registry()) & set(structures.registry())
+
+    def test_show_routes_spinor_labels(self, monkeypatch, capsys):
+        # a spinor label goes straight to the spinor registry, and a form
+        # name never does
+        assert list(spinor_registry()) == list(SPINOR_LABELS)
+        assert not set(structures.registry()) & set(SPINOR_LABELS)
+        monkeypatch.setattr(structures, "registry", boom)
+        for name in spinor_registry():
+            assert main(["show", "--name", name]) == 0
 
     def test_render_stable_under_reconstruction(self):
         payload = report_payload("su3", run_suite("su3", {}))

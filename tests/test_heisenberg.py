@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -17,10 +16,10 @@ class TestModel:
     def test_equations_predicate(self):
         assert hb.model_equations_hold(MODEL)
         # de^1 off the structure equation de^1 = 2 Phi_1^H
-        bad = dataclasses.replace(MODEL, de={**MODEL.de, 1: 3 * MODEL.de[1]})
+        bad = hb.LieModel(CF, {**MODEL.de, 1: 3 * MODEL.de[1]}, MODEL.c)
         assert not hb.model_equations_hold(bad)
         # de^4 = e^12 breaks d^2 = 0
-        bad = dataclasses.replace(MODEL, de={**MODEL.de, 4: CF.e(1, 2)})
+        bad = hb.LieModel(CF, {**MODEL.de, 4: CF.e(1, 2)}, MODEL.c)
         assert not hb.model_equations_hold(bad)
 
     def test_jacobi(self):

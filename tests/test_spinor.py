@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -35,7 +34,7 @@ class TestRep:
         # but flips the volume scalar
         for words in ((times_i,) + g[1:], (g[1],) + g[1:],
                       (negated,) + g[1:]):
-            bad = dataclasses.replace(rep, words=words)
+            bad = sp.CliffordRep(rep.m, words)
             assert not sp.clifford_relations_hold(bad)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -147,7 +146,7 @@ class TestSparseKernels:
 
     def test_rep_is_cached_and_frozen(self):
         assert sp.build_rep(3) is sp.build_rep(3)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             sp.build_rep(3).words = ()
         assert len(sp.build_rep(3).words) == 7
 
@@ -405,7 +404,7 @@ class TestRealStructure:
         # not C rho = -rho^T C for the fixed C
         shift = tuple(tuple(sp.GQ(int(j == (i + 1) % 8)) for j in range(8))
                       for i in range(8))
-        moved = dataclasses.replace(REP, words=tuple(
+        moved = sp.CliffordRep(REP.m, tuple(
             dc.word_of(dc.matmul(dc.matmul(shift, x), dc.transpose(shift)))
             for x in g))
         assert moved.words != REP.words
