@@ -5,7 +5,6 @@
 # that importing the package, or only its command line, imports no domain
 # module
 _EXPORTS = {
-    "AlgebraError": "scalar",
     "Coframe": "exterior",
     "DegreeError": "exterior",
     "Form": "exterior",
@@ -15,7 +14,14 @@ _EXPORTS = {
     "prem": "scalar",
 }
 
-__all__ = list(_EXPORTS)
+__all__ = ["AlgebraError", *_EXPORTS]
+
+
+# defined here, not in ``scalar``, so that ``spinor`` raises it without
+# importing ``scalar``; ``scalar`` re-exports it
+class AlgebraError(Exception):
+    """Base error for exact-algebra failures."""
+
 
 __version__ = "0.1.0"
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 
 from .curvature import contorsion_3ad, curvature_3ad
 from .exterior import Coframe, Form, basis_multi_indices, derivation
@@ -302,9 +303,14 @@ def _closed_form_in_lam() -> dict:
 def closed_form_curvature_array(lam: Fraction) -> dict:
     """The closed-form operator at (alpha, delta) = (1, 0) with R2 = 0."""
     lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
     out = {}
     for key, poly in _closed_form_in_lam().items():
-        v = exact(sum(c * lam ** k for k, c in poly.items()))
+        # sum c_k lam^k = sum c_k p^k q^(n-k) / q^n: int products and one
+        # Fraction per entry
+        n = max(poly)
+        v = exact(Fraction(sum(c * p ** k * q ** (n - k)
+                               for k, c in poly.items()), q ** n))
         if v:
             out[key] = v
     return out
@@ -319,7 +325,7 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
     """First Bianchi identity with parallel skew torsion.
 
     cyclic R(X,Y,Z,V) = cyclic g(T(X,Y), T(Z,V)) over (X, Y, Z), checked on
-    every frame quadruple.
+    every frame quadruple with X < Y < Z.
     """
     arr = conn.curvature
 
@@ -335,24 +341,28 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
 
     tvec = {}  # (x, y) -> {w: T(e_w; e_x, e_y)}, nonzero entries only
     for x in range(1, 8):
-        for y in range(1, 8):
+        tvec[(x, x)] = {}
+        for y in range(x + 1, 8):
             col = {w: torsion.coefficient((w, x, y)).as_rat()
                    for w in range(1, 8)}
             tvec[(x, y)] = {w: c for w, c in col.items() if c}
+            tvec[(y, x)] = {w: -c for w, c in tvec[(x, y)].items()}
 
     def dot(a, b):
         return sum(p * b[w] for w, p in a.items() if w in b)
 
-    for x in range(1, 8):
-        for y in range(1, 8):
-            for z in range(1, 8):
-                for v in range(1, 8):
-                    lhs = rc(x, y, z, v) + rc(y, z, x, v) + rc(z, x, y, v)
-                    rhs = (dot(tvec[(x, y)], tvec[(z, v)])
-                           + dot(tvec[(y, z)], tvec[(x, v)])
-                           + dot(tvec[(z, x)], tvec[(y, v)]))
-                    if lhs != rhs:
-                        return False
+    # rc and T(X, Y) are antisymmetric in (x, y) and in (z, v), so each side
+    # of the identity is alternating in (x, y, z): a transposition flips its
+    # sign and a repeated index makes it vanish.  The quadruples with
+    # x < y < z carry every equation; the others are their negatives or 0.
+    for x, y, z in combinations(range(1, 8), 3):
+        for v in range(1, 8):
+            lhs = rc(x, y, z, v) + rc(y, z, x, v) + rc(z, x, y, v)
+            rhs = (dot(tvec[(x, y)], tvec[(z, v)])
+                   + dot(tvec[(y, z)], tvec[(x, v)])
+                   + dot(tvec[(z, x)], tvec[(y, v)]))
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -470,8 +480,9 @@ def spin_killing_checks() -> list:
 
 
 def _leibniz_compatible(conn: Connection, rep, nabla) -> bool:
-    """[Omega(X), rho(Z)] = rho(nabla_X Z) on every frame pair, compared as
-    sparse rows of word combinations."""
+    """[Omega(X), rho(Z)] = rho(nabla_X Z) on every frame pair: the sparse
+    rows of the word combination [Omega(X), rho(Z)] - rho(nabla_X Z) are
+    empty."""
     for x in range(1, 8):
         for z in range(1, 8):
             g = rep.words[z - 1]
@@ -480,9 +491,10 @@ def _leibniz_compatible(conn: Connection, rep, nabla) -> bool:
                 wg, gw = sp.word_mul(w, g), sp.word_mul(g, w)
                 if wg != gw:
                     comm += [(c, wg), (-c, gw)]
-            target = [(conn.L[x][w - 1][z - 1], rep.words[w - 1])
-                      for w in range(1, 8) if conn.L[x][w - 1][z - 1]]
-            if sp.word_rows(comm, rep.dim) != sp.word_rows(target, rep.dim):
+            # minus rho(nabla_X Z)
+            comm += [(-conn.L[x][w - 1][z - 1], rep.words[w - 1])
+                     for w in range(1, 8) if conn.L[x][w - 1][z - 1]]
+            if any(sp.word_rows(comm, rep.dim)):
                 return False
     return True
 

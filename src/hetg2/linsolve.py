@@ -2,7 +2,8 @@
 
 Matrix entries lie in one exact field: ``Fraction`` (``int`` entries are
 converted, since ``int / int`` would give a float) or the Gaussian rationals
-:class:`hetg2.spinor.GQ`.  A right-hand side may live in any ring that is a
+:class:`hetg2.spinor.GQ`, each held as an integer triple (a + b i) / d in
+lowest terms.  A right-hand side may live in any ring that is a
 module over that field (in particular :class:`hetg2.scalar.Scalar`), so a
 rational system can be solved with polynomial data carried along exactly.
 ``rref`` eliminates forward once; ``rank``, ``nullspace`` and
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalar import AlgebraError
+from . import AlgebraError
 
 
 class InconsistentSystemError(AlgebraError):

@@ -19,6 +19,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Union
 
+from . import AlgebraError  # re-exported
+
 Rat = Union[int, Fraction]
 
 
@@ -31,10 +33,6 @@ def exact(q: Rat) -> Rat:
         return q.numerator if q.denominator == 1 else q
     raise TypeError(f"exact coefficient must be int or Fraction, "
                     f"not {type(q).__name__}")
-
-
-class AlgebraError(Exception):
-    """Base error for exact-algebra failures."""
 
 
 class UnknownSymbolError(AlgebraError):

@@ -5,6 +5,14 @@ the Gaussian rationals; all spinor computations are exact.  Basis spinors are
 stored without the overall 1/sqrt(2)^m normalisation (bilinears divide by the
 squared norm, so every reconstructed coefficient is rational).
 
+A Gaussian rational ``GQ`` is (a + b i) / d held as three ints in lowest
+terms (d > 0, gcd(a, b, d) = 1), so that arithmetic is integer arithmetic
+with at most one gcd per result; ``re`` and ``im`` are derived, an int when
+integral and a Fraction otherwise, never a float.  The kernels that sum
+products (``word_herm``, ``herm``, ``rows_apply``, ``words_apply``,
+``matmul``, ``word_rows``) add the integer parts over one running
+denominator and build one ``GQ`` per result entry.
+
 Every generator is a signed permutation matrix with unit phases, one entry
 i^k per row, and so is every product of generators and the charge
 conjugation C.  ``CliffordRep.words`` holds the generators as *words*: a pair
@@ -12,12 +20,14 @@ conjugation C.  ``CliffordRep.words`` holds the generators as *words*: a pair
 mod 4.  Words compose, take Kronecker products and act on spinors in O(dim)
 by index lookups and part swaps, with no multiplication;
 ``clifford_relations_hold``, ``volume_action`` and the spinor bilinears work
-on words.  Every other operator (a form's Clifford action, an
-eigenprojector) is held as sparse rows, one {column: entry} dict per row:
-``word_rows`` turns a combination of words into sparse rows, and
-``rows_apply``, ``rows_scale`` and ``matmul`` act on them.  ``build_rep`` is
-cached per ``m``; the cached ``CliffordRep`` is frozen and shared by every
-caller in the process.
+on words, each bilinear herm(x, W y) read off the word by ``word_herm``
+without building W y.  ``CliffordRep.word`` builds the word of each
+product of generators once, from the word of its prefix.  Every other
+operator (a form's Clifford action, an eigenprojector) is held as sparse
+rows, one {column: entry} dict per row: ``word_rows`` turns a combination of
+words into sparse rows, and ``rows_apply``, ``rows_scale`` and ``matmul``
+act on them.  ``build_rep`` is cached per ``m``; the cached ``CliffordRep``
+is frozen and shared by every caller in the process.
 
 Convention notes, fixed once and verified exhaustively by the test suite:
 
@@ -36,75 +46,153 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, repeat
+from math import comb, gcd
+from typing import TYPE_CHECKING, Sequence
 
-from . import SPINOR_LABELS
-from .exterior import (Coframe, Form, basis_multi_indices, coefficient_matrix,
-                       derivation)
-from .scalar import AlgebraError, exact
+from . import SPINOR_LABELS, AlgebraError
+
+if TYPE_CHECKING:
+    from .exterior import Coframe, Form
 
 
 class GQ:
-    """Gaussian rational a + b i; each part is stored as by ``scalar.exact``."""
+    """Gaussian rational (a + b i) / d, held as three ints in lowest terms:
+    d > 0 and gcd(a, b, d) == 1, so equal values have equal triples.
 
-    __slots__ = ("re", "im")
+    ``re`` and ``im`` are derived, as ``scalar.exact`` stores a rational: an
+    ``int`` when integral, else a ``Fraction``.  An operation makes at most
+    one ``math.gcd`` call for its result, and none when its denominator is 1.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int else exact(re)
-        self.im = im if type(im) is int else exact(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        (p, e), (q, f) = _rat_parts(re), _rat_parts(im)
+        d = e * f // gcd(e, f)  # over the lcm the triple is in lowest terms
+        self.a, self.b, self.d = p * (d // e), q * (d // f), d
+
+    @property
+    def re(self):
+        return _exact(self.a, self.d)
+
+    @property
+    def im(self):
+        return _exact(self.b, self.d)
 
     def __add__(self, o):
-        o = _gq(o)
-        return GQ(self.re + o.re, self.im + o.im)
+        if type(o) is not GQ:
+            o = _gq(o)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a + o.a, self.b + o.b, d)
+        return _reduced(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __sub__(self, o):
-        o = _gq(o)
-        return GQ(self.re - o.re, self.im - o.im)
+        if type(o) is not GQ:
+            o = _gq(o)
+        d, e = self.d, o.d
+        if d == e:
+            return _reduced(self.a - o.a, self.b - o.b, d)
+        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e)
 
     def __rsub__(self, o):
         return _gq(o) - self
 
     def __mul__(self, o):
-        o = _gq(o)
-        return GQ(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        if type(o) is int:
+            return _reduced(self.a * o, self.b * o, self.d)
+        if type(o) is not GQ:
+            o = _gq(o)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = _gq(o)
-        n = Fraction(o.re * o.re + o.im * o.im)
-        if n == 0:
+        if type(o) is not GQ:
+            o = _gq(o)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("gaussian rational division by zero")
-        return GQ((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
+        # (a + b i)/d / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * o.d, (b * c - a * e) * o.d,
+                        self.d * n)
 
     def conj(self):
-        return GQ(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def __eq__(self, o):
-        o = _gq(o)
-        return self.re == o.re and self.im == o.im
+        if type(o) is not GQ:
+            o = _gq(o)
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a if self.d == 1 else Fraction(self.a, self.d))
 
     @property
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        return f"({re}{'+' if im >= 0 else '-'}{abs(im)}i)"
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GQ:
+    """The GQ of a triple already in lowest terms."""
+    x = _new(GQ)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GQ:
+    """The GQ (a + b i) / d for d > 0, by one gcd when d != 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    x = _new(GQ)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _exact(n: int, d: int):
+    """n / d as ``scalar.exact`` stores it: int when integral, else Fraction."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _rat_parts(x) -> tuple:
+    """(numerator, denominator) of an int or Fraction; anything else, a float
+    included, is refused as ``scalar.exact`` refuses it."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"exact coefficient must be int or Fraction, "
+                    f"not {type(x).__name__}")
 
 
 def _gq(x) -> GQ:
@@ -114,15 +202,35 @@ def _gq(x) -> GQ:
 
 
 I = GQ(0, 1)
+_ZERO = GQ(0)
+
+
+def word_herm(x: Sequence[GQ], w, y: Sequence[GQ]) -> GQ:
+    """herm(x, W y) for a word W = (perm, phase), read off the word without
+    building W y: the sum of conj(x_r) i^phase[r] y[perm[r]], its parts
+    summed as ints over one running denominator."""
+    perm, phase = w
+    re = im = 0
+    den = 1
+    for u, j, k in zip(x, perm, phase):
+        v = y[j]
+        a, b, c, e = u.a, u.b, v.a, v.b
+        p, q = a * c + b * e, a * e - b * c  # conj(u) v, times u.d v.d
+        if not (p or q):
+            continue
+        if k:  # times i^k
+            p, q = (-q, p) if k == 1 else (-p, -q) if k == 2 else (q, -p)
+        f = u.d * v.d
+        if f == den:
+            re, im = re + p, im + q
+        else:
+            re, im, den = re * f + p * den, im * f + q * den, den * f
+    return _reduced(re, im, den)
 
 
 def herm(x: Sequence[GQ], y: Sequence[GQ]) -> GQ:
     """Hermitian product, conjugate linear in the first slot."""
-    acc = GQ(0)
-    for a, b in zip(x, y):
-        if (a.re or a.im) and (b.re or b.im):
-            acc = acc + a.conj() * b
-    return acc
+    return word_herm(x, (range(len(x)), repeat(0)), y)
 
 
 def vec_add(x, y):
@@ -149,11 +257,12 @@ def times_i_pow(x: GQ, k: int) -> GQ:
     """i^k x for k in 0..3, by swapping and negating parts."""
     if k == 0:
         return x
+    a, b, d = x.a, x.b, x.d
     if k == 1:
-        return GQ(-x.im, x.re)
+        return _triple(-b, a, d)
     if k == 2:
-        return GQ(-x.re, -x.im)
-    return GQ(x.im, -x.re)
+        return _triple(-a, -b, d)
+    return _triple(b, -a, d)
 
 
 def word_mul(a: tuple, b: tuple) -> tuple:
@@ -206,22 +315,68 @@ _W_T = ((1, 0), (3, 1))   # [[0, -i], [i, 0]]
 # sparse rows: every other operator, one {column: entry} dict per row
 # ---------------------------------------------------------------------------
 
+def _add_into(acc: dict, j, p: int, q: int, f: int) -> None:
+    """acc[j] += (p + q i) / f, where acc[j] is a list [re, im, den] of ints
+    over one running denominator."""
+    t = acc.get(j)
+    if t is None:
+        acc[j] = [p, q, f]
+    elif t[2] == f:
+        t[0] += p
+        t[1] += q
+    else:
+        t[0], t[1], t[2] = t[0] * f + p * t[2], t[1] * f + q * t[2], t[2] * f
+
+
+def _row(acc: dict) -> dict:
+    """The sparse row of parts summed by ``_add_into``, zero entries
+    dropped."""
+    return {j: _reduced(*t) for j, t in acc.items() if t[0] or t[1]}
+
+
 def word_rows(terms, dim: int) -> list:
     """Sparse rows of sum c W over pairs (coefficient c, word W), zero
     entries dropped."""
     rows = [{} for _ in range(dim)]
     for c, (perm, phase) in terms:
         c = _gq(c)
-        for row, j, k in zip(rows, perm, phase):
-            x = times_i_pow(c, k)
-            row[j] = row[j] + x if j in row else x
-    return [{j: x for j, x in row.items() if not x.is_zero} for row in rows]
+        a, b, d = c.a, c.b, c.d
+        turned = ((a, b), (-b, a), (-a, -b), (b, -a))  # i^k c for k = 0..3
+        for acc, j, k in zip(rows, perm, phase):
+            _add_into(acc, j, *turned[k], d)
+    return [_row(acc) for acc in rows]
 
 
 def rows_apply(rows: list, v) -> tuple:
-    """Sparse rows applied to a vector."""
-    return tuple(sum((x * v[j] for j, x in row.items()), GQ(0))
-                 for row in rows)
+    """Sparse rows applied to a vector, each entry summed as ints."""
+    out = []
+    for row in rows:
+        acc = {}
+        for j, x in row.items():
+            y = v[j]
+            _add_into(acc, 0, x.a * y.a - x.b * y.b, x.a * y.b + x.b * y.a,
+                      x.d * y.d)
+        out.append(_reduced(*acc[0]) if acc else _ZERO)
+    return tuple(out)
+
+
+def words_apply(terms, v) -> tuple:
+    """(sum c W) v over pairs (coefficient c, word W), summed as ints per
+    entry, with no operator built."""
+    parts = [(y.a, y.b, y.d) for y in v]
+    acc = {}
+    for c, (perm, phase) in terms:
+        c = _gq(c)
+        a, b, d = c.a, c.b, c.d
+        turned = ((a, b), (-b, a), (-a, -b), (b, -a))  # i^k c for k = 0..3
+        for r, (j, k) in enumerate(zip(perm, phase)):
+            ya, yb, yd = parts[j]
+            if ya or yb:
+                ca, cb = turned[k]
+                _add_into(acc, r, ca * ya - cb * yb, ca * yb + cb * ya,
+                          d * yd)
+    return tuple(_reduced(*acc[r]) if r in acc else _ZERO
+                 for r in range(len(v)))
 
 
 def rows_scale(rows: list, c) -> list:
@@ -237,10 +392,12 @@ def matmul(a: list, b: list) -> list:
     for row in a:
         acc = {}
         for k, x in row.items():
+            xa, xb, xd = x.a, x.b, x.d
             for j, y in b[k].items():
-                xy = x * y
-                acc[j] = acc[j] + xy if j in acc else xy
-        out.append({j: x for j, x in acc.items() if not x.is_zero})
+                ya, yb = y.a, y.b
+                _add_into(acc, j, xa * ya - xb * yb, xa * yb + xb * ya,
+                          xd * y.d)
+        out.append(_row(acc))
     return out
 
 
@@ -255,13 +412,16 @@ class CliffordRep:
     The e_1 convention is kept; the sign is reported, not hidden.
     """
 
-    __slots__ = ("m", "words", "volume_sign", "_charge_word")
+    __slots__ = ("m", "words", "volume_sign", "_charge_word", "_products")
 
     def __init__(self, m: int, words: tuple, volume_sign: int = -1):
         # frozen: build_rep shares one representation per m
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "words", words)  # rho(e_mu) = words[mu-1]
         object.__setattr__(self, "volume_sign", volume_sign)
+        dim = 2 ** m
+        object.__setattr__(self, "_products",
+                           {(): (tuple(range(dim)), (0,) * dim)})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -278,10 +438,13 @@ class CliffordRep:
         return self._charge_word
 
     def word(self, idx) -> tuple:
-        """The word of the ordered product e_idx[0] ... e_idx[-1]."""
-        w = (tuple(range(self.dim)), (0,) * self.dim)
-        for mu in idx:
-            w = word_mul(w, self.words[mu - 1])
+        """The word of the ordered product e_idx[0] ... e_idx[-1]; each
+        product is built once, from the word of its prefix."""
+        idx = tuple(idx)
+        w = self._products.get(idx)
+        if w is None:
+            w = word_mul(self.word(idx[:-1]), self.words[idx[-1] - 1])
+            self._products[idx] = w
         return w
 
     def form_matrix(self, form: Form) -> list:
@@ -465,10 +628,6 @@ def v_basis_intertwines(rep: CliffordRep) -> bool:
 # bilinear reconstruction of differential forms
 # ---------------------------------------------------------------------------
 
-def _bilinear(rep: CliffordRep, left, right, idx) -> GQ:
-    return herm(left, word_apply(rep.word(idx), right))
-
-
 def _norm_sq(psi) -> Fraction:
     n = herm(psi, psi)
     if n.im != 0:
@@ -505,7 +664,7 @@ def form_from_spinor(rep: CliffordRep, psi, degree: int,
     terms = {}
     dim = 2 * rep.m + 1
     for idx in combinations(range(1, dim + 1), degree):
-        c = pref * _bilinear(rep, left, psi, idx) / n
+        c = pref * word_herm(left, rep.word(idx), psi) / n
         if c.is_zero:
             continue
         if c.im != 0:
@@ -524,7 +683,7 @@ def holomorphic_volume_from_spinor(rep: CliffordRep, psi,
     re_terms, im_terms = {}, {}
     dim = 2 * rep.m + 1
     for idx in combinations(range(1, dim + 1), rep.m):
-        c = I * _bilinear(rep, bar, psi, idx) / n
+        c = I * word_herm(bar, rep.word(idx), psi) / n
         if c.re != 0:
             re_terms[idx] = c.re
         if c.im != 0:
@@ -561,26 +720,13 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
     eigs = [GQ(0, -(2 * r - m)) for r in range(m + 1)]
     factors = [word_rows(terms + [(-e, rep.word(()))], n)  # A - e
                for e in eigs]
-    # P_r = prod_{s != r} (A - e_s) / prod_{s != r} (e_r - e_s); the
-    # numerators have Gaussian-integral entries and carry the checks
-    numerators, projectors = [], []
-    for r in range(m + 1):
-        num, den = None, GQ(1)
-        for r2 in range(m + 1):
-            if r2 == r:
-                continue
-            f = factors[r2]
-            num = f if num is None else matmul(num, f)
-            den = den * (eigs[r] - eigs[r2])
-        numerators.append(num)
-        projectors.append(rows_scale(num, GQ(1) / den))
-    zero = GQ(0)
-    if any(sum((p[i].get(j, zero) for p in projectors), zero) != int(i == j)
-           for i in range(n) for j in range(n)):
-        raise AlgebraError("eigenprojectors do not resolve the identity")
-    dims = []
+    projectors, dims = [], []
     perm, phase = rep.words[xi_index - 1]
-    for r, (num, p) in enumerate(zip(numerators, projectors)):
+    # P_r = N_r / prod_{s != r} (e_r - e_s); the numerators N_r have
+    # Gaussian-integral entries and carry the checks.  (A - e_r) N_r = 0 for
+    # every r makes the P_r the eigenprojectors; their sum is 1 for every A,
+    # so it is not checked.
+    for r, num in enumerate(lagrange_numerators(factors)):
         if any(matmul(factors[r], num)):  # (A - e_r) num = 0
             raise AlgebraError(f"eigenvalue check fails on Sigma_{r}")
         # the Reeb word permutes the rows of num and turns their phases
@@ -588,14 +734,31 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
                   for q, k in zip(perm, phase)]
         if xi_num != rows_scale(num, GQ(0, (-1) ** r * (-1) ** m)):
             raise AlgebraError(f"Reeb eigenvalue check fails on Sigma_{r}")
-        tr = sum((p[i].get(i, zero) for i in range(n)), zero)
-        if tr.im != 0 or tr.re.denominator != 1:
+        den = GQ(1)
+        for e in eigs[:r] + eigs[r + 1:]:
+            den = den * (eigs[r] - e)
+        p = rows_scale(num, GQ(1) / den)
+        tr = sum((p[i].get(i, _ZERO) for i in range(n)), _ZERO)
+        if tr.b or tr.d != 1:
             raise AlgebraError("projector trace is not an integer")
-        dims.append(int(tr.re))
-    from math import comb
+        projectors.append(p)
+        dims.append(tr.a)
     if dims != [comb(m, r) for r in range(m + 1)]:
         raise AlgebraError(f"eigenspace dimensions {dims} are wrong")
     return SigmaDecomposition(projectors, dims)
+
+
+def lagrange_numerators(factors: list) -> list:
+    """N_r = prod_{s != r} F_s for each r, as sparse rows, from the sparse
+    rows of the factors F_s = A - e_s."""
+    out = []
+    for r in range(len(factors)):
+        rest = factors[:r] + factors[r + 1:]
+        num = rest[0]
+        for f in rest[1:]:
+            num = matmul(num, f)
+        out.append(num)
+    return out
 
 
 def purity_dim(rep: CliffordRep, psi) -> int:
@@ -730,12 +893,9 @@ def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, psi) -> bool:
     xi = rep.words[j - 1]
     g = rep.words
     for x in range(1, 8):
-        acc = vec_add(word_apply(xi, word_apply(g[x - 1], psi)),
-                      vec_scale(word_apply(g[x - 1], word_apply(xi, psi)), -1))
-        for y, v in phi_tensor.get(x, {}).items():
-            acc = vec_add(acc, vec_scale(word_apply(g[y - 1], psi),
-                                         GQ(2 * v)))
-        if not all(c.is_zero for c in acc):
+        terms = [(1, word_mul(xi, g[x - 1])), (-1, word_mul(g[x - 1], xi))]
+        terms += [(2 * v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
+        if not all(c.is_zero for c in words_apply(terms, psi)):
             return False
     return True
 
@@ -756,19 +916,13 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
     checks = [IdentityCheck("xi1 Psi+ = Psi-",
                             _eqv(word_apply(rep.words[0], plus), minus), 1)]
     ok_h, ok_hv = True, True
+    g = rep.words
     for x in range(2, 8):
-        rhs = (GQ(0),) * rep.dim
-        for y, v in phi_tensor.get(x, {}).items():
-            rhs = vec_add(rhs, vec_scale(word_apply(rep.words[y - 1], minus),
-                                         GQ(-v)))
-        if not _eqv(word_apply(rep.words[x - 1], plus), rhs):
+        phi_x = [(-v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
+        if not _eqv(word_apply(g[x - 1], plus), words_apply(phi_x, minus)):
             ok_h = False
-        rhs2 = (GQ(0),) * rep.dim
-        for y, v in phi_tensor.get(x, {}).items():
-            rhs2 = vec_add(rhs2, vec_scale(word_apply(rep.words[y - 1], plus),
-                                           GQ(-v)))
-        lhs2 = word_apply(rep.words[0], word_apply(rep.words[x - 1], plus))
-        if not _eqv(lhs2, rhs2):
+        lhs2 = word_apply(word_mul(g[0], g[x - 1]), plus)
+        if not _eqv(lhs2, words_apply(phi_x, plus)):
             ok_hv = False
     checks.append(IdentityCheck("X Psi+ = phi(X) Psi-", ok_h, 1))
     checks.append(IdentityCheck("xi X Psi+ = phi(X) Psi+", ok_hv, 1))
@@ -787,28 +941,23 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
     bar = vec_conj(psi)
     from .structures import endomorphism_from_form
     phi_tensor = endomorphism_from_form(phi_form)
+    g = rep.words
     for x in range(1, 2 * m + 2):
-        acc = vec_scale(word_apply(rep.words[x - 1], psi), I)
-        for y, v in phi_tensor.get(x, {}).items():
-            acc = vec_add(acc, vec_scale(word_apply(rep.words[y - 1], psi),
-                                         GQ(-v)))
-        if x == 1:
-            acc = vec_add(acc, vec_scale(psi, GQ((-1) ** m)))
-        if not all(c.is_zero for c in acc):
+        phi_x = [(-v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
+        eta_x = [((-1) ** m, rep.word(()))] if x == 1 else []
+        eta_bar = [(-1, rep.word(()))] if x == 1 else []
+        if not all(c.is_zero for c in words_apply(
+                [(I, g[x - 1]), *phi_x, *eta_x], psi)):
             return False
-        accb = vec_scale(word_apply(rep.words[x - 1], bar), -I)
-        for y, v in phi_tensor.get(x, {}).items():
-            accb = vec_add(accb, vec_scale(word_apply(rep.words[y - 1], bar),
-                                           GQ(-v)))
-        if x == 1:
-            accb = vec_add(accb, vec_scale(bar, GQ(-1)))
-        if not all(c.is_zero for c in accb):
+        if not all(c.is_zero for c in words_apply(
+                [(-I, g[x - 1]), *phi_x, *eta_bar], bar)):
             return False
     return True
 
 
 def stabilizer_dimension(phi: Form) -> int:
     """Dimension of the so(7) stabilizer of a 3-form (14 for a G2 form)."""
+    from .exterior import basis_multi_indices, coefficient_matrix, derivation
     cols = []
     for a, b in basis_multi_indices(7, 2):
         rotation = [[0] * 7 for _ in range(7)]  # in the (a, b)-plane
@@ -825,6 +974,7 @@ def su3_killing_consequences(table) -> list:
     covariant derivatives of (eta, Phi, Om) alternate into the structure
     equations: d eta = 2a Phi, d Phi = 0 and d Om = 4 i d eta ^ Om.
     """
+    from .exterior import Coframe
     from .structures import endomorphism_from_form, su3_frame_forms
     cf = Coframe(table, 7)
     frame = su3_frame_forms(cf)
@@ -919,22 +1069,21 @@ def majorana_family_form(rep: CliffordRep, plus, minus, degree: int,
     nmm = _norm_sq(minus)
     if npp != nmm or not herm(plus, minus).is_zero:
         raise AlgebraError("family spinors must be orthogonal of equal norm")
-    s, c = table.sym("s"), table.sym("c")
-    w_pp = (1 + c) / 2
-    w_mm = (1 - c) / 2
+    c = table.sym("c")
+    w_pp, w_mm, w_cross = (1 + c) / 2, (1 - c) / 2, table.sym("s") / -2
     terms = {}
     dim = 2 * rep.m + 1
     for idx in combinations(range(1, dim + 1), degree):
         w = rep.word(idx)
-        wp, wm = word_apply(w, plus), word_apply(w, minus)
-        bpp = pref * herm(plus, wp) / npp
-        bmm = pref * herm(minus, wm) / npp
-        cross = pref * (herm(plus, wm) + herm(minus, wp)) / npp
-        for val in (bpp, bmm, cross):
-            if val.im != 0:
-                raise AlgebraError("non-real family coefficient")
-        coef = (table.rat(bpp.re) * w_pp + table.rat(bmm.re) * w_mm
-                - table.rat(cross.re) * (s / 2))
+        bpp = pref * word_herm(plus, w, plus) / npp
+        bmm = pref * word_herm(minus, w, minus) / npp
+        cross = pref * (word_herm(plus, w, minus)
+                        + word_herm(minus, w, plus)) / npp
+        if any(val.im != 0 for val in (bpp, bmm, cross)):
+            raise AlgebraError("non-real family coefficient")
+        if bpp.is_zero and bmm.is_zero and cross.is_zero:
+            continue
+        coef = w_pp * bpp.re + w_mm * bmm.re + w_cross * cross.re
         if not coef.is_zero:
             terms[idx] = coef
     return coframe.form(terms)

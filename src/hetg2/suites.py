@@ -8,7 +8,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
-from importlib import import_module
 from operator import methodcaller
 
 from . import PARAM_KEYS
@@ -41,8 +40,11 @@ Check = namedtuple("Check", "check_id claim fn notes", defaults=("",))
 
 
 def _module(name: str):
-    # imported on first use, so that --list imports no domain module
-    return cached_property(lambda s: import_module(f"{__package__}.{name}"))
+    # imported on first use, so that --list imports no domain module; through
+    # the import statement's machinery, which -X importtime logs (it does not
+    # log importlib.import_module)
+    return cached_property(
+        lambda s: getattr(__import__(__package__, fromlist=(name,)), name))
 
 
 class Suite:
@@ -501,7 +503,7 @@ class SuiteHeisenberg(Suite):
     thm = cached_property(lambda s: s.hb.theorem1_end_to_end(s.alphap))
     neg = cached_property(lambda s: s.hb.theorem1_end_to_end(Fraction(1, 10)))
     tc = cached_property(lambda s: s.hb.associative_torsion_classes())
-    seeded = cached_property(lambda s: import_module("random").Random(7))
+    seeded = cached_property(lambda s: __import__("random").Random(7))
     lams = cached_property(lambda s: [Fraction(0), Fraction(4)] + [
         Fraction(s.seeded.randint(-9, 9), s.seeded.randint(1, 5))
         for _ in range(5)])

@@ -35,16 +35,28 @@ UNKNOWN_NAME_ERR = (
 
 
 # Runs --suite all in a fresh interpreter, so that no shared object is
-# already cached, with the Scalar and GQ constructors wrapped to record every
-# stored coefficient that is not an int or a non-integral Fraction.
+# already cached, with the Scalar constructor and every maker of a GQ wrapped
+# to record each GQ triple not in lowest terms and every stored coefficient or
+# GQ part that is not an int or a non-integral Fraction.
 STORED_COEFFICIENTS_SCRIPT = """
 import json
 from fractions import Fraction
-from hetg2 import cli
+from math import gcd
+from hetg2 import cli, spinor
 from hetg2.scalar import Scalar
-from hetg2.spinor import GQ
 
-seen = {"Scalar": 0, "GQ": 0, "float": 0, "bad": []}
+seen = {"Scalar": 0, "GQ": 0, "float": 0, "bad": [], "made_by": {}}
+
+
+def check(name, x, values, maker=None):
+    seen[name] += 1
+    if maker:
+        seen["made_by"][maker] = seen["made_by"].get(maker, 0) + 1
+    for c in values(x):
+        seen["float"] += isinstance(c, float)
+        if not (type(c) is int
+                or (type(c) is Fraction and c.denominator != 1)):
+            seen["bad"].append(repr(c))
 
 
 def wrap(cls, values):
@@ -52,17 +64,34 @@ def wrap(cls, values):
 
     def checked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        seen[cls.__name__] += 1
-        for c in values(self):
-            seen["float"] += isinstance(c, float)
-            if not (type(c) is int
-                    or (type(c) is Fraction and c.denominator != 1)):
-                seen["bad"].append(repr(c))
+        check(cls.__name__, self, values, cls.__name__ + ".__init__")
     cls.__init__ = checked
 
 
+def gq_parts(x):
+    # the stored triple is three ints in lowest terms with d > 0
+    triple = (x.a, x.b, x.d)
+    if not (all(type(n) is int for n in triple) and x.d > 0
+            and gcd(*triple) == 1):
+        seen["bad"].append(repr(triple))
+    return x.re, x.im
+
+
+def wrap_maker(name):
+    # a GQ computed from others is made by these, not by GQ.__init__
+    make = getattr(spinor, name)
+
+    def checked(*args):
+        x = make(*args)
+        check("GQ", x, gq_parts, name)
+        return x
+    setattr(spinor, name, checked)
+
+
 wrap(Scalar, lambda x: [*x._a.values(), *x._b.values()])
-wrap(GQ, lambda x: (x.re, x.im))
+wrap(spinor.GQ, gq_parts)
+wrap_maker("_reduced")
+wrap_maker("_triple")
 seen["records"] = len(cli.run_suite("all", {}))
 print(json.dumps(seen))
 """
@@ -239,7 +268,12 @@ class TestSuites:
     def test_no_float_coefficient_stored(self):
         seen = run_script(STORED_COEFFICIENTS_SCRIPT)
         assert seen["records"] == 74
-        assert seen["Scalar"] > 1_000 and seen["GQ"] > 10_000
+        # the GQ kernels build one GQ per result entry, so a run makes about
+        # 9,400 of them; each of the three ways to make one is seen
+        assert seen["Scalar"] > 1_000 and seen["GQ"] > 5_000
+        assert set(seen["made_by"]) == {"Scalar.__init__", "GQ.__init__",
+                                        "_reduced", "_triple"}
+        assert all(n > 1_000 for n in seen["made_by"].values())
         assert seen["float"] == 0
         assert seen["bad"] == []
 
@@ -424,12 +458,24 @@ class TestDriver:
         # the package's names are still served, from their modules
         assert steps["names"] == ["hetg2.scalar", "hetg2.exterior",
                                   "hetg2.scalar"]
-        # a spinor needs spinor (and what it imports), not the form
-        # registry, its solver or the declarations
-        loaded = run_script(SPINOR_SHOW_SCRIPT)
-        assert "hetg2.spinor" in loaded
-        assert not {"hetg2.structures", "hetg2.linsolve",
-                    "hetg2.suites"} & set(loaded)
+        # a spinor needs spinor alone: not the form registry, its solver,
+        # the declarations, the exterior algebra or the scalars
+        assert run_script(SPINOR_SHOW_SCRIPT) \
+            == ["hetg2", "hetg2.cli", "hetg2.spinor"]
+
+    def test_importtime_logs_the_modules_a_suite_loads(self, tmp_path):
+        # a suite imports its domain modules through the import statement's
+        # machinery, which -X importtime logs
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hetg2.cli", "verify",
+             "--suite", "su3"], env=dict(os.environ, PYTHONPATH=src),
+            cwd=tmp_path, capture_output=True, text=True)
+        assert out.returncode == 0
+        logged = {line.rsplit("|", 1)[1].strip()
+                  for line in out.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {"hetg2.structures", "hetg2.curvature"} <= logged
 
     def test_branch_claims_follow_the_branch_data(self):
         assert [b.branch_id for b in bianchi.branches()] \

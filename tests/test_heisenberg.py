@@ -130,6 +130,17 @@ class TestCurvature:
         monkeypatch.setattr(hb, "curvature_fp", lambda conn: arr)
         assert not hb.sigma_t_identity(hb.Connection(MODEL, can.L), torsion)
 
+    @pytest.mark.parametrize("key", [((1, 2), (3, 4)), ((5, 6), (5, 7))])
+    def test_sigma_t_fails_on_a_perturbed_entry(self, monkeypatch, key):
+        # the identity is checked on x < y < z only; a perturbed curvature
+        # entry must still be seen
+        can = hb.canonical_connection()
+        torsion = hb.canonical_torsion_form(MODEL)
+        arr = dict(can.curvature)
+        arr[key] = arr.get(key, 0) + F(1, 3)
+        monkeypatch.setattr(hb, "curvature_fp", lambda conn: arr)
+        assert not hb.sigma_t_identity(hb.Connection(MODEL, can.L), torsion)
+
     def test_connection_lambda_zero_is_canonical(self):
         # the difference tensor vanishes at lam = 0
         assert hb.connection_lambda(F(0)) is hb.canonical_connection()

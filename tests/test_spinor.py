@@ -112,6 +112,20 @@ class TestSparseKernels:
         assert sp.rows_apply(ar, z[0]) == z[0]
         assert sp.herm(z[0], a[0]) == sp.GQ(0)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_word_herm_matches_dense(self, seed):
+        # herm(x, W y) read off the word equals the hermitian product with
+        # the dense product W y, for words of length 0 to 3
+        rng = random.Random(seed)
+        g = dc.generators(3)
+        x, y = _random_gq_matrix(rng, 2, REP.dim)
+        for length in range(4):
+            for idx in itertools.combinations(range(1, 8), length):
+                w = REP.word(idx)
+                assert sp.word_herm(x, w, y) \
+                    == _dense_herm(x, dc.matvec(dc.chain(g, idx), y)), idx
+        assert sp.herm(x, y) == _dense_herm(x, y)
+
     def test_generator_products(self):
         g, w = dc.generators(3), REP.words
         rows = [sp.word_rows([(1, x)], REP.dim) for x in w]
@@ -130,7 +144,7 @@ class TestSparseKernels:
         # parts are exact: int when integral, Fraction otherwise, never float
         q = F(1, 3)
         x = sp.GQ(q, 2)
-        assert x.re is q
+        assert type(x.re) is F and x.re == q
         assert type(x.im) is int and x.im == 2
         y = sp.GQ(F(4, 2), F(-3))
         assert (type(y.re), type(y.im)) == (int, int) and (y.re, y.im) == (2, -3)
@@ -243,6 +257,24 @@ class TestSigma:
                                 (-phi, 1, "Reeb eigenvalue")):
             with pytest.raises(AlgebraError, match=match):
                 sp.sigma_decompose(REP, form, xi)
+
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_eigenvalue_check_rejects_a_perturbed_numerator(self, monkeypatch,
+                                                            r):
+        # (A - e_r) N_r = 0 is the check that makes the P_r eigenprojectors;
+        # adding 1 to one entry of N_r must break it
+        numerators = sp.lagrange_numerators
+
+        def perturbed(factors):
+            out = numerators(factors)
+            row = dict(out[r][0])
+            row[0] = row.get(0, sp.GQ(0)) + 1
+            out[r] = [row, *out[r][1:]]
+            return out
+        monkeypatch.setattr(sp, "lagrange_numerators", perturbed)
+        with pytest.raises(AlgebraError,
+                           match=f"eigenvalue check fails on Sigma_{r}"):
+            sp.sigma_decompose(REP, sp.sigma_fundamental_form(CF, 3), 1)
 
     def test_membership(self):
         assert sp.sigma_membership(REP, sp.sigma_fundamental_form(CF, 3))
