@@ -2,11 +2,12 @@
 
 The residual of the flux identity  dH = (a'/4)(tr F^F - tr R^R)  with H the
 characteristic torsion and both gauge connections drawn from the deformation
-family is assembled inside the generated rings; the formal tr(R2 ^ R2) tokens
-must cancel before coefficients are matched against the independent 4-form
-basis.  Branch verification is a polynomial-identity check: bindings are
-substituted and the remaining constraints reduced to zero modulo the branch's
-defining relations via pseudo-remainders.  No tolerances anywhere.
+family is assembled in the coframe, where the curvature traces live; the
+formal tr(R2 ^ R2) tokens must cancel before coefficients are matched against
+the independent 4-form basis, embedded alongside.  Branch verification is a
+polynomial-identity check: bindings are substituted and the remaining
+constraints reduced to zero modulo the branch's defining relations via
+pseudo-remainders.  No tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -43,17 +44,20 @@ def basis_4forms(ring) -> list[GenForm]:
             ring.eta().wedge(ring.Om("-"))]
 
 
-class BianchiResidual(namedtuple("BianchiResidual",
-                                 "geometry ring genform basis")):
+class BianchiResidual(namedtuple("BianchiResidual", "geometry form basis")):
+    """The residual as a coframe 4-form, with the coefficient basis embedded
+    in the same coframe."""
+
     __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
-        return self.genform.is_zero
+        return self.form.is_zero
 
 
 def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
-    """dT^c - (a'/4)(tr R^{lam1} ^ R^{lam1} - tr R^{lam2} ^ R^{lam2})."""
+    """dT^c - (a'/4)(tr R^{lam1} ^ R^{lam1} - tr R^{lam2} ^ R^{lam2}) in the
+    coframe."""
     ring = get_ring(geometry)
     alphap = ring.table.sym("alphap")
     dtc = structure_torsion(geometry).characteristic.d()
@@ -64,8 +68,9 @@ def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
     if not diff.rho2.is_zero:
         raise Rho2CancellationError(
             "formal tr(R2^R2) tokens failed to cancel")
-    gf = dtc - (alphap / 4) * diff.explicit
-    return BianchiResidual(geometry, ring, gf, basis_4forms(ring))
+    form = dtc.embed() - (alphap / 4) * diff.explicit
+    return BianchiResidual(geometry, form,
+                           [b.embed() for b in basis_4forms(ring)])
 
 
 class ConstraintSystem(namedtuple("ConstraintSystem", "geometry polynomials")):
@@ -83,15 +88,14 @@ def extract_constraints(res: BianchiResidual,
     rank computation; a residual outside the basis span raises
     :class:`NotInSpanError` carrying the leftover component.
     """
-    ring = res.ring
+    space = res.form.space
     basis = basis if basis is not None else res.basis
-    monos = sorted({m for b in basis for m in b.terms}
-                   | set(res.genform.terms),
-                   key=lambda m: (ring.mono_degree(m), ring.mono_label(m)))
+    monos = sorted({m for b in basis for m in b.terms} | set(res.form.terms),
+                   key=lambda m: (space.mono_degree(m), space.mono_label(m)))
     matrix = coefficient_matrix(basis, monos)
     if rank(matrix) != len(basis):
         raise AlgebraError("coefficient basis is not linearly independent")
-    rhs = form_to_vector(res.genform, monos)
+    rhs = form_to_vector(res.form, monos)
     try:
         sol = solve_ring_rhs(matrix, rhs)
     except InconsistentSystemError as exc:

@@ -2,10 +2,14 @@
 
 The curvature operators have a closed-form explicit part built from the
 hermitian 2-forms (block coefficients over the vertical/horizontal splitting)
-plus an opaque horizontal remainder R2 that enters only through algebraic
+plus an opaque horizontal remainder R2 that enters only through stated
 rules: R2 ^ psi = 0, tr(R1 ^ R2) = 0 and tr(R2 ^ R2) = rho2 (a formal,
-lambda-independent 4-form token).  On the Heisenberg model R2 = 0 and the
-closed forms are checked against a first-principles computation.
+lambda-independent 4-form token).  Every curvature operation reads a
+Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.to_array()`` here and the
+first-principles arrays of the Heisenberg model alike: ``array_wedge``
+(R ^ psi), ``array_trace`` (tr(R ^ R') as a coframe 4-form) and
+``natural_norm_sq``.  On the Heisenberg model R2 = 0 and the closed forms
+are checked against a first-principles computation.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
-from .exterior import Form, basis_multi_indices
-from .scalar import AlgebraError, Scalar, exact
+from .exterior import Coframe, Form, _merge, basis_multi_indices
+from .scalar import (AlgebraError, Scalar, SymbolTable, _accumulate, _Sums,
+                     exact)
 from .structures import CYCLIC, GenForm, Ring3ad, RingSU3
 
 # Calibration of the pointwise norm of End-valued 6-forms.  The natural
@@ -64,10 +69,6 @@ class TorsionLambda3ad:
         return (self.value_vertical_coeff - self.arg_vertical_coeff).is_zero
 
 
-def torsion_lambda_3ad(ring: Ring3ad, lam: Scalar) -> TorsionLambda3ad:
-    return TorsionLambda3ad(ring, lam)
-
-
 def contorsion_3ad(phi: Form, lam: Fraction) -> dict:
     """Difference tensor Delta(X; Y, Z) of the deformed connection.
 
@@ -98,28 +99,16 @@ class CurvOp:
     (+ R2), with a single hermitian form in the contact case.
     """
 
-    __slots__ = ("geometry", "ring", "lam", "blocks", "has_r2")
+    __slots__ = ("geometry", "ring", "lam", "blocks")
 
-    def __init__(self, geometry: str, ring, lam: Scalar, blocks: dict,
-                 has_r2: bool = True):
+    def __init__(self, geometry: str, ring, lam: Scalar, blocks: dict):
         self.geometry = geometry
         self.ring = ring
         self.lam = lam
         self.blocks = blocks
-        self.has_r2 = has_r2
 
     def block(self, fb: str, eb: str) -> Scalar:
         return self.blocks.get((fb, eb), self.ring.table.zero())
-
-    def form_factor(self, i: int, endo_block: str) -> GenForm:
-        """2-form multiplying phi_i restricted to ``endo_block``."""
-        r = self.ring
-        if self.geometry == "3ad":
-            j, k = CYCLIC[i]
-            phiv = -r.eta(j, k)
-            return self.block("V", endo_block) * phiv \
-                + self.block("H", endo_block) * r.Phi(i)
-        return self.block("H", endo_block) * r.Phi()
 
     def to_array(self) -> dict:
         """Explicit part as a Lambda^2 (x) Lambda^2 coefficient array."""
@@ -155,7 +144,7 @@ def curvature_3ad(ring: Ring3ad, lam: Scalar) -> CurvOp:
         ("V", "H"): pref * (2 * a - lam / 2),
         ("H", "H"): pref * a,
     }
-    return CurvOp("3ad", ring, lam, blocks, has_r2=True)
+    return CurvOp("3ad", ring, lam, blocks)
 
 
 def su3_coefficient(ring: RingSU3, lam: Scalar, variant: str = "derived") -> Scalar:
@@ -177,73 +166,103 @@ def su3_coefficient(ring: RingSU3, lam: Scalar, variant: str = "derived") -> Sca
 
 def curvature_su3(ring: RingSU3, lam: Scalar, variant: str = "derived") -> CurvOp:
     k = su3_coefficient(ring, lam, variant)
-    return CurvOp("su3", ring, lam, {("H", "H"): k}, has_r2=True)
+    return CurvOp("su3", ring, lam, {("H", "H"): k})
+
+
+def array_wedge(arr: dict, form: Form) -> dict:
+    """sum arr[I, J] (e^I ^ form) (x) e^J for a Lambda^2 (x) Lambda^2
+    coefficient array and a coframe form, keyed (multi-index, J); zero
+    coefficients are dropped."""
+    cf = form._coframe("array_wedge")
+    out = _Sums()
+    for (I, J), c in arr.items():
+        for idx, f in form.terms.items():
+            key, q = _merge(I, idx)
+            if key is not None:
+                out.add((key, J), q, c, f)
+    return {k: v for k, v in out.scalars(cf.table).items() if not v.is_zero}
+
+
+def array_trace(arr: dict, arrp: dict, cf: Coframe) -> Form:
+    """tr(R ^ R') = -2 sum_J arr[I1, J] arrp[I2, J] e^I1 ^ e^I2, since
+    tr(A B) = -2 sum_{r<s} A_rs B_rs for skew endomorphisms A and B."""
+    by_slot: dict = {}
+    for (I, J), c in arrp.items():
+        by_slot.setdefault(J, []).append((I, c))
+    out = _Sums()
+    for (I1, J), a in arr.items():
+        for I2, b in by_slot.get(J, ()):
+            key, q = _merge(I1, I2)
+            if key is not None:
+                out.add(key, -2 * q, a, b)
+    return Form(cf, out.scalars(cf.table))
+
+
+def natural_norm_sq(terms: dict, table: SymbolTable) -> Scalar:
+    """2 sum c^2 over the coefficients of an endomorphism-valued form in the
+    (e^K, e^J) basis: each e^J is a skew endomorphism of Frobenius norm^2 2."""
+    a: dict = {}
+    b: dict = {}
+    for c in terms.values():
+        _accumulate(a, b, 2, c, c)
+    return Scalar(table, a, b)
 
 
 class Obstruction(namedtuple("Obstruction", "geometry terms norm_sq "
                               "norm_sq_natural zero_factors")):
     """R ^ psi as an endomorphism-valued 6-form plus norms and factors.
 
-    terms: list of (form part as GenForm, endomorphism label).  The
-    endomorphism labels are 'phi_i|V + 1/2 phi_i|H' (3-contact) or 'phi'
-    (contact case); coefficients sit inside the form parts.
+    terms: the nonzero coefficients of ``array_wedge(R.to_array(), psi)``,
+    keyed (6-form multi-index, endomorphism slot J).
     """
 
     __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
-        return all(f.is_zero for f, _ in self.terms)
+        return not self.terms
+
+
+def check_zero_factors(coefficients, factors: list) -> None:
+    """Divide each distinct coefficient (up to sign) by the factors in turn;
+    AlgebraError when one does not divide."""
+    seen: set = set()
+    for c in coefficients:
+        if c in seen or -c in seen:
+            continue
+        seen.add(c)
+        quot = c
+        for f in factors:
+            quot = quot.div_exact(f)
 
 
 def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
-    """Apply the opaque-R2 rules and wedge the curvature with psi."""
+    """R ^ psi from the explicit array.  The opaque remainder is a stated
+    rule, R2 ^ psi = 0: psi lies in (self-dual)^(self-dual) + (self-dual)^
+    vertical (3-contact), and R2 is (1,1)-primitive (contact case)."""
     ring = R.ring
     if psi.space is not ring:
         raise AlgebraError("coassociative form from a different geometry ring")
-    table = ring.table
+    terms = array_wedge(R.to_array(), psi.embed())
+    # the stated zero factors, checked on the derived coefficients
     if R.geometry == "3ad":
-        # R2 ^ psi = 0: psi lies in (self-dual)^(self-dual) + (self-dual)^vertical.
-        # Wedging the blocks with psi leaves
-        #   sum_i (dvol ^ eta_jk) (x) [a_v phi_i|V + a_h phi_i|H]
-        # with a_v = 2 c_HV - c_VV and a_h = 2 c_HH - c_VH.
-        a_v = 2 * R.block("H", "V") - R.block("V", "V")
-        a_h = 2 * R.block("H", "H") - R.block("V", "H")
-        # quoted shape: -(beta+lam)(lam/2) Phi_i^2 eta_jk (x) (phi_i|V + 1/2 phi_i|H)
-        pref = -(beta_of(ring) + R.lam) * R.lam
-        if not (a_v - pref).is_zero or not (a_h - pref / 2).is_zero:
-            raise AlgebraError("unexpected obstruction block structure")
-        coef = pref / 2
-        terms = []
-        nat = table.zero()
-        for i, (j, k) in CYCLIC.items():
-            base = ring.Phi(i).wedge(ring.Phi(i)).wedge(ring.eta(j, k))
-            terms.append((coef * base, f"phi_{i}|V + (1/2) phi_{i}|H"))
-            # |Phi_i^2 eta_jk|^2 = 4 and tr(A^T A) = 2 + (1/4) 4 = 3 per term
-            nat = nat + coef * coef * 4 * 3
         factors = [R.lam, beta_of(ring) + R.lam]
-        if not pref.is_zero:
-            quot = pref
-            for f in factors:
-                quot = quot.div_exact(f, "lam")
-        cal = NORM_SQ_CALIBRATION["3ad"]
-        return Obstruction("3ad", terms, cal * nat, nat, factors)
-    # contact case: R2 ^ psi(theta) = 0 by (1,1)-primitivity; Phi ^ psi = Phi^3/2
-    k = R.block("H", "H")
-    phi3 = ring.Phi().wedge(ring.Phi()).wedge(ring.Phi())
-    term = (k / 2) * phi3
-    nat = (k * k / 4) * 36 * 6  # |Phi^3|^2 = 36, tr(phi^T phi) = 6
-    cal = NORM_SQ_CALIBRATION["su3"]
-    factors = [ring.alpha, 4 * (3 * ring.alpha - 2 * ring.delta) - 3 * R.lam]
-    return Obstruction("su3", [(term, "phi")], cal * nat, nat, factors)
+    else:
+        factors = [ring.alpha,
+                   4 * (3 * ring.alpha - 2 * ring.delta) - 3 * R.lam]
+    check_zero_factors(terms.values(), factors)
+    nat = natural_norm_sq(terms, ring.table)
+    cal = NORM_SQ_CALIBRATION[R.geometry]
+    return Obstruction(R.geometry, terms, cal * nat, nat, factors)
 
 
 class TraceForm:
-    """tr(R ^ R') = explicit 4-form + rho2 * (formal tr(R2 ^ R2) token)."""
+    """tr(R ^ R') = explicit coframe 4-form + rho2 * (formal tr(R2 ^ R2)
+    token)."""
 
     __slots__ = ("explicit", "rho2")
 
-    def __init__(self, explicit: GenForm, rho2: Scalar):
+    def __init__(self, explicit: Form, rho2: Scalar):
         self.explicit = explicit
         self.rho2 = rho2
 
@@ -256,30 +275,18 @@ class TraceForm:
         return self.explicit == other.explicit and self.rho2 == other.rho2
 
 
-# traces of the squared hermitian endomorphisms on each block
-_TR_ENDO = {"V": Fraction(-2), "H": Fraction(-4)}
-_TR_ENDO_SU3 = Fraction(-6)
-
-
 def wedge_trace(R: CurvOp, Rp: Optional[CurvOp] = None) -> TraceForm:
-    """Endomorphism trace of R ^ R' (same geometry; R' defaults to R)."""
+    """Endomorphism trace of R ^ R' (same geometry; R' defaults to R).  The
+    opaque remainder enters by the stated rules tr(R1 ^ R2) = 0 and
+    tr(R2 ^ R2) = rho2, one lambda-independent token."""
     if Rp is None:
         Rp = R
     if Rp.geometry != R.geometry or Rp.ring is not R.ring:
         raise AlgebraError("wedge trace requires operators of one geometry")
-    ring = R.ring
-    table = ring.table
-    out = ring.zero()
-    if R.geometry == "3ad":
-        for i in (1, 2, 3):
-            for eb in ("V", "H"):
-                out = out + _TR_ENDO[eb] * R.form_factor(i, eb).wedge(
-                    Rp.form_factor(i, eb))
-    else:
-        out = out + _TR_ENDO_SU3 * R.form_factor(0, "H").wedge(
-            Rp.form_factor(0, "H"))
-    rho2 = table.one() if (R.has_r2 and Rp.has_r2) else table.zero()
-    return TraceForm(out, rho2)
+    arr = R.to_array()
+    arrp = arr if Rp is R else Rp.to_array()
+    return TraceForm(array_trace(arr, arrp, R.ring.coframe),
+                     R.ring.table.one())
 
 
 def trace_lemma_rhs_3ad(ring: Ring3ad, lam: Scalar) -> GenForm:

@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 
-from .curvature import contorsion_3ad, curvature_3ad
+from .curvature import (array_trace, array_wedge, contorsion_3ad,
+                        curvature_3ad)
 from .exterior import Coframe, Form, basis_multi_indices, derivation
 from .scalar import AlgebraError, Rat, exact
 from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
@@ -366,47 +367,6 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> bool:
     return True
 
 
-def curvature_wedge_psi(arr: dict, psi: Form) -> dict:
-    """(R ^ psi) as an endomorphism-valued 6-form: keys (I6, (z, v))."""
-    cf = psi.space
-    out: dict = {}
-    for ((x, y), J), val in arr.items():
-        wedge = cf.e(x, y) ^ psi
-        for idx, c in wedge.terms.items():
-            key = (idx, J)
-            cur = out.get(key, 0) + val * c.as_rat()
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-    return out
-
-
-def trace_wedge(arr1: dict, arr2: dict, cf: Coframe) -> Form:
-    """tr(R ^ R') as a 4-form from two curvature arrays."""
-    out = cf.zero()
-    pairs = basis_multi_indices(7, 2)
-    by_I1: dict = {}
-    for (I, J), v in arr1.items():
-        by_I1.setdefault(I, {})[J] = v
-    by_I2: dict = {}
-    for (I, J), v in arr2.items():
-        by_I2.setdefault(I, {})[J] = v
-    for I1, row1 in by_I1.items():
-        f1 = cf.e(*I1)
-        for I2, row2 in by_I2.items():
-            tr = 0
-            for J, a in row1.items():
-                b = row2.get(J)
-                if b is not None:
-                    tr += a * b
-            if tr == 0:
-                continue
-            # tr(A B) = -2 sum_{rho<sigma} A_{rho sigma} B_{rho sigma}
-            out = out + (-2 * tr) * (f1 ^ cf.e(*I2))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # spinor checks on the model
 # ---------------------------------------------------------------------------
@@ -525,12 +485,13 @@ def _theorem_parts() -> tuple:
     model = heisenberg_model()
     cf = model.coframe
     psi = model_associative_form().star()
-    arr0 = canonical_connection().curvature
-    arr4 = connection_lambda(Fraction(4)).curvature  # lam = -beta
-    instanton_zero = (not curvature_wedge_psi(arr0, psi)
-                      and not curvature_wedge_psi(arr4, psi))
+    # the arrays at lam = 0 and lam = 4 = -beta, lifted once to scalars
+    arr0, arr4 = ({key: cf.table.rat(v) for key, v in conn.curvature.items()}
+                  for conn in (canonical_connection(),
+                               connection_lambda(Fraction(4))))
+    instanton_zero = not array_wedge(arr0, psi) and not array_wedge(arr4, psi)
     dT = d_form(model, canonical_torsion_form(model))
-    tr_diff = trace_wedge(arr4, arr4, cf) - trace_wedge(arr0, arr0, cf)
+    tr_diff = array_trace(arr4, arr4, cf) - array_trace(arr0, arr0, cf)
     tc = associative_torsion_classes()
     tau_ok = (tc.tau0 == cf.table.rat(Fraction(24, 7))
               and tc.tau1.is_zero and tc.tau2.is_zero)

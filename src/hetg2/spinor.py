@@ -810,19 +810,6 @@ def sp1_spinors(rep: CliffordRep) -> dict:
     }
 
 
-# Verified sign table for the quoted identity list.  A value sigma means
-# the identity holds with an extra factor sigma relative to the display; the
-# i = 3 legs of the cyclic identities flip, which is forced: the product
-# rho(e_3) rho(e_2) rho(e_1) acts as -1 on the span of psi_0, so at most two
-# of the three cyclic relations can carry the quoted sign.
-SP1_IDENTITY_SIGNS = {
-    ("xi_psi0", 1): 1, ("xi_psi0", 2): 1, ("xi_psi0", 3): -1,
-    ("xi_cyclic", (1, 2, 3)): 1, ("xi_cyclic", (2, 3, 1)): 1,
-    ("xi_cyclic", (3, 1, 2)): -1,
-    ("psi0_from", 1): 1, ("psi0_from", 2): 1, ("psi0_from", 3): -1,
-}
-
-
 # sign: +1 at the quoted sign, -1 for the quoted identity with a sign flip
 IdentityCheck = namedtuple("IdentityCheck", "name holds sign")
 

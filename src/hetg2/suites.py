@@ -111,7 +111,7 @@ class Suite3ad(Suite):
     tr = cached_property(lambda s: s.cv.wedge_trace(s.R))
     tr_diff = cached_property(lambda s: s.cv.wedge_trace(s.Rb)
                               - s.cv.wedge_trace(s.R0))
-    tl = cached_property(lambda s: s.cv.torsion_lambda_3ad(s.r, s.lam))
+    tl = cached_property(lambda s: s.cv.TorsionLambda3ad(s.r, s.lam))
     n12 = cached_property(lambda s: s.st.lambda214_double_characterization(
         s.phi_f, s.psi_f))
     # c -> h_homothety(alpha, delta, 1, c)
@@ -204,20 +204,21 @@ class Suite3ad(Suite):
         Check("3ad.trace.lemma",
               "tr(R^R) explicit part = 12a(b+l)^2 sum((4a-l) eta_jk Phi_i "
               "- a Phi_i Phi_i)",
-              lambda s: s.tr.explicit == s.cv.trace_lemma_rhs_3ad(s.r, s.lam)
+              lambda s: s.tr.explicit
+              == s.cv.trace_lemma_rhs_3ad(s.r, s.lam).embed()
               and s.tr.rho2 == s.t.one()),
         Check("3ad.trace.rho2-cancellation",
               "the formal tr(R2^R2) token is lambda-independent and cancels "
               "in differences",
               lambda s: s.tr_diff.rho2.is_zero and s.tr_diff.explicit
-              == -12 * s.al * s.beta ** 2
-              * (4 * s.al * s.b12[0] - s.al * s.b12[1])),
+              == (-12 * s.al * s.beta ** 2
+                  * (4 * s.al * s.b12[0] - s.al * s.b12[1])).embed()),
         Check("3ad.torsion.lambda",
               "deformed torsion components: vertical 2(d-4a)+2l, "
               "argument-vertical 2a - l/2; skew only at l = 0",
               lambda s: s.tl.vertical_coeff == 2 * (s.de - 4 * s.al)
               + 2 * s.lam and s.tl.arg_vertical_coeff == 2 * s.al - s.lam / 2
-              and s.cv.torsion_lambda_3ad(s.r, s.t.zero()).is_skew()
+              and s.cv.TorsionLambda3ad(s.r, s.t.zero()).is_skew()
               and not s.tl.is_skew()),
         Check("3ad.homothety",
               "(a, d) -> (c a / a_h, d / c); degenerate stays degenerate "
@@ -333,7 +334,7 @@ class SuiteSU3(Suite):
         Check("su3.trace.lemma",
               "tr(R^R) explicit part = -(2a^2/3)(4(3a-2d) - 3l)^2 Phi^Phi",
               lambda s: s.cv.wedge_trace(s.Rs).explicit
-              == s.cv.trace_lemma_rhs_su3(s.r, s.lam)),
+              == s.cv.trace_lemma_rhs_su3(s.r, s.lam).embed()),
         Check("su3.curvature.coefficient-discrepancy",
               "the quoted explicit-coefficient variant a(4a - (m+1)/(2m) d "
               "- l) does not vanish at the instanton threshold; the variant "

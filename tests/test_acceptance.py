@@ -13,8 +13,7 @@ from hetg2.bianchi import (approx_order_report, branches, get_ring,
                            sasaki_3alpha_impossibility, verify_branch)
 from hetg2.curvature import (beta_of, curvature_3ad, curvature_su3,
                              instanton_obstruction, su3_coefficient,
-                             torsion_lambda_3ad, trace_lemma_rhs_3ad,
-                             wedge_trace)
+                             trace_lemma_rhs_3ad, wedge_trace)
 from hetg2.cli import report_payload, run_suite
 from hetg2.exterior import Coframe
 from hetg2.scalar import SymbolTable
@@ -95,7 +94,7 @@ def test_criterion_4_trace_lemma():
     t3 = r3.table
     lam = t3.sym("lam")
     tr = wedge_trace(curvature_3ad(r3, lam))
-    assert tr.explicit == trace_lemma_rhs_3ad(r3, lam)
+    assert tr.explicit == trace_lemma_rhs_3ad(r3, lam).embed()
     assert tr.rho2 == t3.one()
     tr2 = wedge_trace(curvature_3ad(r3, t3.rat(5)))
     assert tr2.rho2 == tr.rho2  # token is lambda-independent

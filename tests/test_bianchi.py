@@ -18,7 +18,7 @@ BETA = 2 * (DE - 2 * AL)
 class TestResidual:
     def test_rho2_cancels(self):
         res = residual("3ad", L1, L2)
-        assert res.genform is not None  # construction implies cancellation
+        assert res.form is not None  # construction implies cancellation
 
     def test_flux_source_is_characteristic_torsion(self):
         tcg = structure_torsion("3ad").characteristic

@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from hetg2.curvature import (NORM_SQ_CALIBRATION, antiselfdual_in_kernel,
-                             array_transpose_equal, beta_of, contorsion_3ad,
+from hetg2 import suites
+from hetg2.curvature import (NORM_SQ_CALIBRATION, CurvOp, TorsionLambda3ad,
+                             antiselfdual_in_kernel, array_transpose_equal,
+                             beta_of, check_zero_factors, contorsion_3ad,
                              curvature_3ad, curvature_su3,
                              instanton_obstruction, su3_coefficient,
-                             torsion_lambda_3ad, trace_lemma_rhs_3ad,
-                             trace_lemma_rhs_su3, wedge_trace)
+                             trace_lemma_rhs_3ad, trace_lemma_rhs_su3,
+                             wedge_trace)
 from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import CYCLIC, Ring3ad, RingSU3, make_table
 
@@ -31,32 +33,172 @@ def skew_torsion_form(tl):
     return out
 
 
+# The quoted block rules, kept as the term-by-term reference that the
+# obstruction and the traces derived from the curvature array must equal.
+
+# traces of the squared hermitian endomorphisms on each block
+TR_ENDO = {"V": F(-2), "H": F(-4)}
+TR_ENDO_SU3 = F(-6)
+
+
+def quoted_form_factor(R, i, eb):
+    """2-form multiplying phi_i restricted to the block ``eb``."""
+    r = R.ring
+    if R.geometry == "3ad":
+        j, k = CYCLIC[i]
+        return R.block("V", eb) * -r.eta(j, k) + R.block("H", eb) * r.Phi(i)
+    return R.block("H", eb) * r.Phi()
+
+
+def quoted_trace(R, Rp):
+    """sum over the blocks of tr(phi_i|eb ^ 2) (form factor ^ form factor)."""
+    r = R.ring
+    if R.geometry == "su3":
+        return (TR_ENDO_SU3 * quoted_form_factor(R, 0, "H").wedge(
+            quoted_form_factor(Rp, 0, "H"))).embed()
+    out = r.zero()
+    for i in (1, 2, 3):
+        for eb in ("V", "H"):
+            out = out + TR_ENDO[eb] * quoted_form_factor(R, i, eb).wedge(
+                quoted_form_factor(Rp, i, eb))
+    return out.embed()
+
+
+def quoted_obstruction_3ad(R):
+    """(terms, natural norm^2) of the quoted shape
+    -(b+l)(l/2) Phi_i^2 eta_jk (x) (phi_i|V + 1/2 phi_i|H)."""
+    r = R.ring
+    # wedging the blocks with psi leaves sum_i (dvol ^ eta_jk) (x)
+    # [a_v phi_i|V + a_h phi_i|H] with a_v = 2 c_HV - c_VV, a_h = 2 c_HH - c_VH
+    a_v = 2 * R.block("H", "V") - R.block("V", "V")
+    a_h = 2 * R.block("H", "H") - R.block("V", "H")
+    pref = -(beta_of(r) + R.lam) * R.lam
+    assert a_v == pref and a_h == pref / 2
+    coef = pref / 2
+    terms, nat = {}, r.table.zero()
+    for i, (j, k) in CYCLIC.items():
+        form = (coef * r.Phi(i).wedge(r.Phi(i)).wedge(r.eta(j, k))).embed()
+        for J, c in r.frame["Phi"][i].terms.items():
+            endo = c if max(J) <= 3 else c / 2
+            terms.update({(K, J): f * endo for K, f in form.terms.items()})
+        # |Phi_i^2 eta_jk|^2 = 4 and tr(A^T A) = 2 + (1/4) 4 = 3 per term
+        nat = nat + coef * coef * 4 * 3
+    return terms, nat
+
+
+def quoted_obstruction_su3(R):
+    """(terms, natural norm^2) of (K/2) Phi^3 (x) phi: the contact case has
+    Phi ^ psi(t) = Phi^3 / 2."""
+    r = R.ring
+    k = R.block("H", "H")
+    form = ((k / 2) * r.Phi().wedge(r.Phi()).wedge(r.Phi())).embed()
+    terms = {(K, J): f * c for K, f in form.terms.items()
+             for J, c in r.frame["Phi"].terms.items()}
+    # |Phi^3|^2 = 36, tr(phi^T phi) = 6
+    return terms, (k * k / 4) * 36 * 6
+
+
+class TestQuotedReference:
+    def test_obstruction_3ad(self):
+        for lam in (LAM, T3.rat(1), T3.zero()):
+            R = curvature_3ad(R3, lam)
+            ob = instanton_obstruction(R, R3.psi())
+            terms, nat = quoted_obstruction_3ad(R)
+            assert ob.terms == {key: v for key, v in terms.items()
+                                if not v.is_zero}
+            assert ob.norm_sq_natural == nat
+
+    def test_obstruction_su3(self):
+        R = curvature_su3(RS, TS.sym("lam"))
+        ob = instanton_obstruction(R, RS.psi_theta())
+        terms, nat = quoted_obstruction_su3(R)
+        assert ob.terms == terms and len(terms) == 3
+        assert ob.norm_sq_natural == nat
+
+    def test_quoted_norm_constants(self):
+        for i, (j, k) in CYCLIC.items():
+            base = R3.Phi(i).wedge(R3.Phi(i)).wedge(R3.eta(j, k)).embed()
+            assert base.norm_sq() == 4
+        phi3 = RS.Phi().wedge(RS.Phi()).wedge(RS.Phi()).embed()
+        assert phi3.norm_sq() == 36
+
+    def test_traces(self):
+        l1, l2 = T3.sym("lam1"), T3.sym("lam2")
+        for lams in ((LAM, LAM), (l1, l2), (T3.zero(), -BETA)):
+            R, Rp = (curvature_3ad(R3, lam) for lam in lams)
+            assert wedge_trace(R, Rp).explicit == quoted_trace(R, Rp)
+        l1, l2 = TS.sym("lam1"), TS.sym("lam2")
+        R, Rp = curvature_su3(RS, l1), curvature_su3(RS, l2)
+        assert wedge_trace(R, Rp).explicit == quoted_trace(R, Rp)
+        assert wedge_trace(R).explicit == quoted_trace(R, R)
+
+
+def statuses(cls, name, perturb, ids):
+    """Statuses of the checks ``ids`` of a fresh suite whose cached input
+    ``name`` is replaced by ``perturb`` of its value."""
+    suite = cls({})
+    suite.__dict__[name] = perturb(getattr(suite, name))
+    return {c.check_id: suite.evaluate(c).status for c in cls.checks
+            if c.check_id in ids}
+
+
+def with_block(R, key, shift):
+    return CurvOp(R.geometry, R.ring, R.lam,
+                  {**R.blocks, key: R.block(*key) + shift})
+
+
+class TestRecordsReadTheirInputs:
+    INSTANTON_3AD = ("3ad.instanton.zero-set", "3ad.instanton.norm")
+    INSTANTON_SU3 = ("su3.instanton.obstruction", "su3.instanton.norm")
+
+    def test_instanton_records_read_psi(self):
+        ids = self.INSTANTON_3AD
+        assert statuses(suites.Suite3ad, "psi", lambda p: p, ids) \
+            == dict.fromkeys(ids, "pass")
+        assert statuses(suites.Suite3ad, "psi", lambda p: 2 * p, ids) \
+            == dict.fromkeys(ids, "fail")
+        ids = self.INSTANTON_SU3 + ("su3.instanton.threshold",)
+        assert statuses(suites.SuiteSU3, "pst", lambda p: 2 * p, ids) == {
+            **dict.fromkeys(self.INSTANTON_SU3, "fail"),
+            "su3.instanton.threshold": "pass"}
+
+    def test_trace_records_read_the_blocks(self):
+        ids = ("3ad.trace.lemma",)
+        assert statuses(suites.Suite3ad, "R",
+                        lambda R: with_block(R, ("H", "H"), 1), ids) \
+            == {"3ad.trace.lemma": "fail"}
+        ids = ("su3.trace.lemma",)
+        assert statuses(suites.SuiteSU3, "Rs",
+                        lambda R: with_block(R, ("H", "H"), 1), ids) \
+            == {"su3.trace.lemma": "fail"}
+
+
 class TestTorsionLambda:
     def test_canonical_value(self):
-        tl = torsion_lambda_3ad(R3, T3.zero())
+        tl = TorsionLambda3ad(R3, T3.zero())
         expect = 2 * (DE - 4 * AL) * R3.eta(1, 2, 3)
         for i in (1, 2, 3):
             expect = expect + 2 * AL * R3.eta(i).wedge(R3.Phi(i))
         assert skew_torsion_form(tl) == expect
 
     def test_vertical_shift(self):
-        tl = torsion_lambda_3ad(R3, LAM)
+        tl = TorsionLambda3ad(R3, LAM)
         assert tl.vertical_coeff == 2 * (DE - 4 * AL) + 2 * LAM
         assert tl.arg_vertical_coeff == 2 * AL - LAM / 2
         assert tl.value_vertical_coeff == 2 * AL
 
     def test_parallel_family_matches_at_beta_zero(self):
         # at delta = 2 alpha the two instanton torsions coincide
-        tl0 = torsion_lambda_3ad(R3, T3.zero())
-        tlm = torsion_lambda_3ad(R3, -BETA)
+        tl0 = TorsionLambda3ad(R3, T3.zero())
+        tlm = TorsionLambda3ad(R3, -BETA)
         sub = {"delta": 2 * T3.sym("alpha")}
         assert tlm.vertical_coeff.subs(sub) == tl0.vertical_coeff.subs(sub)
         assert tlm.arg_vertical_coeff.subs(sub) \
             == tl0.arg_vertical_coeff.subs(sub)
 
     def test_not_skew_off_zero(self):
-        assert torsion_lambda_3ad(R3, T3.zero()).is_skew()
-        tl = torsion_lambda_3ad(R3, LAM)
+        assert TorsionLambda3ad(R3, T3.zero()).is_skew()
+        tl = TorsionLambda3ad(R3, LAM)
         assert not tl.is_skew()
         with pytest.raises(AlgebraError):
             skew_torsion_form(tl)
@@ -85,7 +227,6 @@ class TestCurvature3ad:
     def test_parallel_family_explicit_part_vanishes(self):
         R = curvature_3ad(R3, -BETA)
         assert all(v.is_zero for v in R.blocks.values())
-        assert R.has_r2
 
     def test_pair_symmetry_only_at_zero(self):
         assert array_transpose_equal(curvature_3ad(R3, T3.zero()))
@@ -126,11 +267,22 @@ class TestObstruction3ad:
         with pytest.raises(AlgebraError):
             instanton_obstruction(curvature_3ad(R3, LAM), RS.psi_theta())
 
+    def test_zero_factors_are_checked(self):
+        R = curvature_3ad(R3, LAM)
+        ob = instanton_obstruction(R, R3.psi())
+        with pytest.raises(AlgebraError):
+            check_zero_factors(ob.terms.values(), [LAM + 1])
+        with pytest.raises(AlgebraError):
+            check_zero_factors(ob.terms.values(), [LAM, LAM])
+        # a perturbed block breaks the factorization the obstruction checks
+        with pytest.raises(AlgebraError):
+            instanton_obstruction(with_block(R, ("H", "H"), 1), R3.psi())
+
 
 class TestTrace3ad:
     def test_lemma(self):
         tr = wedge_trace(curvature_3ad(R3, LAM))
-        assert tr.explicit == trace_lemma_rhs_3ad(R3, LAM)
+        assert tr.explicit == trace_lemma_rhs_3ad(R3, LAM).embed()
         assert tr.rho2 == T3.one()
 
     def test_rho2_cancellation(self):
@@ -142,7 +294,8 @@ class TestTrace3ad:
         for i, (j, k) in CYCLIC.items():
             b1 = b1 + R3.eta(j, k).wedge(R3.Phi(i))
             b2 = b2 + R3.Phi(i).wedge(R3.Phi(i))
-        assert diff.explicit == -12 * AL * BETA ** 2 * (4 * AL * b1 - AL * b2)
+        assert diff.explicit \
+            == (-12 * AL * BETA ** 2 * (4 * AL * b1 - AL * b2)).embed()
 
 
 class TestSU3:
@@ -177,6 +330,18 @@ class TestSU3:
         assert ob.norm_sq_natural == 54 * k ** 2
         assert ob.norm_sq == 81 * k ** 2
 
+    def test_zero_factors_are_checked(self):
+        lam = TS.sym("lam")
+        R = curvature_su3(RS, lam)
+        ob = instanton_obstruction(R, RS.psi_theta())
+        assert [str(f) for f in ob.zero_factors] \
+            == ["alpha", "12*alpha - 8*delta - 3*lam"]
+        with pytest.raises(AlgebraError):
+            check_zero_factors(ob.terms.values(), [TS.sym("delta")])
+        with pytest.raises(AlgebraError):
+            instanton_obstruction(with_block(R, ("H", "H"), 1),
+                                  RS.psi_theta())
+
     def test_norm_at_branch_b(self):
         lam = TS.sym("lam")
         ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi_theta())
@@ -191,7 +356,7 @@ class TestSU3:
     def test_trace(self):
         lam = TS.sym("lam")
         tr = wedge_trace(curvature_su3(RS, lam))
-        assert tr.explicit == trace_lemma_rhs_su3(RS, lam)
+        assert tr.explicit == trace_lemma_rhs_su3(RS, lam).embed()
         l1, l2 = TS.sym("lam1"), TS.sym("lam2")
         same = wedge_trace(curvature_su3(RS, l1)) \
             - wedge_trace(curvature_su3(RS, l1))
