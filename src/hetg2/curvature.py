@@ -5,7 +5,7 @@ hermitian 2-forms (block coefficients over the vertical/horizontal splitting)
 plus an opaque horizontal remainder R2 that enters only through stated
 rules: R2 ^ psi = 0, tr(R1 ^ R2) = 0 and tr(R2 ^ R2) = rho2 (a formal,
 lambda-independent 4-form token).  Every curvature operation reads a
-Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.to_array()`` here and the
+Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.array`` here and the
 first-principles arrays of the Heisenberg model alike: ``array_wedge``
 (R ^ psi), ``array_trace`` (tr(R ^ R') as a coframe 4-form) and
 ``natural_norm_sq``.  On the Heisenberg model R2 = 0 and the closed forms
@@ -96,32 +96,30 @@ class CurvOp:
 
     Block keys pair the 2-form slot with the endomorphism slot, each 'V' or
     'H'; the operator is  sum_i coeff[fb, eb] * (Phi_i|fb) (x) (phi_i|eb)
-    (+ R2), with a single hermitian form in the contact case.
+    (+ R2), with a single hermitian form in the contact case.  ``array``
+    holds the explicit part as a Lambda^2 (x) Lambda^2 coefficient array.
     """
 
-    __slots__ = ("geometry", "ring", "lam", "blocks")
+    __slots__ = ("geometry", "ring", "lam", "blocks", "array")
 
     def __init__(self, geometry: str, ring, lam: Scalar, blocks: dict):
         self.geometry = geometry
         self.ring = ring
         self.lam = lam
         self.blocks = blocks
-
-    def block(self, fb: str, eb: str) -> Scalar:
-        return self.blocks.get((fb, eb), self.ring.table.zero())
-
-    def to_array(self) -> dict:
-        """Explicit part as a Lambda^2 (x) Lambda^2 coefficient array."""
         arr = {}
-        vert = VERTICAL[self.geometry]
-        for comp in _hermitian_pair_components(self.geometry):
+        vert = VERTICAL[geometry]
+        for comp in _hermitian_pair_components(geometry):
             for I, ci in comp.items():
                 fb = "V" if set(I) <= vert else "H"
                 for J, cj in comp.items():
                     eb = "V" if set(J) <= vert else "H"
                     term = self.block(fb, eb) * (ci * cj)
                     arr[(I, J)] = arr[(I, J)] + term if (I, J) in arr else term
-        return {key: v for key, v in arr.items() if not v.is_zero}
+        self.array = {key: v for key, v in arr.items() if not v.is_zero}
+
+    def block(self, fb: str, eb: str) -> Scalar:
+        return self.blocks.get((fb, eb), self.ring.table.zero())
 
 
 def _hermitian_pair_components(geometry: str) -> list[dict]:
@@ -212,7 +210,7 @@ class Obstruction(namedtuple("Obstruction", "geometry terms norm_sq "
                               "norm_sq_natural zero_factors")):
     """R ^ psi as an endomorphism-valued 6-form plus norms and factors.
 
-    terms: the nonzero coefficients of ``array_wedge(R.to_array(), psi)``,
+    terms: the nonzero coefficients of ``array_wedge(R.array, psi)``,
     keyed (6-form multi-index, endomorphism slot J).
     """
 
@@ -243,7 +241,7 @@ def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
     ring = R.ring
     if psi.space is not ring:
         raise AlgebraError("coassociative form from a different geometry ring")
-    terms = array_wedge(R.to_array(), psi.embed())
+    terms = array_wedge(R.array, psi.embed())
     # the stated zero factors, checked on the derived coefficients
     if R.geometry == "3ad":
         factors = [R.lam, beta_of(ring) + R.lam]
@@ -283,9 +281,7 @@ def wedge_trace(R: CurvOp, Rp: Optional[CurvOp] = None) -> TraceForm:
         Rp = R
     if Rp.geometry != R.geometry or Rp.ring is not R.ring:
         raise AlgebraError("wedge trace requires operators of one geometry")
-    arr = R.to_array()
-    arrp = arr if Rp is R else Rp.to_array()
-    return TraceForm(array_trace(arr, arrp, R.ring.coframe),
+    return TraceForm(array_trace(R.array, Rp.array, R.ring.coframe),
                      R.ring.table.one())
 
 
@@ -309,7 +305,7 @@ def trace_lemma_rhs_su3(ring: RingSU3, lam: Scalar) -> GenForm:
 
 def antiselfdual_in_kernel(R: CurvOp) -> bool:
     """Anti-self-dual horizontal 2-forms annihilate the explicit part."""
-    arr = R.to_array()
+    arr = R.array
     table = R.ring.table
     asd = [{(4, 5): 1, (6, 7): -1}, {(4, 6): 1, (5, 7): 1},
            {(4, 7): 1, (5, 6): -1}]
@@ -329,7 +325,7 @@ def antiselfdual_in_kernel(R: CurvOp) -> bool:
 
 
 def array_transpose_equal(R: CurvOp) -> bool:
-    arr = R.to_array()
+    arr = R.array
     for (I, J), v in arr.items():
         if not (arr.get((J, I), R.ring.table.zero()) - v).is_zero:
             return False

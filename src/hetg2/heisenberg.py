@@ -158,21 +158,28 @@ def levi_civita() -> Connection:
     return conn
 
 
+def _shifted(base: Connection, tensor: dict) -> Connection:
+    """base shifted by a difference tensor: tensor[(x, y, z)] is added to
+    g(e_x, nabla_{e_y} e_z); AlgebraError if the result is not metric."""
+    L = {y: [row[:] for row in mat] for y, mat in base.L.items()}
+    for (x, y, z), v in tensor.items():
+        L[y][x - 1][z - 1] = exact(L[y][x - 1][z - 1] + v)
+    conn = Connection(base.model, L)
+    if not conn.is_metric():
+        raise AlgebraError("shifted connection is not metric")
+    return conn
+
+
 def with_torsion(lc: Connection, torsion: Form) -> Connection:
     """Metric connection with prescribed totally skew torsion 3-form."""
-    model = lc.model
-    L = {}
-    for y in range(1, 8):
-        mat = [row[:] for row in lc.L[y]]
-        for x in range(1, 8):
+    half = {}
+    for x in range(1, 8):
+        for y in range(1, 8):
             for z in range(1, 8):
                 t = torsion.coefficient((x, y, z)).as_rat()
                 if t:
-                    mat[x - 1][z - 1] = exact(mat[x - 1][z - 1] + _half(t))
-        L[y] = mat
-    conn = Connection(model, L)
-    if not conn.is_metric():
-        raise AlgebraError("skew-torsion connection is not metric")
+                    half[(x, y, z)] = _half(t)
+    conn = _shifted(lc, half)
     if not conn.has_torsion(torsion):
         raise AlgebraError("recomputed torsion mismatch")
     return conn
@@ -231,22 +238,17 @@ def connection_lambda(lam: Rat) -> Connection:
 
 
 @cache
+def _unit_contorsion() -> dict:
+    """The difference tensor at lam = 1; it is linear in lam."""
+    return contorsion_3ad(model_associative_form(), Fraction(1))
+
+
+@cache
 def _connection_lambda(lam: Rat) -> Connection:
-    base = canonical_connection()
-    delta = contorsion_3ad(model_associative_form(), Fraction(lam))
-    if not delta:
-        return base
-    L = {}
-    for y in range(1, 8):
-        mat = [row[:] for row in base.L[y]]
-        for (x, yy, z), v in delta.items():
-            if yy == y:
-                mat[x - 1][z - 1] = exact(mat[x - 1][z - 1] + v)
-        L[y] = mat
-    conn = Connection(base.model, L)
-    if not conn.is_metric():
-        raise AlgebraError("deformed connection is not metric")
-    return conn
+    if not lam:
+        return canonical_connection()
+    return _shifted(canonical_connection(),
+                    {k: lam * v for k, v in _unit_contorsion().items()})
 
 
 def curvature_fp(conn: Connection) -> dict:
@@ -292,7 +294,7 @@ def _closed_form_in_lam() -> dict:
     """The closed-form array at (alpha, delta) = (1, 0) in the ring symbol
     lam: key -> {power of lam: rational coefficient}."""
     ring = get_ring("3ad")
-    arr = curvature_3ad(ring, ring.table.sym("lam")).to_array()
+    arr = curvature_3ad(ring, ring.table.sym("lam")).array
     out = {}
     for key, val in arr.items():
         v = val.subs({"alpha": 1, "delta": 0})

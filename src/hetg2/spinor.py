@@ -9,9 +9,9 @@ A Gaussian rational ``GQ`` is (a + b i) / d held as three ints in lowest
 terms (d > 0, gcd(a, b, d) = 1), so that arithmetic is integer arithmetic
 with at most one gcd per result; ``re`` and ``im`` are derived, an int when
 integral and a Fraction otherwise, never a float.  The kernels that sum
-products (``word_herm``, ``herm``, ``rows_apply``, ``words_apply``,
-``matmul``, ``word_rows``) add the integer parts over one running
-denominator and build one ``GQ`` per result entry.
+products (``word_herm``, ``herm``, ``rows_apply``, ``matmul``,
+``word_rows``) add the integer parts over one running denominator and build
+one ``GQ`` per result entry.
 
 Every generator is a signed permutation matrix with unit phases, one entry
 i^k per row, and so is every product of generators and the charge
@@ -21,8 +21,9 @@ mod 4.  Words compose, take Kronecker products and act on spinors in O(dim)
 by index lookups and part swaps, with no multiplication;
 ``clifford_relations_hold``, ``volume_action`` and the spinor bilinears work
 on words, each bilinear herm(x, W y) read off the word by ``word_herm``
-without building W y.  ``CliffordRep.word`` builds the word of each
-product of generators once, from the word of its prefix.  Every other
+without building W y, and so is the real 8-dimensional representation
+``real_rep7``.  ``CliffordRep.word`` builds the word of each product of
+generators once, from the word of its prefix.  Every other
 operator (a form's Clifford action, an eigenprojector) is held as sparse
 rows, one {column: entry} dict per row: ``word_rows`` turns a combination of
 words into sparse rows, and ``rows_apply``, ``rows_scale`` and ``matmul``
@@ -360,25 +361,6 @@ def rows_apply(rows: list, v) -> tuple:
     return tuple(out)
 
 
-def words_apply(terms, v) -> tuple:
-    """(sum c W) v over pairs (coefficient c, word W), summed as ints per
-    entry, with no operator built."""
-    parts = [(y.a, y.b, y.d) for y in v]
-    acc = {}
-    for c, (perm, phase) in terms:
-        c = _gq(c)
-        a, b, d = c.a, c.b, c.d
-        turned = ((a, b), (-b, a), (-a, -b), (b, -a))  # i^k c for k = 0..3
-        for r, (j, k) in enumerate(zip(perm, phase)):
-            ya, yb, yd = parts[j]
-            if ya or yb:
-                ca, cb = turned[k]
-                _add_into(acc, r, ca * ya - cb * yb, ca * yb + cb * ya,
-                          d * yd)
-    return tuple(_reduced(*acc[r]) if r in acc else _ZERO
-                 for r in range(len(v)))
-
-
 def rows_scale(rows: list, c) -> list:
     """Sparse rows times a scalar c, zero entries dropped."""
     c = _gq(c)
@@ -412,13 +394,13 @@ class CliffordRep:
     The e_1 convention is kept; the sign is reported, not hidden.
     """
 
-    __slots__ = ("m", "words", "volume_sign", "_charge_word", "_products")
+    __slots__ = ("m", "words", "_charge_word", "_products")
+    volume_sign = -1
 
-    def __init__(self, m: int, words: tuple, volume_sign: int = -1):
+    def __init__(self, m: int, words: tuple):
         # frozen: build_rep shares one representation per m
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "words", words)  # rho(e_mu) = words[mu-1]
-        object.__setattr__(self, "volume_sign", volume_sign)
         dim = 2 ** m
         object.__setattr__(self, "_products",
                            {(): (tuple(range(dim)), (0,) * dim)})
@@ -582,7 +564,8 @@ def majorana_v_basis(rep: CliffordRep):
 
 
 def real_rep7():
-    """The eight-dimensional real representation by E_ij block matrices.
+    """The eight-dimensional real representation by E_ij block matrices, as
+    words: each ((i, j), sgn) puts -sgn at (i, j) and sgn at (j, i).
 
     These are the matrices forced by the complex representation through the
     v-basis dictionary (so relations and intertwining hold by construction).
@@ -590,12 +573,12 @@ def real_rep7():
     generator order e_2..e_7 and fixing one sign (the quoted -E_67 term
     does not anticommute with E_56 + E_78 and must be +E_67).
     """
-    def em(pairs):
-        mat = [[Fraction(0)] * 8 for _ in range(8)]
+    def word(pairs):
+        perm, phase = [0] * 8, [0] * 8
         for (i, j), sgn in pairs:
-            mat[i - 1][j - 1] += -sgn
-            mat[j - 1][i - 1] += sgn
-        return tuple(tuple(row) for row in mat)
+            perm[i - 1], phase[i - 1] = j - 1, 1 + sgn  # -sgn = i^(1 + sgn)
+            perm[j - 1], phase[j - 1] = i - 1, 1 - sgn
+        return tuple(perm), tuple(phase)
 
     data = [
         [((1, 2), 1), ((3, 4), 1), ((5, 6), 1), ((7, 8), 1)],
@@ -606,20 +589,17 @@ def real_rep7():
         [((1, 4), 1), ((2, 3), 1), ((5, 8), 1), ((6, 7), 1)],
         [((1, 3), 1), ((2, 4), -1), ((5, 7), -1), ((6, 8), 1)],
     ]
-    return tuple(em(d) for d in data)
+    return tuple(word(d) for d in data)
 
 
-def v_basis_intertwines(rep: CliffordRep) -> bool:
-    """The v spinors are Majorana and rho(e_mu) v_k = sum_l R_mu[l][k] v_l
-    with R = real_rep7()."""
-    vs, rr = majorana_v_basis(rep), real_rep7()
-    for mu, r_mu in enumerate(rr):
-        for k in range(8):
-            rhs = (GQ(0),) * 8
-            for ell in range(8):
-                if r_mu[ell][k]:
-                    rhs = vec_add(rhs, vec_scale(vs[ell], r_mu[ell][k]))
-            if word_apply(rep.words[mu], vs[k]) != rhs:
+def v_basis_intertwines(rep: CliffordRep, real: tuple) -> bool:
+    """The v spinors are Majorana and rho(e_mu) v_k = i^phase[l] v_l, where
+    perm[l] = k, for each word (perm, phase) of the real representation
+    ``real`` (``real_rep7()``)."""
+    vs = majorana_v_basis(rep)
+    for g, (perm, phase) in zip(rep.words, real):
+        for v, k, p in zip(vs, perm, phase):
+            if word_apply(g, vs[k]) != tuple(times_i_pow(x, p) for x in v):
                 return False
     return all(is_majorana(rep, v) for v in vs)
 
@@ -628,21 +608,30 @@ def v_basis_intertwines(rep: CliffordRep) -> bool:
 # bilinear reconstruction of differential forms
 # ---------------------------------------------------------------------------
 
-def _norm_sq(psi) -> Fraction:
-    n = herm(psi, psi)
-    if n.im != 0:
-        raise AlgebraError("norm must be real")
-    return n.re
-
-
-# empirical sign/prefactor conventions (see module docstring); each entry is
-# (prefactor as GQ, use conjugate spinor on the left).
+# empirical sign/prefactor conventions (see module docstring), as GQ
 _FORM_PREFACTORS = {
-    1: (I, False),      # eta:  i (-1)^{m+1} <psi, e psi> at m odd
-    2: (I, False),      # fundamental 2-form, structure-module sign
-    3: (GQ(1), False),  # associative 3-form (Majorana bilinear)
-    4: (GQ(-1), False), # coassociative 4-form
+    1: I,       # eta:  i (-1)^{m+1} <psi, e psi> at m odd
+    2: I,       # fundamental 2-form, structure-module sign
+    3: GQ(1),   # associative 3-form (Majorana bilinear)
+    4: GQ(-1),  # coassociative 4-form
 }
+
+
+def _bilinears(rep: CliffordRep, pairs, degree: int, pref: GQ) -> dict:
+    """idx -> pref sum herm(x, rho(e_idx) y) / |x_0|^2 over the spinor pairs
+    (x, y), x_0 the first left spinor, for every increasing multi-index of
+    the degree; zero values dropped.  A Hermitian norm is real, so |x_0|^2
+    is a rational."""
+    n = herm(pairs[0][0], pairs[0][0]).re
+    if not n:
+        raise AlgebraError("zero spinor")
+    out = {}
+    for idx in combinations(range(1, 2 * rep.m + 2), degree):
+        w = rep.word(idx)
+        c = pref * sum((word_herm(x, w, y) for x, y in pairs), _ZERO) / n
+        if not c.is_zero:
+            out[idx] = c
+    return out
 
 
 def form_from_spinor(rep: CliffordRep, psi, degree: int,
@@ -654,41 +643,21 @@ def form_from_spinor(rep: CliffordRep, psi, degree: int,
     coassociative forms.  Coefficients are rational; a zero spinor or a
     non-real coefficient is an error.
     """
-    if all(x.is_zero for x in psi):
-        raise AlgebraError("zero spinor")
     if degree not in _FORM_PREFACTORS:
         raise AlgebraError(f"unsupported degree: {degree}")
-    pref, conj_left = _FORM_PREFACTORS[degree]
-    n = _norm_sq(psi)
-    left = vec_conj(psi) if conj_left else psi
-    terms = {}
-    dim = 2 * rep.m + 1
-    for idx in combinations(range(1, dim + 1), degree):
-        c = pref * word_herm(left, rep.word(idx), psi) / n
-        if c.is_zero:
-            continue
+    terms = _bilinears(rep, [(psi, psi)], degree, _FORM_PREFACTORS[degree])
+    for idx, c in terms.items():
         if c.im != 0:
             raise AlgebraError(f"non-real coefficient at {idx}: {c}")
-        terms[idx] = c.re
-    return coframe.form(terms)
+    return coframe.form({idx: c.re for idx, c in terms.items()})
 
 
 def holomorphic_volume_from_spinor(rep: CliffordRep, psi,
                                    coframe: Coframe) -> tuple[Form, Form]:
     """(real, imaginary) parts of the degree-m bilinear between psi-bar and psi."""
-    if all(x.is_zero for x in psi):
-        raise AlgebraError("zero spinor")
-    n = _norm_sq(psi)
-    bar = vec_conj(psi)
-    re_terms, im_terms = {}, {}
-    dim = 2 * rep.m + 1
-    for idx in combinations(range(1, dim + 1), rep.m):
-        c = I * word_herm(bar, rep.word(idx), psi) / n
-        if c.re != 0:
-            re_terms[idx] = c.re
-        if c.im != 0:
-            im_terms[idx] = c.im
-    return coframe.form(re_terms), coframe.form(im_terms)
+    terms = _bilinears(rep, [(vec_conj(psi), psi)], rep.m, I)
+    return (coframe.form({idx: c.re for idx, c in terms.items() if c.re}),
+            coframe.form({idx: c.im for idx, c in terms.items() if c.im}))
 
 
 # ---------------------------------------------------------------------------
@@ -797,25 +766,26 @@ def sp1_spinors(rep: CliffordRep) -> dict:
     """
     if rep.m != 3:
         raise AlgebraError("the distinguished spinors live in dimension 7")
-    psi = canonical_su3_spinor(rep)
-    bar = vec_conj(psi)
-    plus = vec_add(psi, bar)
-    minus = vec_scale(vec_add(psi, vec_scale(bar, -1)), -I)
+    plus, minus = majorana_pair(rep)
     xi2 = rep.words[1]
     return {
         0: vec_scale(word_apply(xi2, plus), -1),
         1: word_apply(xi2, minus),
-        2: tuple(plus),
-        3: tuple(minus),
+        2: plus,
+        3: minus,
     }
+
+
+def majorana_pair(rep: CliffordRep) -> tuple:
+    """The Majorana pair Psi+ = Psi + Psi-bar, Psi- = -i (Psi - Psi-bar) of
+    the canonical section Psi."""
+    psi = canonical_su3_spinor(rep)
+    bar = vec_conj(psi)
+    return vec_add(psi, bar), vec_scale(vec_add(psi, vec_scale(bar, -1)), -I)
 
 
 # sign: +1 at the quoted sign, -1 for the quoted identity with a sign flip
 IdentityCheck = namedtuple("IdentityCheck", "name holds sign")
-
-
-def _eqv(a, b) -> bool:
-    return tuple(a) == tuple(b)
 
 
 def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
@@ -831,9 +801,9 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
     checks: list[IdentityCheck] = []
 
     def record(name, lhs, rhs):
-        if _eqv(lhs, rhs):
+        if lhs == rhs:
             checks.append(IdentityCheck(name, True, 1))
-        elif _eqv(lhs, vec_scale(rhs, -1)):
+        elif lhs == vec_scale(rhs, -1):
             checks.append(IdentityCheck(name, True, -1))
         else:
             checks.append(IdentityCheck(name, False, 0))
@@ -882,7 +852,8 @@ def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, psi) -> bool:
     for x in range(1, 8):
         terms = [(1, word_mul(xi, g[x - 1])), (-1, word_mul(g[x - 1], xi))]
         terms += [(2 * v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
-        if not all(c.is_zero for c in words_apply(terms, psi)):
+        if not all(c.is_zero
+                   for c in rows_apply(word_rows(terms, rep.dim), psi)):
             return False
     return True
 
@@ -894,22 +865,20 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
     xi X Psi_+ = phi(X) Psi_+ (structure 1, spinor-side phi convention: the
     negative of the form's tensor).
     """
-    psi = canonical_su3_spinor(rep)
-    bar = vec_conj(psi)
-    plus = vec_add(psi, bar)
-    minus = vec_scale(vec_add(psi, vec_scale(bar, -1)), -I)
+    plus, minus = majorana_pair(rep)
     from .structures import endomorphism_from_form
     phi_tensor = endomorphism_from_form(frame["Phi"][1])
     checks = [IdentityCheck("xi1 Psi+ = Psi-",
-                            _eqv(word_apply(rep.words[0], plus), minus), 1)]
+                            word_apply(rep.words[0], plus) == minus, 1)]
     ok_h, ok_hv = True, True
     g = rep.words
     for x in range(2, 8):
-        phi_x = [(-v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
-        if not _eqv(word_apply(g[x - 1], plus), words_apply(phi_x, minus)):
+        phi_x = word_rows([(-v, g[y - 1])
+                           for y, v in phi_tensor.get(x, {}).items()], rep.dim)
+        if word_apply(g[x - 1], plus) != rows_apply(phi_x, minus):
             ok_h = False
         lhs2 = word_apply(word_mul(g[0], g[x - 1]), plus)
-        if not _eqv(lhs2, words_apply(phi_x, plus)):
+        if lhs2 != rows_apply(phi_x, plus):
             ok_hv = False
     checks.append(IdentityCheck("X Psi+ = phi(X) Psi-", ok_h, 1))
     checks.append(IdentityCheck("xi X Psi+ = phi(X) Psi+", ok_hv, 1))
@@ -933,12 +902,11 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
         phi_x = [(-v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
         eta_x = [((-1) ** m, rep.word(()))] if x == 1 else []
         eta_bar = [(-1, rep.word(()))] if x == 1 else []
-        if not all(c.is_zero for c in words_apply(
-                [(I, g[x - 1]), *phi_x, *eta_x], psi)):
-            return False
-        if not all(c.is_zero for c in words_apply(
-                [(-I, g[x - 1]), *phi_x, *eta_bar], bar)):
-            return False
+        for terms, v in (([(I, g[x - 1]), *phi_x, *eta_x], psi),
+                         ([(-I, g[x - 1]), *phi_x, *eta_bar], bar)):
+            if not all(c.is_zero
+                       for c in rows_apply(word_rows(terms, rep.dim), v)):
+                return False
     return True
 
 
@@ -1051,26 +1019,20 @@ def majorana_family_form(rep: CliffordRep, plus, minus, degree: int,
     """
     if degree not in (3, 4):
         raise AlgebraError("family reconstruction supports degrees 3 and 4")
-    pref = _FORM_PREFACTORS[degree][0]
-    npp = _norm_sq(plus)
-    nmm = _norm_sq(minus)
-    if npp != nmm or not herm(plus, minus).is_zero:
+    if herm(plus, plus) != herm(minus, minus) or not herm(plus, minus).is_zero:
         raise AlgebraError("family spinors must be orthogonal of equal norm")
+    pref = _FORM_PREFACTORS[degree]
+    bpp = _bilinears(rep, [(plus, plus)], degree, pref)
+    bmm = _bilinears(rep, [(minus, minus)], degree, pref)
+    cross = _bilinears(rep, [(plus, minus), (minus, plus)], degree, pref)
     c = table.sym("c")
     w_pp, w_mm, w_cross = (1 + c) / 2, (1 - c) / 2, table.sym("s") / -2
     terms = {}
-    dim = 2 * rep.m + 1
-    for idx in combinations(range(1, dim + 1), degree):
-        w = rep.word(idx)
-        bpp = pref * word_herm(plus, w, plus) / npp
-        bmm = pref * word_herm(minus, w, minus) / npp
-        cross = pref * (word_herm(plus, w, minus)
-                        + word_herm(minus, w, plus)) / npp
-        if any(val.im != 0 for val in (bpp, bmm, cross)):
+    for idx in sorted(bpp.keys() | bmm.keys() | cross.keys()):
+        pp, mm, cr = (b.get(idx, _ZERO) for b in (bpp, bmm, cross))
+        if pp.im != 0 or mm.im != 0 or cr.im != 0:
             raise AlgebraError("non-real family coefficient")
-        if bpp.is_zero and bmm.is_zero and cross.is_zero:
-            continue
-        coef = w_pp * bpp.re + w_mm * bmm.re + w_cross * cross.re
+        coef = w_pp * pp.re + w_mm * mm.re + w_cross * cr.re
         if not coef.is_zero:
             terms[idx] = coef
     return coframe.form(terms)

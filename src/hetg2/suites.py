@@ -361,16 +361,14 @@ class SuiteSpinor(Suite):
         "sigma_form": s.sp.sigma_fundamental_form(s.cf, 3)})
     su3f = cached_property(lambda s: s.st.su3_frame_forms(s.cf))
     psi = cached_property(lambda s: s.sp.canonical_su3_spinor(s.rep))
-    bar = cached_property(lambda s: s.sp.vec_conj(s.psi))
     phi0 = cached_property(lambda s: s.r.phi().embed())
     psi0 = cached_property(lambda s: s.sp.sp1_spinors(s.rep)[0])
     u = cached_property(lambda s: partial(s.sp.u_spinor, s.rep))
     sp1 = cached_property(lambda s: s.sp.sp1_spinor_suite(s.rep, s.frame))
     flips = cached_property(lambda s: sorted(c.name for c in s.sp1
                                              if c.holds and c.sign == -1))
-    # the Majorana pair Psi+ = Psi + Psi-bar, Psi- = -i (Psi - Psi-bar)
-    pm = cached_property(lambda s: (s.sp.vec_add(s.psi, s.bar), s.sp.vec_scale(
-        s.sp.vec_add(s.psi, s.sp.vec_scale(s.bar, -1)), -s.sp.I)))
+    pm = cached_property(lambda s: s.sp.majorana_pair(s.rep))
+    real = cached_property(lambda s: s.sp.real_rep7())
 
     checks = (
         Check("spinor.clifford.relations",
@@ -477,7 +475,7 @@ class SuiteSpinor(Suite):
         Check("spinor.real.dictionary",
               "the eight real spinors are Majorana, orthogonal with equal "
               "norms, and intertwine the complex and real representations",
-              lambda s: s.sp.v_basis_intertwines(s.rep),
+              lambda s: s.sp.v_basis_intertwines(s.rep, s.real),
               notes="the quoted block-matrix table corresponds to reversing "
                     "the generator order e_2..e_7 and correcting one sign "
                     "(-E_67 -> +E_67, forced by the anticommutation "

@@ -5,7 +5,8 @@ dense 2^m x 2^m matrices (tuples of row tuples of GQ), by Kronecker products
 of the four 2x2 tables, independently of the package's word code.  Products
 run over every entry, zero or not.  ``word_of`` reads a dense monomial matrix
 back as its word and ``rows_of`` as sparse rows, so the tests can compare
-the package's words and rows with this reference.
+the package's words and rows with this reference; ``dense_of`` writes a word
+out as a dense matrix.
 """
 
 from hetg2.spinor import GQ
@@ -93,6 +94,15 @@ def word_of(mat):
         perm.append(nz[0][0])
         phase.append(I_POWERS.index(nz[0][1]))
     return tuple(perm), tuple(phase)
+
+
+def dense_of(word):
+    """The dense matrix of a word (perm, phase): row r holds i^phase[r] in
+    column perm[r] and zeros elsewhere."""
+    perm, phase = word
+    return tuple(tuple(I_POWERS[k % 4] if j == p else ZERO
+                       for j in range(len(perm)))
+                 for p, k in zip(perm, phase))
 
 
 def rows_of(mat):

@@ -236,7 +236,7 @@ class TestCurvature3ad:
         assert antiselfdual_in_kernel(curvature_3ad(R3, LAM))
 
     def test_hh_block_always_symmetric(self):
-        arr = curvature_3ad(R3, LAM).to_array()
+        arr = curvature_3ad(R3, LAM).array
         for (I, J), v in arr.items():
             if min(I) >= 4 and min(J) >= 4:
                 assert arr[(J, I)] == v
@@ -318,7 +318,7 @@ class TestSU3:
         lam = TS.sym("lam")
         k = su3_coefficient(RS, lam)
         phi = RS.Phi().embed()
-        assert curvature_su3(RS, lam).to_array() == {
+        assert curvature_su3(RS, lam).array == {
             (I, J): k * phi.coefficient(I) * phi.coefficient(J)
             for I in phi.terms for J in phi.terms}
         assert set(phi.terms) == {(2, 3), (4, 5), (6, 7)}

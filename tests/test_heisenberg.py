@@ -5,6 +5,8 @@ import pytest
 
 from hetg2 import heisenberg as hb
 from hetg2 import spinor as sp
+from hetg2.curvature import contorsion_3ad
+from hetg2.scalar import AlgebraError
 from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
 
 MODEL = hb.heisenberg_model()
@@ -144,6 +146,21 @@ class TestCurvature:
     def test_connection_lambda_zero_is_canonical(self):
         # the difference tensor vanishes at lam = 0
         assert hb.connection_lambda(F(0)) is hb.canonical_connection()
+
+    def test_connection_lambda_shifts_by_the_contorsion(self):
+        # the unit tensor scaled by lam is the tensor built at lam
+        can = hb.canonical_connection()
+        for lam in (F(2), F(-1, 3)):
+            want = contorsion_3ad(hb.model_associative_form(), lam)
+            conn = hb.connection_lambda(lam)
+            got = {(x, y, z): conn.L[y][x - 1][z - 1] - can.L[y][x - 1][z - 1]
+                   for y in range(1, 8) for x in range(1, 8)
+                   for z in range(1, 8)}
+            assert {k: v for k, v in got.items() if v} == want
+
+    def test_shifted_refuses_a_non_metric_tensor(self):
+        with pytest.raises(AlgebraError):
+            hb._shifted(hb.canonical_connection(), {(1, 2, 3): 1})
 
     def test_connection_lambda_keyed_by_value(self):
         # an int and an equal Fraction used to be two cache keys, so the

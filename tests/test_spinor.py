@@ -6,10 +6,12 @@ import pytest
 
 import dense_clifford as dc
 from hetg2 import spinor as sp
+from hetg2 import suites
 from hetg2.exterior import Coframe
 from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import (RingSU3, make_table, sp1_frame_forms,
                               su3_frame_forms)
+from test_curvature import statuses
 
 REP = sp.build_rep(3)
 TAB = SymbolTable(("alpha", "delta"))
@@ -421,6 +423,10 @@ class TestSp1Suite:
         for v in sp.sp1_spinors(REP).values():
             assert sp.is_majorana(REP, v)
 
+    def test_majorana_pair_is_psi2_psi3(self):
+        psi = sp.sp1_spinors(REP)
+        assert sp.majorana_pair(REP) == (psi[2], psi[3])
+
 
 class TestRealStructure:
     def test_charge_conjugation(self):
@@ -466,27 +472,58 @@ class TestRealStructure:
                 assert sp.herm(vs[i], vs[j]).is_zero
 
     def test_real_rep_relations_and_dictionary(self):
-        rr = sp.real_rep7()
+        words = sp.real_rep7()
+        assert len(words) == 7
+        rr = [dc.dense_of(w) for w in words]
+        assert all(x.im == 0 for r in rr for row in r for x in row)
         for mu in range(7):
             for nu in range(mu, 7):
-                prod1 = [[sum(rr[mu][i][k] * rr[nu][k][j] for k in range(8))
-                          for j in range(8)] for i in range(8)]
-                prod2 = [[sum(rr[nu][i][k] * rr[mu][k][j] for k in range(8))
-                          for j in range(8)] for i in range(8)]
-                for i in range(8):
-                    for j in range(8):
-                        want = F(-2 if (i == j and mu == nu) else 0)
-                        assert prod1[i][j] + prod2[i][j] == want
+                anti = dc.mat_add(dc.matmul(rr[mu], rr[nu]),
+                                  dc.matmul(rr[nu], rr[mu]))
+                want = -2 if mu == nu else 0
+                assert anti == dc.mat_scale(dc.eye(8), sp.GQ(want))
+        assert sp.clifford_relations_hold(sp.CliffordRep(3, words))
+        assert sp.volume_action(sp.CliffordRep(3, words)) == -1
         vs = sp.majorana_v_basis(REP)
         for mu in range(7):
             for k in range(8):
                 lhs = sp.word_apply(REP.words[mu], vs[k])
                 rhs = (sp.GQ(0),) * 8
                 for ell in range(8):
-                    if rr[mu][ell][k]:
+                    if not rr[mu][ell][k].is_zero:
                         rhs = sp.vec_add(rhs, sp.vec_scale(vs[ell],
                                                            rr[mu][ell][k]))
-                assert tuple(lhs) == tuple(rhs)
+                assert lhs == rhs
+        assert sp.v_basis_intertwines(REP, words)
+
+
+class TestRecordsReadTheirInputs:
+    def test_dictionary_reads_the_real_words(self):
+        def flipped(words):
+            perm, phase = words[3]
+            bad = (perm, ((phase[0] + 2) % 4,) + phase[1:])
+            return words[:3] + (bad,) + words[4:]
+        ids = ("spinor.real.dictionary",)
+        assert statuses(suites.SuiteSpinor, "real", lambda w: w, ids) \
+            == {"spinor.real.dictionary": "pass"}
+        assert statuses(suites.SuiteSpinor, "real", flipped, ids) \
+            == {"spinor.real.dictionary": "fail"}
+
+    def test_family_reads_the_majorana_pair(self):
+        ids = ("spinor.g2.family",)
+        assert statuses(suites.SuiteSpinor, "pm", lambda pm: pm, ids) \
+            == {"spinor.g2.family": "pass"}
+        assert statuses(suites.SuiteSpinor, "pm",
+                        lambda pm: (pm[0], sp.vec_scale(pm[1], -1)), ids) \
+            == {"spinor.g2.family": "fail"}
+
+    def test_su3_reconstruction_reads_psi(self):
+        ids = ("spinor.su3.reconstruction",)
+        other = sp.vec_scale(sp.u_spinor(REP, (1, 1, -1)), sp.GQ(1, 1))
+        assert statuses(suites.SuiteSpinor, "psi", lambda p: p, ids) \
+            == {"spinor.su3.reconstruction": "pass"}
+        assert statuses(suites.SuiteSpinor, "psi", lambda p: other, ids) \
+            == {"spinor.su3.reconstruction": "fail"}
 
 
 def test_killing_consequences():
