@@ -386,9 +386,6 @@ def spin_connection_action(conn: Connection, rep, x: int) -> list:
     return terms
 
 
-KillingCheck = namedtuple("KillingCheck", "name holds")
-
-
 # The Clifford action is only defined up to a global sign of all generator
 # matrices.  The u-basis action formulas and the eigenspace table pin the
 # +rho realization (which this package uses throughout); the quoted
@@ -399,7 +396,8 @@ CLIFFORD_REALIZATION_SIGN = -1
 
 
 def spin_killing_checks() -> list:
-    """Derivative rules of the four distinguished spinors at (1, 0).
+    """Derivative rules of the four distinguished spinors at (1, 0), as
+    (name, lhs, rhs) triples.
 
     With s = CLIFFORD_REALIZATION_SIGN: nabla^g_X psi_0 = -s (3/2) X psi_0 on
     the horizontal space, nabla^g_Y psi_0 = s Y psi_0 on the vertical one;
@@ -409,42 +407,37 @@ def spin_killing_checks() -> list:
     lc = levi_civita()
     rep = sp.build_rep(3)
     psi = sp.sp1_spinors(rep)
-    checks = []
     nabla = {x: spin_connection_action(lc, rep, x) for x in range(1, 8)}
     rows = {x: sp.word_rows(terms, rep.dim) for x, terms in nabla.items()}
     s = CLIFFORD_REALIZATION_SIGN
 
-    def ok(x, spinor, factor):
-        lhs = sp.rows_apply(rows[x], spinor)
-        rhs = sp.vec_scale(sp.word_apply(rep.words[x - 1], spinor), s * factor)
-        return lhs == rhs
+    def rule(name, legs, factor):
+        # legs: the (frame index, spinor index) pairs the rule covers
+        return (name, tuple(sp.rows_apply(rows[x], psi[i]) for x, i in legs),
+                tuple(sp.vec_scale(sp.word_apply(rep.words[x - 1], psi[i]),
+                                   s * factor) for x, i in legs))
 
-    checks.append(KillingCheck(
-        "nabla_X psi0 = -(3/2) X psi0 for horizontal X",
-        all(ok(x, psi[0], Fraction(-3, 2)) for x in HORIZ)))
-    checks.append(KillingCheck(
-        "nabla_Y psi0 = Y psi0 for vertical Y",
-        all(ok(y, psi[0], Fraction(1)) for y in VERT)))
-    checks.append(KillingCheck(
-        "nabla_X psi_i = (1/2) X psi_i for horizontal X",
-        all(ok(x, psi[i], Fraction(1, 2)) for x in HORIZ for i in (1, 2, 3))))
-    checks.append(KillingCheck(
-        "nabla_{xi_i} psi_i = xi_i psi_i",
-        all(ok(i, psi[i], Fraction(1)) for i in (1, 2, 3))))
-    checks.append(KillingCheck(
-        "nabla_{xi_j} psi_i = -xi_j psi_i for j != i",
-        all(ok(j, psi[i], Fraction(-1))
-            for i in (1, 2, 3) for j in (1, 2, 3) if j != i)))
-    checks.append(KillingCheck(
-        "spin connection is the canonical lift ([Omega, rho(Z)] = rho(nabla Z))",
-        _leibniz_compatible(lc, rep, nabla)))
-    return checks
+    return [
+        rule("nabla_X psi0 = -(3/2) X psi0 for horizontal X",
+             [(x, 0) for x in HORIZ], Fraction(-3, 2)),
+        rule("nabla_Y psi0 = Y psi0 for vertical Y",
+             [(y, 0) for y in VERT], Fraction(1)),
+        rule("nabla_X psi_i = (1/2) X psi_i for horizontal X",
+             [(x, i) for x in HORIZ for i in (1, 2, 3)], Fraction(1, 2)),
+        rule("nabla_{xi_i} psi_i = xi_i psi_i",
+             [(i, i) for i in (1, 2, 3)], Fraction(1)),
+        rule("nabla_{xi_j} psi_i = -xi_j psi_i for j != i",
+             [(j, i) for i in (1, 2, 3) for j in (1, 2, 3) if j != i],
+             Fraction(-1)),
+        _leibniz_compatible(lc, rep, nabla),
+    ]
 
 
-def _leibniz_compatible(conn: Connection, rep, nabla) -> bool:
-    """[Omega(X), rho(Z)] = rho(nabla_X Z) on every frame pair: the sparse
-    rows of the word combination [Omega(X), rho(Z)] - rho(nabla_X Z) are
-    empty."""
+def _leibniz_compatible(conn: Connection, rep, nabla) -> tuple:
+    """[Omega(X), rho(Z)] = rho(nabla_X Z) on every frame pair: the nonempty
+    sparse rows of the word combinations [Omega(X), rho(Z)] - rho(nabla_X Z),
+    compared with no rows."""
+    defect = []
     for x in range(1, 8):
         for z in range(1, 8):
             g = rep.words[z - 1]
@@ -456,9 +449,9 @@ def _leibniz_compatible(conn: Connection, rep, nabla) -> bool:
             # minus rho(nabla_X Z)
             comm += [(-conn.L[x][w - 1][z - 1], rep.words[w - 1])
                      for w in range(1, 8) if conn.L[x][w - 1][z - 1]]
-            if any(sp.word_rows(comm, rep.dim)):
-                return False
-    return True
+            defect += filter(None, sp.word_rows(comm, rep.dim))
+    return ("spin connection is the canonical lift ([Omega, rho(Z)] = "
+            "rho(nabla Z))", tuple(defect), ())
 
 
 # ---------------------------------------------------------------------------

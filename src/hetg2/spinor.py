@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 from math import comb, gcd
 from typing import TYPE_CHECKING, Sequence
 
@@ -255,7 +255,7 @@ _I_POWERS = (GQ(1), I, GQ(-1), GQ(0, -1))  # i^k for k = 0..3
 
 
 def times_i_pow(x: GQ, k: int) -> GQ:
-    """i^k x for k in 0..3, by swapping and negating parts."""
+    """i^k x for k in 0..3, by swapping and negating parts; no other k."""
     if k == 0:
         return x
     a, b, d = x.a, x.b, x.d
@@ -263,7 +263,9 @@ def times_i_pow(x: GQ, k: int) -> GQ:
         return _triple(-b, a, d)
     if k == 2:
         return _triple(-a, -b, d)
-    return _triple(b, -a, d)
+    if k == 3:
+        return _triple(b, -a, d)
+    raise AlgebraError(f"phase {k!r} is not in 0..3")
 
 
 def word_mul(a: tuple, b: tuple) -> tuple:
@@ -491,6 +493,8 @@ def u_spinor(rep: CliffordRep, eps: Sequence[int]):
     """Basis spinor u(eps_1..eps_m), scaled by sqrt(2)^m (Gaussian integers)."""
     if len(eps) != rep.m:
         raise AlgebraError("wrong number of signs")
+    if any(e != 1 and e != -1 for e in eps):
+        raise AlgebraError(f"signs {tuple(eps)!r} are not all +1 or -1")
     vecs = [(GQ(1), -I) if e == 1 else (GQ(1), I) for e in eps]
     out = vecs[0]
     for v in vecs[1:]:
@@ -548,7 +552,8 @@ def majorana_v_basis(rep: CliffordRep):
     """The eight real basis spinors (scaled; orthogonal, equal norms)."""
     if rep.m != 3:
         raise AlgebraError("v basis implemented for m = 3")
-    u = lambda *e: u_spinor(rep, e)
+    us = {e: u_spinor(rep, e) for e in product((1, -1), repeat=3)}
+    u = lambda *e: us[e]
     s = vec_scale
     vs = [
         vec_add(u(1, 1, 1), u(-1, -1, -1)),
@@ -784,105 +789,85 @@ def majorana_pair(rep: CliffordRep) -> tuple:
     return vec_add(psi, bar), vec_scale(vec_add(psi, vec_scale(bar, -1)), -I)
 
 
-# sign: +1 at the quoted sign, -1 for the quoted identity with a sign flip
-IdentityCheck = namedtuple("IdentityCheck", "name holds sign")
-
-
 def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
-    """Verify the distinguished-spinor identity list, reporting signs.
+    """The distinguished-spinor identity list, as (name, lhs, rhs) triples.
 
     ``frame`` must provide the full hermitian 2-forms ``Phi[i]`` and the
-    (1,1)-tensors are taken in the spinor-side convention (the negative of
-    the structure-module fundamental form); every check is exact.
+    hermitian form ``sigma_form`` of the lowest eigenspace; the (1,1)-tensors
+    are taken in the spinor-side convention (the negative of the
+    structure-module fundamental form).  Each name is the quoted identity.
     """
     psi = sp1_spinors(rep)
     xi = lambda i: rep.words[i - 1]
     phi_spin = {i: rep.form_matrix(-frame["Phi"][i]) for i in (1, 2, 3)}
-    checks: list[IdentityCheck] = []
-
-    def record(name, lhs, rhs):
-        if lhs == rhs:
-            checks.append(IdentityCheck(name, True, 1))
-        elif lhs == vec_scale(rhs, -1):
-            checks.append(IdentityCheck(name, True, -1))
-        else:
-            checks.append(IdentityCheck(name, False, 0))
-
+    checks = []
     for i in (1, 2, 3):
-        record(f"xi{i} psi0 = psi{i}", word_apply(xi(i), psi[0]), psi[i])
-        record(f"psi0 = -xi{i} psi{i}",
-               vec_scale(word_apply(xi(i), psi[i]), -1), psi[0])
-        record(f"Phi{i} psi0 = xi{i} psi0",
-               rows_apply(phi_spin[i], psi[0]), word_apply(xi(i), psi[0]))
-        record(f"Phi{i} psi{i} = xi{i} psi{i}",
-               rows_apply(phi_spin[i], psi[i]), word_apply(xi(i), psi[i]))
-        for j in (1, 2, 3):
-            if j != i:
-                record(f"Phi{i} psi{j} = -3 xi{i} psi{j}",
-                       rows_apply(phi_spin[i], psi[j]),
-                       vec_scale(word_apply(xi(i), psi[j]), -3))
-    for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        record(f"xi{i} psi{j} = psi{k}", word_apply(xi(i), psi[j]), psi[k])
+        checks += [
+            (f"xi{i} psi0 = psi{i}", word_apply(xi(i), psi[0]), psi[i]),
+            (f"psi0 = -xi{i} psi{i}",
+             vec_scale(word_apply(xi(i), psi[i]), -1), psi[0]),
+            (f"Phi{i} psi0 = xi{i} psi0",
+             rows_apply(phi_spin[i], psi[0]), word_apply(xi(i), psi[0])),
+            (f"Phi{i} psi{i} = xi{i} psi{i}",
+             rows_apply(phi_spin[i], psi[i]), word_apply(xi(i), psi[i]))]
+        checks += [(f"Phi{i} psi{j} = -3 xi{i} psi{j}",
+                    rows_apply(phi_spin[i], psi[j]),
+                    vec_scale(word_apply(xi(i), psi[j]), -3))
+                   for j in (1, 2, 3) if j != i]
+    checks += [(f"xi{i} psi{j} = psi{k}", word_apply(xi(i), psi[j]), psi[k])
+               for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
     # membership in the rank-2 bundles: psi_i solves the E_j equation, j != i
     from .structures import endomorphism_from_form
     phi_tensor = {i: endomorphism_from_form(frame["Phi"][i])
                   for i in (1, 2, 3)}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            ok = _e_bundle_member(rep, phi_tensor[j], j, psi[i])
-            checks.append(IdentityCheck(f"psi{i} in E{j}", ok, 1))
+    checks += [_e_bundle_member(rep, phi_tensor[j], j, i, psi[i])
+               for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
     # lowest-eigenspace identity used in the Ricci argument
-    herm_form = frame.get("sigma_form")
-    if herm_form is not None:
-        m_phi = rep.form_matrix(herm_form)
-        sec = canonical_su3_spinor(rep)
-        record("Phi Psi = -3 xi Psi (Sigma_0 section)",
-               rows_apply(m_phi, sec),
-               vec_scale(word_apply(rep.words[0], sec), -3))
+    sec = canonical_su3_spinor(rep)
+    checks.append(("Phi Psi = -3 xi Psi (Sigma_0 section)",
+                   rows_apply(rep.form_matrix(frame["sigma_form"]), sec),
+                   vec_scale(word_apply(rep.words[0], sec), -3)))
     return checks
 
 
-def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, psi) -> bool:
-    """(-2 phi_j(X) + xi_j X - X xi_j) psi = 0 for every frame vector X,
-    with phi_j the spinor-side tensor, the negative of ``phi_tensor``."""
+def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, i: int,
+                     psi) -> tuple:
+    """psi_i in E_j: (-2 phi_j(X) + xi_j X - X xi_j) psi = 0 for every frame
+    vector X, with phi_j the spinor-side tensor, the negative of
+    ``phi_tensor``; the left side is the seven vectors, flattened."""
     xi = rep.words[j - 1]
     g = rep.words
+    lhs = []
     for x in range(1, 8):
         terms = [(1, word_mul(xi, g[x - 1])), (-1, word_mul(g[x - 1], xi))]
         terms += [(2 * v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
-        if not all(c.is_zero
-                   for c in rows_apply(word_rows(terms, rep.dim), psi)):
-            return False
-    return True
+        lhs += rows_apply(word_rows(terms, rep.dim), psi)
+    return f"psi{i} in E{j}", tuple(lhs), (_ZERO,) * len(lhs)
 
 
 def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
-    """Reeb and horizontal Clifford relations of the +- spinor pair.
+    """Reeb and horizontal Clifford relations of the +- spinor pair, as
+    (name, lhs, rhs) triples.
 
-    Checks xi Psi_+ = Psi_-, X Psi_+ = phi(X) Psi_- and
-    xi X Psi_+ = phi(X) Psi_+ (structure 1, spinor-side phi convention: the
-    negative of the form's tensor).
+    xi Psi_+ = Psi_-, X Psi_+ = phi(X) Psi_- and xi X Psi_+ = phi(X) Psi_+
+    for the horizontal frame vectors X (structure 1, spinor-side phi
+    convention: the negative of the form's tensor).
     """
     plus, minus = majorana_pair(rep)
     from .structures import endomorphism_from_form
     phi_tensor = endomorphism_from_form(frame["Phi"][1])
-    checks = [IdentityCheck("xi1 Psi+ = Psi-",
-                            word_apply(rep.words[0], plus) == minus, 1)]
-    ok_h, ok_hv = True, True
     g = rep.words
-    for x in range(2, 8):
-        phi_x = word_rows([(-v, g[y - 1])
-                           for y, v in phi_tensor.get(x, {}).items()], rep.dim)
-        if word_apply(g[x - 1], plus) != rows_apply(phi_x, minus):
-            ok_h = False
-        lhs2 = word_apply(word_mul(g[0], g[x - 1]), plus)
-        if lhs2 != rows_apply(phi_x, plus):
-            ok_hv = False
-    checks.append(IdentityCheck("X Psi+ = phi(X) Psi-", ok_h, 1))
-    checks.append(IdentityCheck("xi X Psi+ = phi(X) Psi+", ok_hv, 1))
-    return checks
+    phi_x = [word_rows([(-v, g[y - 1])
+                        for y, v in phi_tensor.get(x, {}).items()], rep.dim)
+             for x in range(2, 8)]
+    return [("xi1 Psi+ = Psi-", word_apply(g[0], plus), minus),
+            ("X Psi+ = phi(X) Psi-",
+             tuple(word_apply(g[x - 1], plus) for x in range(2, 8)),
+             tuple(rows_apply(p, minus) for p in phi_x)),
+            ("xi X Psi+ = phi(X) Psi+",
+             tuple(word_apply(word_mul(g[0], g[x - 1]), plus)
+                   for x in range(2, 8)),
+             tuple(rows_apply(p, plus) for p in phi_x))]
 
 
 def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
@@ -923,7 +908,8 @@ def stabilizer_dimension(phi: Form) -> int:
 
 
 def su3_killing_consequences(table) -> list:
-    """Frame-level consequences of the generalized Killing endomorphism.
+    """Frame-level consequences of the generalized Killing endomorphism, as
+    (name, lhs, rhs) triples.
 
     With S(xi) = -(3a - 4d) xi and S = a on the horizontal space, the stated
     covariant derivatives of (eta, Phi, Om) alternate into the structure
@@ -934,55 +920,36 @@ def su3_killing_consequences(table) -> list:
     cf = Coframe(table, 7)
     frame = su3_frame_forms(cf)
     a, d = table.sym("alpha"), table.sym("delta")
-    s_of = {1: -(3 * a - 4 * d)}
-    checks = []
-    # d eta = sum e^mu ^ (S(e_mu) -| Phi) = 2 a Phi
-    acc = cf.zero()
-    for mu in range(1, 8):
-        coef = s_of.get(mu, a)
-        acc = acc + (cf.e(mu) ^ (coef * frame["Phi"].contract(mu)))
-    checks.append(IdentityCheck("alternation of nabla eta gives 2a Phi",
-                                acc == 2 * a * frame["Phi"], 1))
+    # S(e_mu) = S[mu] e_mu
+    S = {1: -(3 * a - 4 * d), **{mu: a for mu in range(2, 8)}}
+    eta, phi = frame["eta"], frame["Phi"]
+    # nabla eta = S(X) -| Phi on each frame leg; d eta = sum e^mu ^ nabla eta
+    via_eta = tuple(S[mu] * phi.contract(mu) for mu in S)
+    d_eta = sum((cf.e(mu) ^ via_eta[mu - 1] for mu in S), cf.zero())
     # d Phi = sum e^mu ^ (eta ^ S(e_mu)^flat) = 0
-    acc = cf.zero()
-    for mu in range(1, 8):
-        coef = s_of.get(mu, a)
-        acc = acc + (cf.e(mu) ^ (frame["eta"] ^ (coef * cf.e(mu))))
-    checks.append(IdentityCheck("alternation of nabla Phi vanishes",
-                                acc.is_zero, 1))
+    d_phi = sum((cf.e(mu) ^ (eta ^ (S[mu] * cf.e(mu))) for mu in S), cf.zero())
     # d Om = i[(S xi)^flat ^ Om + eta ^ sum e^mu ^ (S e_mu -| Om)]
     om_p, om_m = frame["Om+"], frame["Om-"]
-    sxi = s_of[1]
-    contr_p = cf.zero()
-    contr_m = cf.zero()
-    for mu in range(2, 8):
-        contr_p = contr_p + (cf.e(mu) ^ (a * om_p.contract(mu)))
-        contr_m = contr_m + (cf.e(mu) ^ (a * om_m.contract(mu)))
-    # real part: d Om+ = -[sxi eta ^ Om- + eta ^ (S -| Om)-part]
-    d_omp = -(sxi * (frame["eta"] ^ om_m)) - (frame["eta"] ^ contr_m)
-    d_omm = (sxi * (frame["eta"] ^ om_p)) + (frame["eta"] ^ contr_p)
-    checks.append(IdentityCheck(
-        "alternation of nabla Om reproduces d Om+ = -4d eta Om-",
-        d_omp == -4 * d * (frame["eta"] ^ om_m), 1))
-    checks.append(IdentityCheck(
-        "alternation of nabla Om reproduces d Om- = 4d eta Om+",
-        d_omm == 4 * d * (frame["eta"] ^ om_p), 1))
+    contr_p, contr_m = (sum((cf.e(mu) ^ (a * om.contract(mu))
+                             for mu in range(2, 8)), cf.zero())
+                        for om in (om_p, om_m))
     # the two quoted derivative routes agree: the metric dual of
-    # nabla xi = -phi(S(X)) equals nabla eta = S(X) -| Phi on every frame leg
-    phi_tensor = endomorphism_from_form(frame["Phi"])
-    routes_ok = True
-    for mu in range(1, 8):
-        coef = s_of.get(mu, a)
-        via_eta = coef * frame["Phi"].contract(mu)
-        dual = cf.zero()
-        for y, v in phi_tensor.get(mu, {}).items():
-            dual = dual + cf.form({(y,): -v}) * coef
-        if not (via_eta - dual).is_zero:
-            routes_ok = False
-    checks.append(IdentityCheck(
-        "metric dual of nabla xi = -phi(S) matches nabla eta = S -| Phi",
-        routes_ok, 1))
-    return checks
+    # nabla xi = -phi(S(X)) equals nabla eta on every frame leg
+    phi_tensor = endomorphism_from_form(phi)
+    dual = tuple(sum((cf.form({(y,): -v}) * S[mu]
+                      for y, v in phi_tensor.get(mu, {}).items()), cf.zero())
+                 for mu in S)
+    return [
+        ("alternation of nabla eta gives 2a Phi", d_eta, 2 * a * phi),
+        ("alternation of nabla Phi vanishes", d_phi, cf.zero()),
+        # real parts: d Om+ = -[S[1] eta ^ Om- + eta ^ (S -| Om)-part]
+        ("alternation of nabla Om reproduces d Om+ = -4d eta Om-",
+         -(S[1] * (eta ^ om_m)) - (eta ^ contr_m), -4 * d * (eta ^ om_m)),
+        ("alternation of nabla Om reproduces d Om- = 4d eta Om+",
+         (S[1] * (eta ^ om_p)) + (eta ^ contr_p), 4 * d * (eta ^ om_p)),
+        ("metric dual of nabla xi = -phi(S) matches nabla eta = S -| Phi",
+         via_eta, dual),
+    ]
 
 
 def spinor_registry() -> dict:

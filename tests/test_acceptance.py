@@ -19,6 +19,7 @@ from hetg2.exterior import Coframe
 from hetg2.scalar import SymbolTable
 from hetg2.structures import (CYCLIC, sp1_frame_forms, su3_frame_forms,
                               torsion_classes)
+from hetg2.suites import sign
 
 
 def _report(n, text):
@@ -173,9 +174,10 @@ def test_criterion_9_spinor_suite():
     assert sp.purity_dim(rep, sp.u_spinor(rep, (1, 1, 1))) == 3
     frame = sp1_frame_forms(cf)
     frame["sigma_form"] = sp.sigma_fundamental_form(cf, 3)
-    checks = sp.sp1_spinor_suite(rep, frame)
-    assert all(c.holds for c in checks)
-    flips = sorted(c.name for c in checks if c.sign == -1)
+    signs = {name: sign(lhs, rhs)
+             for name, lhs, rhs in sp.sp1_spinor_suite(rep, frame)}
+    assert len(signs) == 28 and all(signs.values())
+    flips = sorted(name for name, v in signs.items() if v == -1)
     assert flips == ["psi0 = -xi3 psi3", "xi3 psi0 = psi3",
                      "xi3 psi1 = psi2"]
     phi = cf.e(1, 2, 3)

@@ -116,7 +116,7 @@ class TestApproxOrders:
         rep = approx_order_report(
             "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
                     "alpha": t ** 5 - (tt.sqrt() / 6) / t}, tt)
-        assert rep.leading_order == 8 and rep.status == "pass"
+        assert rep.leading_order == 8
         assert rep.norm_sq_text == "192*t^8"
 
     def test_su3_scaling(self):
@@ -125,7 +125,7 @@ class TestApproxOrders:
         rep = approx_order_report(
             "su3", {"lam": (2 * tt.sqrt() / 3) / t, "alpha": t ** 5,
                     "delta": F(3, 2) * t ** 5}, tt)
-        assert rep.leading_order == 8 and rep.status == "pass"
+        assert rep.leading_order == 8
         assert rep.norm_sq_text == "216*t^8"
 
     def test_constant_scaling_fails(self):
@@ -133,7 +133,7 @@ class TestApproxOrders:
         rep = approx_order_report(
             "3ad", {"lam": tt.rat(1), "delta": tt.rat(1),
                     "alpha": tt.rat(3)}, tt)
-        assert rep.leading_order == 0 and rep.status == "fail"
+        assert rep.leading_order == 0
 
 
 class TestBasisHandling:

@@ -133,13 +133,31 @@ class TestQuotedReference:
         assert wedge_trace(R).explicit == quoted_trace(R, R)
 
 
-def statuses(cls, name, perturb, ids):
-    """Statuses of the checks ``ids`` of a fresh suite whose cached input
+def records(cls, name, perturb, ids):
+    """Records of the checks ``ids`` of a fresh suite whose cached input
     ``name`` is replaced by ``perturb`` of its value."""
     suite = cls({})
     suite.__dict__[name] = perturb(getattr(suite, name))
-    return {c.check_id: suite.evaluate(c).status for c in cls.checks
+    return {c.check_id: suite.evaluate(c) for c in cls.checks
             if c.check_id in ids}
+
+
+def with_leg(triples, leg, change):
+    """A (name, lhs, rhs) list with the rhs of the triple named ``leg``
+    replaced by ``change`` of it."""
+    assert leg in [name for name, _, _ in triples]
+    return [(n, lhs, change(rhs) if n == leg else rhs)
+            for n, lhs, rhs in triples]
+
+
+def doubled(side):
+    """Twice a side: a value, or a tuple of sides."""
+    return tuple(map(doubled, side)) if isinstance(side, tuple) else 2 * side
+
+
+def statuses(cls, name, perturb, ids):
+    """Statuses of ``records(cls, name, perturb, ids)``."""
+    return {k: r.status for k, r in records(cls, name, perturb, ids).items()}
 
 
 def with_block(R, key, shift):

@@ -5,9 +5,11 @@ import pytest
 
 from hetg2 import heisenberg as hb
 from hetg2 import spinor as sp
+from hetg2 import suites
 from hetg2.curvature import contorsion_3ad
 from hetg2.scalar import AlgebraError
 from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
+from test_curvature import doubled, records, with_leg
 
 MODEL = hb.heisenberg_model()
 CF = MODEL.coframe
@@ -210,19 +212,38 @@ class TestCurvature:
 
 class TestSpinParts:
     def test_killing_checks(self):
-        for c in hb.spin_killing_checks():
-            assert c.holds, c.name
+        checks = hb.spin_killing_checks()
+        assert len(checks) == 6
+        for name, lhs, rhs in checks:
+            assert suites.sign(lhs, rhs) == 1, name
 
     def test_leibniz_reads_the_first_frame_pair(self):
         lc = hb.levi_civita()
         rep = sp.build_rep(3)
         nabla = {x: hb.spin_connection_action(lc, rep, x) for x in range(1, 8)}
-        assert hb._leibniz_compatible(lc, rep, nabla)
+        _, lhs, rhs = hb._leibniz_compatible(lc, rep, nabla)
+        assert lhs == rhs == ()
         # nabla_{e_1} e_1 gains an e_2 part: only the pair (x, z) = (1, 1)
         # changes, so a loop that skips index 1 would miss it
         L = {y: [row[:] for row in mat] for y, mat in lc.L.items()}
         L[1][1][0] += 1
-        assert not hb._leibniz_compatible(hb.Connection(MODEL, L), rep, nabla)
+        _, lhs, rhs = hb._leibniz_compatible(hb.Connection(MODEL, L), rep,
+                                             nabla)
+        assert suites.sign(lhs, rhs) == 0 and lhs
+
+    @pytest.mark.parametrize("leg", [
+        "nabla_{xi_i} psi_i = xi_i psi_i",
+        "nabla_X psi0 = -(3/2) X psi0 for horizontal X"],
+        ids=["reeb", "horizontal"])
+    def test_a_perturbed_leg_fails_and_is_named(self, leg):
+        cid = "heisenberg.spin-killing"
+        kept = records(suites.SuiteHeisenberg, "spin_killing", lambda t: t,
+                       (cid,))[cid]
+        assert kept.status == "pass" and "failed" not in kept.notes
+        rec = records(suites.SuiteHeisenberg, "spin_killing",
+                      lambda t: with_leg(t, leg, doubled), (cid,))[cid]
+        assert rec.status == "fail"
+        assert rec.notes == kept.notes + "; failed: " + leg
 
 
 class TestTheorem:

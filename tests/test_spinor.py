@@ -11,7 +11,7 @@ from hetg2.exterior import Coframe
 from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import (RingSU3, make_table, sp1_frame_forms,
                               su3_frame_forms)
-from test_curvature import statuses
+from test_curvature import doubled, records, statuses, with_leg
 
 REP = sp.build_rep(3)
 TAB = SymbolTable(("alpha", "delta"))
@@ -402,22 +402,30 @@ class TestSp1Suite:
         return sp1_checks
 
     def test_all_hold(self, checks):
-        assert all(c.holds for c in checks)
+        assert len(checks) == 28
+        assert all(suites.sign(lhs, rhs) for _, lhs, rhs in checks)
 
     def test_recorded_sign_table(self, checks):
-        flips = sorted(c.name for c in checks if c.sign == -1)
+        flips = sorted(name for name, lhs, rhs in checks
+                       if suites.sign(lhs, rhs) == -1)
         assert flips == ["psi0 = -xi3 psi3", "xi3 psi0 = psi3",
                          "xi3 psi1 = psi2"]
 
     def test_membership_and_quoted_signs(self, checks):
-        quoted = [c for c in checks
-                     if c.name.startswith("Phi") or " in E" in c.name]
-        assert all(c.sign == 1 for c in quoted)
+        quoted = [(lhs, rhs) for name, lhs, rhs in checks
+                  if name.startswith("Phi") or " in E" in name]
+        assert len(quoted) == 19
+        assert all(suites.sign(lhs, rhs) == 1 for lhs, rhs in quoted)
+
+    def test_sigma_form_required(self):
+        with pytest.raises(KeyError):
+            sp.sp1_spinor_suite(REP, sp1_frame_forms(CF))
 
     def test_plus_minus(self):
         frame = sp1_frame_forms(CF)
         pm = sp.plus_minus_relations(REP, frame)
-        assert all(c.holds and c.sign == 1 for c in pm)
+        assert len(pm) == 3
+        assert all(suites.sign(lhs, rhs) == 1 for _, lhs, rhs in pm)
 
     def test_all_majorana(self):
         for v in sp.sp1_spinors(REP).values():
@@ -525,10 +533,68 @@ class TestRecordsReadTheirInputs:
         assert statuses(suites.SuiteSpinor, "psi", lambda p: other, ids) \
             == {"spinor.su3.reconstruction": "fail"}
 
+    @pytest.mark.parametrize("name, check_id, leg", [
+        ("sp1", "spinor.sp1.identities", "Phi2 psi0 = xi2 psi0"),
+        ("sp1", "spinor.sp1.identities", "psi1 in E3"),
+        ("pm_rel", "spinor.sp1.plus-minus", "X Psi+ = phi(X) Psi-"),
+        ("killing", "spinor.killing.consequences",
+         "metric dual of nabla xi = -phi(S) matches nabla eta = S -| Phi"),
+    ], ids=["sp1-quoted", "sp1-membership", "plus-minus", "killing"])
+    def test_a_perturbed_leg_fails_and_is_named(self, name, check_id, leg):
+        def perturb(side):
+            # a zero side (a membership leg) gains one nonzero entry
+            if all(isinstance(x, sp.GQ) and x.is_zero for x in side):
+                return (sp.GQ(1),) + side[1:]
+            return doubled(side)
+        kept = records(suites.SuiteSpinor, name, lambda t: t,
+                       (check_id,))[check_id]
+        assert kept.status == "pass" and "failed" not in kept.notes
+        rec = records(suites.SuiteSpinor, name,
+                      lambda t: with_leg(t, leg, perturb),
+                      (check_id,))[check_id]
+        assert rec.status == "fail"
+        # the failing leg follows the record's notes
+        assert rec.notes == "; ".join(
+            filter(None, (kept.notes, "failed: " + leg)))
+
+    @pytest.mark.parametrize("leg, flipped", [("xi1 psi0 = psi1", True),
+                                              ("xi3 psi0 = psi3", False)],
+                             ids=["quoted", "flipped"])
+    def test_a_negated_sp1_leg_changes_the_flips(self, leg, flipped):
+        def negated(triples):
+            return with_leg(triples, leg, lambda v: sp.vec_scale(v, -1))
+        rec = records(suites.SuiteSpinor, "sp1", negated,
+                      ("spinor.sp1.identities",))["spinor.sp1.identities"]
+        # every leg still holds at some sign, but the flip set moved
+        assert rec.status == "fail" and "failed" not in rec.notes
+        assert (leg in rec.notes.split(" (forced")[0]) == flipped
+
 
 def test_killing_consequences():
     cons = sp.su3_killing_consequences(make_table("su3"))
-    assert all(c.holds for c in cons)
+    assert len(cons) == 5
+    assert all(suites.sign(lhs, rhs) == 1 for _, lhs, rhs in cons)
+
+
+class TestDomains:
+    def test_times_i_pow_refuses_unreduced_phase(self):
+        one = sp.GQ(1)
+        assert [sp.times_i_pow(one, k) for k in range(4)] \
+            == [one, sp.GQ(0, 1), sp.GQ(-1), sp.GQ(0, -1)]
+        # a phase 4 used to act as 3, giving -i
+        for k in (4, -1, 7):
+            with pytest.raises(AlgebraError):
+                sp.times_i_pow(one, k)
+        with pytest.raises(AlgebraError):
+            sp.word_apply(((0,), (4,)), (one,))
+
+    def test_u_spinor_refuses_signs_other_than_one(self):
+        # u(2, 1, -1) used to be u(-1, 1, -1)
+        for eps in ((2, 1, -1), (0, 1, 1), (1, 1, -3)):
+            with pytest.raises(AlgebraError):
+                sp.u_spinor(REP, eps)
+        assert sp.u_spinor(REP, (-1, 1, -1)) \
+            == sp.vec_conj(sp.u_spinor(REP, (1, -1, 1)))
 
 
 def test_registry_labels():

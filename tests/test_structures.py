@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hetg2.exterior import Form, basis_multi_indices, form_to_vector
+from hetg2.exterior import (Form, basis_multi_indices, coefficient_matrix,
+                            form_to_vector)
 from hetg2.heisenberg import associative_form, d_form, heisenberg_model
 from hetg2.scalar import AlgebraError
 from hetg2.structures import (CYCLIC, ExtractionError, GenForm, NotInSpanError,
@@ -166,6 +167,27 @@ class TestRingSU3:
 
     def test_star_roundtrip(self):
         assert RS.from_form(RS.phi_theta().embed().star()) == RS.psi_theta()
+
+
+@pytest.mark.parametrize("ring, npairs", [(R3, 946), (RS, 84)],
+                         ids=["3ad", "su3"])
+def test_mono_mul_matches_embedding(ring, npairs):
+    """Each hand-written mono_mul rule agrees with the wedge of the coframe
+    embeddings on every monomial pair of total degree at most 7; since the
+    embedding is injective in every degree, this pins the rules."""
+    for k in range(8):
+        monos = ring.monomials(k)
+        basis = basis_multi_indices(7, k)
+        assert rank(coefficient_matrix([ring.mono_embed(m) for m in monos],
+                                       basis)) == len(monos)
+    pairs = [(m1, m2) for k1 in range(8) for k2 in range(8 - k1)
+             for m1 in ring.monomials(k1) for m2 in ring.monomials(k2)]
+    assert len(pairs) == npairs
+    zero = ring.coframe.zero()
+    for m1, m2 in pairs:
+        mono, c = ring.mono_mul(m1, m2)
+        got = zero if mono is None else c * ring.mono_embed(mono)
+        assert got == ring.mono_embed(m1) ^ ring.mono_embed(m2), (m1, m2)
 
 
 @pytest.fixture(scope="module")
