@@ -20,7 +20,7 @@ from typing import Optional
 from .curvature import (curvature_3ad, curvature_su3, instanton_obstruction,
                         wedge_trace)
 from .exterior import coefficient_matrix, form_to_vector
-from .linsolve import InconsistentSystemError, rank, solve_ring_rhs
+from .linsolve import InconsistentSystemError, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
 from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, get_ring,
                          structure_torsion)
@@ -49,10 +49,6 @@ class BianchiResidual(namedtuple("BianchiResidual", "geometry form basis")):
     in the same coframe."""
 
     __slots__ = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.form.is_zero
 
 
 def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
@@ -84,20 +80,16 @@ def extract_constraints(res: BianchiResidual,
                         basis: Optional[list] = None) -> ConstraintSystem:
     """One polynomial per independent basis 4-form.
 
-    The basis is verified to be linearly independent in the coframe by exact
-    rank computation; a residual outside the basis span raises
-    :class:`NotInSpanError` carrying the leftover component.
+    A residual outside the basis span raises :class:`NotInSpanError`
+    carrying the leftover component.
     """
     space = res.form.space
     basis = basis if basis is not None else res.basis
     monos = sorted({m for b in basis for m in b.terms} | set(res.form.terms),
                    key=lambda m: (space.mono_degree(m), space.mono_label(m)))
-    matrix = coefficient_matrix(basis, monos)
-    if rank(matrix) != len(basis):
-        raise AlgebraError("coefficient basis is not linearly independent")
     rhs = form_to_vector(res.form, monos)
     try:
-        sol = solve_ring_rhs(matrix, rhs)
+        sol = solve_ring_rhs(coefficient_matrix(basis, monos), rhs)
     except InconsistentSystemError as exc:
         raise NotInSpanError("residual is not in the span of the "
                              "declared basis", exc.residual) from exc
@@ -113,8 +105,8 @@ def constraint_system(geometry: str) -> ConstraintSystem:
 
 
 class SolutionBranch(namedtuple(
-        "SolutionBranch", "branch_id bindings hypotheses samples expect_zero "
-        "conditional_pair", defaults=(True, None))):
+        "SolutionBranch", "branch_id bindings hypotheses samples "
+        "conditional_pair", defaults=(None,))):
     """One solution family: bindings, defining relations, sign samples.
 
     ``hypotheses`` are (polynomial, main variable) pairs; a constraint holds
@@ -132,58 +124,34 @@ class SolutionBranch(namedtuple(
         return self.branch_id.split(".")[0]
 
 
-class BranchReport(namedtuple("BranchReport",
-                              "branch_id status residuals notes hypotheses")):
-    __slots__ = ()
-
-    def as_record(self) -> dict:
-        """Per-branch payload: id, hypotheses, residual normal form, status."""
-        return {
-            "branch_id": self.branch_id,
-            "hypotheses": self.hypotheses,
-            "residual_normal_form": "; ".join(str(p) for p in self.residuals),
-            "status": self.status,
-        }
-
-
 def _reduce_by_hypotheses(p: Scalar, hyps) -> Scalar:
     for h, var in hyps:
         p = prem(p, h, var)
     return p
 
 
-def verify_branch(branch: SolutionBranch) -> BranchReport:
-    """Substitute the branch into the constraint system and check vanishing."""
+def verify_branch(branch: SolutionBranch) -> tuple:
+    """Substitute the branch into the constraint system: (the constraints
+    reduced by the branch's relations, a (sample, constraint values) pair
+    per sample point, the hypotheses as text)."""
     table = get_ring(branch.geometry).table
     system = constraint_system(branch.geometry)
-    bound = system.substituted(branch.bindings)
-    leftovers = []
-    for p in bound:
+    reduced = []
+    for p in system.substituted(branch.bindings):
         if branch.conditional_pair is not None and not p.is_zero:
             p = _conditional_identity_reduce(p, branch, table)
         else:
             p = _reduce_by_hypotheses(p, branch.hypotheses)
-        leftovers.append(p)
-    symbolic_zero = all(p.is_zero for p in leftovers)
-    ok = symbolic_zero == branch.expect_zero
-    # numeric confirmation on the declared rational sample points
-    sample_notes = []
-    for sample in branch.samples:
-        vals = system.substituted({k: table.rat(v) for k, v in sample.items()})
-        if all(v.is_zero for v in vals) != branch.expect_zero:
-            ok = False
-            sample_notes.append(f"sample {sample} residuals "
-                                f"{[str(v) for v in vals]}")
-        ap = sample.get("alphap")
-        if ap is not None and not ap > 0:
-            ok = False
-            sample_notes.append(f"sample {sample} violates alphap > 0")
+        reduced.append(p)
+    # the numeric confirmation on the declared rational sample points
+    samples = [(sample, system.substituted({k: table.rat(v)
+                                            for k, v in sample.items()}))
+               for sample in branch.samples]
     hyp_text = [f"{k} = {v}" for k, v in branch.bindings.items()]
     hyp_text += [f"{h} = 0" for h, _ in branch.hypotheses]
     if branch.conditional_pair is not None:
         hyp_text.append(f"{branch.conditional_pair[0]} = 0")
-    return BranchReport(branch.branch_id, "pass" if ok else "fail",
-                        leftovers, "; ".join(sample_notes), hyp_text)
+    return reduced, samples, hyp_text
 
 
 def _conditional_identity_reduce(p: Scalar, branch: SolutionBranch,
@@ -271,17 +239,11 @@ def branches() -> list[SolutionBranch]:
         {"lam1": -beta3, "lam2": 3 * d3},
         [(12 * ap3 * (d3 - a3) ** 2 - 1, "alphap")],
         [{"alpha": 1, "delta": 3, "lam1": -2, "lam2": 9,
-          "alphap": Fraction(1, 48)}],
-        expect_zero=False))
+          "alphap": Fraction(1, 48)}]))
     return out
 
 
-ImpossibilityReport = namedtuple(
-    "ImpossibilityReport",
-    "status eliminant quadratic_factor discriminant notes")
-
-
-def sasaki_3alpha_impossibility() -> ImpossibilityReport:
+def sasaki_3alpha_impossibility() -> list:
     """No (lam1, lam2, a' > 0) solves the system when alpha = delta.
 
     By the fibre/base rescaling invariance the parameters are homogeneous, so
@@ -290,6 +252,8 @@ def sasaki_3alpha_impossibility() -> ImpossibilityReport:
     lam2 - lam1 (which must be nonzero since a' is finite) the remaining
     quadratic has discriminant -432 (lam1 - 2)^2 < 0 away from lam1 = 2, and
     the boundary cases reduce the first constraint to the nonzero constant 4.
+    Returned as (name, lhs, rhs) triples: the eliminant, the discriminant
+    and the boundary constraint against those closed forms.
     """
     table = get_ring("3ad").table
     l1, l2 = table.sym("lam1"), table.sym("lam2")
@@ -298,22 +262,15 @@ def sasaki_3alpha_impossibility() -> ImpossibilityReport:
     # order: [B1 coefficient, B2 coefficient] as returned by the basis
     e_b1, e_b2 = (p.subs(sub).subs({"alpha": 1}) for p in system.polynomials)
     elim = prem(e_b1, e_b2, "alphap")
-    expected = 12 * ((l2 - 2) ** 3 - (l1 - 2) ** 3)
-    if not (elim - expected).is_zero:
-        return ImpossibilityReport("fail", elim, table.zero(), table.zero(),
-                                   "unexpected eliminant")
-    quad = elim.div_exact(l2 - l1, "lam2")
-    cs = quad.coeffs_in("lam2")
-    disc = cs[1] * cs[1] - 4 * cs[2] * cs[0]
-    disc_ok = disc == -432 * (l1 - 2) ** 2
-    # boundary: lam2 = lam1 makes the first constraint the constant 4
-    boundary = e_b2.subs({"lam2": table.sym("lam1")})
-    boundary_ok = boundary == table.rat(4)
-    status = "pass" if (disc_ok and boundary_ok) else "fail"
-    return ImpossibilityReport(
-        status, elim, quad, disc,
-        "eliminant 12((lam2-2)^3-(lam1-2)^3); quadratic factor has "
-        "discriminant -432(lam1-2)^2; lam2 = lam1 forces 4 = 0")
+    cs = elim.div_exact(l2 - l1, "lam2").coeffs_in("lam2")
+    return [
+        ("eliminant = 12((lam2-2)^3-(lam1-2)^3)", elim,
+         12 * ((l2 - 2) ** 3 - (l1 - 2) ** 3)),
+        ("the quadratic factor has discriminant -432(lam1-2)^2",
+         cs[1] * cs[1] - 4 * cs[2] * cs[0], -432 * (l1 - 2) ** 2),
+        # boundary: lam2 = lam1 makes the B2 constraint the constant 4
+        ("lam2 = lam1 leaves the B2 constraint 4", e_b2.subs({"lam2": l1}),
+         table.rat(4))]
 
 
 ApproxOrderReport = namedtuple(

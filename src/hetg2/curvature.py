@@ -109,7 +109,9 @@ class CurvOp:
         self.blocks = blocks
         arr = {}
         vert = VERTICAL[geometry]
-        for comp in _hermitian_pair_components(geometry):
+        phi = ring.frame["Phi"]
+        for form in phi.values() if geometry == "3ad" else [phi]:
+            comp = {I: c.as_rat() for I, c in form.terms.items()}
             for I, ci in comp.items():
                 fb = "V" if set(I) <= vert else "H"
                 for J, cj in comp.items():
@@ -120,16 +122,6 @@ class CurvOp:
 
     def block(self, fb: str, eb: str) -> Scalar:
         return self.blocks.get((fb, eb), self.ring.table.zero())
-
-
-def _hermitian_pair_components(geometry: str) -> list[dict]:
-    if geometry == "3ad":
-        return [
-            {(2, 3): -1, (4, 5): -1, (6, 7): -1},
-            {(1, 3): 1, (4, 6): -1, (5, 7): 1},
-            {(1, 2): -1, (4, 7): -1, (5, 6): -1},
-        ]
-    return [{(2, 3): -1, (4, 5): -1, (6, 7): -1}]
 
 
 def curvature_3ad(ring: Ring3ad, lam: Scalar) -> CurvOp:
@@ -303,30 +295,37 @@ def trace_lemma_rhs_su3(ring: RingSU3, lam: Scalar) -> GenForm:
     return pref * ring.Phi().wedge(ring.Phi())
 
 
-def antiselfdual_in_kernel(R: CurvOp) -> bool:
-    """Anti-self-dual horizontal 2-forms annihilate the explicit part."""
+def antiselfdual_kernel(R: CurvOp) -> list:
+    """Anti-self-dual horizontal 2-forms annihilate the explicit part, in
+    the form slot and in the endomorphism slot: per 2-form and slot, a
+    (name, lhs, rhs) triple of the nonzero coefficients of the contraction
+    and no coefficients."""
     arr = R.array
-    table = R.ring.table
-    asd = [{(4, 5): 1, (6, 7): -1}, {(4, 6): 1, (5, 7): 1},
-           {(4, 7): 1, (5, 6): -1}]
+    zero = R.ring.table.zero()
+    asd = {"e45 - e67": {(4, 5): 1, (6, 7): -1},
+           "e46 + e57": {(4, 6): 1, (5, 7): 1},
+           "e47 - e56": {(4, 7): 1, (5, 6): -1}}
     pairs = basis_multi_indices(7, 2)
-    for omega in asd:
-        for side in (0, 1):
+    out = []
+    for name, omega in asd.items():
+        for side, slot in enumerate(("form", "endomorphism")):
+            coeffs = {}
             for K in pairs:
-                acc = table.zero()
+                acc = zero
                 for I, c in omega.items():
-                    key = (I, K) if side == 0 else (K, I)
-                    v = arr.get(key)
+                    v = arr.get((I, K) if side == 0 else (K, I))
                     if v is not None:
                         acc = acc + c * v
                 if not acc.is_zero:
-                    return False
-    return True
+                    coeffs[K] = acc
+            out.append((f"{name} is in the kernel of the {slot} slot",
+                        coeffs, {}))
+    return out
 
 
-def array_transpose_equal(R: CurvOp) -> bool:
+def pair_symmetry(R: CurvOp) -> list:
+    """The explicit array against its transpose R(J; I), as one (name, lhs,
+    rhs) triple."""
     arr = R.array
-    for (I, J), v in arr.items():
-        if not (arr.get((J, I), R.ring.table.zero()) - v).is_zero:
-            return False
-    return True
+    return [(f"the array at l = {R.lam} equals its transpose", arr,
+             {(J, I): v for (I, J), v in arr.items()})]

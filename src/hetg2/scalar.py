@@ -280,11 +280,6 @@ class Scalar:
             return Scalar(t, {}, {inv: Fraction(1, c * t.sqrt_d)})
         raise AlgebraError(f"cannot invert non-monomial scalar: {self}")
 
-    def conjugate(self) -> "Scalar":
-        """Conjugate a + b*sqrt(d) -> a - b*sqrt(d)."""
-        return Scalar(self.table, dict(self._a),
-                      {m: -c for m, c in self._b.items()}, _reduce=False)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.table.rat(other)

@@ -400,6 +400,10 @@ class CliffordRep:
     volume_sign = -1
 
     def __init__(self, m: int, words: tuple):
+        # the phases read by word_apply, so that every check of the words
+        # and the action agree on what a word is
+        if any(k not in range(4) for _, phase in words for k in phase):
+            raise AlgebraError("generator phases must be reduced to 0..3")
         # frozen: build_rep shares one representation per m
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "words", words)  # rho(e_mu) = words[mu-1]
@@ -507,19 +511,23 @@ def canonical_su3_spinor(rep: CliffordRep):
     return vec_scale(u_spinor(rep, (1,) * rep.m), GQ(1, 1))
 
 
-def su3_omega_action_holds(rep: CliffordRep, om_plus: Form,
-                           om_minus: Form) -> bool:
+def su3_omega_action(rep: CliffordRep, om_plus: Form,
+                     om_minus: Form) -> list:
     """Om+ Psi = -4i Psi-bar and Om+ Psi-bar = 4i Psi for the canonical
-    section Psi; Om+ and Om- annihilate the six middle u spinors."""
+    section Psi; Om+ and Om- annihilate the six middle u spinors.  As (name,
+    lhs, rhs) triples of vectors."""
     psi = canonical_su3_spinor(rep)
     bar = vec_conj(psi)
     mp, mm = rep.form_matrix(om_plus), rep.form_matrix(om_minus)
     middle = [u_spinor(rep, e) for e in ((1, 1, -1), (1, -1, 1), (-1, 1, 1),
                                          (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
-    return (rows_apply(mp, psi) == vec_scale(bar, GQ(0, -4))
-            and rows_apply(mp, bar) == vec_scale(psi, GQ(0, 4))
-            and all(x.is_zero for v in middle
-                    for x in rows_apply(mp, v) + rows_apply(mm, v)))
+    images = tuple(rows_apply(m, v) for v in middle for m in (mp, mm))
+    return [("Om+ Psi = -4i Psi-bar", rows_apply(mp, psi),
+             vec_scale(bar, GQ(0, -4))),
+            ("Om+ Psi-bar = 4i Psi", rows_apply(mp, bar),
+             vec_scale(psi, GQ(0, 4))),
+            ("Om+ and Om- annihilate the middle u spinors", images,
+             ((_ZERO,) * rep.dim,) * len(images))]
 
 
 def charge_conjugation(rep: CliffordRep) -> tuple:
@@ -530,22 +538,21 @@ def charge_conjugation(rep: CliffordRep) -> tuple:
     return word_kron(_W_T, _W_E, _W_T)
 
 
-def charge_conjugation_holds(rep: CliffordRep) -> bool:
-    """C is real symmetric, C^2 = 1 and C rho(e_mu) = -rho(e_mu)^T C."""
+def charge_conjugation_relations(rep: CliffordRep) -> list:
+    """C^2 = 1, C symmetric, C real (even phases) and C rho(e_mu) =
+    -rho(e_mu)^T C, as (name, lhs, rhs) triples of words and phases."""
     c = rep.charge_word
     tr = _word_transpose
-    return (word_mul(c, c) == rep.word(())
-            and tr(c) == c and all(k % 2 == 0 for k in c[1])
-            and all(word_mul(c, g) == _word_neg(word_mul(tr(g), c))
-                    for g in rep.words))
+    return [("C^2 = 1", word_mul(c, c), rep.word(())),
+            ("C^T = C", tr(c), c),
+            ("C is real", tuple(k % 2 for k in c[1]), (0,) * rep.dim),
+            ("C rho(e_mu) = -rho(e_mu)^T C",
+             tuple(word_mul(c, g) for g in rep.words),
+             tuple(_word_neg(word_mul(tr(g), c)) for g in rep.words))]
 
 
 def j_real_structure(rep: CliffordRep, psi):
     return word_apply(rep.charge_word, vec_conj(psi))
-
-
-def is_majorana(rep: CliffordRep, psi) -> bool:
-    return j_real_structure(rep, psi) == tuple(psi)
 
 
 def majorana_v_basis(rep: CliffordRep):
@@ -597,16 +604,19 @@ def real_rep7():
     return tuple(word(d) for d in data)
 
 
-def v_basis_intertwines(rep: CliffordRep, real: tuple) -> bool:
-    """The v spinors are Majorana and rho(e_mu) v_k = i^phase[l] v_l, where
-    perm[l] = k, for each word (perm, phase) of the real representation
-    ``real`` (``real_rep7()``)."""
+def v_basis_dictionary(rep: CliffordRep, real: tuple) -> list:
+    """rho(e_mu) v_k = i^phase[l] v_l, where perm[l] = k, for each word
+    (perm, phase) of the real representation ``real`` (``real_rep7()``),
+    and J v = v for the v spinors (Majorana), as (name, lhs, rhs) triples."""
     vs = majorana_v_basis(rep)
-    for g, (perm, phase) in zip(rep.words, real):
-        for v, k, p in zip(vs, perm, phase):
-            if word_apply(g, vs[k]) != tuple(times_i_pow(x, p) for x in v):
-                return False
-    return all(is_majorana(rep, v) for v in vs)
+    out = [(f"rho(e{mu}) acts on the v basis as real word {mu}",
+            tuple(word_apply(g, vs[k]) for k in perm),
+            tuple(tuple(times_i_pow(x, p) for x in v)
+                  for v, p in zip(vs, phase)))
+           for mu, (g, (perm, phase)) in enumerate(zip(rep.words, real), 1)]
+    out.append(("the v spinors are Majorana",
+                tuple(j_real_structure(rep, v) for v in vs), tuple(vs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -870,12 +880,13 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
              tuple(rows_apply(p, plus) for p in phi_x))]
 
 
-def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
+def sigma_membership(rep: CliffordRep, phi_form: Form) -> list:
     """Extreme-eigenspace membership equations for the canonical sections.
 
     With the spinor-side (1,1)-tensor phi' derived from the hermitian-form
     convention: -phi'(X) Psi + i X Psi + (-1)^m eta(X) Psi = 0 on the lowest
-    eigenspace and the conjugated equation on the highest.
+    eigenspace and the conjugated equation on the highest.  As two (name,
+    lhs, rhs) triples: the left side at each frame vector X, and zeros.
     """
     m = rep.m
     psi = canonical_su3_spinor(rep)
@@ -883,16 +894,18 @@ def sigma_membership(rep: CliffordRep, phi_form: Form) -> bool:
     from .structures import endomorphism_from_form
     phi_tensor = endomorphism_from_form(phi_form)
     g = rep.words
+    low, high = [], []
     for x in range(1, 2 * m + 2):
         phi_x = [(-v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
         eta_x = [((-1) ** m, rep.word(()))] if x == 1 else []
         eta_bar = [(-1, rep.word(()))] if x == 1 else []
-        for terms, v in (([(I, g[x - 1]), *phi_x, *eta_x], psi),
-                         ([(-I, g[x - 1]), *phi_x, *eta_bar], bar)):
-            if not all(c.is_zero
-                       for c in rows_apply(word_rows(terms, rep.dim), v)):
-                return False
-    return True
+        low.append(rows_apply(word_rows([(I, g[x - 1]), *phi_x, *eta_x],
+                                        rep.dim), psi))
+        high.append(rows_apply(word_rows([(-I, g[x - 1]), *phi_x, *eta_bar],
+                                         rep.dim), bar))
+    zeros = ((_ZERO,) * rep.dim,) * len(low)
+    return [("Psi lies in the lowest eigenspace", tuple(low), zeros),
+            ("Psi-bar lies in the highest eigenspace", tuple(high), zeros)]
 
 
 def stabilizer_dimension(phi: Form) -> int:

@@ -519,21 +519,26 @@ def torsion_classes(phi: Form, psi: Form, dphi: Form, dpsi: Form) -> TorsionClas
     return TorsionClasses(tau0, tau1, tau2, tau3)
 
 
-def aux_structures_nearly_parallel(ring: "Ring3ad") -> bool:
-    """The three auxiliary 3-forms are coclosed (tau1 = tau2 = 0) and nearly
-    parallel exactly at delta = alpha (tau3 nonzero, vanishing there)."""
+def aux_torsion_classes(ring: "Ring3ad") -> list:
+    """tau1, tau2, tau3 at delta = alpha and tau3 of the three auxiliary
+    3-forms against zero, as (name, lhs, rhs) triples.  The forms are
+    coclosed and nearly parallel exactly at delta = alpha when every triple
+    holds but the last of each form."""
+    cf = ring.coframe
     alpha = ring.table.sym("alpha")
+    out = []
     for i in (1, 2, 3):
         ph = ring.aux_phi(i).embed()
         ps = ph.star()
         tc = torsion_classes(ph, ps, ring.aux_phi(i).d().embed(),
                              ring.from_form(ps).d().embed())
-        if not (tc.tau1.is_zero and tc.tau2.is_zero
-                and all(v.subs({"delta": alpha}).is_zero
-                        for v in tc.tau3.terms.values())
-                and not tc.tau3.is_zero):
-            return False
-    return True
+        at_alpha = Form(cf, {k: v.subs({"delta": alpha})
+                             for k, v in tc.tau3.terms.items()})
+        out += [(f"tau1(phi_{i}) = 0", tc.tau1, cf.zero()),
+                (f"tau2(phi_{i}) = 0", tc.tau2, cf.zero()),
+                (f"tau3(phi_{i}) = 0 at delta = alpha", at_alpha, cf.zero()),
+                (f"tau3(phi_{i}) = 0", tc.tau3, cf.zero())]
+    return out
 
 
 def characteristic_torsion(tc: TorsionClasses, phi: Form, psi: Form) -> Form:

@@ -41,9 +41,9 @@ Check = namedtuple("Check", "check_id claim fn notes", defaults=("",))
 
 
 def sign(lhs, rhs) -> int:
-    """1 if lhs == rhs, -1 if lhs == -rhs, 0 otherwise; the negation is built
-    only after a mismatch.  A side is a value with unary minus or a tuple of
-    sides."""
+    """1 if lhs == rhs, -1 if lhs == -rhs, 0 otherwise, for the sp1 legs whose
+    quoted sign is flipped; the negation is built only after a mismatch.  A
+    side is a value with unary minus or a tuple of sides."""
     if lhs == rhs:
         return 1
     return -1 if lhs == _negated(rhs) else 0
@@ -53,10 +53,12 @@ def _negated(x):
     return tuple(map(_negated, x)) if isinstance(x, tuple) else -x
 
 
-def identities(triples) -> dict:
-    """Record fields of (name, lhs, rhs) triples that must each hold at sign
-    1; the domain helpers return such triples and judge none of them."""
-    failed = [name for name, lhs, rhs in triples if sign(lhs, rhs) != 1]
+def identities(triples, refuted=()) -> dict:
+    """Record fields of (name, lhs, rhs) triples: each must hold (lhs ==
+    rhs), except the ones named in ``refuted``, which must not.  The domain
+    helpers return such triples and judge none of them."""
+    failed = [name for name, lhs, rhs in triples
+              if (lhs == rhs) == (name in refuted)]
     return dict(ok=not failed, failed=failed)
 
 
@@ -144,6 +146,13 @@ class Suite3ad(Suite):
         c: s.st.h_homothety(s.al, s.de, Fraction(1), c)
         for c in (Fraction(1), Fraction(3), Fraction(1, 2))})
 
+    def pair_symmetry(self) -> dict:
+        # symmetric at l = 0, and l = 3 must break the symmetry
+        broken = self.cv.pair_symmetry(self.cv.curvature_3ad(self.r,
+                                                             self.t.rat(3)))
+        return identities(self.cv.pair_symmetry(self.R0) + broken,
+                          refuted={name for name, _, _ in broken})
+
     checks = (
         Check("3ad.structure.d-eta",
               "d eta_i = 2a Phi_i^H - 2d eta_jk for each i",
@@ -186,7 +195,9 @@ class Suite3ad(Suite):
         Check("3ad.aux-structures",
               "auxiliary 3-forms are coclosed and nearly parallel exactly "
               "at a = d",
-              lambda s: s.st.aux_structures_nearly_parallel(s.r)),
+              lambda s: identities(
+                  s.st.aux_torsion_classes(s.r),
+                  refuted={f"tau3(phi_{i}) = 0" for i in (1, 2, 3)})),
         Check("3ad.lambda2-14",
               "the wedge and contraction characterizations give one "
               "14-dimensional space",
@@ -203,12 +214,10 @@ class Suite3ad(Suite):
                   {"lam": 0, "delta": 0, "alpha": 1}) == 16),
         Check("3ad.curvature.asd-kernel",
               "anti-self-dual horizontal 2-forms annihilate the explicit "
-              "part", lambda s: s.cv.antiselfdual_in_kernel(s.R)),
+              "part", lambda s: identities(s.cv.antiselfdual_kernel(s.R))),
         Check("3ad.curvature.pair-symmetry",
               "the explicit array equals its transpose exactly at l = 0",
-              lambda s: s.cv.array_transpose_equal(s.R0)
-              and not s.cv.array_transpose_equal(
-                  s.cv.curvature_3ad(s.r, s.t.rat(3)))),
+              pair_symmetry),
         Check("3ad.instanton.zero-set",
               "obstruction factors as -(b+l)(l/2)(fixed tensor); zero iff "
               "l in {0, -b}",
@@ -449,12 +458,13 @@ class SuiteSpinor(Suite):
         Check("spinor.sigma.membership",
               "extreme eigenspace membership equations hold for the "
               "canonical sections",
-              lambda s: s.sp.sigma_membership(s.rep, s.frame["sigma_form"])),
+              lambda s: identities(s.sp.sigma_membership(
+                  s.rep, s.frame["sigma_form"]))),
         Check("spinor.omega.action",
               "Om+ Psi = -4i Psi-bar and Om+ Psi-bar = 4i Psi on the extreme "
               "eigenspaces; both vanish on the middle ones",
-              lambda s: s.sp.su3_omega_action_holds(s.rep, s.su3f["Om+"],
-                                                    s.su3f["Om-"]),
+              lambda s: identities(s.sp.su3_omega_action(
+                  s.rep, s.su3f["Om+"], s.su3f["Om-"])),
               notes="the companion constants for Om- hold with one global "
                     "sign (+4 / +4 instead of -4 / -4): the adapted-frame "
                     "volume form is anti-holomorphic for this realization of "
@@ -508,7 +518,7 @@ class SuiteSpinor(Suite):
         Check("spinor.real.dictionary",
               "the eight real spinors are Majorana, orthogonal with equal "
               "norms, and intertwine the complex and real representations",
-              lambda s: s.sp.v_basis_intertwines(s.rep, s.real),
+              lambda s: identities(s.sp.v_basis_dictionary(s.rep, s.real)),
               notes="the quoted block-matrix table corresponds to reversing "
                     "the generator order e_2..e_7 and correcting one sign "
                     "(-E_67 -> +E_67, forced by the anticommutation "
@@ -516,7 +526,7 @@ class SuiteSpinor(Suite):
         Check("spinor.real.charge-conjugation",
               "C is real symmetric, squares to one and satisfies "
               "C rho = -rho^T C; J is an antilinear involution",
-              lambda s: s.sp.charge_conjugation_holds(s.rep)),
+              lambda s: identities(s.sp.charge_conjugation_relations(s.rep))),
         Check("spinor.killing.consequences",
               "the generalized-Killing endomorphism alternates into the "
               "structure equations (d eta, d Phi, d Om)",
@@ -540,6 +550,13 @@ class SuiteHeisenberg(Suite):
         Fraction(s.seeded.randint(-9, 9), s.seeded.randint(1, 5))
         for _ in range(5)])
 
+    def exact_solution(self) -> dict:
+        residual = {name: lhs for name, lhs, _ in self.thm}[self.hb.FLUX]
+        return dict(identities(self.thm), parameters={
+            "alphap": str(self.alphap)}, notes=f"alphap = {self.alphap}; "
+            "residual " + ("vanishes" if residual.is_zero
+                           else "nonzero: " + residual.text()))
+
     checks = (
         Check("heisenberg.model",
               "the de-table satisfies the Jacobi identity and the structure "
@@ -556,18 +573,18 @@ class SuiteHeisenberg(Suite):
         Check("heisenberg.canonical-connection",
               "the skew-torsion shift reproduces the declared torsion and "
               "parallelizes it",
-              lambda s: s.hb.parallel_torsion_holds(
-                  s.can, s.hb.canonical_torsion_form(s.model)),
+              lambda s: identities(s.hb.parallel_torsion(
+                  s.can, s.hb.canonical_torsion_form(s.model))),
               notes="nabla T = 0 is exercised in the test suite "
                     "componentwise"),
         Check("heisenberg.oracle-equivalence",
               "first-principles curvature equals the closed form with "
               "R2 = 0 for l in {0, 4} and five seeded rationals",
               lambda s: dict(
-                  ok=all(s.hb.arrays_equal(
-                      s.hb.connection_lambda(lam).curvature,
-                      s.hb.closed_form_curvature_array(lam))
-                      for lam in s.lams),
+                  identities((f"first-principles = closed form at l = {lam}",
+                              s.hb.connection_lambda(lam).curvature,
+                              s.hb.closed_form_curvature_array(lam))
+                             for lam in s.lams),
                   notes=f"lambdas: {[str(x) for x in s.lams]}")),
         Check("heisenberg.flatness",
               "the parallel-family connection (l = 4) is flat on this model",
@@ -575,8 +592,8 @@ class SuiteHeisenberg(Suite):
         Check("heisenberg.sigma-t",
               "the first Bianchi identity with sigma_T holds for the "
               "canonical connection",
-              lambda s: s.hb.sigma_t_identity(
-                  s.can, s.hb.canonical_torsion_form(s.model))),
+              lambda s: identities(s.hb.sigma_t_identity(
+                  s.can, s.hb.canonical_torsion_form(s.model)))),
         Check("heisenberg.pair-symmetry",
               "the canonical curvature array is pairwise symmetric",
               lambda s: all(s.R_can.get((j, i), Fraction(0)) == v
@@ -589,13 +606,11 @@ class SuiteHeisenberg(Suite):
                     "realization (see CLIFFORD_REALIZATION_SIGN)"),
         Check("heisenberg.exact-solution",
               "both instanton checks and the flux identity hold exactly "
-              "from first principles at a' with 12 a' = 1",
-              lambda s: dict(ok=s.thm.status == "pass", notes=s.thm.notes,
-                             parameters={"alphap": str(s.alphap)})),
+              "from first principles at a' with 12 a' = 1", exact_solution),
         Check("heisenberg.exact-solution.negative-control",
               "perturbing a' to 1/10 makes the flux residual nonzero",
-              lambda s: s.neg.status == "fail"
-              and not s.neg.bianchi_residual.is_zero),
+              # the instanton, flatness and torsion-class triples still hold
+              lambda s: identities(s.neg, refuted={s.hb.FLUX})),
         Check("heisenberg.tau0", "tau0 = 24/7 at (a, d) = (1, 0)",
               lambda s: s.tc.tau0
               == s.model.coframe.table.rat(Fraction(24, 7))),
@@ -653,14 +668,26 @@ class SuiteBianchi(Suite):
                     parameters={k: str(v) for k, v in point.items()})
 
     def branch(self, branch_id: str) -> dict:
-        branch = self.branches[branch_id]
-        rep = self.bi.verify_branch(branch)
-        payload = rep.as_record()
-        return dict(ok=rep.status == "pass",
-                    lhs=payload["residual_normal_form"],
-                    notes=rep.notes or ("expected nonzero residual confirmed"
-                                        if not branch.expect_zero else ""),
-                    parameters={"hypotheses": payload["hypotheses"]})
+        # the constraints reduce to zero and vanish at each sample, where
+        # a' > 0; the negative control's stay nonzero at both
+        zero = branch_id != "3ad.negative-control"
+        reduced, samples, hypotheses = self.bi.verify_branch(
+            self.branches[branch_id])
+        notes = []
+        for point, vals in samples:
+            if all(v.is_zero for v in vals) != zero:
+                notes.append(f"sample {point} residuals "
+                             f"{[str(v) for v in vals]}")
+            if not point.get("alphap", 1) > 0:
+                notes.append(f"sample {point} violates alphap > 0")
+        symbolic = all(p.is_zero for p in reduced) == zero
+        return dict(ok=symbolic and not notes,
+                    lhs="; ".join(str(p) for p in reduced),
+                    notes="; ".join(notes) or (
+                        "" if zero or not symbolic
+                        else "expected nonzero residual confirmed"),
+                    parameters={"hypotheses": hypotheses},
+                    failed=[] if symbolic else ["reduced constraints"])
 
     def basis_leftover(self) -> bool:
         try:
@@ -687,7 +714,10 @@ class SuiteBianchi(Suite):
         Check("bianchi.impossibility.3-alpha",
               "no (lam1, lam2, a' > 0) solves the system at a = d: the "
               "eliminant factors with a negative-definite quadratic",
-              lambda s: dict(ok=s.imp.status == "pass", notes=s.imp.notes)),
+              lambda s: identities(s.imp),
+              notes="eliminant 12((lam2-2)^3-(lam1-2)^3); quadratic factor "
+                    "has discriminant -432(lam1-2)^2; lam2 = lam1 forces "
+                    "4 = 0"),
         Check("bianchi.approximate.orders",
               "the scaled obstruction norms are O(a'^2): t-order 8 for both "
               "geometries, and a constant scaling fails at order 0",

@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from hetg2 import suites
 from hetg2.bianchi import (approx_order_report, branches,
                            extract_constraints, get_ring, residual,
                            sasaki_3alpha_impossibility, verify_branch)
-from hetg2.scalar import SymbolTable, prem
+from hetg2.scalar import AlgebraError, SymbolTable, prem
 from hetg2.structures import NotInSpanError, structure_torsion
+from test_curvature import doubled, failed, named_failures, records, with_leg
 
 R3 = get_ring("3ad")
 T3 = R3.table
@@ -72,16 +74,24 @@ class TestResidual:
         assert all(v.is_zero for v in vals)
 
 
+def branch(branch_id):
+    return [b for b in branches() if b.branch_id == branch_id][0]
+
+
 class TestBranches:
     @pytest.mark.parametrize("branch", branches(), ids=lambda b: b.branch_id)
     def test_branch(self, branch):
-        rep = verify_branch(branch)
-        assert rep.status == "pass", (branch.branch_id, rep.notes)
+        # zero on each branch; nonzero on the negative control
+        zero = branch.branch_id != "3ad.negative-control"
+        reduced, samples, _ = verify_branch(branch)
+        assert all(p.is_zero for p in reduced) == zero
+        for point, vals in samples:
+            assert all(v.is_zero for v in vals) == zero
+            assert point["alphap"] > 0
 
     def test_branch_reports_residuals(self):
-        neg = [b for b in branches() if not b.expect_zero][0]
-        rep = verify_branch(neg)
-        assert any(not p.is_zero for p in rep.residuals)
+        reduced, _, _ = verify_branch(branch("3ad.negative-control"))
+        assert any(not p.is_zero for p in reduced)
 
     def test_case_ii_conditional_identity_directly(self):
         # E2 reduced by the lam2 quadratic and the squared compatibility
@@ -92,10 +102,12 @@ class TestBranches:
 
 class TestImpossibility:
     def test_report(self):
-        rep = sasaki_3alpha_impossibility()
-        assert rep.status == "pass"
-        assert rep.eliminant == 12 * ((L2 - 2) ** 3 - (L1 - 2) ** 3)
-        assert rep.discriminant == -432 * (L1 - 2) ** 2
+        triples = sasaki_3alpha_impossibility()
+        assert failed(triples) == []
+        (_, eliminant, _), (_, discriminant, _), (_, boundary, _) = triples
+        assert eliminant == 12 * ((L2 - 2) ** 3 - (L1 - 2) ** 3)
+        assert discriminant == -432 * (L1 - 2) ** 2
+        assert boundary == 4
 
     def test_numeric_samples(self):
         # a = d = 1: no rational (lam1, lam2, a' > 0) zeroes both constraints
@@ -151,11 +163,65 @@ class TestBasisHandling:
         with pytest.raises(NotInSpanError):
             extract_constraints(res, basis=[res.basis[0]])
 
+    def test_dependent_basis_refused(self):
+        res = residual("3ad", T3.rat(4), T3.zero())
+        with pytest.raises(AlgebraError):
+            extract_constraints(res, basis=[res.basis[0], res.basis[0]])
+
 
 def test_branch_record_payload():
-    branch = [b for b in branches() if b.branch_id == "3ad.case-i"][0]
-    rec = verify_branch(branch).as_record()
-    assert rec["status"] == "pass"
-    assert rec["branch_id"] == "3ad.case-i"
-    assert rec["residual_normal_form"] == "0; 0"
-    assert any("lam2 = 2*delta" == h for h in rec["hypotheses"])
+    cid = "bianchi.branch.3ad.case-i"
+    rec = records(suites.SuiteBianchi, "bi", lambda m: m, (cid,))[cid]
+    assert rec.status == "pass"
+    assert rec.lhs == "0; 0"
+    assert "lam2 = 2*delta" in rec.parameters["hypotheses"]
+
+
+def with_sample(branches, branch_id, **values):
+    """The branches by id, the first sample of ``branch_id`` updated."""
+    b = branches[branch_id]
+    return {**branches, branch_id: b._replace(
+        samples=[{**b.samples[0], **values}, *b.samples[1:]])}
+
+
+class TestRecordsReadTheirInputs:
+    def test_branch_names_the_broken_sample(self):
+        cid = "bianchi.branch.3ad.case-i"
+        rec = records(suites.SuiteBianchi, "branches",
+                      lambda bs: with_sample(bs, "3ad.case-i",
+                                             alphap=F(-1, 48)),
+                      (cid,))[cid]
+        point = {**branch("3ad.case-i").samples[0], "alphap": F(-1, 48)}
+        # a' < 0 leaves a nonzero constraint, and is refused on its own
+        assert rec.status == "fail"
+        assert rec.notes.startswith(f"sample {point} residuals ")
+        assert rec.notes.endswith(f"; sample {point} violates alphap > 0")
+
+    def test_branch_names_the_reduced_constraints(self):
+        cid = "bianchi.branch.3ad.case-i"
+
+        def moved(bs):
+            b = bs["3ad.case-i"]
+            return {**bs, "3ad.case-i": b._replace(
+                bindings={**b.bindings, "lam2": 3 * DE})}
+        rec = records(suites.SuiteBianchi, "branches", moved, (cid,))[cid]
+        assert rec.status == "fail" and rec.lhs != "0; 0"
+        assert rec.notes == "failed: reduced constraints"
+
+    def test_negative_control_fails_when_it_vanishes(self):
+        cid = "bianchi.branch.3ad.negative-control"
+        rec = records(
+            suites.SuiteBianchi, "branches",
+            lambda bs: {**bs, "3ad.negative-control": bs["3ad.case-i"]},
+            (cid,))[cid]
+        assert rec.status == "fail"
+        assert rec.notes.endswith("; failed: reduced constraints")
+        assert "confirmed" not in rec.notes
+
+    @pytest.mark.parametrize("leg", [
+        "eliminant = 12((lam2-2)^3-(lam1-2)^3)",
+        "the quadratic factor has discriminant -432(lam1-2)^2"])
+    def test_impossibility_names_the_broken_triple(self, leg):
+        assert named_failures(suites.SuiteBianchi, "imp",
+                              lambda t: with_leg(t, leg, doubled),
+                              "bianchi.impossibility.3-alpha") == [leg]

@@ -250,6 +250,17 @@ class TestSuites:
             payload = report_payload(suite, run_suite(suite, {}))
             assert payload["summary"]["fail"] == 0, suite
 
+    def test_identities_compare_by_equality(self):
+        # a mismatched dict side used to raise TypeError: the judge negated
+        # the right side to look for a sign flip
+        assert suites.identities([("d", {"a": 1}, {"a": 2}),
+                                  ("t", (1,), (1,))]) \
+            == dict(ok=False, failed=["d"])
+        # a refuted triple must not hold
+        assert suites.identities([("d", {}, {}), ("t", 1, 2)],
+                                 refuted={"d", "t"}) \
+            == dict(ok=False, failed=["d"])
+
     def test_su3_has_exactly_one_flagged(self):
         payload = report_payload("su3", run_suite("su3", {}))
         assert payload["summary"]["flagged"] == 1

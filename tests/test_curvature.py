@@ -1,15 +1,16 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 from hetg2 import suites
 from hetg2.curvature import (NORM_SQ_CALIBRATION, CurvOp, TorsionLambda3ad,
-                             antiselfdual_in_kernel, array_transpose_equal,
-                             beta_of, check_zero_factors, contorsion_3ad,
+                             antiselfdual_kernel, beta_of,
+                             check_zero_factors, contorsion_3ad,
                              curvature_3ad, curvature_su3,
-                             instanton_obstruction, su3_coefficient,
-                             trace_lemma_rhs_3ad, trace_lemma_rhs_su3,
-                             wedge_trace)
+                             instanton_obstruction, pair_symmetry,
+                             su3_coefficient, trace_lemma_rhs_3ad,
+                             trace_lemma_rhs_su3, wedge_trace)
 from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import CYCLIC, Ring3ad, RingSU3, make_table
 
@@ -155,6 +156,39 @@ def doubled(side):
     return tuple(map(doubled, side)) if isinstance(side, tuple) else 2 * side
 
 
+def holding(triples, leg):
+    """A (name, lhs, rhs) list whose triple named ``leg`` holds: its rhs is
+    its lhs."""
+    assert leg in [name for name, _, _ in triples]
+    return [(n, lhs, lhs if n == leg else rhs) for n, lhs, rhs in triples]
+
+
+def failed(triples):
+    """The names of the triples that do not hold, as the suites judge."""
+    return suites.identities(triples)["failed"]
+
+
+def with_result(module, fn, change):
+    """A stand-in for a domain module, for a suite to read in its place:
+    its function ``fn`` returns ``change`` of the module's result."""
+    def wrapped(*args, **kwargs):
+        return change(getattr(module, fn)(*args, **kwargs))
+    return SimpleNamespace(**{**vars(module), fn: wrapped})
+
+
+def named_failures(cls, name, perturb, check_id):
+    """The identities that record ``check_id`` names as failed once its
+    input ``name`` is perturbed.  The unperturbed record passes and names
+    none; the perturbed one fails and keeps its notes before the names."""
+    kept = records(cls, name, lambda x: x, (check_id,))[check_id]
+    assert kept.status == "pass" and "failed: " not in kept.notes
+    rec = records(cls, name, perturb, (check_id,))[check_id]
+    assert rec.status == "fail"
+    head, _, names = rec.notes.rpartition("failed: ")
+    assert head == (kept.notes + "; " if kept.notes else "")
+    return names.split("; ")
+
+
 def statuses(cls, name, perturb, ids):
     """Statuses of ``records(cls, name, perturb, ids)``."""
     return {k: r.status for k, r in records(cls, name, perturb, ids).items()}
@@ -163,6 +197,13 @@ def statuses(cls, name, perturb, ids):
 def with_block(R, key, shift):
     return CurvOp(R.geometry, R.ring, R.lam,
                   {**R.blocks, key: R.block(*key) + shift})
+
+
+def with_entry(R, key, value):
+    """R with the array entry ``key`` set to ``value``."""
+    out = CurvOp(R.geometry, R.ring, R.lam, R.blocks)
+    out.array = {**R.array, key: value}
+    return out
 
 
 class TestRecordsReadTheirInputs:
@@ -179,6 +220,40 @@ class TestRecordsReadTheirInputs:
         assert statuses(suites.SuiteSU3, "pst", lambda p: 2 * p, ids) == {
             **dict.fromkeys(self.INSTANTON_SU3, "fail"),
             "su3.instanton.threshold": "pass"}
+
+    def test_asd_kernel_names_the_broken_slot(self):
+        # an e45 (x) e12 entry: e45 - e67 no longer annihilates the form slot
+        assert named_failures(
+            suites.Suite3ad, "R",
+            lambda R: with_entry(R, ((4, 5), (1, 2)), R.ring.table.one()),
+            "3ad.curvature.asd-kernel") \
+            == ["e45 - e67 is in the kernel of the form slot"]
+
+    def test_pair_symmetry_names_the_broken_half(self):
+        cid = "3ad.curvature.pair-symmetry"
+        assert named_failures(
+            suites.Suite3ad, "R0",
+            lambda R: with_entry(R, ((1, 2), (4, 5)), R.ring.table.one()),
+            cid) == ["the array at l = 0 equals its transpose"]
+        # l = 3 must break the symmetry: a symmetric stand-in fails
+        assert named_failures(
+            suites.Suite3ad, "cv",
+            lambda cv: with_result(cv, "pair_symmetry",
+                                   lambda t: holding(t, t[0][0])), cid) \
+            == ["the array at l = 3 equals its transpose"]
+
+    @pytest.mark.parametrize("change, leg", [
+        (lambda t: with_leg(t, "tau2(phi_2) = 0",
+                            lambda zero: zero.space.e(4, 5)),
+         "tau2(phi_2) = 0"),
+        # tau3 must not vanish: a vanishing tau3 fails the record
+        (lambda t: holding(t, "tau3(phi_1) = 0"), "tau3(phi_1) = 0"),
+    ], ids=["coclosed", "tau3-nonzero"])
+    def test_aux_structures_name_the_broken_class(self, change, leg):
+        assert named_failures(
+            suites.Suite3ad, "st",
+            lambda st: with_result(st, "aux_torsion_classes", change),
+            "3ad.aux-structures") == [leg]
 
     def test_trace_records_read_the_blocks(self):
         ids = ("3ad.trace.lemma",)
@@ -247,11 +322,14 @@ class TestCurvature3ad:
         assert all(v.is_zero for v in R.blocks.values())
 
     def test_pair_symmetry_only_at_zero(self):
-        assert array_transpose_equal(curvature_3ad(R3, T3.zero()))
-        assert not array_transpose_equal(curvature_3ad(R3, T3.rat(3)))
+        (_, arr, transposed), = pair_symmetry(curvature_3ad(R3, T3.zero()))
+        assert arr == transposed
+        (_, arr, transposed), = pair_symmetry(curvature_3ad(R3, T3.rat(3)))
+        assert arr != transposed
 
     def test_asd_kernel(self):
-        assert antiselfdual_in_kernel(curvature_3ad(R3, LAM))
+        triples = antiselfdual_kernel(curvature_3ad(R3, LAM))
+        assert len(triples) == 6 and failed(triples) == []
 
     def test_hh_block_always_symmetric(self):
         arr = curvature_3ad(R3, LAM).array

@@ -9,11 +9,43 @@ from hetg2 import suites
 from hetg2.curvature import contorsion_3ad
 from hetg2.scalar import AlgebraError
 from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
-from test_curvature import doubled, records, with_leg
+from test_curvature import (doubled, failed, holding, named_failures,
+                            records, with_leg, with_result)
 
 MODEL = hb.heisenberg_model()
 CF = MODEL.coframe
 FRAME = sp1_frame_forms(CF)
+TORSION = "T(X; Y, Z) is the declared torsion"
+INSTANTON = "R^0 ^ psi = 0 and R^4 ^ psi = 0"
+FLAT = "R^4 = 0: the parallel family is flat"
+TAU = "tau0 = 24/7 and tau1 = tau2 = 0"
+PARALLEL = "nabla_X T = 0 for every frame vector X"
+
+
+def altered(conn, y, x, z):
+    """conn with g(e_x, nabla_y e_z) raised by 1."""
+    L = {k: [row[:] for row in m] for k, m in conn.L.items()}
+    L[y][x - 1][z - 1] += 1
+    return hb.Connection(MODEL, L)
+
+
+def with_curvature(conn, key, shift):
+    """A connection with the coefficients of conn whose curvature array has
+    ``shift`` added at ``key``."""
+    arr = dict(conn.curvature)
+    arr[key] = arr.get(key, 0) + shift
+    out = hb.Connection(MODEL, conn.L)
+    out.__dict__["curvature"] = arr  # the cached property's slot
+    return out
+
+
+def with_extra_entry(arrays):
+    """A pair of arrays, the first with one more entry."""
+    return ({**arrays[0], "extra": 1}, arrays[1])
+
+
+def sigma_t_leg(v):
+    return f"cyclic R(X, Y, Z, e_{v}) = cyclic g(T(X, Y), T(Z, e_{v}))"
 
 
 class TestModel:
@@ -68,16 +100,15 @@ class TestConnections:
     def test_parallel_torsion_predicate(self):
         T = hb.canonical_torsion_form(MODEL)
         can = hb.canonical_connection()
-        assert hb.parallel_torsion_holds(can, T)
-        assert not hb.parallel_torsion_holds(hb.levi_civita(), T)
+        assert failed(hb.parallel_torsion(can, T)) == []
+        assert TORSION in failed(hb.parallel_torsion(hb.levi_civita(), T))
         # one altered entry: g(e_1, nabla_4 e_2) changes the torsion;
         # g(e_4, nabla_1 e_1) keeps it but breaks nabla T = 0
         for y, x, z, torsion_kept in ((4, 1, 2, False), (1, 4, 1, True)):
-            L = {k: [row[:] for row in m] for k, m in can.L.items()}
-            L[y][x - 1][z - 1] += 1
-            conn = hb.Connection(MODEL, L)
+            conn = altered(can, y, x, z)
             assert conn.has_torsion(T) == torsion_kept
-            assert not hb.parallel_torsion_holds(conn, T)
+            assert failed(hb.parallel_torsion(conn, T)) \
+                == [TORSION, PARALLEL][torsion_kept:]
 
     def test_canonical_nabla_phi(self):
         can = hb.canonical_connection()
@@ -115,35 +146,32 @@ class TestCurvature:
         for lam in lams:
             fp = hb.curvature_fp(hb.connection_lambda(lam))
             cl = hb.closed_form_curvature_array(lam)
-            assert hb.arrays_equal(fp, cl), lam
+            assert fp == cl, lam
 
     def test_flatness_of_parallel_family(self):
         assert not hb.curvature_fp(hb.connection_lambda(F(4)))
 
     def test_sigma_t_bianchi(self):
         can = hb.canonical_connection()
-        assert hb.sigma_t_identity(can, hb.canonical_torsion_form(MODEL))
+        triples = hb.sigma_t_identity(can, hb.canonical_torsion_form(MODEL))
+        assert [n for n, _, _ in triples] == [sigma_t_leg(v)
+                                              for v in range(1, 8)]
+        assert failed(triples) == []
 
-    def test_sigma_t_reads_the_first_frame_index_last(self, monkeypatch):
+    def test_sigma_t_reads_the_first_frame_index_last(self):
         # adding 1 to R(e_1, e_2; e_1, e_3) breaks the cyclic sum only at
         # quadruples whose last index is 1, e.g. (2, 1, 3, 1)
-        can = hb.canonical_connection()
-        torsion = hb.canonical_torsion_form(MODEL)
-        arr = dict(can.curvature)
-        arr[((1, 2), (1, 3))] = arr.get(((1, 2), (1, 3)), 0) + 1
-        monkeypatch.setattr(hb, "curvature_fp", lambda conn: arr)
-        assert not hb.sigma_t_identity(hb.Connection(MODEL, can.L), torsion)
+        conn = with_curvature(hb.canonical_connection(), ((1, 2), (1, 3)), 1)
+        assert failed(hb.sigma_t_identity(
+            conn, hb.canonical_torsion_form(MODEL))) == [sigma_t_leg(1)]
 
     @pytest.mark.parametrize("key", [((1, 2), (3, 4)), ((5, 6), (5, 7))])
-    def test_sigma_t_fails_on_a_perturbed_entry(self, monkeypatch, key):
+    def test_sigma_t_fails_on_a_perturbed_entry(self, key):
         # the identity is checked on x < y < z only; a perturbed curvature
         # entry must still be seen
-        can = hb.canonical_connection()
-        torsion = hb.canonical_torsion_form(MODEL)
-        arr = dict(can.curvature)
-        arr[key] = arr.get(key, 0) + F(1, 3)
-        monkeypatch.setattr(hb, "curvature_fp", lambda conn: arr)
-        assert not hb.sigma_t_identity(hb.Connection(MODEL, can.L), torsion)
+        conn = with_curvature(hb.canonical_connection(), key, F(1, 3))
+        assert failed(hb.sigma_t_identity(
+            conn, hb.canonical_torsion_form(MODEL)))
 
     def test_connection_lambda_zero_is_canonical(self):
         # the difference tensor vanishes at lam = 0
@@ -246,17 +274,59 @@ class TestSpinParts:
         assert rec.notes == kept.notes + "; failed: " + leg
 
 
+class TestRecordsReadTheirInputs:
+    def test_canonical_connection_names_nabla_t(self):
+        # g(e_4, nabla_1 e_1) keeps the torsion but breaks nabla T = 0
+        assert named_failures(suites.SuiteHeisenberg, "can",
+                              lambda can: altered(can, 1, 4, 1),
+                              "heisenberg.canonical-connection") == [PARALLEL]
+
+    def test_sigma_t_names_the_broken_leg(self):
+        assert named_failures(
+            suites.SuiteHeisenberg, "can",
+            lambda can: with_curvature(can, ((1, 2), (1, 3)), 1),
+            "heisenberg.sigma-t") == [sigma_t_leg(1)]
+
+    def test_oracle_names_the_broken_lambda(self):
+        # only the closed form at l = 4 (the flat one, empty) gains an entry
+        assert named_failures(
+            suites.SuiteHeisenberg, "hb",
+            lambda m: with_result(m, "closed_form_curvature_array",
+                                  lambda arr: arr or {((1, 2), (1, 2)): 1}),
+            "heisenberg.oracle-equivalence") \
+            == ["first-principles = closed form at l = 4"]
+
+    def test_exact_solution_names_the_broken_triple(self):
+        assert named_failures(
+            suites.SuiteHeisenberg, "thm",
+            lambda t: with_leg(t, FLAT, lambda _: {((1, 2), (1, 2)): 1}),
+            "heisenberg.exact-solution") == [FLAT]
+
+    @pytest.mark.parametrize("change, leg", [
+        # the a'-independent triples must still hold at a' = 1/10
+        (lambda t: with_leg(t, INSTANTON, with_extra_entry), INSTANTON),
+        (lambda t: with_leg(t, TAU, doubled), TAU),
+        # and the flux triple must not
+        (lambda t: holding(t, hb.FLUX), hb.FLUX),
+    ], ids=["instanton", "torsion-classes", "flux"])
+    def test_negative_control_names_the_broken_triple(self, change, leg):
+        assert named_failures(
+            suites.SuiteHeisenberg, "neg", change,
+            "heisenberg.exact-solution.negative-control") == [leg]
+
+
 class TestTheorem:
     def test_end_to_end(self):
-        rep = hb.theorem1_end_to_end()
-        assert rep.status == "pass"
-        assert rep.instanton_zero and rep.flat_parallel
-        assert rep.bianchi_residual.is_zero and rep.torsion_classes_ok
+        triples = hb.theorem1_end_to_end()
+        # the flux residual, both instantons, flatness and torsion classes
+        assert [n for n, _, _ in triples] == [hb.FLUX, INSTANTON, FLAT,
+                                              TAU]
+        assert failed(triples) == []
 
     def test_negative_control(self):
-        rep = hb.theorem1_end_to_end(F(1, 10))
-        assert rep.status == "fail"
-        assert not rep.bianchi_residual.is_zero
+        triples = hb.theorem1_end_to_end(F(1, 10))
+        assert failed(triples) == [hb.FLUX]
+        assert not triples[0][1].is_zero
 
     def test_tau0_value(self):
         phi = CF.e(1, 2, 3)

@@ -11,11 +11,21 @@ from hetg2.exterior import Coframe
 from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import (RingSU3, make_table, sp1_frame_forms,
                               su3_frame_forms)
-from test_curvature import doubled, records, statuses, with_leg
+from test_curvature import (doubled, failed, named_failures, records,
+                            statuses, with_leg)
 
 REP = sp.build_rep(3)
 TAB = SymbolTable(("alpha", "delta"))
 CF = Coframe(TAB, 7)
+
+
+def shifted_rep():
+    """The m = 3 representation in the basis relabelled by a cyclic shift."""
+    shift = tuple(tuple(sp.GQ(int(j == (i + 1) % 8)) for j in range(8))
+                  for i in range(8))
+    return sp.CliffordRep(3, tuple(
+        dc.word_of(dc.matmul(dc.matmul(shift, x), dc.transpose(shift)))
+        for x in dc.generators(3)))
 
 
 class TestRep:
@@ -279,7 +289,13 @@ class TestSigma:
             sp.sigma_decompose(REP, sp.sigma_fundamental_form(CF, 3), 1)
 
     def test_membership(self):
-        assert sp.sigma_membership(REP, sp.sigma_fundamental_form(CF, 3))
+        triples = sp.sigma_membership(REP, sp.sigma_fundamental_form(CF, 3))
+        assert len(triples) == 2 and failed(triples) == []
+        # -phi swaps the extreme eigenspaces
+        assert failed(sp.sigma_membership(
+            REP, -sp.sigma_fundamental_form(CF, 3))) \
+            == ["Psi lies in the lowest eigenspace",
+                "Psi-bar lies in the highest eigenspace"]
 
     def test_sigma0_identity(self):
         psi = sp.canonical_su3_spinor(REP)
@@ -306,6 +322,13 @@ class TestOmegaAction:
             u = sp.u_spinor(REP, eps)
             assert all(x.is_zero for x in sp.rows_apply(mp, u))
             assert all(x.is_zero for x in sp.rows_apply(mm, u))
+
+    def test_triples(self):
+        f = su3_frame_forms(CF)
+        assert failed(sp.su3_omega_action(REP, f["Om+"], f["Om-"])) == []
+        # Om- in place of Om+ breaks the constants, not the middle
+        assert failed(sp.su3_omega_action(REP, f["Om-"], f["Om-"])) \
+            == ["Om+ Psi = -4i Psi-bar", "Om+ Psi-bar = 4i Psi"]
 
     def test_minus_constants_with_recorded_sign(self):
         f = su3_frame_forms(CF)
@@ -429,7 +452,7 @@ class TestSp1Suite:
 
     def test_all_majorana(self):
         for v in sp.sp1_spinors(REP).values():
-            assert sp.is_majorana(REP, v)
+            assert sp.j_real_structure(REP, v) == v
 
     def test_majorana_pair_is_psi2_psi3(self):
         psi = sp.sp1_spinors(REP)
@@ -445,20 +468,17 @@ class TestRealStructure:
         for mu in range(7):
             assert dc.matmul(c, g[mu]) \
                 == dc.mat_scale(dc.matmul(dc.transpose(g[mu]), c), -1)
-        assert sp.charge_conjugation_holds(REP)
+        assert failed(sp.charge_conjugation_relations(REP)) == []
         # relabelling the basis by a cyclic shift keeps the relations but
         # not C rho = -rho^T C for the fixed C
-        shift = tuple(tuple(sp.GQ(int(j == (i + 1) % 8)) for j in range(8))
-                      for i in range(8))
-        moved = sp.CliffordRep(REP.m, tuple(
-            dc.word_of(dc.matmul(dc.matmul(shift, x), dc.transpose(shift)))
-            for x in g))
+        moved = shifted_rep()
         assert moved.words != REP.words
         assert sp.clifford_relations_hold(moved)
-        assert not sp.charge_conjugation_holds(moved)
+        assert failed(sp.charge_conjugation_relations(moved)) \
+            == ["C rho(e_mu) = -rho(e_mu)^T C"]
 
     def test_charge_word_cached(self):
-        # built once per representation, not on every is_majorana call
+        # built once per representation, not on every j_real_structure call
         assert REP.charge_word == sp.charge_conjugation(REP)
         assert REP.charge_word is REP.charge_word
 
@@ -472,7 +492,7 @@ class TestRealStructure:
 
     def test_v_basis(self):
         vs = sp.majorana_v_basis(REP)
-        assert all(sp.is_majorana(REP, v) for v in vs)
+        assert all(sp.j_real_structure(REP, v) == v for v in vs)
         n = sp.herm(vs[0], vs[0])
         for i in range(8):
             assert sp.herm(vs[i], vs[i]) == n
@@ -502,7 +522,7 @@ class TestRealStructure:
                         rhs = sp.vec_add(rhs, sp.vec_scale(vs[ell],
                                                            rr[mu][ell][k]))
                 assert lhs == rhs
-        assert sp.v_basis_intertwines(REP, words)
+        assert failed(sp.v_basis_dictionary(REP, words)) == []
 
 
 class TestRecordsReadTheirInputs:
@@ -511,11 +531,30 @@ class TestRecordsReadTheirInputs:
             perm, phase = words[3]
             bad = (perm, ((phase[0] + 2) % 4,) + phase[1:])
             return words[:3] + (bad,) + words[4:]
-        ids = ("spinor.real.dictionary",)
-        assert statuses(suites.SuiteSpinor, "real", lambda w: w, ids) \
-            == {"spinor.real.dictionary": "pass"}
-        assert statuses(suites.SuiteSpinor, "real", flipped, ids) \
-            == {"spinor.real.dictionary": "fail"}
+        assert named_failures(suites.SuiteSpinor, "real", flipped,
+                              "spinor.real.dictionary") \
+            == ["rho(e4) acts on the v basis as real word 4"]
+
+    def test_charge_conjugation_reads_the_rep(self):
+        assert named_failures(suites.SuiteSpinor, "rep",
+                              lambda rep: shifted_rep(),
+                              "spinor.real.charge-conjugation") \
+            == ["C rho(e_mu) = -rho(e_mu)^T C"]
+
+    def test_membership_reads_the_sigma_form(self):
+        def moved(frame):
+            return {**frame, "sigma_form": -frame["sigma_form"]}
+        assert named_failures(suites.SuiteSpinor, "frame", moved,
+                              "spinor.sigma.membership") \
+            == ["Psi lies in the lowest eigenspace",
+                "Psi-bar lies in the highest eigenspace"]
+
+    def test_omega_action_reads_om_plus(self):
+        def doubled_om(forms):
+            return {**forms, "Om+": 2 * forms["Om+"]}
+        assert named_failures(suites.SuiteSpinor, "su3f", doubled_om,
+                              "spinor.omega.action") \
+            == ["Om+ Psi = -4i Psi-bar", "Om+ Psi-bar = 4i Psi"]
 
     def test_family_reads_the_majorana_pair(self):
         ids = ("spinor.g2.family",)
@@ -587,6 +626,14 @@ class TestDomains:
                 sp.times_i_pow(one, k)
         with pytest.raises(AlgebraError):
             sp.word_apply(((0,), (4,)), (one,))
+
+    def test_rep_refuses_unreduced_phases(self):
+        # build_rep(1)'s words with 4 added to every phase used to pass
+        # clifford_relations_hold while word_apply refused them
+        words = tuple((perm, tuple(k + 4 for k in phase))
+                      for perm, phase in sp.build_rep(1).words)
+        with pytest.raises(AlgebraError, match="reduced to 0..3"):
+            sp.CliffordRep(1, words)
 
     def test_u_spinor_refuses_signs_other_than_one(self):
         # u(2, 1, -1) used to be u(-1, 1, -1)
