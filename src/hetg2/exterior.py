@@ -10,7 +10,8 @@ e^{1...n} and vectors are identified with one-forms index-by-index.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .scalar import (AlgebraError, Scalar, SymbolTable, _accumulate, _Sums,
@@ -300,6 +301,20 @@ class Form:
         return self.text()
 
     __repr__ = __str__
+
+
+def leibniz(factors: Sequence[Form], derivatives: Sequence[Form],
+            zero: Form) -> Form:
+    """d(f_1 ^ ... ^ f_n) by the graded Leibniz rule: the sum over i of
+    (-1)^(deg f_1 + ... + deg f_(i-1)) f_1 ^ ... ^ d f_i ^ ... ^ f_n, where
+    ``derivatives[i]`` is d ``factors[i]`` and ``zero`` is the zero form of
+    their space.  Every exterior derivative of the package is this sum."""
+    out, odd = zero, False
+    for i, (f, df) in enumerate(zip(factors, derivatives)):
+        term = reduce(xor, (*factors[:i], df, *factors[i + 1:]))
+        out = out - term if odd else out + term
+        odd = odd != (f.degree() % 2 == 1)
+    return out
 
 
 def contract_biform(beta: Form, omega: Form) -> Form:

@@ -18,7 +18,8 @@ from itertools import combinations
 
 from .curvature import (array_trace, array_wedge, contorsion_3ad,
                         curvature_3ad)
-from .exterior import Coframe, Form, basis_multi_indices, derivation
+from .exterior import (Coframe, Form, basis_multi_indices, derivation,
+                       leibniz)
 from .scalar import AlgebraError, Rat, exact
 from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
                          sp1_frame_forms, torsion_classes)
@@ -73,16 +74,12 @@ def _half(q):
 
 
 def d_form(model: LieModel, form: Form) -> Form:
-    """Exterior derivative of a left-invariant form with constant coefficients."""
+    """Exterior derivative of a left-invariant form with constant
+    coefficients: the Leibniz sum over the coframe factors e^mu of each
+    monomial, with d e^mu read off the de-table."""
     cf = model.coframe
-    out = cf.zero()
-    for idx, coef in form.terms.items():
-        for pos, mu in enumerate(idx):
-            prefix = cf.e(*idx[:pos]) if idx[:pos] else cf.one()
-            suffix = cf.e(*idx[pos + 1:]) if idx[pos + 1:] else cf.one()
-            piece = prefix ^ model.de[mu] ^ suffix
-            out = out + coef * (piece if pos % 2 == 0 else -piece)
-    return out
+    return Form.combination(cf, form.terms, lambda idx: leibniz(
+        [cf.e(mu) for mu in idx], [model.de[mu] for mu in idx], cf.zero()))
 
 
 def model_equations_hold(model: LieModel) -> bool:

@@ -604,11 +604,12 @@ def real_rep7():
     return tuple(word(d) for d in data)
 
 
-def v_basis_dictionary(rep: CliffordRep, real: tuple) -> list:
+def v_basis_dictionary(rep: CliffordRep, real: tuple, vs) -> list:
     """rho(e_mu) v_k = i^phase[l] v_l, where perm[l] = k, for each word
     (perm, phase) of the real representation ``real`` (``real_rep7()``),
-    and J v = v for the v spinors (Majorana), as (name, lhs, rhs) triples."""
-    vs = majorana_v_basis(rep)
+    J v = v for the v spinors ``vs`` (Majorana), and their Hermitian Gram
+    matrix n times the identity, n = herm(v_1, v_1), as (name, lhs, rhs)
+    triples."""
     out = [(f"rho(e{mu}) acts on the v basis as real word {mu}",
             tuple(word_apply(g, vs[k]) for k in perm),
             tuple(tuple(times_i_pow(x, p) for x in v)
@@ -616,6 +617,11 @@ def v_basis_dictionary(rep: CliffordRep, real: tuple) -> list:
            for mu, (g, (perm, phase)) in enumerate(zip(rep.words, real), 1)]
     out.append(("the v spinors are Majorana",
                 tuple(j_real_structure(rep, v) for v in vs), tuple(vs)))
+    n = herm(vs[0], vs[0])
+    out.append(("the v spinors are orthogonal with equal norms",
+                tuple(tuple(herm(x, y) for y in vs) for x in vs),
+                tuple(tuple(n if i == j else _ZERO for j in range(len(vs)))
+                      for i in range(len(vs)))))
     return out
 
 

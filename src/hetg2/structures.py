@@ -8,21 +8,25 @@ Two geometries are modelled on a fixed orthonormal 7-coframe:
   and imaginary parts Om+ / Om- of the complex volume form (degree 3) with
   d eta = 2a Phi, d Om+ = -4d eta Om-, d Om- = 4d eta Om+.
 
-Exterior derivatives are Leibniz extensions of the generator table; the rule
-d Phi_i = 2d (Phi_j eta_k - eta_j Phi_k) is forced by d^2 eta_i = 0.  Both
-rings embed into the coframe, and construction verifies d^2 = 0 together with
-every wedge relation under that embedding.
+Each ring states its structure once, as a generator table: every generator
+with its coframe form and its exterior derivative (the rule
+d Phi_i = 2d (Phi_j eta_k - eta_j Phi_k) is forced by d^2 eta_i = 0).  A
+monomial's d is the graded Leibniz sum over its generator factors and its
+embedding the wedge of their coframe forms; construction verifies d^2 = 0 on
+every generator and that the ring product of every ordered generator pair
+embeds as the coframe wedge.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 from typing import Mapping, Union
 
 from .exterior import (Coframe, Form, _merge, _sort_index, basis_multi_indices,
-                       coefficient_matrix, form_to_vector)
+                       coefficient_matrix, form_to_vector, leibniz)
 from .linsolve import InconsistentSystemError, nullspace, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable
 
@@ -101,18 +105,43 @@ class GenForm(Form):
                                 self.space.mono_embed)
 
 
-class _BaseRing:
-    """Shared machinery: the space of its GenForms, from_form, setup checks.
+# One row of a ring's generator table: the generator, its coframe form and
+# its exterior derivative.
+Generator = namedtuple("Generator", "form coframe d")
 
-    Each ring memoizes its monomials' derivatives (``mono_d``) and coframe
-    embeddings (``mono_embed``) with functools.cache.
+
+class _BaseRing:
+    """Shared machinery: the space of its GenForms, from_form, and everything
+    derived from the generator table.
+
+    A ring's ``_setup`` gives the rows of ``gens``, the generator table keyed
+    by each generator's monomial, and ``factors(m)`` lists a monomial's
+    generator keys in order, their product being the monomial with
+    coefficient 1.  From these, ``mono_d`` (the Leibniz sum) and
+    ``mono_embed`` (the wedge of the coframe forms) are derived and memoized
+    with functools.cache; besides the table and ``factors``, a ring supplies
+    only its unit and its monomials with their product, degree and label.
     """
 
     def __init__(self, table: SymbolTable):
         self.table = table
         self.coframe = Coframe(table, 7)
-        self._setup()
+        self.alpha, self.delta = table.sym("alpha"), table.sym("delta")
+        # _setup returns the table's (GenForm, coframe form, d) rows
+        self.gens = {next(iter(g.terms)): Generator(g, cf, d)
+                     for g, cf, d in self._setup()}
         self._check_construction()
+
+    @cache
+    def mono_d(self, m) -> GenForm:
+        gens = [self.gens[key] for key in self.factors(m)]
+        return leibniz([g.form for g in gens], [g.d for g in gens],
+                       self.zero())
+
+    @cache
+    def mono_embed(self, m) -> Form:
+        return reduce(xor, (self.gens[key].coframe for key in self.factors(m)),
+                      self.coframe.one())
 
     def zero(self) -> GenForm:
         return GenForm(self, {})
@@ -152,13 +181,16 @@ class _BaseRing:
         return out
 
     def _check_construction(self):
-        for g in self.generators():
-            dd = g.d().d()
+        for g in self.gens.values():
+            dd = g.d.d()
             if not dd.is_zero:
                 raise AlgebraError(f"d^2 != 0 on generator: {dd}")
-        for lhs, rhs in self.wedge_relation_checks():
-            if not (lhs - rhs).is_zero:
-                raise AlgebraError("wedge relation fails under embedding")
+        for a, g in self.gens.items():
+            for b, h in self.gens.items():
+                if (g.form ^ h.form).embed() != g.coframe ^ h.coframe:
+                    raise AlgebraError(
+                        f"{self.mono_label(a)} ^ {self.mono_label(b)} "
+                        "disagrees with the coframe wedge")
 
 
 class Ring3ad(_BaseRing):
@@ -171,11 +203,20 @@ class Ring3ad(_BaseRing):
 
     def _setup(self):
         self.frame = sp1_frame_forms(self.coframe)
-        self.alpha = self.table.sym("alpha")
-        self.delta = self.table.sym("delta")
+        a, d, eta, Phi = self.alpha, self.delta, self.eta, self.Phi
+        return [*((eta(i), self.frame["eta"][i],
+                   2 * a * Phi(i) - 2 * d * eta(j, k))
+                  for i, (j, k) in CYCLIC.items()),
+                *((Phi(i), self.frame["PhiH"][i],
+                   2 * d * (Phi(j).wedge(eta(k)) - eta(j).wedge(Phi(k))))
+                  for i, (j, k) in CYCLIC.items())]
 
     def unit_mono(self):
         return ((), ())
+
+    def factors(self, m) -> list:
+        etas, phis = m
+        return [((i,), ()) for i in etas] + [((), (i,)) for i in phis]
 
     def eta(self, *idx: int) -> GenForm:
         key, sign = _sort_index(tuple(idx))
@@ -185,9 +226,6 @@ class Ring3ad(_BaseRing):
 
     def Phi(self, i: int) -> GenForm:
         return self.genform({((), (i,)): 1})
-
-    def generators(self):
-        return [self.eta(i) for i in (1, 2, 3)] + [self.Phi(i) for i in (1, 2, 3)]
 
     def mono_degree(self, m) -> int:
         etas, phis = m
@@ -230,56 +268,6 @@ class Ring3ad(_BaseRing):
             return None, 0  # horizontal degree would exceed 4
         return (etas, phis), sign
 
-    def d_eta(self, i: int) -> GenForm:
-        j, k = CYCLIC[i]
-        return 2 * self.alpha * self.Phi(i) - 2 * self.delta * self.eta(j, k)
-
-    def d_Phi(self, i: int) -> GenForm:
-        j, k = CYCLIC[i]
-        return 2 * self.delta * (self.Phi(j).wedge(self.eta(k))
-                                 - self.eta(j).wedge(self.Phi(k)))
-
-    @cache
-    def mono_d(self, m) -> GenForm:
-        etas, phis = m
-        out = self.zero()
-        factors = [("eta", i) for i in etas] + [("Phi", i) for i in phis]
-        for pos, (kind, i) in enumerate(factors):
-            parity = sum(1 for k2, _ in factors[:pos] if k2 == "eta") % 2
-            dfac = self.d_eta(i) if kind == "eta" else self.d_Phi(i)
-            term = self._mono_from(factors[:pos]).wedge(dfac) \
-                .wedge(self._mono_from(factors[pos + 1:]))
-            out = out + (term if parity == 0 else -term)
-        return out
-
-    def _mono_from(self, factors) -> GenForm:
-        out = self.one()
-        for kind, i in factors:
-            out = out.wedge(self.eta(i) if kind == "eta" else self.Phi(i))
-        return out
-
-    @cache
-    def mono_embed(self, m) -> Form:
-        etas, phis = m
-        out = self.coframe.one()
-        for i in etas:
-            out = out ^ self.frame["eta"][i]
-        for i in phis:
-            out = out ^ self.frame["PhiH"][i]
-        return out
-
-    def wedge_relation_checks(self):
-        f = self.frame["PhiH"]
-        cf = self.coframe
-        checks = []
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                if i < j:
-                    checks.append((f[i] ^ f[j], cf.zero()))
-            checks.append((f[i] ^ f[i], f[1] ^ f[1]))
-            checks.append(((f[1] ^ f[1]) ^ f[i], cf.zero()))
-        return checks
-
     # distinguished forms -------------------------------------------------
     def phi(self) -> GenForm:
         out = self.eta(1, 2, 3)
@@ -316,11 +304,18 @@ class RingSU3(_BaseRing):
 
     def _setup(self):
         self.frame = su3_frame_forms(self.coframe)
-        self.alpha = self.table.sym("alpha")
-        self.delta = self.table.sym("delta")
+        a, d, eta, Om = self.alpha, self.delta, self.eta(), self.Om
+        return [(eta, self.frame["eta"], 2 * a * self.Phi()),
+                (self.Phi(), self.frame["Phi"], self.zero()),
+                (Om("+"), self.frame["Om+"], -4 * d * eta.wedge(Om("-"))),
+                (Om("-"), self.frame["Om-"], 4 * d * eta.wedge(Om("+")))]
 
     def unit_mono(self):
         return (0, 0, "")
+
+    def factors(self, m) -> list:
+        e, p, w = m
+        return [(1, 0, "")] * e + [(0, 1, "")] * p + [(0, 0, w)] * bool(w)
 
     def eta(self) -> GenForm:
         return self.genform({(1, 0, ""): 1})
@@ -330,9 +325,6 @@ class RingSU3(_BaseRing):
 
     def Om(self, sign: str) -> GenForm:
         return self.genform({(0, 0, sign): 1})
-
-    def generators(self):
-        return [self.eta(), self.Phi(), self.Om("+"), self.Om("-")]
 
     def mono_degree(self, m) -> int:
         e, p, w = m
@@ -378,47 +370,6 @@ class RingSU3(_BaseRing):
         if p > 3 or (p and w):
             return None, 0
         return (e1 + e2, p, w), coeff
-
-    @cache
-    def mono_d(self, m) -> GenForm:
-        e, p, w = m
-        out = self.zero()
-        if e:
-            rest = self.genform({(0, p, w): 1})
-            out = out + 2 * self.alpha * self.Phi().wedge(rest)
-        if w:
-            other = "-" if w == "+" else "+"
-            fac = -4 * self.delta if w == "+" else 4 * self.delta
-            dom = fac * self.eta().wedge(self.Om(other))
-            prefix = self.genform({(e, p, ""): 1})
-            term = prefix.wedge(dom)
-            out = out + (term if e % 2 == 0 else -term)
-        return out
-
-    @cache
-    def mono_embed(self, m) -> Form:
-        e, p, w = m
-        out = self.coframe.one()
-        if e:
-            out = out ^ self.frame["eta"]
-        for _ in range(p):
-            out = out ^ self.frame["Phi"]
-        if w:
-            out = out ^ self.frame["Om" + w]
-        return out
-
-    def wedge_relation_checks(self):
-        f = self.frame
-        cf = self.coframe
-        phi3 = f["Phi"] ^ f["Phi"] ^ f["Phi"]
-        return [
-            (f["Phi"] ^ f["Om+"], cf.zero()),
-            (f["Phi"] ^ f["Om-"], cf.zero()),
-            (f["Om+"] ^ f["Om+"], cf.zero()),
-            (f["Om-"] ^ f["Om-"], cf.zero()),
-            (f["Om+"] ^ f["Om-"], self.OM_PAIR * phi3),
-            (f["Phi"] ^ phi3, cf.zero()),
-        ]
 
     # distinguished forms -------------------------------------------------
     def phi_theta(self) -> GenForm:

@@ -93,6 +93,10 @@ class Suite:
     de = cached_property(lambda s: s.t.sym("delta"))
     lam = cached_property(lambda s: s.t.sym("lam"))
     beta = cached_property(lambda s: s.cv.beta_of(s.r))
+    # d(d m) for every monomial m of the ring
+    dd = cached_property(lambda s: [s.r.genform({m: 1}).d().d()
+                                    for k in range(8)
+                                    for m in s.r.monomials(k)])
 
     def __init__(self, params: dict):
         self.params = params
@@ -160,8 +164,7 @@ class Suite3ad(Suite):
                                                - 2 * s.de * s.r.eta(j, k)))
                             .is_zero for i, (j, k) in s.st.CYCLIC.items())),
         Check("3ad.structure.d-squared", "d^2 = 0 on every ring monomial",
-              lambda s: all(s.r.genform({m: 1}).d().d().is_zero
-                            for k in range(8) for m in s.r.monomials(k))),
+              lambda s: all(x.is_zero for x in s.dd)),
         Check("3ad.g2.pointwise",
               "phi ^ psi = 7 vol and the induced metric is the identity",
               lambda s: s.st.is_g2_form(s.phi_f, s.psi_f)),
@@ -306,8 +309,7 @@ class SuiteSU3(Suite):
                    + 4 * s.de * s.r.eta().wedge(s.r.Om("-"))).is_zero
               and (s.r.Om("-").d()
                    - 4 * s.de * s.r.eta().wedge(s.r.Om("+"))).is_zero
-              and all(s.r.genform({m: 1}).d().d().is_zero
-                      for k in range(8) for m in s.r.monomials(k))),
+              and all(x.is_zero for x in s.dd)),
         Check("su3.structure.normalization",
               "(1/6) Phi^3 equals the volume pairing of Om and its "
               "conjugate (Om+ ^ Om- = (2/3) Phi^3)",
@@ -406,6 +408,7 @@ class SuiteSpinor(Suite):
         lambda s: s.sp.su3_killing_consequences(s.rsu.table))
     pm = cached_property(lambda s: s.sp.majorana_pair(s.rep))
     real = cached_property(lambda s: s.sp.real_rep7())
+    vs = cached_property(lambda s: s.sp.majorana_v_basis(s.rep))
 
     def sp1_identities(self) -> dict:
         # every leg holds, at the quoted sign or, for the flipped legs read
@@ -505,8 +508,7 @@ class SuiteSpinor(Suite):
               "the so(7) stabilizer of the reconstructed 3-form is "
               "14-dimensional",
               lambda s: s.sp.stabilizer_dimension(
-                  s.sp.form_from_spinor(s.rep, s.sp.majorana_v_basis(s.rep)[0],
-                                        3, s.cf)) == 14),
+                  s.sp.form_from_spinor(s.rep, s.vs[0], 3, s.cf)) == 14),
         Check("spinor.g2.family",
               "the circle of Majorana spinors reproduces phi(t), psi(t) with "
               "polynomial circle coefficients",
@@ -518,7 +520,8 @@ class SuiteSpinor(Suite):
         Check("spinor.real.dictionary",
               "the eight real spinors are Majorana, orthogonal with equal "
               "norms, and intertwine the complex and real representations",
-              lambda s: identities(s.sp.v_basis_dictionary(s.rep, s.real)),
+              lambda s: identities(
+                  s.sp.v_basis_dictionary(s.rep, s.real, s.vs)),
               notes="the quoted block-matrix table corresponds to reversing "
                     "the generator order e_2..e_7 and correcting one sign "
                     "(-E_67 -> +E_67, forced by the anticommutation "

@@ -296,8 +296,11 @@ class TestSuites:
         assert counts["records"] == 74
         assert counts["Scalar"] <= 15_000
         assert counts["mul"] <= 4_000
-        # the curvature arrays are wedged and traced without Form.wedge
-        assert counts["wedge"] == 1_309
+        # the curvature arrays are wedged and traced without Form.wedge, and
+        # each Leibniz term is one product of its factors (a prefix and a
+        # suffix product per term, and hand-written relation lists at ring
+        # construction, took 1,309)
+        assert counts["wedge"] == 1_149
 
     def test_heisenberg_arrays_int_exact(self):
         # the first-principles arrays hold plain rationals, outside Scalar

@@ -522,7 +522,7 @@ class TestRealStructure:
                         rhs = sp.vec_add(rhs, sp.vec_scale(vs[ell],
                                                            rr[mu][ell][k]))
                 assert lhs == rhs
-        assert failed(sp.v_basis_dictionary(REP, words)) == []
+        assert failed(sp.v_basis_dictionary(REP, words, vs)) == []
 
 
 class TestRecordsReadTheirInputs:
@@ -534,6 +534,18 @@ class TestRecordsReadTheirInputs:
         assert named_failures(suites.SuiteSpinor, "real", flipped,
                               "spinor.real.dictionary") \
             == ["rho(e4) acts on the v basis as real word 4"]
+
+    def test_dictionary_reads_the_gram_matrix(self):
+        # v2 + v1 in place of v2 breaks orthogonality (and, since only
+        # multiples of the identity commute with the real representation,
+        # every intertwining word); the Gram triple names it
+        names = named_failures(suites.SuiteSpinor, "vs",
+                               lambda vs: [vs[0], sp.vec_add(vs[0], vs[1]),
+                                           *vs[2:]],
+                               "spinor.real.dictionary")
+        assert names == [f"rho(e{mu}) acts on the v basis as real word {mu}"
+                         for mu in range(1, 8)] \
+            + ["the v spinors are orthogonal with equal norms"]
 
     def test_charge_conjugation_reads_the_rep(self):
         assert named_failures(suites.SuiteSpinor, "rep",

@@ -190,6 +190,61 @@ def test_mono_mul_matches_embedding(ring, npairs):
         assert got == ring.mono_embed(m1) ^ ring.mono_embed(m2), (m1, m2)
 
 
+@pytest.mark.parametrize("ring", [R3, RS], ids=["3ad", "su3"])
+def test_factors_multiply_to_the_monomial(ring):
+    """The derived d and embedding read each monomial as the product of its
+    generator factors, in order, with coefficient 1."""
+    for k in range(8):
+        for m in ring.monomials(k):
+            product = ring.one()
+            for key in ring.factors(m):
+                product = product.wedge(ring.gens[key].form)
+            assert product == ring.genform({m: 1}), m
+
+
+def test_su3_construction_refuses_a_wrong_eta_om_sign():
+    # -2 in place of -1 where eta crosses Om used to leave the su3 report
+    # byte-identical: the relation lists compared coframe forms only
+    class EtaCrossesOmTwice(RingSU3):
+        def mono_mul(self, m1, m2):
+            mono, c = super().mono_mul(m1, m2)
+            return mono, 2 * c if m2[0] and m1[2] else c
+    with pytest.raises(AlgebraError, match=r"Om\+ \^ eta disagrees"):
+        EtaCrossesOmTwice(make_table("su3"))
+
+
+@pytest.mark.parametrize("i, j, c, match", [
+    (1, 2, 1, r"d\^2 != 0"),
+    (2, 2, 2, r"Phi2 \^ Phi2 disagrees"),
+], ids=["Phi1-Phi2-nonzero", "Phi2-squared-doubled"])
+def test_3ad_construction_refuses_a_wrong_phi_product(i, j, c, match):
+    # Phi_i ^ Phi_j = c Phi_1^2, breaking Phi_1 ^ Phi_2 = 0 or
+    # Phi_2^2 = Phi_1^2
+    class WrongPhiProduct(Ring3ad):
+        def mono_mul(self, m1, m2):
+            if (m1, m2) == (((), (i,)), ((), (j,))):
+                return ((), (1, 1)), c
+            return super().mono_mul(m1, m2)
+    with pytest.raises(AlgebraError, match=match):
+        WrongPhiProduct(make_table("3ad"))
+
+
+def test_ring_d_matches_the_lie_algebra_d():
+    """At (alpha, delta) = (1, 0) the ring's structure equations and the
+    nilpotent Lie algebra's de-table give one d on every ring monomial."""
+    model = heisenberg_model()
+    cf = model.coframe
+    monos = [m for k in range(8) for m in R3.monomials(k)]
+    assert len(monos) == 40
+    for m in monos:
+        gf = R3.genform({m: 1})
+        ring_d = cf.form({k: v.subs({"alpha": 1, "delta": 0}).as_rat()
+                          for k, v in gf.d().embed().terms.items()})
+        embedded = cf.form({k: v.as_rat()
+                            for k, v in gf.embed().terms.items()})
+        assert ring_d == d_form(model, embedded), m
+
+
 @pytest.fixture(scope="module")
 def tc_3ad():
     phi, psi = R3.phi(), R3.psi()
