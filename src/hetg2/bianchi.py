@@ -297,20 +297,29 @@ def approx_order_report(geometry: str, scaling: dict,
                              str(norm_sq))
 
 
+def root_table(d: int) -> SymbolTable:
+    """Laurent polynomials in t over Q(sqrt d): the symbol r with r^2 = d."""
+    table = SymbolTable(("t", "r"))
+    table.add_relation(table.sym("r") ** 2 - d)
+    return table
+
+
 def approximate_order_reports() -> tuple:
     """Order reports of the approximate-solution scalings (a' = t^2): the
     3ad family at delta = t^5, lam = 2 t^5, alpha = t^5 - sqrt(3)/(6t), the
     su3 family at alpha = t^5, delta = 3 t^5 / 2, lam = 2 sqrt(6) / (3t), and
-    the constant 3ad scaling (alpha, delta, lam) = (3, 1, 1), which fails."""
-    tt3 = SymbolTable(("t",), sqrt_d=3)
-    t = tt3.sym("t")
+    the constant 3ad scaling (alpha, delta, lam) = (3, 1, 1), which fails.
+    The roots are the symbol r of :func:`root_table`; both squared norms come
+    out free of r, so their t-orders are read directly."""
+    tt3 = root_table(3)
+    t, r3 = tt3.sym("t"), tt3.sym("r")
     rep3 = approx_order_report(
         "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
-                "alpha": t ** 5 - (tt3.sqrt() / 6) / t}, tt3)
-    tt6 = SymbolTable(("t",), sqrt_d=6)
-    t6 = tt6.sym("t")
+                "alpha": t ** 5 - (r3 / 6) / t}, tt3)
+    tt6 = root_table(6)
+    t6, r6 = tt6.sym("t"), tt6.sym("r")
     rep6 = approx_order_report(
-        "su3", {"lam": (2 * tt6.sqrt() / 3) / t6, "alpha": t6 ** 5,
+        "su3", {"lam": (2 * r6 / 3) / t6, "alpha": t6 ** 5,
                 "delta": Fraction(3, 2) * t6 ** 5}, tt6)
     ttc = SymbolTable(("t",))
     repc = approx_order_report(

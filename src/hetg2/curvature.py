@@ -192,10 +192,9 @@ def natural_norm_sq(terms: dict, table: SymbolTable) -> Scalar:
     """2 sum c^2 over the coefficients of an endomorphism-valued form in the
     (e^K, e^J) basis: each e^J is a skew endomorphism of Frobenius norm^2 2."""
     a: dict = {}
-    b: dict = {}
     for c in terms.values():
-        _accumulate(a, b, 2, c, c)
-    return Scalar(table, a, b)
+        _accumulate(a, 2, c, c)
+    return Scalar(table, a)
 
 
 class Obstruction(namedtuple("Obstruction", "geometry terms norm_sq "

@@ -254,20 +254,11 @@ class Form:
         if d1 is not None and d2 is not None and d1 != d2:
             raise DegreeError(f"inner product of degrees {d1} and {d2}")
         a: dict = {}
-        b: dict = {}
         for idx, c in self.terms.items():
             o = other.terms.get(idx)
             if o is not None:
-                _accumulate(a, b, 1, c, o)
-        return Scalar(self.space.table, a, b)
-
-    def norm_sq(self) -> Scalar:
-        cf = self._coframe("norm_sq")
-        a: dict = {}
-        b: dict = {}
-        for c in self.terms.values():
-            _accumulate(a, b, 1, c, c)
-        return Scalar(cf.table, a, b)
+                _accumulate(a, 1, c, o)
+        return Scalar(self.space.table, a)
 
     def contract(self, v: Union[int, "Form"]) -> "Form":
         """Interior product with a frame vector (index) or a one-form."""

@@ -1,11 +1,11 @@
 """Exact coefficient arithmetic for the verification engine.
 
 Scalars are Laurent polynomials over the rationals in a fixed, ordered list of
-parameter symbols, optionally extended by a single adjoined square root
-``sqrt(d)`` (written as a conjugate pair ``a + b*sqrt(d)``).  A symbol table
-may declare relation-ideal generators (e.g. ``s^2 + c^2 - 1``); every scalar
-is kept in the unique normal form obtained by rewriting the leading pure
-power of each relation.
+parameter symbols.  A symbol table may declare relation-ideal generators
+(e.g. ``s^2 + c^2 - 1``); every scalar is kept in the unique normal form
+obtained by rewriting the leading pure power of each relation.  A square root
+is adjoined the same way: a symbol ``r`` with the relation ``r^2 - d`` makes
+the table Q(sqrt d)[...], whose normal form ``a + b*r`` is unique.
 
 Coefficients are exact rationals: an integral value is stored as a plain
 ``int`` and only a value with denominator other than 1 as a ``Fraction``
@@ -42,42 +42,33 @@ class UnknownSymbolError(AlgebraError):
 
 
 class SymbolTable:
-    """Ordered symbols, optional relation ideal, optional adjoined sqrt(d).
+    """Ordered symbols and an optional relation ideal.
 
     Relations must have a lexicographic leading term that is a pure power of a
     single symbol with the remaining terms free of that symbol; they are
     compiled into rewrite rules ``x^k -> lower``.  This covers the linear and
     quadratic relation sets used here (e.g. ``s^2 -> 1 - c^2``,
-    ``lam2^2 -> lam1^2 + 8/(3*alphap)``).
+    ``lam2^2 -> lam1^2 + 8/(3*alphap)``) and adjoined square roots: sqrt(d)
+    is a symbol ``r`` with the relation ``r^2 - d``.
     """
 
-    def __init__(self, symbols: Iterable[str], relations: Iterable["Scalar"] = (),
-                 sqrt_d: Optional[Rat] = None):
+    def __init__(self, symbols: Iterable[str]):
         self.symbols: tuple[str, ...] = tuple(symbols)
         if len(set(self.symbols)) != len(self.symbols):
             raise AlgebraError("duplicate symbols in table")
         self.index = {s: i for i, s in enumerate(self.symbols)}
-        self.sqrt_d: Optional[Rat] = None if sqrt_d is None else exact(sqrt_d)
-        if self.sqrt_d is not None and self.sqrt_d <= 0:
-            raise AlgebraError("adjoined square root must be of a positive rational")
         self.rules: list[tuple[int, int, Scalar]] = []
-        self.relations: tuple[Scalar, ...] = ()
         # scalars are immutable, so 0 and 1 are shared
-        self._zero = Scalar(self, {}, {})
-        self._one = Scalar(self, {self._unit(): 1}, {})
-        for rel in relations:
-            self.add_relation(rel)
+        self._zero = Scalar(self, {})
+        self._one = Scalar(self, {self._unit(): 1})
 
     def add_relation(self, rel: "Scalar") -> None:
         """Declare a relation-ideal generator (done once, at setup time)."""
         self.rules.append(self._compile(rel))
-        self.relations = self.relations + (rel,)
 
     def _compile(self, rel: "Scalar") -> tuple[int, int, "Scalar"]:
         if rel.table is not self:
             raise AlgebraError("relation built over a different table")
-        if rel._b:
-            raise AlgebraError("relations may not involve the adjoined root")
         lead = max(rel._a)
         nz = [i for i, e in enumerate(lead) if e]
         if len(nz) != 1 or any(e < 0 for e in lead):
@@ -92,7 +83,7 @@ class SymbolTable:
             if mono[i] != 0:
                 raise AlgebraError("relation tail must be free of the lead symbol")
             rest[mono] = Fraction(-c, coef)
-        return (i, k, Scalar(self, rest, {}))
+        return (i, k, Scalar(self, rest))
 
     # -- constructors ------------------------------------------------------
     def zero(self) -> "Scalar":
@@ -107,7 +98,7 @@ class SymbolTable:
             return self._zero
         if q == 1:
             return self._one
-        return Scalar(self, {self._unit(): q}, {})
+        return Scalar(self, {self._unit(): q})
 
     def sym(self, name: str) -> "Scalar":
         return self.monomial(name, 1)
@@ -122,13 +113,7 @@ class SymbolTable:
         coef = exact(coef)
         if coef == 0:
             return self.zero()
-        return Scalar(self, {tuple(exps): coef}, {})
-
-    def sqrt(self) -> "Scalar":
-        """The adjoined root sqrt(d) as a scalar."""
-        if self.sqrt_d is None:
-            raise AlgebraError("table has no adjoined square root")
-        return Scalar(self, {}, {self._unit(): 1})
+        return Scalar(self, {tuple(exps): coef})
 
     def _unit(self) -> tuple[int, ...]:
         return (0,) * len(self.symbols)
@@ -141,35 +126,32 @@ class SymbolTable:
 
 
 class Scalar:
-    """Element ``a + b*sqrt(d)`` with Laurent-polynomial parts a, b.
+    """Laurent polynomial in the table's symbols, stored as one dict ``_a``
+    from exponent tuples to rationals; an adjoined sqrt(d) is one of those
+    symbols, reduced by its relation ``r^2 - d`` like any other.
 
     Instances are immutable and always stored in normal form (relations
     rewritten, zero coefficients dropped).
     """
 
-    __slots__ = ("table", "_a", "_b")
+    __slots__ = ("table", "_a")
 
     def __init__(self, table: SymbolTable, a: Mapping[tuple, Rat],
-                 b: Mapping[tuple, Rat], _reduce: bool = True):
+                 _reduce: bool = True):
         self.table = table
-        if b and table.sqrt_d is None:
-            raise AlgebraError("radical part without an adjoined root")
         if _reduce and table.rules:
             a = _rewrite(table, a)
-            b = _rewrite(table, b)
         self._a = {m: c if type(c) is int else exact(c)
                    for m, c in a.items() if c}
-        self._b = {m: c if type(c) is int else exact(c)
-                   for m, c in b.items() if c}
 
     # -- predicates --------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self._a and not self._b
+        return not self._a
 
     def is_rational(self) -> bool:
         unit = self.table._unit()
-        return not self._b and all(m == unit for m in self._a)
+        return all(m == unit for m in self._a)
 
     def as_rat(self) -> Rat:
         """The rational value of a constant scalar as stored (see
@@ -185,11 +167,10 @@ class Scalar:
 
     def support(self) -> set[str]:
         used = set()
-        for part in (self._a, self._b):
-            for mono in part:
-                for i, e in enumerate(mono):
-                    if e:
-                        used.add(self.table.symbols[i])
+        for mono in self._a:
+            for i, e in enumerate(mono):
+                if e:
+                    used.add(self.table.symbols[i])
         return used
 
     # -- ring operations ----------------------------------------------------
@@ -206,9 +187,9 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = dict(self._a), dict(self._b)
-        _accumulate(a, b, 1, o)
-        return Scalar(self.table, a, b, _reduce=False)
+        a = dict(self._a)
+        _accumulate(a, 1, o)
+        return Scalar(self.table, a, _reduce=False)
 
     __radd__ = __add__
 
@@ -219,7 +200,7 @@ class Scalar:
         """q * self for an exact rational q; a float raises TypeError."""
         q = exact(q)
         return Scalar(self.table, {m: c * q for m, c in self._a.items()},
-                      {m: c * q for m, c in self._b.items()}, _reduce=False)
+                      _reduce=False)
 
     def __sub__(self, other) -> "Scalar":
         o = self._coerce(other)
@@ -237,9 +218,8 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         a: dict = {}
-        b: dict = {}
-        _accumulate(a, b, 1, self, o)
-        return Scalar(self.table, a, b)
+        _accumulate(a, 1, self, o)
+        return Scalar(self.table, a)
 
     __rmul__ = __mul__
 
@@ -268,16 +248,12 @@ class Scalar:
         return self * o.inverse()
 
     def inverse(self) -> "Scalar":
-        """Inverse of a single-term scalar (monomial, possibly times sqrt(d))."""
-        t = self.table
-        part = self._a or self._b
-        if len(part) == 1 and not (self._a and self._b):
-            (mono, c), = part.items()
+        """Inverse of a single-term scalar (a monomial)."""
+        if len(self._a) == 1:
+            (mono, c), = self._a.items()
             inv = tuple(-e for e in mono)
-            t._refuse_negative_lead(inv)
-            if self._a:
-                return Scalar(t, {inv: Fraction(1, c)}, {})
-            return Scalar(t, {}, {inv: Fraction(1, c * t.sqrt_d)})
+            self.table._refuse_negative_lead(inv)
+            return Scalar(self.table, {inv: Fraction(1, c)})
         raise AlgebraError(f"cannot invert non-monomial scalar: {self}")
 
     def __eq__(self, other) -> bool:
@@ -285,18 +261,12 @@ class Scalar:
             other = self.table.rat(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.table is other.table and self._a == other._a
-                and self._b == other._b)
+        return self.table is other.table and self._a == other._a
 
     def __hash__(self):
-        return hash((id(self.table), frozenset(self._a.items()),
-                     frozenset(self._b.items())))
+        return hash((id(self.table), frozenset(self._a.items())))
 
     # -- spec operations -----------------------------------------------------
-    def reduced(self) -> "Scalar":
-        """Normal form modulo the relation ideal (idempotent)."""
-        return Scalar(self.table, self._a, self._b)
-
     def subs(self, bindings: Mapping[str, Union["Scalar", Rat]],
              table: Optional[SymbolTable] = None) -> "Scalar":
         """Simultaneous substitution followed by reduction.
@@ -319,33 +289,29 @@ class Scalar:
         # group the terms by their bound exponents: each group is a product
         # of bound powers (each power built once) times a polynomial in the
         # unbound symbols, and the groups are summed raw and reduced once
-        groups: dict[tuple, tuple[dict, dict]] = {}
-        for part, radical in ((self._a, False), (self._b, True)):
-            if part and radical and dst.sqrt_d != src.sqrt_d:
-                raise AlgebraError("adjoined roots differ between tables")
-            for mono, c in part.items():
-                bound, free = [], [0] * len(dst.symbols)
-                for i, e in enumerate(mono):
-                    if e and i in vals:
-                        bound.append((i, e))
-                    elif e:
-                        name = src.symbols[i]
-                        if name not in dst.index:
-                            raise UnknownSymbolError(name)
-                        free[dst.index[name]] = e
-                groups.setdefault(tuple(bound), ({}, {}))[radical][tuple(free)] = c
+        groups: dict[tuple, dict] = {}
+        for mono, c in self._a.items():
+            bound, free = [], [0] * len(dst.symbols)
+            for i, e in enumerate(mono):
+                if e and i in vals:
+                    bound.append((i, e))
+                elif e:
+                    name = src.symbols[i]
+                    if name not in dst.index:
+                        raise UnknownSymbolError(name)
+                    free[dst.index[name]] = e
+            groups.setdefault(tuple(bound), {})[tuple(free)] = c
         powers: dict[tuple[int, int], Scalar] = {}
         a: dict = {}
-        b: dict = {}
-        for bound, (pa, pb) in groups.items():
+        for bound, part in groups.items():
             value = None
             for i, e in bound:
                 if (i, e) not in powers:
                     powers[i, e] = (vals[i] ** e if e > 0
                                     else vals[i].inverse() ** -e)
                 value = powers[i, e] if value is None else value * powers[i, e]
-            _accumulate(a, b, 1, Scalar(dst, pa, pb), value)
-        return Scalar(dst, a, b)
+            _accumulate(a, 1, Scalar(dst, part), value)
+        return Scalar(dst, a)
 
     def laurent_order(self, var: str = "t") -> Optional[int]:
         """Lowest exponent of ``var`` with nonzero coefficient; None if zero.
@@ -359,12 +325,10 @@ class Scalar:
         if self.is_zero:
             return None
         i = self.table.index[var]
-        return min(m[i] for part in (self._a, self._b) for m in part)
+        return min(m[i] for m in self._a)
 
     def coeffs_in(self, var: str) -> dict[int, "Scalar"]:
-        """Coefficients of powers of ``var`` (radical part must be absent)."""
-        if self._b:
-            raise AlgebraError("coeffs_in does not support radical parts")
+        """Coefficients of the powers of ``var``."""
         i = self.table.index[var]
         out: dict[int, dict] = {}
         for mono, c in self._a.items():
@@ -374,7 +338,7 @@ class Scalar:
             deg = rest[i]
             rest[i] = 0
             out.setdefault(deg, {})[tuple(rest)] = c
-        return {k: Scalar(self.table, v, {}, _reduce=False)
+        return {k: Scalar(self.table, v, _reduce=False)
                 for k, v in sorted(out.items())}
 
     def div_exact(self, q: "Scalar", var: Optional[str] = None) -> "Scalar":
@@ -421,57 +385,60 @@ class Scalar:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        a = _part_text(self.table, self._a)
-        if a:
-            parts.append(a)
-        if self._b:
-            b = _part_text(self.table, self._b)
-            d = self.table.sqrt_d
-            dtxt = str(d.numerator) if d.denominator == 1 else str(d)
-            parts.append(f"({b})*sqrt({dtxt})")
-        return " + ".join(parts)
+        bits = []
+        for mono in sorted(self._a, reverse=True):
+            c = self._a[mono]
+            factors = []
+            for i, e in enumerate(mono):
+                if e == 1:
+                    factors.append(self.table.symbols[i])
+                elif e != 0:
+                    factors.append(f"{self.table.symbols[i]}^{e}")
+            if not factors:
+                bits.append(str(c))
+            elif c == 1:
+                bits.append("*".join(factors))
+            elif c == -1:
+                bits.append("-" + "*".join(factors))
+            else:
+                bits.append(str(c) + "*" + "*".join(factors))
+        return " + ".join(bits).replace("+ -", "- ")
 
     __repr__ = __str__
 
 
-def _accumulate(a: dict, b: dict, q: Rat, x: Scalar,
+def _accumulate(out: dict, q: Rat, x: Scalar,
                 y: Optional[Scalar] = None) -> None:
-    """Add q*x*y (q*x when y is None) into the raw monomial dicts of
-    a + b*sqrt(d), rewriting nothing: the caller builds one Scalar from them.
-    Rewriting acts monomial by monomial, so reducing the sum once gives the
-    sum of the reduced products."""
+    """Add q*x*y (q*x when y is None) into the raw monomial dict ``out``,
+    rewriting nothing: the caller builds one Scalar from it.  Rewriting (the
+    relations, r^2 -> d for an adjoined root among them) acts monomial by
+    monomial, so reducing the sum once gives the sum of the reduced
+    products."""
     if y is None:
-        for src, out in ((x._a, a), (x._b, b)):
-            for m, c in src.items():
-                out[m] = out.get(m, 0) + (c if q == 1 else c * q)
+        for m, c in x._a.items():
+            out[m] = out.get(m, 0) + (c if q == 1 else c * q)
         return
-    qd = q * x.table.sqrt_d if x._b and y._b else None
-    for xs, ys, out, r in ((x._a, y._a, a, q), (x._a, y._b, b, q),
-                           (x._b, y._a, b, q), (x._b, y._b, a, qd)):
-        if not xs or not ys:
-            continue
-        for m1, c1 in xs.items():
-            if r != 1:
-                c1 = c1 * r
-            for m2, c2 in ys.items():
-                m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
+    for m1, c1 in x._a.items():
+        if q != 1:
+            c1 = c1 * q
+        for m2, c2 in y._a.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
 
 
 class _Sums(dict):
     """Raw sums of rational multiples of scalar products, per key: each value
-    is the pair (a, b) that :func:`_accumulate` adds into, and ``scalars``
+    is the monomial dict that :func:`_accumulate` adds into, and ``scalars``
     builds every key's coefficient with one Scalar call."""
 
     def add(self, key, q: Rat, x: Scalar, y: Optional[Scalar] = None) -> None:
-        pair = self.get(key)
-        if pair is None:
-            pair = self[key] = ({}, {})
-        _accumulate(pair[0], pair[1], q, x, y)
+        part = self.get(key)
+        if part is None:
+            part = self[key] = {}
+        _accumulate(part, q, x, y)
 
     def scalars(self, table: SymbolTable) -> dict:
-        return {k: Scalar(table, a, b) for k, (a, b) in self.items()}
+        return {k: Scalar(table, a) for k, a in self.items()}
 
 
 def _rewrite(table: SymbolTable, part: Mapping[tuple, Rat]) -> dict:
@@ -501,28 +468,6 @@ def _rewrite(table: SymbolTable, part: Mapping[tuple, Rat]) -> dict:
                         nxt.pop(mono, None)
             cur = nxt
     return cur
-
-
-def _part_text(table: SymbolTable, part: Mapping[tuple, Rat]) -> str:
-    bits = []
-    for mono in sorted(part, reverse=True):
-        c = part[mono]
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(table.symbols[i])
-            elif e != 0:
-                factors.append(f"{table.symbols[i]}^{e}")
-        if not factors:
-            bits.append(str(c))
-        elif c == 1:
-            bits.append("*".join(factors))
-        elif c == -1:
-            bits.append("-" + "*".join(factors))
-        else:
-            bits.append(str(c) + "*" + "*".join(factors))
-    text = " + ".join(bits)
-    return text.replace("+ -", "- ")
 
 
 def prem(p: Scalar, h: Scalar, var: str) -> Scalar:

@@ -42,12 +42,12 @@ class NotInSpanError(AlgebraError):
         self.leftover = leftover
 
 
-def make_table(geometry: str, sqrt_d=None) -> SymbolTable:
+def make_table(geometry: str) -> SymbolTable:
     """Master symbol table for one geometry ('3ad' or 'su3')."""
     if geometry == "3ad":
-        return SymbolTable(SYMBOLS_3AD, sqrt_d=sqrt_d)
+        return SymbolTable(SYMBOLS_3AD)
     if geometry == "su3":
-        t = SymbolTable(SYMBOLS_SU3, sqrt_d=sqrt_d)
+        t = SymbolTable(SYMBOLS_SU3)
         t.add_relation(t.sym("s") ** 2 + t.sym("c") ** 2 - 1)
         return t
     raise AlgebraError(f"unknown geometry: {geometry}")

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 from hetg2 import heisenberg as hb
 from hetg2 import spinor as sp
 from hetg2.bianchi import (approx_order_report, branches, get_ring,
-                           sasaki_3alpha_impossibility, verify_branch)
+                           root_table, sasaki_3alpha_impossibility,
+                           verify_branch)
 from hetg2.curvature import (beta_of, curvature_3ad, curvature_su3,
                              instanton_obstruction, su3_coefficient,
                              trace_lemma_rhs_3ad, wedge_trace)
@@ -141,16 +142,16 @@ def test_criterion_7_bianchi_branches():
 
 
 def test_criterion_8_approximate_orders():
-    tt3 = SymbolTable(("t",), sqrt_d=3)
+    tt3 = root_table(3)
     t = tt3.sym("t")
     rep3 = approx_order_report(
         "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
-                "alpha": t ** 5 - (tt3.sqrt() / 6) / t}, tt3)
+                "alpha": t ** 5 - (tt3.sym("r") / 6) / t}, tt3)
     assert rep3.leading_order is not None and rep3.leading_order >= 8
-    tt6 = SymbolTable(("t",), sqrt_d=6)
+    tt6 = root_table(6)
     t6 = tt6.sym("t")
     rep6 = approx_order_report(
-        "su3", {"lam": (2 * tt6.sqrt() / 3) / t6, "alpha": t6 ** 5,
+        "su3", {"lam": (2 * tt6.sym("r") / 3) / t6, "alpha": t6 ** 5,
                 "delta": F(3, 2) * t6 ** 5}, tt6)
     assert rep6.leading_order is not None and rep6.leading_order >= 8
     _report(8, f"squared obstruction norms have t-orders "

@@ -5,7 +5,8 @@ import pytest
 from hetg2 import suites
 from hetg2.bianchi import (approx_order_report, branches,
                            extract_constraints, get_ring, residual,
-                           sasaki_3alpha_impossibility, verify_branch)
+                           root_table, sasaki_3alpha_impossibility,
+                           verify_branch)
 from hetg2.scalar import AlgebraError, SymbolTable, prem
 from hetg2.structures import NotInSpanError, structure_torsion
 from test_curvature import doubled, failed, named_failures, records, with_leg
@@ -123,22 +124,30 @@ class TestImpossibility:
 
 class TestApproxOrders:
     def test_3ad_scaling(self):
-        tt = SymbolTable(("t",), sqrt_d=3)
-        t = tt.sym("t")
+        tt = root_table(3)
+        t, r = tt.sym("t"), tt.sym("r")
         rep = approx_order_report(
             "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
-                    "alpha": t ** 5 - (tt.sqrt() / 6) / t}, tt)
+                    "alpha": t ** 5 - (r / 6) / t}, tt)
         assert rep.leading_order == 8
         assert rep.norm_sq_text == "192*t^8"
 
     def test_su3_scaling(self):
-        tt = SymbolTable(("t",), sqrt_d=6)
-        t = tt.sym("t")
+        tt = root_table(6)
+        t, r = tt.sym("t"), tt.sym("r")
         rep = approx_order_report(
-            "su3", {"lam": (2 * tt.sqrt() / 3) / t, "alpha": t ** 5,
+            "su3", {"lam": (2 * r / 3) / t, "alpha": t ** 5,
                     "delta": F(3, 2) * t ** 5}, tt)
         assert rep.leading_order == 8
         assert rep.norm_sq_text == "216*t^8"
+
+    def test_root_table(self):
+        # the scalings' radicals: r^2 = d, and r has no inverse
+        tt = root_table(6)
+        t, r = tt.sym("t"), tt.sym("r")
+        assert r * r == 6 and (r * t) ** 3 == 6 * r * t ** 3
+        with pytest.raises(AlgebraError, match="lead symbol"):
+            t / r
 
     def test_constant_scaling_fails(self):
         tt = SymbolTable(("t",))

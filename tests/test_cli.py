@@ -88,7 +88,7 @@ def wrap_maker(name):
     setattr(spinor, name, checked)
 
 
-wrap(Scalar, lambda x: [*x._a.values(), *x._b.values()])
+wrap(Scalar, lambda x: list(x._a.values()))
 wrap(spinor.GQ, gq_parts)
 wrap_maker("_reduced")
 wrap_maker("_triple")

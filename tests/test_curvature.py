@@ -119,9 +119,9 @@ class TestQuotedReference:
     def test_quoted_norm_constants(self):
         for i, (j, k) in CYCLIC.items():
             base = R3.Phi(i).wedge(R3.Phi(i)).wedge(R3.eta(j, k)).embed()
-            assert base.norm_sq() == 4
+            assert base.inner(base) == 4
         phi3 = RS.Phi().wedge(RS.Phi()).wedge(RS.Phi()).embed()
-        assert phi3.norm_sq() == 36
+        assert phi3.inner(phi3) == 36
 
     def test_traces(self):
         l1, l2 = T3.sym("lam1"), T3.sym("lam2")

@@ -4,11 +4,12 @@ The kernel sums raw products of coefficients and builds each result
 coefficient with one ``Scalar`` call.  The reference below is the earlier
 per-term kernel, kept here: every product and every partial sum is a
 normalised ``Scalar`` of its own.  Random forms with Laurent coefficients
-over the coframe (with the s^2 + c^2 = 1 relation, and with an adjoined
-sqrt(3)), over ``Ring3ad`` and over ``RingSU3`` are pushed through both, and
-the results must be equal and hold only exact stored values: an ``int``, or
-a ``Fraction`` with denominator other than 1.  ``subs`` is also checked
-against sympy on a radical table.
+over the coframe (with the s^2 + c^2 = 1 relation, and with sqrt(3) adjoined
+as a symbol r with r^2 = 3), over ``Ring3ad`` and over ``RingSU3`` are pushed
+through both, and the results must be equal and hold only exact stored
+values: an ``int``, or a ``Fraction`` with denominator other than 1.
+``subs`` is also checked against sympy on the sqrt(3) table, reading r as
+``sympy.sqrt(3)``.
 """
 
 from fractions import Fraction as F
@@ -25,10 +26,20 @@ sympy = pytest.importorskip("sympy")
 
 RING_3AD = get_ring("3ad")
 RING_SU3 = get_ring("su3")
-RADICAL = SymbolTable(("t", "u"), sqrt_d=3)
-WIDE = SymbolTable(("v", "u", "t"), sqrt_d=3)
+
+
+def root_table(symbols):
+    """Symbols and r, with the relation r^2 = 3: the field Q(sqrt 3)."""
+    t = SymbolTable((*symbols, "r"))
+    t.add_relation(t.sym("r") ** 2 - 3)
+    return t
+
+
+RADICAL = root_table(("t", "u"))
+WIDE = root_table(("v", "u", "t"))
 COFRAMES = {"su3": RING_SU3.coframe, "radical": Coframe(RADICAL, 7)}
-RELATION_SYMBOLS = {"s", "c"}  # kept non-negative, like the relation's own
+# kept non-negative, like the lead symbols s and r of the relations
+RELATION_SYMBOLS = {"s", "c", "r"}
 
 
 # -- the per-term reference ----------------------------------------------------
@@ -57,37 +68,25 @@ def _mmul(x, y):
     return out
 
 
-def _mscale(x, q):
-    if q == 0:
-        return {}
-    return {m: c * q for m, c in x.items()}
-
-
 def ref_rat(table, q):
     q = exact(q)
     if q == 0:
-        return Scalar(table, {}, {})
-    return Scalar(table, {(0,) * len(table.symbols): q}, {})
+        return Scalar(table, {})
+    return Scalar(table, {(0,) * len(table.symbols): q})
 
 
 def ref_mul(x, y):
     if not isinstance(y, Scalar):
         y = ref_rat(x.table, y)
-    d = x.table.sqrt_d
-    a = _madd(_mmul(x._a, y._a),
-              _mscale(_mmul(x._b, y._b), d) if d is not None else {})
-    b = _madd(_mmul(x._a, y._b), _mmul(x._b, y._a))
-    return Scalar(x.table, a, b)
+    return Scalar(x.table, _mmul(x._a, y._a))
 
 
 def ref_add(x, y):
-    return Scalar(x.table, _madd(x._a, y._a), _madd(x._b, y._b),
-                  _reduce=False)
+    return Scalar(x.table, _madd(x._a, y._a), _reduce=False)
 
 
 def ref_neg(x):
-    return Scalar(x.table, {m: -c for m, c in x._a.items()},
-                  {m: -c for m, c in x._b.items()}, _reduce=False)
+    return Scalar(x.table, {m: -c for m, c in x._a.items()}, _reduce=False)
 
 
 def ref_pow(x, n):
@@ -105,7 +104,7 @@ def _put(out, key, s):
 
 
 def ref_form_add(f, g):
-    zero = Scalar(f.space.table, {}, {})
+    zero = Scalar(f.space.table, {})
     out = dict(f.terms)
     for k, v in g.terms.items():
         _put(out, k, ref_add(out.get(k, zero), v))
@@ -117,7 +116,7 @@ def ref_form_mul(f, c):
 
 
 def ref_wedge(f, g):
-    zero = Scalar(f.space.table, {}, {})
+    zero = Scalar(f.space.table, {})
     out = {}
     for i1, c1 in f.terms.items():
         for i2, c2 in g.terms.items():
@@ -143,7 +142,7 @@ def ref_sort_index(idx):
 
 
 def ref_coframe_form(cf, terms):
-    zero = Scalar(cf.table, {}, {})
+    zero = Scalar(cf.table, {})
     out = {}
     for idx, c in terms.items():
         if not isinstance(c, Scalar):
@@ -162,7 +161,7 @@ def ref_contract(f, v):
         for (i,), c in v.terms.items():
             acc = ref_form_add(acc, ref_form_mul(ref_contract(f, i), c))
         return acc
-    zero = Scalar(cf.table, {}, {})
+    zero = Scalar(cf.table, {})
     out = {}
     for idx, c in f.terms.items():
         if v in idx:
@@ -182,7 +181,7 @@ def ref_contract_biform(beta, omega):
 
 
 def ref_derivation(form, endo):
-    zero = Scalar(form.space.table, {}, {})
+    zero = Scalar(form.space.table, {})
     out = {}
     for idx, c in form.terms.items():
         for pos, mu in enumerate(idx):
@@ -216,35 +215,30 @@ def ref_subs(x, bindings, table=None):
     vals = {src.index[name]: (ref_rat(dst, v) if not isinstance(v, Scalar)
                               else v)
             for name, v in bindings.items()}
-    out = Scalar(dst, {}, {})
-    for part, radical in ((x._a, False), (x._b, True)):
-        for mono, c in part.items():
-            term = ref_rat(dst, c)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                if i in vals:
-                    base = vals[i]
-                    term = ref_mul(term, ref_pow(base, e) if e > 0
-                                   else ref_pow(base.inverse(), -e))
-                else:
-                    term = ref_mul(term, dst.monomial(src.symbols[i], e))
-            if radical:
-                term = ref_mul(term, dst.sqrt())
-            out = ref_add(out, term)
-    return out.reduced()
+    out = Scalar(dst, {})
+    for mono, c in x._a.items():
+        term = ref_rat(dst, c)
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            if i in vals:
+                base = vals[i]
+                term = ref_mul(term, ref_pow(base, e) if e > 0
+                               else ref_pow(base.inverse(), -e))
+            else:
+                term = ref_mul(term, dst.monomial(src.symbols[i], e))
+        out = ref_add(out, term)
+    return Scalar(dst, out._a)
 
 
 SYMS = {"t": sympy.Symbol("t"), "u": sympy.Symbol("u")}
 
 
 def to_sympy(x):
-    """A scalar over RADICAL as a sympy expression."""
-    def part(p):
-        return sum((sympy.Rational(c.numerator, c.denominator)
-                    * SYMS["t"] ** m[0] * SYMS["u"] ** m[1]
-                    for m, c in p.items()), sympy.Integer(0))
-    return part(x._a) + sympy.sqrt(3) * part(x._b)
+    """A scalar over RADICAL as a sympy expression, r read as sqrt(3)."""
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * SYMS["t"] ** m[0] * SYMS["u"] ** m[1] * sympy.sqrt(3) ** m[2]
+                for m, c in x._a.items()), sympy.Integer(0))
 
 
 # -- strategies ----------------------------------------------------------------
@@ -262,26 +256,23 @@ def exponents(table):
 
 @st.composite
 def scalars(draw, table):
-    part = st.dictionaries(exponents(table), rationals, max_size=2)
-    radical = draw(part) if table.sqrt_d is not None else {}
-    return Scalar(table, draw(part), radical)
+    return Scalar(table, draw(st.dictionaries(exponents(table), rationals,
+                                              max_size=4)))
 
 
 def single_terms(table):
-    """Invertible scalars: one term, possibly times the adjoined root (a
+    """Invertible scalars: one term free of r, which has no inverse (a
     power s^2 is rewritten to a sum, so it is filtered out)."""
     @st.composite
     def term(draw):
         mono, c = draw(exponents(table)), draw(rationals.filter(bool))
-        if table.sqrt_d is not None and draw(st.booleans()):
-            return Scalar(table, {}, {mono: c})
-        return Scalar(table, {mono: c}, {})
-    return term().filter(lambda x: len(x._a) + len(x._b) == 1)
+        return Scalar(table, {mono: c})
+    return term().filter(lambda x: len(x._a) == 1 and "r" not in x.support())
 
 
 def negative_power(x, name):
     i = x.table.index[name]
-    return any(m[i] < 0 for part in (x._a, x._b) for m in part)
+    return any(m[i] < 0 for m in x._a)
 
 
 @st.composite
@@ -317,7 +308,7 @@ def assert_same(got, want):
     assert got == want
     values = ([got] if isinstance(got, Scalar) else list(got.terms.values()))
     for x in values:
-        for c in (*x._a.values(), *x._b.values()):
+        for c in x._a.values():
             assert type(c) is int or (type(c) is F and c.denominator != 1), c
 
 
@@ -416,7 +407,7 @@ class TestScalarKernel:
     @given(st.data())
     def test_subs_radical_table(self, data):
         # a symbol that appears to a negative power needs an invertible
-        # value: one term, possibly times sqrt(3)
+        # value: one term free of r
         x = data.draw(scalars(RADICAL))
         t_value = data.draw(single_terms(RADICAL) if negative_power(x, "t")
                             else st.one_of(single_terms(RADICAL),

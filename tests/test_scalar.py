@@ -3,8 +3,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetg2.scalar import (AlgebraError, SymbolTable, UnknownSymbolError, exact,
-                          prem)
+from hetg2.scalar import (AlgebraError, Scalar, SymbolTable,
+                          UnknownSymbolError, exact, prem)
+
+
+def root_table(symbols, d):
+    """A table over Q(sqrt d): the extra symbol r with the relation r^2 = d."""
+    t = SymbolTable((*symbols, "r"))
+    t.add_relation(t.sym("r") ** 2 - d)
+    return t
+
+
+def reduced(x):
+    """x rebuilt from its stored monomials, which reduces them again."""
+    return Scalar(x.table, x._a)
 
 
 def table():
@@ -45,7 +57,7 @@ class TestReduce:
 
     def test_idempotent(self):
         x = (S + C) ** 3 * AL - 5 * DE * S ** 4
-        assert x.reduced() == x
+        assert reduced(x) == x
 
     def test_negative_power_of_lead_symbol_refused(self):
         # s^-2 s^2 used to be stored as -s^-2*c^2 + s^-2, not 1: the rule
@@ -60,12 +72,14 @@ class TestReduce:
         # symbols that lead no rule keep their negative powers
         assert T.monomial("c", -2) * C ** 2 == 1
         assert (S * C ** 2 / C) == S * C
-        rt = SymbolTable(("s", "c"), sqrt_d=2)
+        # sqrt(2) is the lead symbol r of r^2 = 2, so it is not inverted
+        rt = root_table(("s", "c"), 2)
         rt.add_relation(rt.sym("s") ** 2 + rt.sym("c") ** 2 - 1)
-        with pytest.raises(AlgebraError, match="lead symbol"):
-            (rt.sqrt() * rt.sym("s")).inverse()
-        assert (rt.sqrt() * rt.sym("c")).inverse() \
-            == rt.monomial("c", -1) * rt.sqrt() / 2
+        r = rt.sym("r")
+        for x in (r * rt.sym("s"), r * rt.sym("c")):
+            with pytest.raises(AlgebraError, match="lead symbol"):
+                x.inverse()
+        assert r * rt.sym("c") / rt.sym("c") == r
 
 
 class TestSubstitute:
@@ -95,10 +109,16 @@ class TestSubstitute:
 
 class TestLaurentOrder:
     def test_sqrt12_denominator(self):
-        tt = SymbolTable(("t",), sqrt_d=3)
-        t = tt.sym("t")
-        x = 48 * t ** 4 / (2 * tt.sqrt())  # 48 t^4 / sqrt(12)
-        assert x.laurent_order("t") == 4
+        # 48 t^4 / sqrt(12) = 48 t^4 * r / 6 with r^2 = 3: it still involves
+        # r, so it has no t-order; its square is free of r
+        tt = root_table(("t",), 3)
+        t, r = tt.sym("t"), tt.sym("r")
+        x = 48 * t ** 4 * (r / 6)
+        assert x == 8 * r * t ** 4
+        with pytest.raises(AlgebraError, match="not a Laurent polynomial"):
+            x.laurent_order("t")
+        assert x * x == 192 * t ** 8
+        assert (x * x).laurent_order("t") == 8
 
     def test_plain_power(self):
         tt = SymbolTable(("t",))
@@ -109,9 +129,14 @@ class TestLaurentOrder:
         assert tt.zero().laurent_order("t") is None
 
     def test_sqrt6_with_inverse(self):
-        tt = SymbolTable(("t",), sqrt_d=6)
-        y = 6 * tt.sym("t") ** 5 * tt.sqrt() / tt.sym("t")
-        assert y.laurent_order("t") == 4
+        tt = root_table(("t",), 6)
+        t, r = tt.sym("t"), tt.sym("r")
+        y = 6 * t ** 5 * r / t
+        assert y == 6 * r * t ** 4
+        with pytest.raises(AlgebraError, match="not a Laurent polynomial"):
+            y.laurent_order("t")
+        assert y * y == 216 * t ** 8
+        assert (y * y).laurent_order("t") == 8
 
     def test_foreign_symbol_rejected(self):
         with pytest.raises(AlgebraError):
@@ -120,20 +145,46 @@ class TestLaurentOrder:
 
 class TestExtension:
     def test_conjugate_product(self):
-        tt = SymbolTable(("t",), sqrt_d=3)
+        tt = root_table(("t",), 3)
+        r = tt.sym("r")
         a = 3 + tt.sym("t")
         b = tt.sym("t") ** 2 - F(1, 2)
-        z = (a + b * tt.sqrt()) * (a - b * tt.sqrt())
+        z = (a + b * r) * (a - b * r)
         assert z == a * a - 3 * b * b
+        assert "r" not in z.support()
 
     def test_sqrt_squares_to_d(self):
-        tt = SymbolTable(("t",), sqrt_d=F(8, 3))
-        assert tt.sqrt() * tt.sqrt() == tt.rat(F(8, 3))
+        tt = root_table(("t",), F(8, 3))
+        assert tt.sym("r") * tt.sym("r") == tt.rat(F(8, 3))
 
     def test_radical_inverse(self):
-        tt = SymbolTable(("t",), sqrt_d=12)
-        inv = tt.sqrt().inverse()
-        assert inv * tt.sqrt() == tt.one()
+        # r is the lead symbol of r^2 - 12, and rules rewrite only its
+        # non-negative powers: dividing by sqrt(12) is refused
+        tt = root_table(("t",), 12)
+        r = tt.sym("r")
+        with pytest.raises(AlgebraError, match="lead symbol"):
+            r.inverse()
+        with pytest.raises(AlgebraError, match="lead symbol"):
+            tt.one() / r
+        assert r * (r / 12) == tt.one()
+
+    def test_normal_form_is_linear_in_r(self):
+        # Q[r]/(r^2 - d): every power of r reduces to d^(n//2) * r^(n%2)
+        tt = root_table(("t",), 3)
+        r, t = tt.sym("r"), tt.sym("t")
+        assert r ** 5 == 9 * r and r ** 4 == 9
+        x = (1 + r * t) ** 3
+        assert x == 1 + 9 * t ** 2 + (3 * t + 3 * t ** 3) * r
+        assert all(m[1] in (0, 1) for m in x._a)
+
+    def test_subs_carries_r_by_name(self):
+        # r is an ordinary symbol: a target table must declare it
+        tt = root_table(("t",), 3)
+        x = tt.sym("r") * tt.sym("t")
+        with pytest.raises(UnknownSymbolError, match="r"):
+            x.subs({}, table=SymbolTable(("t",)))
+        wide = root_table(("u", "t"), 3)
+        assert x.subs({"t": 2}, table=wide) == 2 * wide.sym("r")
 
 
 class TestDivisionAndPrem:
@@ -162,7 +213,7 @@ class TestDivisionAndPrem:
 
 
 def stored(x):
-    return [c for part in (x._a, x._b) for c in part.values()]
+    return list(x._a.values())
 
 
 class TestExactCoefficients:
@@ -176,9 +227,11 @@ class TestExactCoefficients:
                 exact(bad)
 
     def test_constructors_store_int_when_integral(self):
-        tt = SymbolTable(("t",), sqrt_d=F(8, 2))
-        assert tt.sqrt_d == 4 and type(tt.sqrt_d) is int
-        for x in (tt.rat(F(6, 3)), tt.monomial("t", 2, F(-4, 2)), tt.sqrt(),
+        tt = root_table(("t",), F(8, 2))
+        tail = tt.rules[0][2]  # r^2 -> 8/2
+        assert stored(tail) == [4] and type(stored(tail)[0]) is int
+        for x in (tt.rat(F(6, 3)), tt.monomial("t", 2, F(-4, 2)),
+                  tt.sym("r") ** 3,
                   tt.sym("t") * F(3, 2) * 2, (2 * tt.sym("t") + 4) / 2):
             assert all(type(c) is int for c in stored(x))
         assert stored(tt.rat(F(1, 2))) == [F(1, 2)]
@@ -187,11 +240,12 @@ class TestExactCoefficients:
                 bad()
 
     def test_division_sites_stay_rational(self):
-        tt = SymbolTable(("t", "u"), sqrt_d=3)
+        tt = root_table(("t", "u"), 3)
         t = tt.sym("t")
-        # Scalar.inverse of an integral monomial and of an integral radical
+        # Scalar.inverse of an integral monomial; a radical is not inverted
         assert stored((2 * t).inverse()) == [F(1, 2)]
-        assert stored((2 * t * tt.sqrt()).inverse()) == [F(1, 6)]
+        with pytest.raises(AlgebraError, match="lead symbol"):
+            (2 * t * tt.sym("r")).inverse()
         # relation tail -c / coef with integral c and coef
         tr = SymbolTable(("s", "c"))
         tr.add_relation(2 * tr.sym("s") ** 2 + 3 * tr.sym("c") - 1)
@@ -227,12 +281,12 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(scalars(), scalars())
     def test_reduce_compatible_with_product(self, x, y):
-        assert (x * y).reduced() == (x.reduced() * y.reduced()).reduced()
+        assert reduced(x * y) == reduced(reduced(x) * reduced(y))
 
     @settings(max_examples=30, deadline=None)
     @given(scalars())
     def test_reduce_idempotent(self, x):
-        assert x.reduced().reduced() == x.reduced()
+        assert reduced(reduced(x)) == reduced(x)
 
 
 def test_canonical_text_is_deterministic():

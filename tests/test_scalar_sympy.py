@@ -3,9 +3,11 @@
 Small random Laurent polynomials in x, y (any sign of exponent) and s, c
 (non-negative exponents) are built over four tables: plain, with the
 relation 2 s^2 + c^2 - 3 (so the rewrite rule s^2 -> (3 - c^2)/2 has a
-non-integral tail), with an adjoined sqrt(2), and with both.  Every result
-is converted to a sympy expression and compared with the same operation
-done by sympy, reduced modulo the relation by ``sympy.rem`` in s.
+non-integral tail), with sqrt(2) adjoined as a symbol r with r^2 = 2 (also
+drawn with non-negative exponents), and with both.  Every result is
+converted to a sympy expression, reading r as ``sympy.sqrt(2)``, and
+compared with the same operation done by sympy, reduced modulo the relation
+by ``sympy.rem`` in s.
 """
 
 from fractions import Fraction as F
@@ -23,10 +25,13 @@ SYMS = sympy.symbols(NAMES)
 X, Y, S, C = SYMS
 REL = 2 * S ** 2 + C ** 2 - 3
 D = 2
+VALUES = (*SYMS, sympy.sqrt(D))  # what each table symbol reads as, r last
 
 
 def make(relation: bool, radical: bool) -> SymbolTable:
-    t = SymbolTable(NAMES, sqrt_d=D if radical else None)
+    t = SymbolTable(NAMES + ("r",) if radical else NAMES)
+    if radical:
+        t.add_relation(t.sym("r") ** 2 - D)
     if relation:
         t.add_relation(2 * t.sym("s") ** 2 + t.sym("c") ** 2 - 3)
     return t
@@ -42,40 +47,30 @@ coefficients = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
-def exponents(laurent: bool):
+def exponents(table: SymbolTable, laurent: bool):
     return st.tuples(*[st.integers(-2, 2) if laurent and n in LAURENT
-                       else st.integers(0, 2) for n in NAMES])
-
-
-def parts(laurent: bool, max_terms: int = 3):
-    return st.dictionaries(exponents(laurent), coefficients,
-                           max_size=max_terms)
+                       else st.integers(0, 2) for n in table.symbols])
 
 
 @st.composite
 def scalars(draw, table: SymbolTable, laurent: bool = True):
-    radical = draw(parts(laurent)) if table.sqrt_d is not None else {}
-    return Scalar(table, draw(parts(laurent)), radical)
+    return Scalar(table, draw(st.dictionaries(exponents(table, laurent),
+                                              coefficients, max_size=3)))
 
 
 def to_sympy(x: Scalar):
-    def part(p):
-        out = sympy.Integer(0)
-        for mono, c in p.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for sym, e in zip(SYMS, mono):
-                term *= sym ** e
-            out += term
-        return out
-    out = part(x._a)
-    if x._b:
-        out += sympy.sqrt(x.table.sqrt_d) * part(x._b)
+    out = sympy.Integer(0)
+    for mono, c in x._a.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for value, e in zip(VALUES, mono):
+            term *= value ** e
+        out += term
     return out
 
 
 def normal(expr, table: SymbolTable):
     expr = sympy.expand(expr)
-    if table.relations:
+    if "s" in (table.symbols[i] for i, _, _ in table.rules):
         expr = sympy.rem(expr, REL, S)
     return sympy.expand(expr)
 
@@ -86,7 +81,7 @@ def same(x: Scalar, expr) -> bool:
 
 def stored_exact(x: Scalar) -> bool:
     return all(type(c) is int or (type(c) is F and c.denominator != 1)
-               for part in (x._a, x._b) for c in part.values())
+               for c in x._a.values())
 
 
 @pytest.mark.parametrize("key", CONFIGS)
@@ -104,17 +99,16 @@ def test_ring_operations(key, data):
 @st.composite
 def bindings(draw, table: SymbolTable):
     """A symbol and a value for it; a Laurent symbol gets an invertible
-    single-term value, so its negative powers are defined."""
+    single-term value (free of r, which has no inverse), so its negative
+    powers are defined."""
     name = draw(st.sampled_from(NAMES))
     coef = draw(coefficients.filter(bool))
     if draw(st.booleans()):
         return name, coef
     if name not in LAURENT:
         return name, draw(scalars(table))
-    mono = draw(exponents(True))[:2] + (0, 0)
-    radical = table.sqrt_d is not None and draw(st.booleans())
-    return name, Scalar(table, {} if radical else {mono: coef},
-                        {mono: coef} if radical else {})
+    mono = draw(exponents(table, True))[:2]
+    return name, Scalar(table, {mono + (0,) * (len(table.symbols) - 2): coef})
 
 
 @pytest.mark.parametrize("key", CONFIGS)

@@ -523,7 +523,6 @@ class TestMisc:
         ("star", lambda f: f.star()),
         ("contract", lambda f: f.contract(1)),
         ("inner", lambda f: f.inner(f)),
-        ("norm_sq", lambda f: f.norm_sq()),
     ])
     @pytest.mark.parametrize("ring", [R3, RS])
     def test_coframe_methods_refuse_ring_forms(self, ring, method, call):
