@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .curvature import (curvature_3ad, curvature_su3, instanton_obstruction,
-                        wedge_trace)
+from .curvature import (beta_of, curvature_3ad, curvature_su3,
+                        instanton_obstruction, wedge_trace)
 from .exterior import coefficient_matrix, form_to_vector
 from .linsolve import InconsistentSystemError, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
@@ -139,7 +139,7 @@ def verify_branch(branch: SolutionBranch) -> tuple:
     reduced = []
     for p in system.substituted(branch.bindings):
         if branch.conditional_pair is not None and not p.is_zero:
-            p = _conditional_identity_reduce(p, branch, table)
+            p = _conditional_identity_reduce(p, branch)
         else:
             p = _reduce_by_hypotheses(p, branch.hypotheses)
         reduced.append(p)
@@ -154,29 +154,22 @@ def verify_branch(branch: SolutionBranch) -> tuple:
     return reduced, samples, hyp_text
 
 
-def _conditional_identity_reduce(p: Scalar, branch: SolutionBranch,
-                                 table: SymbolTable) -> Scalar:
+def _conditional_identity_reduce(p: Scalar, branch: SolutionBranch) -> Scalar:
     """Sign-agnostic reduction for branches with a nested-radical condition.
 
-    The constraint reduces modulo the quadratic lam2-relation to a residue
-    linear in lam2, say a lam2 + b.  On the branch lam2 + beta = +-sqrt(D)
-    with 3a' D = 3a' beta^2 + 4, so the constraint holds for one sign choice
-    iff 3a'(a beta - b)^2 - a^2 (3a' beta^2 + 4) vanishes modulo the squared
-    compatibility relation between a', delta and beta.
+    The constraint reduces modulo the quadratic lam2-relation h1 to a
+    residue r linear in lam2; it holds at one root of h1 iff the resultant
+    prem(h1, r) in lam2, or r itself when free of lam2, vanishes modulo the
+    squared compatibility relation between a', delta and beta.
     """
     (h1, var), = [hp for hp in branch.hypotheses if hp[1] == "lam2"]
     r = prem(p, h1, var)
-    cs = r.coeffs_in(var)
-    if max(cs, default=0) > 1:
+    degree = max(r.coeffs_in(var), default=0)
+    if degree > 1:
         raise AlgebraError("unexpected degree after quadratic reduction")
-    a = cs.get(1, table.zero())
-    b = cs.get(0, table.zero())
-    alpha, delta = table.sym("alpha"), table.sym("delta")
-    alphap = table.sym("alphap")
-    beta = 2 * (delta - 2 * alpha)
-    n = 3 * alphap * (a * beta - b) ** 2 - a * a * (3 * alphap * beta ** 2 + 4)
-    h2, var2 = branch.conditional_pair
-    return prem(n, h2, var2)
+    if degree == 1:
+        r = prem(h1, r, var)
+    return prem(r, *branch.conditional_pair)
 
 
 def branches() -> list[SolutionBranch]:
@@ -186,7 +179,7 @@ def branches() -> list[SolutionBranch]:
     ts = get_ring("su3").table
     a3, d3 = t3.sym("alpha"), t3.sym("delta")
     l1_3, l2_3, ap3 = t3.sym("lam1"), t3.sym("lam2"), t3.sym("alphap")
-    beta3 = 2 * (d3 - 2 * a3)
+    beta3 = beta_of(get_ring("3ad"))
     as_, ds_ = ts.sym("alpha"), ts.sym("delta")
     l1_s, l2_s, aps = ts.sym("lam1"), ts.sym("lam2"), ts.sym("alphap")
     out = []

@@ -1,5 +1,9 @@
 """Torsion and curvature of the one-parameter connection families.
 
+The 3ad family is nabla^lam = nabla^c + lam Delta with one contorsion Delta
+read off phi (``contorsion_3ad``); its torsion is derived from Delta and the
+characteristic torsion, not quoted (``torsion_lambda``).
+
 The curvature operators have a closed-form explicit part built from the
 hermitian 2-forms (block coefficients over the vertical/horizontal splitting)
 plus an opaque horizontal remainder R2 that enters only through stated
@@ -16,13 +20,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Optional
 
 from .exterior import Coframe, Form, _merge, basis_multi_indices
 from .scalar import (AlgebraError, Scalar, SymbolTable, _accumulate, _Sums,
                      exact)
-from .structures import CYCLIC, GenForm, Ring3ad, RingSU3
+from .structures import CYCLIC, GenForm, Ring3ad, RingSU3, get_ring
 
 # Calibration of the pointwise norm of End-valued 6-forms.  The natural
 # tensor norm (multi-index norm of the form part times the Frobenius norm of
@@ -40,55 +45,45 @@ def beta_of(ring: Ring3ad) -> Scalar:
     return 2 * (ring.delta - 2 * ring.alpha)
 
 
-class TorsionLambda3ad:
-    """Torsion data of the deformed 3-contact connection.
-
-    For lam != 0 the torsion is not totally skew with respect to the fixed
-    metric (the deformation rescales the metric), so the components are kept
-    per slot type of T(X; Y, Z) = g(X, T(Y, Z)):
-
-    * vertical_coeff       on eta123 when all three slots are vertical,
-    * value_vertical_coeff on eta_i ^ Phi_i^H when the metric slot X is
-      vertical and Y, Z are horizontal,
-    * arg_vertical_coeff   likewise when Y (or Z) is the vertical slot.
-
-    At lam = 0 all three agree with the canonical skew torsion.
-    """
-
-    __slots__ = ("ring", "lam", "vertical_coeff", "value_vertical_coeff",
-                 "arg_vertical_coeff")
-
-    def __init__(self, ring: Ring3ad, lam: Scalar):
-        self.ring = ring
-        self.lam = lam
-        self.vertical_coeff = 2 * (ring.delta - 4 * ring.alpha) + 2 * lam
-        self.value_vertical_coeff = 2 * ring.alpha
-        self.arg_vertical_coeff = 2 * ring.alpha - lam / 2
-
-    def is_skew(self) -> bool:
-        return (self.value_vertical_coeff - self.arg_vertical_coeff).is_zero
-
-
-def contorsion_3ad(phi: Form, lam: Fraction) -> dict:
-    """Difference tensor Delta(X; Y, Z) of the deformed connection.
-
-    ``phi`` is the associative 3-form with rational coefficients.  The tensor
-    is nonzero only for X, Y, Z all vertical (factor lam) and for Y vertical
-    with X, Z horizontal (factor -lam/2); Delta^0 = 0.
-    """
-    vert = {1, 2, 3}
+@cache
+def contorsion_3ad() -> dict:
+    """Unit difference tensor Delta(X; Y, Z) of the lam-family, read off the
+    3ad ring's phi: phi(X, Y, Z) when all three slots are vertical, -phi/2
+    when only Y is, zero elsewhere.  The family is linear in lam (Delta^lam
+    = lam Delta), and the values are rationals, for any table."""
+    vert = VERTICAL["3ad"]
+    phi = get_ring("3ad").phi().embed()
     out = {}
-    for idx in phi.homogeneous_part(3).terms:
+    for idx in phi.terms:
         for x, y, z in permutations(idx):
-            if x in vert and y in vert and z in vert:
-                val = lam * phi.coefficient((x, y, z)).as_rat()
-            elif y in vert and x not in vert and z not in vert:
-                val = -lam * phi.coefficient((x, y, z)).as_rat() / 2
-            else:
-                continue
-            if val:
-                out[(x, y, z)] = exact(val)
+            if y in vert and (x in vert) == (z in vert):
+                val = phi.coefficient((x, y, z)).as_rat()
+                out[(x, y, z)] = val if x in vert else exact(Fraction(-val, 2))
     return out
+
+
+def components(form: Form) -> dict:
+    """A 3-form as the tensor T(X; Y, Z), keyed (x, y, z) with y < z."""
+    return {(x, y, z): form.coefficient((x, y, z)) for idx in form.terms
+            for x, y, z in permutations(idx) if y < z}
+
+
+def skew_part(tensor: dict, cf: Coframe) -> dict:
+    """The skew tensor equal to ``tensor`` (keyed as by ``components``) on
+    x < y < z; it is ``tensor`` iff T(X; Y, Z) - T(Y; Z, X) vanishes."""
+    return components(cf.form({k: v for k, v in tensor.items()
+                               if k[0] < k[1]}))
+
+
+def torsion_lambda(torsion: Form, lam: Scalar) -> dict:
+    """T^lam(X; Y, Z) = T(X; Y, Z) + lam (Delta(X; Y, Z) - Delta(X; Z, Y)) of
+    the family through the connection with skew torsion ``torsion``, keyed
+    as by ``components``; only nonzero entries are kept."""
+    out = components(torsion)
+    for (x, y, z), v in contorsion_3ad().items():
+        key = (x, y, z) if y < z else (x, z, y)
+        out[key] = out.get(key, 0) + lam * (v if y < z else -v)
+    return {k: v for k, v in out.items() if not v.is_zero}
 
 
 class CurvOp:

@@ -1,8 +1,10 @@
 """Concrete degenerate 3-contact model: the 7-dimensional nilpotent group.
 
-The model is specified by its structure equations de^i = 2 Phi_i^H for the
-three vertical legs and de^r = 0 on the horizontal ones, i.e. the adapted
-structure equations at (alpha, delta) = (1, 0).  Everything here is a
+The model lives on the 3ad ring's coframe at the parameter point ``POINT``,
+(alpha, delta) = (1, 0).  Its Lie algebra is given by de^i = 2 Phi_i^H on
+the three vertical legs and de^r = 0 on the horizontal ones; phi, the
+characteristic torsion and the structure equations it is checked against
+are the ring's, read at ``POINT`` (``at_point``).  Everything else is a
 first-principles computation with rational structure constants: Koszul
 formula for the Levi-Civita connection, curvature from commutators of the
 connection matrices, the spin connection, and the end-to-end check of the
@@ -12,21 +14,30 @@ closed-form curvature module.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 
-from .curvature import (array_trace, array_wedge, contorsion_3ad,
-                        curvature_3ad)
+from .curvature import (array_trace, array_wedge, components,
+                        contorsion_3ad, curvature_3ad)
 from .exterior import (Coframe, Form, basis_multi_indices, derivation,
                        leibniz)
 from .scalar import AlgebraError, Rat, exact
-from .structures import (CYCLIC, TorsionClasses, get_ring, make_table,
-                         sp1_frame_forms, torsion_classes)
+from .structures import (TorsionClasses, get_ring, structure_torsion,
+                         torsion_classes)
 from . import spinor as sp
 
 VERT = (1, 2, 3)
 HORIZ = (4, 5, 6, 7)
+
+# the model's point of the 3ad parameters
+POINT = {"alpha": 1, "delta": 0}
+
+
+def at_point(form: Form) -> Form:
+    """A coframe form of the 3ad ring with its coefficients read at POINT."""
+    return Form(form.space, {k: v.subs(POINT) for k, v in form.terms.items()})
 
 
 class LieModel:
@@ -45,10 +56,10 @@ class LieModel:
 
 @cache
 def heisenberg_model() -> LieModel:
-    """The model at (alpha, delta) = (1, 0), built and checked once."""
-    cf = Coframe(make_table("3ad"), 7)
-    frame = sp1_frame_forms(cf)
-    de = {i: 2 * frame["PhiH"][i] for i in VERT}
+    """The model on the 3ad ring's coframe, built and checked once."""
+    ring = get_ring("3ad")
+    cf = ring.coframe
+    de = {i: 2 * ring.frame["PhiH"][i] for i in VERT}
     de.update({r: cf.zero() for r in HORIZ})
     c: dict = {}
     for mu in range(1, 8):
@@ -83,12 +94,12 @@ def d_form(model: LieModel, form: Form) -> Form:
 
 
 def model_equations_hold(model: LieModel) -> bool:
-    """Jacobi identity (d^2 = 0 on the coframe) and the adapted structure
-    equations de^i = 2 Phi_i^H at (alpha, delta) = (1, 0)."""
-    frame = sp1_frame_forms(model.coframe)
+    """Jacobi identity (d^2 = 0 on the coframe) and the 3ad ring's structure
+    equations at POINT: the model's d of each generator's coframe form is the
+    ring's d of the generator."""
     return (all(d_form(model, model.de[mu]).is_zero for mu in range(1, 8))
-            and all((model.de[i] - 2 * frame["PhiH"][i]).is_zero
-                    for i in CYCLIC))
+            and all(d_form(model, g.coframe) == at_point(g.d.embed())
+                    for g in get_ring("3ad").gens.values()))
 
 
 class Connection:
@@ -174,33 +185,25 @@ def _shifted(base: Connection, tensor: dict) -> Connection:
 def with_torsion(lc: Connection, torsion: Form) -> Connection:
     """Metric connection with prescribed totally skew torsion 3-form."""
     half = {}
-    for x in range(1, 8):
-        for y in range(1, 8):
-            for z in range(1, 8):
-                t = torsion.coefficient((x, y, z)).as_rat()
-                if t:
-                    half[(x, y, z)] = _half(t)
+    for (x, y, z), t in components(torsion).items():
+        half[(x, y, z)] = _half(t.as_rat())
+        half[(x, z, y)] = _half(-t.as_rat())
     conn = _shifted(lc, half)
     if not conn.has_torsion(torsion):
         raise AlgebraError("recomputed torsion mismatch")
     return conn
 
 
-def canonical_torsion_form(model: LieModel) -> Form:
-    """T = 2 sum eta_i ^ Phi_i^H - 8 eta_123 at (alpha, delta) = (1, 0)."""
-    cf = model.coframe
-    frame = sp1_frame_forms(cf)
-    out = -8 * cf.e(1, 2, 3)
-    for i in VERT:
-        out = out + 2 * (frame["eta"][i] ^ frame["PhiH"][i])
-    return out
+@cache
+def canonical_torsion_form() -> Form:
+    """The characteristic torsion of the torsion classes, at POINT."""
+    return at_point(structure_torsion("3ad").characteristic.embed())
 
 
 @cache
 def canonical_connection() -> Connection:
     """The characteristic connection of the model: skew torsion T."""
-    return with_torsion(levi_civita(),
-                        canonical_torsion_form(heisenberg_model()))
+    return with_torsion(levi_civita(), canonical_torsion_form())
 
 
 def nabla_form(conn: Connection, x: int, form: Form) -> Form:
@@ -220,21 +223,6 @@ def parallel_torsion(conn: Connection, torsion: Form) -> list:
              (zero,) * 7)]
 
 
-def associative_form(cf: Coframe) -> Form:
-    """phi = e^123 + sum_i eta_i ^ Phi_i^H on the adapted coframe."""
-    frame = sp1_frame_forms(cf)
-    phi = cf.e(1, 2, 3)
-    for i in VERT:
-        phi = phi + (frame["eta"][i] ^ frame["PhiH"][i])
-    return phi
-
-
-@cache
-def model_associative_form() -> Form:
-    """The associative form of the model's adapted coframe, built once."""
-    return associative_form(heisenberg_model().coframe)
-
-
 def connection_lambda(lam: Rat) -> Connection:
     """Canonical connection shifted by the closed-form difference tensor,
     built once per value of lam (4 and Fraction(4) give one connection; a
@@ -244,17 +232,11 @@ def connection_lambda(lam: Rat) -> Connection:
 
 
 @cache
-def _unit_contorsion() -> dict:
-    """The difference tensor at lam = 1; it is linear in lam."""
-    return contorsion_3ad(model_associative_form(), Fraction(1))
-
-
-@cache
 def _connection_lambda(lam: Rat) -> Connection:
     if not lam:
         return canonical_connection()
     return _shifted(canonical_connection(),
-                    {k: lam * v for k, v in _unit_contorsion().items()})
+                    {k: lam * v for k, v in contorsion_3ad().items()})
 
 
 def curvature_fp(conn: Connection) -> dict:
@@ -297,13 +279,13 @@ def curvature_fp(conn: Connection) -> dict:
 
 @cache
 def _closed_form_in_lam() -> dict:
-    """The closed-form array at (alpha, delta) = (1, 0) in the ring symbol
-    lam: key -> {power of lam: rational coefficient}."""
+    """The closed-form array at POINT in the ring symbol lam: key -> {power
+    of lam: rational coefficient}."""
     ring = get_ring("3ad")
     arr = curvature_3ad(ring, ring.table.sym("lam")).array
     out = {}
     for key, val in arr.items():
-        v = val.subs({"alpha": 1, "delta": 0})
+        v = val.subs(POINT)
         if not v.is_zero:
             out[key] = {k: c.as_rat() for k, c in v.coeffs_in("lam").items()}
     return out
@@ -344,14 +326,9 @@ def sigma_t_identity(conn: Connection, torsion: Form) -> list:
             z, v, sx = v, z, -sx
         return sx * arr.get(((x, y), (z, v)), 0)
 
-    tvec = {}  # (x, y) -> {w: T(e_w; e_x, e_y)}, nonzero entries only
-    for x in range(1, 8):
-        tvec[(x, x)] = {}
-        for y in range(x + 1, 8):
-            col = {w: torsion.coefficient((w, x, y)).as_rat()
-                   for w in range(1, 8)}
-            tvec[(x, y)] = {w: c for w, c in col.items() if c}
-            tvec[(y, x)] = {w: -c for w, c in tvec[(x, y)].items()}
+    tvec = defaultdict(dict)  # (x, y) -> {w: T(e_w; e_x, e_y)}, nonzero
+    for (w, x, y), c in components(torsion).items():
+        tvec[(x, y)][w], tvec[(y, x)][w] = c.as_rat(), -c.as_rat()
 
     def dot(a, b):
         return sum(p * b[w] for w, p in a.items() if w in b)
@@ -467,7 +444,7 @@ FLUX = "dT - (a'/4)(tr R^4 ^ R^4 - tr R^0 ^ R^0) = 0"
 def associative_torsion_classes() -> TorsionClasses:
     """Torsion classes of the associative form on the model."""
     model = heisenberg_model()
-    phi = model_associative_form()
+    phi = get_ring("3ad").phi().embed()
     psi = phi.star()
     return torsion_classes(phi, psi, d_form(model, phi), d_form(model, psi))
 
@@ -478,12 +455,12 @@ def _theorem_parts() -> tuple:
     that do not read a', dT, tr R^4 ^ R^4 - tr R^0 ^ R^0)."""
     model = heisenberg_model()
     cf = model.coframe
-    psi = model_associative_form().star()
+    psi = get_ring("3ad").phi().embed().star()
     # the arrays at lam = 0 and lam = 4 = -beta, lifted once to scalars
     arr0, arr4 = ({key: cf.table.rat(v) for key, v in conn.curvature.items()}
                   for conn in (canonical_connection(),
                                connection_lambda(Fraction(4))))
-    dT = d_form(model, canonical_torsion_form(model))
+    dT = d_form(model, canonical_torsion_form())
     tr_diff = array_trace(arr4, arr4, cf) - array_trace(arr0, arr0, cf)
     tc = associative_torsion_classes()
     return ((("R^0 ^ psi = 0 and R^4 ^ psi = 0",

@@ -118,6 +118,12 @@ class SymbolTable:
     def _unit(self) -> tuple[int, ...]:
         return (0,) * len(self.symbols)
 
+    def relations_over(self, name: str) -> set:
+        """The rules whose lead or tail involves the symbol ``name``, as text
+        over symbol names, so that two tables can compare them."""
+        return {f"{self.symbols[i]}^{k} -> {tail}" for i, k, tail in self.rules
+                if name == self.symbols[i] or name in tail.support()}
+
     def _refuse_negative_lead(self, mono) -> None:
         """AlgebraError if a rule's lead symbol has a negative exponent: rules
         rewrite only its non-negative powers, so s^-2 * s^2 would not be 1."""
@@ -273,7 +279,8 @@ class Scalar:
 
         Unbound symbols must exist in the target table; binding values live
         over the target table.  Raises :class:`UnknownSymbolError` for a
-        binding key the source table does not declare.
+        binding key the source table does not declare, and AlgebraError for
+        an unbound symbol whose relations differ between the two tables.
         """
         src = self.table
         dst = table if table is not None else src
@@ -299,6 +306,10 @@ class Scalar:
                     name = src.symbols[i]
                     if name not in dst.index:
                         raise UnknownSymbolError(name)
+                    if dst is not src and (src.relations_over(name)
+                                           != dst.relations_over(name)):
+                        raise AlgebraError(f"the relations over {name} "
+                                           "differ between the tables")
                     free[dst.index[name]] = e
             groups.setdefault(tuple(bound), {})[tuple(free)] = c
         powers: dict[tuple[int, int], Scalar] = {}

@@ -396,7 +396,7 @@ class CliffordRep:
     The e_1 convention is kept; the sign is reported, not hidden.
     """
 
-    __slots__ = ("m", "words", "_charge_word", "_products")
+    __slots__ = ("m", "words")
     volume_sign = -1
 
     def __init__(self, m: int, words: tuple):
@@ -407,9 +407,6 @@ class CliffordRep:
         # frozen: build_rep shares one representation per m
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "words", words)  # rho(e_mu) = words[mu-1]
-        dim = 2 ** m
-        object.__setattr__(self, "_products",
-                           {(): (tuple(range(dim)), (0,) * dim)})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -421,19 +418,15 @@ class CliffordRep:
     @property
     def charge_word(self) -> tuple:
         """The word of the charge conjugation C, built once."""
-        if not hasattr(self, "_charge_word"):
-            object.__setattr__(self, "_charge_word", charge_conjugation(self))
-        return self._charge_word
+        return charge_conjugation(self)
 
-    def word(self, idx) -> tuple:
+    @cache
+    def word(self, idx: tuple) -> tuple:
         """The word of the ordered product e_idx[0] ... e_idx[-1]; each
         product is built once, from the word of its prefix."""
-        idx = tuple(idx)
-        w = self._products.get(idx)
-        if w is None:
-            w = word_mul(self.word(idx[:-1]), self.words[idx[-1] - 1])
-            self._products[idx] = w
-        return w
+        if not idx:
+            return tuple(range(self.dim)), (0,) * self.dim
+        return word_mul(self.word(idx[:-1]), self.words[idx[-1] - 1])
 
     def form_matrix(self, form: Form) -> list:
         """Sparse rows of the Clifford action of a form with rational
@@ -470,7 +463,7 @@ def _minus_i_pow(k: int) -> GQ:
 
 def volume_action(rep: CliffordRep) -> GQ:
     """Exact scalar by which e_1 ... e_{2m+1} acts (the product is central)."""
-    perm, phase = rep.word(range(1, 2 * rep.m + 2))
+    perm, phase = rep.word(tuple(range(1, 2 * rep.m + 2)))
     if perm != tuple(range(rep.dim)) or len(set(phase)) != 1:
         raise AlgebraError("volume element does not act by a scalar")
     return _I_POWERS[phase[0]]
@@ -530,6 +523,7 @@ def su3_omega_action(rep: CliffordRep, om_plus: Form,
              ((_ZERO,) * rep.dim,) * len(images))]
 
 
+@cache
 def charge_conjugation(rep: CliffordRep) -> tuple:
     """The word of C = T x E x T (m = 3); real symmetric, C^2 = 1,
     C rho = -rho^T C."""

@@ -142,13 +142,30 @@ class Suite3ad(Suite):
     tr = cached_property(lambda s: s.cv.wedge_trace(s.R))
     tr_diff = cached_property(lambda s: s.cv.wedge_trace(s.Rb)
                               - s.cv.wedge_trace(s.R0))
-    tl = cached_property(lambda s: s.cv.TorsionLambda3ad(s.r, s.lam))
+    # T^l and T^0, derived from T^c and the contorsion
+    tl = cached_property(lambda s: [s.cv.torsion_lambda(s.tcg.embed(), lam)
+                                    for lam in (s.lam, s.t.zero())])
     n12 = cached_property(lambda s: s.st.lambda214_double_characterization(
         s.phi_f, s.psi_f))
     # c -> h_homothety(alpha, delta, 1, c)
     hom = cached_property(lambda s: {
         c: s.st.h_homothety(s.al, s.de, Fraction(1), c)
         for c in (Fraction(1), Fraction(3), Fraction(1, 2))})
+
+    def torsion_lambda(self) -> dict:
+        # the claimed coefficient times phi(X, Y, Z), by the vertical slots
+        a, lam, vert = self.al, self.lam, self.cv.VERTICAL["3ad"]
+        claimed = {(x, y, z): c * (
+            2 * (self.de - 4 * a) + 2 * lam if {x, y, z} <= vert
+            else 2 * a if x in vert else 2 * a - lam / 2)
+            for (x, y, z), c in self.cv.components(self.phi_f).items()}
+        tl, tl0 = self.tl
+        skew = partial(self.cv.skew_part, cf=self.r.coframe)
+        refuted = "T^l is totally skew"
+        return identities([
+            ("T^l has the claimed slot coefficients", tl, claimed),
+            ("T^0 is totally skew", tl0, skew(tl0)),
+            (refuted, tl, skew(tl))], refuted={refuted})
 
     def pair_symmetry(self) -> dict:
         # symmetric at l = 0, and l = 3 must break the symmetry
@@ -253,10 +270,7 @@ class Suite3ad(Suite):
         Check("3ad.torsion.lambda",
               "deformed torsion components: vertical 2(d-4a)+2l, "
               "argument-vertical 2a - l/2; skew only at l = 0",
-              lambda s: s.tl.vertical_coeff == 2 * (s.de - 4 * s.al)
-              + 2 * s.lam and s.tl.arg_vertical_coeff == 2 * s.al - s.lam / 2
-              and s.cv.TorsionLambda3ad(s.r, s.t.zero()).is_skew()
-              and not s.tl.is_skew()),
+              torsion_lambda),
         Check("3ad.homothety",
               "(a, d) -> (c a / a_h, d / c); degenerate stays degenerate "
               "and c beta~ = beta + l at l = 4a(1 - c^2)",
@@ -542,6 +556,7 @@ class SuiteHeisenberg(Suite):
     model = cached_property(lambda s: s.hb.heisenberg_model())
     lc = cached_property(lambda s: s.hb.levi_civita())
     can = cached_property(lambda s: s.hb.canonical_connection())
+    T = cached_property(lambda s: s.hb.canonical_torsion_form())
     R_can = cached_property(lambda s: s.can.curvature)
     alphap = cached_property(lambda s: s.params.get("alphap", Fraction(1, 12)))
     thm = cached_property(lambda s: s.hb.theorem1_end_to_end(s.alphap))
@@ -576,8 +591,7 @@ class SuiteHeisenberg(Suite):
         Check("heisenberg.canonical-connection",
               "the skew-torsion shift reproduces the declared torsion and "
               "parallelizes it",
-              lambda s: identities(s.hb.parallel_torsion(
-                  s.can, s.hb.canonical_torsion_form(s.model))),
+              lambda s: identities(s.hb.parallel_torsion(s.can, s.T)),
               notes="nabla T = 0 is exercised in the test suite "
                     "componentwise"),
         Check("heisenberg.oracle-equivalence",
@@ -595,8 +609,7 @@ class SuiteHeisenberg(Suite):
         Check("heisenberg.sigma-t",
               "the first Bianchi identity with sigma_T holds for the "
               "canonical connection",
-              lambda s: identities(s.hb.sigma_t_identity(
-                  s.can, s.hb.canonical_torsion_form(s.model)))),
+              lambda s: identities(s.hb.sigma_t_identity(s.can, s.T))),
         Check("heisenberg.pair-symmetry",
               "the canonical curvature array is pairwise symmetric",
               lambda s: all(s.R_can.get((j, i), Fraction(0)) == v

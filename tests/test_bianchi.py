@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from hetg2 import suites
-from hetg2.bianchi import (approx_order_report, branches,
-                           extract_constraints, get_ring, residual,
+from hetg2.bianchi import (_conditional_identity_reduce, approx_order_report,
+                           branches, extract_constraints, get_ring, residual,
                            root_table, sasaki_3alpha_impossibility,
                            verify_branch)
 from hetg2.scalar import AlgebraError, SymbolTable, prem
@@ -100,6 +100,19 @@ class TestBranches:
         h1 = 3 * AP * (BETA + L2) ** 2 - 3 * AP * BETA ** 2 - 4
         assert (e1 + AL ** 2 * h1).is_zero
 
+    def test_case_ii_reads_the_compatibility_relation(self):
+        # with h2 + 1 in place of h2 the resultant no longer reduces to zero
+        case = branch("3ad.case-ii")
+        h2, var = case.conditional_pair
+        reduced, _, _ = verify_branch(
+            case._replace(conditional_pair=(h2 + 1, var)))
+        assert any(not p.is_zero for p in reduced)
+
+    def test_case_ii_keeps_a_lam2_free_residue(self):
+        # the resultant of a nonzero constant b and h1 is b^2, not
+        # prem(h1, b) = 0; a residue free of lam2 must vanish itself
+        assert _conditional_identity_reduce(AL, branch("3ad.case-ii")) == AL
+
 
 class TestImpossibility:
     def test_report(self):
@@ -148,6 +161,18 @@ class TestApproxOrders:
         assert r * r == 6 and (r * t) ** 3 == 6 * r * t ** 3
         with pytest.raises(AlgebraError, match="lead symbol"):
             t / r
+
+    def test_subs_refuses_a_root_of_another_table(self):
+        # r of r^2 = 3 used to land silently as sqrt(2) in an r^2 = 2 table
+        r3, r2 = root_table(3), root_table(2)
+        x = r3.sym("r") * r3.sym("t")
+        with pytest.raises(AlgebraError, match="relations over r"):
+            x.subs({}, table=r2)
+        # a table with the same relation, or a bound r, is accepted
+        same = root_table(3)
+        assert x.subs({}, table=same) ** 2 == 3 * same.sym("t") ** 2
+        assert x.subs({"r": r2.sym("r")}, table=r2) \
+            == r2.sym("r") * r2.sym("t")
 
     def test_constant_scaling_fails(self):
         tt = SymbolTable(("t",))

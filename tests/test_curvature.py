@@ -3,16 +3,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from hetg2 import suites
-from hetg2.curvature import (NORM_SQ_CALIBRATION, CurvOp, TorsionLambda3ad,
+from hetg2 import curvature, suites
+from hetg2.curvature import (NORM_SQ_CALIBRATION, CurvOp,
                              antiselfdual_kernel, beta_of,
-                             check_zero_factors, contorsion_3ad,
+                             check_zero_factors, components, contorsion_3ad,
                              curvature_3ad, curvature_su3,
                              instanton_obstruction, pair_symmetry,
-                             su3_coefficient, trace_lemma_rhs_3ad,
-                             trace_lemma_rhs_su3, wedge_trace)
+                             skew_part, su3_coefficient, torsion_lambda,
+                             trace_lemma_rhs_3ad, trace_lemma_rhs_su3,
+                             wedge_trace)
 from hetg2.scalar import AlgebraError, SymbolTable
-from hetg2.structures import CYCLIC, Ring3ad, RingSU3, make_table
+from hetg2.structures import (CYCLIC, Ring3ad, RingSU3, get_ring, make_table,
+                              structure_torsion)
 
 R3 = Ring3ad(make_table("3ad"))
 RS = RingSU3(make_table("su3"))
@@ -22,16 +24,13 @@ AL, DE, LAM = T3.sym("alpha"), T3.sym("delta"), T3.sym("lam")
 BETA = beta_of(R3)
 
 
-def skew_torsion_form(tl):
-    """The torsion of ``tl`` as a generated 3-form; only the lam = 0 torsion
-    is totally skew."""
-    if not tl.is_skew():
-        raise AlgebraError("deformed torsion is not totally skew")
-    r = tl.ring
-    out = tl.vertical_coeff * r.eta(1, 2, 3)
-    for i in (1, 2, 3):
-        out = out + tl.value_vertical_coeff * r.eta(i).wedge(r.Phi(i))
-    return out
+SLOTS = "T^l has the claimed slot coefficients"
+
+# the shared 3ad ring, over whose table the characteristic torsion lives
+G = get_ring("3ad")
+TC = structure_torsion("3ad").characteristic.embed()
+PHI = G.phi().embed()
+GAL, GDE, GLAM = (G.table.sym(n) for n in ("alpha", "delta", "lam"))
 
 
 # The quoted block rules, kept as the term-by-term reference that the
@@ -194,6 +193,18 @@ def statuses(cls, name, perturb, ids):
     return {k: r.status for k, r in records(cls, name, perturb, ids).items()}
 
 
+def with_contorsion(change):
+    """A stand-in for the suite's (T^l, T^0), derived from ``change`` of the
+    unit contorsion."""
+    unit = change(contorsion_3ad())
+
+    def derived(_):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(curvature, "contorsion_3ad", lambda: unit)
+            return [torsion_lambda(TC, lam) for lam in (GLAM, G.table.zero())]
+    return derived
+
+
 def with_block(R, key, shift):
     return CurvOp(R.geometry, R.ring, R.lam,
                   {**R.blocks, key: R.block(*key) + shift})
@@ -255,6 +266,17 @@ class TestRecordsReadTheirInputs:
             lambda st: with_result(st, "aux_torsion_classes", change),
             "3ad.aux-structures") == [leg]
 
+    @pytest.mark.parametrize("change, legs", [
+        (lambda d: {k: 2 * v if k[0] < 4 else v for k, v in d.items()},
+         [SLOTS]),
+        (lambda d: {k: 2 * v if k[0] > 3 else v for k, v in d.items()},
+         [SLOTS]),
+        (lambda d: {}, [SLOTS, "T^l is totally skew"]),
+    ], ids=["vertical-doubled", "horizontal-doubled", "zero"])
+    def test_torsion_lambda_reads_the_contorsion(self, change, legs):
+        assert named_failures(suites.Suite3ad, "tl", with_contorsion(change),
+                              "3ad.torsion.lambda") == legs
+
     def test_trace_records_read_the_blocks(self):
         ids = ("3ad.trace.lemma",)
         assert statuses(suites.Suite3ad, "R",
@@ -268,41 +290,44 @@ class TestRecordsReadTheirInputs:
 
 class TestTorsionLambda:
     def test_canonical_value(self):
-        tl = TorsionLambda3ad(R3, T3.zero())
-        expect = 2 * (DE - 4 * AL) * R3.eta(1, 2, 3)
+        expect = 2 * (GDE - 4 * GAL) * G.eta(1, 2, 3)
         for i in (1, 2, 3):
-            expect = expect + 2 * AL * R3.eta(i).wedge(R3.Phi(i))
-        assert skew_torsion_form(tl) == expect
+            expect = expect + 2 * GAL * G.eta(i).wedge(G.Phi(i))
+        assert torsion_lambda(TC, G.table.zero()) == components(expect.embed())
 
-    def test_vertical_shift(self):
-        tl = TorsionLambda3ad(R3, LAM)
-        assert tl.vertical_coeff == 2 * (DE - 4 * AL) + 2 * LAM
-        assert tl.arg_vertical_coeff == 2 * AL - LAM / 2
-        assert tl.value_vertical_coeff == 2 * AL
+    def test_slot_coefficients(self):
+        tl = torsion_lambda(TC, GLAM)
+        # all vertical, value-vertical (X) and argument-vertical (Y, Z)
+        for key, coeff in (((1, 2, 3), 2 * (GDE - 4 * GAL) + 2 * GLAM),
+                           ((1, 4, 5), 2 * GAL),
+                           ((4, 1, 5), 2 * GAL - GLAM / 2),
+                           ((7, 3, 4), 2 * GAL - GLAM / 2)):
+            assert tl[key] == coeff * PHI.coefficient(key)
 
     def test_parallel_family_matches_at_beta_zero(self):
         # at delta = 2 alpha the two instanton torsions coincide
-        tl0 = TorsionLambda3ad(R3, T3.zero())
-        tlm = TorsionLambda3ad(R3, -BETA)
-        sub = {"delta": 2 * T3.sym("alpha")}
-        assert tlm.vertical_coeff.subs(sub) == tl0.vertical_coeff.subs(sub)
-        assert tlm.arg_vertical_coeff.subs(sub) \
-            == tl0.arg_vertical_coeff.subs(sub)
+        sub = {"delta": 2 * GAL}
+        tl0, tlm = (torsion_lambda(TC, lam).items()
+                    for lam in (G.table.zero(), -beta_of(G)))
+        assert {k: v.subs(sub) for k, v in tlm} \
+            == {k: v.subs(sub) for k, v in tl0}
 
     def test_not_skew_off_zero(self):
-        assert TorsionLambda3ad(R3, T3.zero()).is_skew()
-        tl = TorsionLambda3ad(R3, LAM)
-        assert not tl.is_skew()
-        with pytest.raises(AlgebraError):
-            skew_torsion_form(tl)
+        tl0 = torsion_lambda(TC, G.table.zero())
+        assert skew_part(tl0, G.coframe) == tl0
+        tl = torsion_lambda(TC, GLAM)
+        skew = skew_part(tl, G.coframe)
+        assert skew != tl
+        # T(e4; e1, e5) - T(e1; e5, e4) = (2a - l/2) - 2a
+        assert tl[(4, 1, 5)] - skew[(4, 1, 5)] == -GLAM / 2
 
     def test_contorsion_blocks(self):
-        phi = R3.phi().embed()
-        delta = contorsion_3ad(phi, F(2))
+        delta = {k: 2 * v for k, v in contorsion_3ad().items()}  # lam = 2
         assert delta[(1, 2, 3)] == 2  # lam * phi(123)
         assert delta[(4, 1, 5)] == -1  # -lam/2 * phi(4,1,5) = -1*(+1)
         assert (1, 4, 5) not in delta  # value-vertical slot is unshifted
-        assert contorsion_3ad(phi, F(0)) == {}
+        # Delta^0 = 0: the family adds nothing to T^c at lam = 0
+        assert torsion_lambda(TC, G.table.zero()) == components(TC)
 
 
 class TestCurvature3ad:

@@ -10,7 +10,7 @@ from hetg2.curvature import contorsion_3ad
 from hetg2.scalar import AlgebraError
 from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
 from test_curvature import (doubled, failed, holding, named_failures,
-                            records, with_leg, with_result)
+                            records, statuses, with_leg, with_result)
 
 MODEL = hb.heisenberg_model()
 CF = MODEL.coframe
@@ -44,6 +44,14 @@ def with_extra_entry(arrays):
     return ({**arrays[0], "extra": 1}, arrays[1])
 
 
+def off_the_ring():
+    """The model with de^1 moved by e^45 - e^67: still a Lie algebra, but no
+    longer the 3ad ring at POINT."""
+    de1 = MODEL.de[1] + CF.e(4, 5) - CF.e(6, 7)
+    assert hb.d_form(MODEL, de1).is_zero
+    return hb.LieModel(CF, {**MODEL.de, 1: de1}, MODEL.c)
+
+
 def sigma_t_leg(v):
     return f"cyclic R(X, Y, Z, e_{v}) = cyclic g(T(X, Y), T(Z, e_{v}))"
 
@@ -57,6 +65,8 @@ class TestModel:
         # de^4 = e^12 breaks d^2 = 0
         bad = hb.LieModel(CF, {**MODEL.de, 4: CF.e(1, 2)}, MODEL.c)
         assert not hb.model_equations_hold(bad)
+        # de^1 + e^45 - e^67 keeps d^2 = 0 but not the ring's d eta_1
+        assert not hb.model_equations_hold(off_the_ring())
 
     def test_jacobi(self):
         for mu in range(1, 8):
@@ -93,12 +103,12 @@ class TestConnections:
 
     def test_canonical_parallel_torsion(self):
         can = hb.canonical_connection()
-        T = hb.canonical_torsion_form(MODEL)
+        T = hb.canonical_torsion_form()
         for x in range(1, 8):
             assert hb.nabla_form(can, x, T).is_zero
 
     def test_parallel_torsion_predicate(self):
-        T = hb.canonical_torsion_form(MODEL)
+        T = hb.canonical_torsion_form()
         can = hb.canonical_connection()
         assert failed(hb.parallel_torsion(can, T)) == []
         assert TORSION in failed(hb.parallel_torsion(hb.levi_civita(), T))
@@ -153,7 +163,7 @@ class TestCurvature:
 
     def test_sigma_t_bianchi(self):
         can = hb.canonical_connection()
-        triples = hb.sigma_t_identity(can, hb.canonical_torsion_form(MODEL))
+        triples = hb.sigma_t_identity(can, hb.canonical_torsion_form())
         assert [n for n, _, _ in triples] == [sigma_t_leg(v)
                                               for v in range(1, 8)]
         assert failed(triples) == []
@@ -163,7 +173,7 @@ class TestCurvature:
         # quadruples whose last index is 1, e.g. (2, 1, 3, 1)
         conn = with_curvature(hb.canonical_connection(), ((1, 2), (1, 3)), 1)
         assert failed(hb.sigma_t_identity(
-            conn, hb.canonical_torsion_form(MODEL))) == [sigma_t_leg(1)]
+            conn, hb.canonical_torsion_form())) == [sigma_t_leg(1)]
 
     @pytest.mark.parametrize("key", [((1, 2), (3, 4)), ((5, 6), (5, 7))])
     def test_sigma_t_fails_on_a_perturbed_entry(self, key):
@@ -171,17 +181,18 @@ class TestCurvature:
         # entry must still be seen
         conn = with_curvature(hb.canonical_connection(), key, F(1, 3))
         assert failed(hb.sigma_t_identity(
-            conn, hb.canonical_torsion_form(MODEL)))
+            conn, hb.canonical_torsion_form()))
 
     def test_connection_lambda_zero_is_canonical(self):
         # the difference tensor vanishes at lam = 0
         assert hb.connection_lambda(F(0)) is hb.canonical_connection()
 
     def test_connection_lambda_shifts_by_the_contorsion(self):
-        # the unit tensor scaled by lam is the tensor built at lam
+        # the connection at lam is the canonical one plus lam times the unit
+        # contorsion
         can = hb.canonical_connection()
         for lam in (F(2), F(-1, 3)):
-            want = contorsion_3ad(hb.model_associative_form(), lam)
+            want = {k: lam * v for k, v in contorsion_3ad().items()}
             conn = hb.connection_lambda(lam)
             got = {(x, y, z): conn.L[y][x - 1][z - 1] - can.L[y][x - 1][z - 1]
                    for y in range(1, 8) for x in range(1, 8)
@@ -275,6 +286,25 @@ class TestSpinParts:
 
 
 class TestRecordsReadTheirInputs:
+    def test_model_record_reads_the_ring(self):
+        # model_equations_hold fails on a Lie algebra off the ring
+        assert statuses(suites.SuiteHeisenberg, "model",
+                        lambda _: off_the_ring(), ("heisenberg.model",)) \
+            == {"heisenberg.model": "fail"}
+
+    @pytest.mark.parametrize("shift", [2, -2])
+    def test_canonical_connection_reads_the_torsion_classes(self, shift):
+        # T^c with its e^123 coefficient moved, and the connection with that
+        # skew torsion: the torsion matches, but it is not parallel
+        T = hb.canonical_torsion_form() + shift * CF.e(1, 2, 3)
+        suite = suites.SuiteHeisenberg({})
+        suite.__dict__.update(T=T, can=hb.with_torsion(hb.levi_civita(), T))
+        check, = [c for c in suite.checks
+                  if c.check_id == "heisenberg.canonical-connection"]
+        rec = suite.evaluate(check)
+        assert rec.status == "fail" and rec.notes.endswith(
+            "; failed: " + PARALLEL)
+
     def test_canonical_connection_names_nabla_t(self):
         # g(e_4, nabla_1 e_1) keeps the torsion but breaks nabla T = 0
         assert named_failures(suites.SuiteHeisenberg, "can",

@@ -4,15 +4,17 @@ import pytest
 
 from hetg2.exterior import (Form, basis_multi_indices, coefficient_matrix,
                             form_to_vector)
-from hetg2.heisenberg import associative_form, d_form, heisenberg_model
+from hetg2.heisenberg import d_form, heisenberg_model
 from hetg2.scalar import AlgebraError
 from hetg2.structures import (CYCLIC, ExtractionError, GenForm, NotInSpanError,
                               Ring3ad, RingSU3, TorsionClasses,
-                              characteristic_torsion, gram_matrix,
+                              characteristic_torsion, get_ring, gram_matrix,
                               h_homothety, is_g2_form,
                               lambda214_double_characterization, make_table,
                               registry, sp1_frame_forms, torsion_classes)
 from hetg2.linsolve import nullspace, rank, solve_ring_rhs
+from hetg2 import suites
+from test_curvature import statuses
 
 R3 = Ring3ad(make_table("3ad"))
 RS = RingSU3(make_table("su3"))
@@ -229,6 +231,32 @@ def test_3ad_construction_refuses_a_wrong_phi_product(i, j, c, match):
         WrongPhiProduct(make_table("3ad"))
 
 
+class DoubledOm(RingSU3):
+    """Om+ and Om- doubled in the frame and in the generator table, with the
+    product rule that mirrors it: Om+ ^ Om- = (8/3) Phi^3."""
+
+    OM_PAIR = F(8, 3)
+
+    def _setup(self):
+        rows = super()._setup()
+        oms = (self.Om("+"), self.Om("-"))
+        self.frame.update({k: 2 * self.frame[k] for k in ("Om+", "Om-")})
+        return [(g, 2 * cf if g in oms else cf, d) for g, cf, d in rows]
+
+
+def test_su3_normalization_catches_what_construction_accepts():
+    # the mirrored error passes ring construction (d^2 = 0 and every product
+    # embeds as the coframe wedge); the normalization record fails on it,
+    # and the pointwise G2 check with it.  Without OM_PAIR = 8/3 the ring
+    # itself refuses the doubled Om.
+    ids = ("su3.structure.normalization", "su3.g2.pointwise")
+    assert statuses(suites.SuiteSU3, "r", lambda r: r, ids) \
+        == dict.fromkeys(ids, "pass")
+    assert statuses(suites.SuiteSU3, "r",
+                    lambda _: DoubledOm(make_table("su3")), ids) \
+        == dict.fromkeys(ids, "fail")
+
+
 def test_ring_d_matches_the_lie_algebra_d():
     """At (alpha, delta) = (1, 0) the ring's structure equations and the
     nilpotent Lie algebra's de-table give one d on every ring monomial."""
@@ -366,7 +394,7 @@ class TestProjection:
 
     def test_reference_heisenberg(self):
         model = heisenberg_model()
-        phi = associative_form(model.coframe)
+        phi = get_ring("3ad").phi().embed()
         psi = phi.star()
         inputs = (phi, psi, d_form(model, phi), d_form(model, psi))
         assert same_classes(torsion_classes(*inputs),
