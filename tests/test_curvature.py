@@ -295,7 +295,7 @@ class TestTorsionLambda:
             expect = expect + 2 * GAL * G.eta(i).wedge(G.Phi(i))
         assert torsion_lambda(TC, G.table.zero()) == components(expect.embed())
 
-    def test_slot_coefficients(self):
+    def test_vertical_shift(self):
         tl = torsion_lambda(TC, GLAM)
         # all vertical, value-vertical (X) and argument-vertical (Y, Z)
         for key, coeff in (((1, 2, 3), 2 * (GDE - 4 * GAL) + 2 * GLAM),
