@@ -3,11 +3,12 @@
 The residual of the flux identity  dH = (a'/4)(tr F^F - tr R^R)  with H the
 characteristic torsion and both gauge connections drawn from the deformation
 family is assembled in the coframe, where the curvature traces live; the
-formal tr(R2 ^ R2) tokens must cancel before coefficients are matched against
-the independent 4-form basis, embedded alongside.  Branch verification is a
-polynomial-identity check: bindings are substituted and the remaining
-constraints reduced to zero modulo the branch's defining relations via
-pseudo-remainders.  No tolerances anywhere.
+remainder's tr(R2 ^ R2) does not depend on lambda and cancels in the
+difference, and coefficients are matched against the independent 4-form
+basis, embedded alongside.  Branch verification is a polynomial-identity
+check: bindings are substituted and the remaining constraints reduced to
+zero modulo the branch's defining relations via pseudo-remainders.  No
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -17,17 +18,13 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .curvature import (beta_of, curvature_3ad, curvature_su3,
-                        instanton_obstruction, wedge_trace)
+from .curvature import (beta_of, curvature, instanton_obstruction,
+                        wedge_trace)
 from .exterior import coefficient_matrix, form_to_vector
 from .linsolve import InconsistentSystemError, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
 from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, get_ring,
                          structure_torsion)
-
-
-class Rho2CancellationError(AlgebraError):
-    pass
 
 
 def basis_4forms(ring) -> list[GenForm]:
@@ -44,7 +41,7 @@ def basis_4forms(ring) -> list[GenForm]:
             ring.eta().wedge(ring.Om("-"))]
 
 
-class BianchiResidual(namedtuple("BianchiResidual", "geometry form basis")):
+class BianchiResidual(namedtuple("BianchiResidual", "form basis")):
     """The residual as a coframe 4-form, with the coefficient basis embedded
     in the same coframe."""
 
@@ -55,21 +52,13 @@ def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
     """dT^c - (a'/4)(tr R^{lam1} ^ R^{lam1} - tr R^{lam2} ^ R^{lam2}) in the
     coframe."""
     ring = get_ring(geometry)
-    alphap = ring.table.sym("alphap")
-    dtc = structure_torsion(geometry).characteristic.d()
-    curv = curvature_3ad if geometry == "3ad" else curvature_su3
-    tr1 = wedge_trace(curv(ring, lam1))
-    tr2 = wedge_trace(curv(ring, lam2))
-    diff = tr1 - tr2
-    if not diff.rho2.is_zero:
-        raise Rho2CancellationError(
-            "formal tr(R2^R2) tokens failed to cancel")
-    form = dtc.embed() - (alphap / 4) * diff.explicit
-    return BianchiResidual(geometry, form,
-                           [b.embed() for b in basis_4forms(ring)])
+    dtc = structure_torsion(ring).characteristic.d()
+    tr1, tr2 = (wedge_trace(curvature(ring, lam)) for lam in (lam1, lam2))
+    form = dtc.embed() - (ring.table.sym("alphap") / 4) * (tr1 - tr2)
+    return BianchiResidual(form, [b.embed() for b in basis_4forms(ring)])
 
 
-class ConstraintSystem(namedtuple("ConstraintSystem", "geometry polynomials")):
+class ConstraintSystem(namedtuple("ConstraintSystem", "polynomials")):
     __slots__ = ()
 
     def substituted(self, bindings) -> list[Scalar]:
@@ -93,7 +82,7 @@ def extract_constraints(res: BianchiResidual,
     except InconsistentSystemError as exc:
         raise NotInSpanError("residual is not in the span of the "
                              "declared basis", exc.residual) from exc
-    return ConstraintSystem(res.geometry, sol)
+    return ConstraintSystem(sol)
 
 
 @cache
@@ -266,8 +255,8 @@ def sasaki_3alpha_impossibility() -> list:
          table.rat(4))]
 
 
-ApproxOrderReport = namedtuple(
-    "ApproxOrderReport", "geometry leading_order norm_sq_text")
+ApproxOrderReport = namedtuple("ApproxOrderReport",
+                               "leading_order norm_sq_text")
 
 
 def approx_order_report(geometry: str, scaling: dict,
@@ -282,12 +271,9 @@ def approx_order_report(geometry: str, scaling: dict,
     ring = get_ring(geometry)
     table = ring.table
     lam = table.sym("lam")
-    curv = curvature_3ad if geometry == "3ad" else curvature_su3
-    psi = ring.psi() if geometry == "3ad" else ring.psi_theta()
-    ob = instanton_obstruction(curv(ring, lam), psi)
+    ob = instanton_obstruction(curvature(ring, lam), ring.psi())
     norm_sq = ob.norm_sq.subs(scaling, table=t_table)
-    return ApproxOrderReport(geometry, norm_sq.laurent_order("t"),
-                             str(norm_sq))
+    return ApproxOrderReport(norm_sq.laurent_order("t"), str(norm_sq))
 
 
 def root_table(d: int) -> SymbolTable:

@@ -7,12 +7,12 @@ characteristic torsion, not quoted (``torsion_lambda``).
 The curvature operators have a closed-form explicit part built from the
 hermitian 2-forms (block coefficients over the vertical/horizontal splitting)
 plus an opaque horizontal remainder R2 that enters only through stated
-rules: R2 ^ psi = 0, tr(R1 ^ R2) = 0 and tr(R2 ^ R2) = rho2 (a formal,
-lambda-independent 4-form token).  Every curvature operation reads a
-Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.array`` here and the
-first-principles arrays of the Heisenberg model alike: ``array_wedge``
-(R ^ psi), ``array_trace`` (tr(R ^ R') as a coframe 4-form) and
-``natural_norm_sq``.  On the Heisenberg model R2 = 0 and the closed forms
+rules: R2 ^ psi = 0, tr(R1 ^ R2) = 0, and tr(R2 ^ R2) does not depend on
+lambda, so it cancels in every difference of traces.  Every curvature
+operation reads a Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.array``
+here and the first-principles arrays of the Heisenberg model alike:
+``array_wedge`` (R ^ psi), ``array_trace`` (tr(R ^ R') as a coframe 4-form)
+and ``natural_norm_sq``.  On the Heisenberg model R2 = 0 and the closed forms
 are checked against a first-principles computation.
 """
 
@@ -37,9 +37,6 @@ from .structures import CYCLIC, GenForm, Ring3ad, RingSU3, get_ring
 # uncalibrated one.
 NORM_SQ_CALIBRATION = {"3ad": Fraction(4), "su3": Fraction(3, 2)}
 
-# the vertical (Reeb) frame indices of each geometry
-VERTICAL = {"3ad": {1, 2, 3}, "su3": {1}}
-
 
 def beta_of(ring: Ring3ad) -> Scalar:
     return 2 * (ring.delta - 2 * ring.alpha)
@@ -51,8 +48,8 @@ def contorsion_3ad() -> dict:
     3ad ring's phi: phi(X, Y, Z) when all three slots are vertical, -phi/2
     when only Y is, zero elsewhere.  The family is linear in lam (Delta^lam
     = lam Delta), and the values are rationals, for any table."""
-    vert = VERTICAL["3ad"]
-    phi = get_ring("3ad").phi().embed()
+    ring = get_ring("3ad")
+    vert, phi = ring.VERTICAL, ring.phi().embed()
     out = {}
     for idx in phi.terms:
         for x, y, z in permutations(idx):
@@ -90,22 +87,24 @@ class CurvOp:
     """Curvature operator as block coefficients plus the opaque remainder.
 
     Block keys pair the 2-form slot with the endomorphism slot, each 'V' or
-    'H'; the operator is  sum_i coeff[fb, eb] * (Phi_i|fb) (x) (phi_i|eb)
-    (+ R2), with a single hermitian form in the contact case.  ``array``
-    holds the explicit part as a Lambda^2 (x) Lambda^2 coefficient array.
+    'H' by the ring's VERTICAL legs; the operator is  sum_i coeff[fb, eb] *
+    (Phi_i|fb) (x) (phi_i|eb) (+ R2) over the forms of ``ring.hermitian``,
+    a single one in the contact case.  ``array`` holds the explicit part as
+    a Lambda^2 (x) Lambda^2 coefficient array; ``zero_factors`` are the
+    factors its closed form states of every coefficient of R ^ psi, checked
+    by ``instanton_obstruction``.
     """
 
-    __slots__ = ("geometry", "ring", "lam", "blocks", "array")
+    __slots__ = ("ring", "lam", "blocks", "zero_factors", "array")
 
-    def __init__(self, geometry: str, ring, lam: Scalar, blocks: dict):
-        self.geometry = geometry
+    def __init__(self, ring, lam: Scalar, blocks: dict, zero_factors: list):
         self.ring = ring
         self.lam = lam
         self.blocks = blocks
+        self.zero_factors = zero_factors
         arr = {}
-        vert = VERTICAL[geometry]
-        phi = ring.frame["Phi"]
-        for form in phi.values() if geometry == "3ad" else [phi]:
+        vert = ring.VERTICAL
+        for form in ring.hermitian:
             comp = {I: c.as_rat() for I, c in form.terms.items()}
             for I, ci in comp.items():
                 fb = "V" if set(I) <= vert else "H"
@@ -121,15 +120,15 @@ class CurvOp:
 
 def curvature_3ad(ring: Ring3ad, lam: Scalar) -> CurvOp:
     """Closed-form curvature of the lam-family on the 3-contact geometry."""
-    a = ring.alpha
-    pref = -(beta_of(ring) + lam)
+    a, b_l = ring.alpha, beta_of(ring) + lam
+    pref = -b_l
     blocks = {
         ("V", "V"): pref * (4 * a - lam),
         ("H", "V"): pref * (2 * a),
         ("V", "H"): pref * (2 * a - lam / 2),
         ("H", "H"): pref * a,
     }
-    return CurvOp("3ad", ring, lam, blocks)
+    return CurvOp(ring, lam, blocks, [lam, b_l])
 
 
 def su3_coefficient(ring: RingSU3, lam: Scalar, variant: str = "derived") -> Scalar:
@@ -149,9 +148,19 @@ def su3_coefficient(ring: RingSU3, lam: Scalar, variant: str = "derived") -> Sca
     raise AlgebraError(f"unknown coefficient variant: {variant}")
 
 
-def curvature_su3(ring: RingSU3, lam: Scalar, variant: str = "derived") -> CurvOp:
-    k = su3_coefficient(ring, lam, variant)
-    return CurvOp("su3", ring, lam, {("H", "H"): k})
+def curvature_su3(ring: RingSU3, lam: Scalar) -> CurvOp:
+    """Closed-form curvature of the lam-family on the contact geometry."""
+    a, d = ring.alpha, ring.delta
+    return CurvOp(ring, lam, {("H", "H"): su3_coefficient(ring, lam)},
+                  [a, 4 * (3 * a - 2 * d) - 3 * lam])
+
+
+CLOSED_FORMS = {"3ad": curvature_3ad, "su3": curvature_su3}
+
+
+def curvature(ring, lam: Scalar) -> CurvOp:
+    """The closed-form curvature of the lam-family on the ring's geometry."""
+    return CLOSED_FORMS[ring.geometry](ring, lam)
 
 
 def array_wedge(arr: dict, form: Form) -> dict:
@@ -192,8 +201,8 @@ def natural_norm_sq(terms: dict, table: SymbolTable) -> Scalar:
     return Scalar(table, a)
 
 
-class Obstruction(namedtuple("Obstruction", "geometry terms norm_sq "
-                              "norm_sq_natural zero_factors")):
+class Obstruction(namedtuple("Obstruction", "terms norm_sq norm_sq_natural "
+                              "zero_factors")):
     """R ^ psi as an endomorphism-valued 6-form plus norms and factors.
 
     terms: the nonzero coefficients of ``array_wedge(R.array, psi)``,
@@ -229,46 +238,22 @@ def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
         raise AlgebraError("coassociative form from a different geometry ring")
     terms = array_wedge(R.array, psi.embed())
     # the stated zero factors, checked on the derived coefficients
-    if R.geometry == "3ad":
-        factors = [R.lam, beta_of(ring) + R.lam]
-    else:
-        factors = [ring.alpha,
-                   4 * (3 * ring.alpha - 2 * ring.delta) - 3 * R.lam]
-    check_zero_factors(terms.values(), factors)
+    check_zero_factors(terms.values(), R.zero_factors)
     nat = natural_norm_sq(terms, ring.table)
-    cal = NORM_SQ_CALIBRATION[R.geometry]
-    return Obstruction(R.geometry, terms, cal * nat, nat, factors)
+    cal = NORM_SQ_CALIBRATION[ring.geometry]
+    return Obstruction(terms, cal * nat, nat, R.zero_factors)
 
 
-class TraceForm:
-    """tr(R ^ R') = explicit coframe 4-form + rho2 * (formal tr(R2 ^ R2)
-    token)."""
-
-    __slots__ = ("explicit", "rho2")
-
-    def __init__(self, explicit: Form, rho2: Scalar):
-        self.explicit = explicit
-        self.rho2 = rho2
-
-    def __sub__(self, other: "TraceForm") -> "TraceForm":
-        return TraceForm(self.explicit - other.explicit, self.rho2 - other.rho2)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceForm):
-            return NotImplemented
-        return self.explicit == other.explicit and self.rho2 == other.rho2
-
-
-def wedge_trace(R: CurvOp, Rp: Optional[CurvOp] = None) -> TraceForm:
-    """Endomorphism trace of R ^ R' (same geometry; R' defaults to R).  The
-    opaque remainder enters by the stated rules tr(R1 ^ R2) = 0 and
-    tr(R2 ^ R2) = rho2, one lambda-independent token."""
+def wedge_trace(R: CurvOp, Rp: Optional[CurvOp] = None) -> Form:
+    """tr(R ^ R') of the explicit parts as a coframe 4-form, for operators
+    of one ring (R' defaults to R).  The remainder enters by stated rules:
+    tr(R1 ^ R2) = 0, and tr(R2 ^ R2) does not depend on lambda, so it
+    cancels in every difference of traces."""
     if Rp is None:
         Rp = R
-    if Rp.geometry != R.geometry or Rp.ring is not R.ring:
-        raise AlgebraError("wedge trace requires operators of one geometry")
-    return TraceForm(array_trace(R.array, Rp.array, R.ring.coframe),
-                     R.ring.table.one())
+    if Rp.ring is not R.ring:
+        raise AlgebraError("wedge trace requires operators of one ring")
+    return array_trace(R.array, Rp.array, R.ring.coframe)
 
 
 def trace_lemma_rhs_3ad(ring: Ring3ad, lam: Scalar) -> GenForm:

@@ -197,7 +197,7 @@ def with_torsion(lc: Connection, torsion: Form) -> Connection:
 @cache
 def canonical_torsion_form() -> Form:
     """The characteristic torsion of the torsion classes, at POINT."""
-    return at_point(structure_torsion("3ad").characteristic.embed())
+    return at_point(structure_torsion(get_ring("3ad")).characteristic.embed())
 
 
 @cache

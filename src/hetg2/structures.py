@@ -55,8 +55,8 @@ def make_table(geometry: str) -> SymbolTable:
 
 # Caching policy: an exact object shared by several checks is built by one
 # function of the module that owns it, cached with functools.cache on value
-# arguments (a geometry name, m or lam) for the life of the process; callers
-# never mutate what it returns.
+# arguments (a geometry name, m or lam) or on a ring, by identity, for the
+# life of the process; callers never mutate what it returns.
 
 @cache
 def get_ring(geometry: str) -> "_BaseRing":
@@ -201,8 +201,12 @@ class Ring3ad(_BaseRing):
     to (1,1) since all three squares equal twice the horizontal volume.
     """
 
+    geometry = "3ad"
+    VERTICAL = frozenset({1, 2, 3})  # the Reeb legs of the frame
+
     def _setup(self):
         self.frame = sp1_frame_forms(self.coframe)
+        self.hermitian = list(self.frame["Phi"].values())  # Phi_1..Phi_3
         a, d, eta, Phi = self.alpha, self.delta, self.eta, self.Phi
         return [*((eta(i), self.frame["eta"][i],
                    2 * a * Phi(i) - 2 * d * eta(j, k))
@@ -300,10 +304,13 @@ class RingSU3(_BaseRing):
     Om+ ^ Om- = (2/3) Phi^3.
     """
 
+    geometry = "su3"
+    VERTICAL = frozenset({1})  # the Reeb leg of the frame
     OM_PAIR = Fraction(2, 3)
 
     def _setup(self):
         self.frame = su3_frame_forms(self.coframe)
+        self.hermitian = [self.frame["Phi"]]
         a, d, eta, Om = self.alpha, self.delta, self.eta(), self.Om
         return [(eta, self.frame["eta"], 2 * a * self.Phi()),
                 (self.Phi(), self.frame["Phi"], self.zero()),
@@ -372,11 +379,11 @@ class RingSU3(_BaseRing):
         return (e1 + e2, p, w), coeff
 
     # distinguished forms -------------------------------------------------
-    def phi_theta(self) -> GenForm:
+    def phi(self) -> GenForm:
         s, c = self.table.sym("s"), self.table.sym("c")
         return -self.eta().wedge(self.Phi()) + s * self.Om("+") + c * self.Om("-")
 
-    def psi_theta(self) -> GenForm:
+    def psi(self) -> GenForm:
         s, c = self.table.sym("s"), self.table.sym("c")
         half_pp = Fraction(1, 2) * self.Phi().wedge(self.Phi())
         return half_pp + s * self.eta().wedge(self.Om("-")) \
@@ -501,15 +508,12 @@ Torsion = namedtuple("Torsion", "classes characteristic")
 
 
 @cache
-def structure_torsion(geometry: str) -> Torsion:
+def structure_torsion(ring: _BaseRing) -> Torsion:
     """Torsion classes and characteristic torsion (as a GenForm) of the
-    distinguished G2 structure of one geometry: (phi, psi) on '3ad', the
-    circle family (phi(t), psi(t)) on 'su3'.  Extracted once."""
-    ring = get_ring(geometry)
-    if geometry == "3ad":
-        phi, psi = ring.phi(), ring.psi()
-    else:
-        phi, psi = ring.phi_theta(), ring.psi_theta()
+    ring's G2 pair (ring.phi(), ring.psi()): the canonical pair on the 3ad
+    ring, the circle family (phi(t), psi(t)) on the su3 ring.  Extracted
+    once per ring."""
+    phi, psi = ring.phi(), ring.psi()
     phi_f, psi_f = phi.embed(), psi.embed()
     tc = torsion_classes(phi_f, psi_f, phi.d().embed(), psi.d().embed())
     return Torsion(tc, ring.from_form(characteristic_torsion(tc, phi_f,
@@ -573,13 +577,13 @@ def registry() -> dict:
         "psi.canonical.3ad": built("3ad", "psi"),
         "dphi.canonical.3ad": built("3ad", "phi", d=True),
         "dpsi.canonical.3ad": built("3ad", "psi", d=True),
-        "phi.theta.su3": built("su3", "phi_theta"),
-        "psi.theta.su3": built("su3", "psi_theta"),
-        "dphi.theta.su3": built("su3", "phi_theta", d=True),
-        "Tc.3ad": lambda: structure_torsion("3ad").characteristic,
-        "dTc.3ad": lambda: structure_torsion("3ad").characteristic.d(),
-        "Tc.su3": lambda: structure_torsion("su3").characteristic,
-        "dTc.su3": lambda: structure_torsion("su3").characteristic.d(),
+        "phi.theta.su3": built("su3", "phi"),
+        "psi.theta.su3": built("su3", "psi"),
+        "dphi.theta.su3": built("su3", "phi", d=True),
+        "Tc.3ad": lambda: structure_torsion(get_ring("3ad")).characteristic,
+        "dTc.3ad": lambda: reg["Tc.3ad"]().d(),
+        "Tc.su3": lambda: structure_torsion(get_ring("su3")).characteristic,
+        "dTc.su3": lambda: reg["Tc.su3"]().d(),
         "eta.su3": built("su3", "eta"),
         "Phi.su3": built("su3", "Phi"),
         "Om+.su3": built("su3", "Om", "+"),

@@ -20,11 +20,13 @@ BETA = 2 * (DE - 2 * AL)
 
 class TestResidual:
     def test_rho2_cancels(self):
-        res = residual("3ad", L1, L2)
-        assert res.form is not None  # construction implies cancellation
+        # at equal lambdas the traces cancel, the remainder's with them,
+        # and the residual is d T^c
+        res = residual("3ad", L1, L1)
+        assert res.form == structure_torsion(R3).characteristic.d().embed()
 
     def test_flux_source_is_characteristic_torsion(self):
-        tcg = structure_torsion("3ad").characteristic
+        tcg = structure_torsion(R3).characteristic
         expect = 2 * (DE - 4 * AL) * R3.eta(1, 2, 3)
         for i in (1, 2, 3):
             expect = expect + 2 * AL * R3.eta(i).wedge(R3.Phi(i))

@@ -337,8 +337,8 @@ class TestSuites:
 
     @pytest.mark.parametrize("builder,args", [
         (structures.get_ring, ("3ad",)), (structures.get_ring, ("su3",)),
-        (structures.structure_torsion, ("3ad",)),
-        (structures.structure_torsion, ("su3",)),
+        (structures.structure_torsion, (structures.get_ring("3ad"),)),
+        (structures.structure_torsion, (structures.get_ring("su3"),)),
         (bianchi.constraint_system, ("3ad",)),
         (bianchi.constraint_system, ("su3",)),
         (heisenberg.heisenberg_model, ()), (heisenberg.levi_civita, ()),

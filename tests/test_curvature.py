@@ -28,7 +28,7 @@ SLOTS = "T^l has the claimed slot coefficients"
 
 # the shared 3ad ring, over whose table the characteristic torsion lives
 G = get_ring("3ad")
-TC = structure_torsion("3ad").characteristic.embed()
+TC = structure_torsion(G).characteristic.embed()
 PHI = G.phi().embed()
 GAL, GDE, GLAM = (G.table.sym(n) for n in ("alpha", "delta", "lam"))
 
@@ -44,7 +44,7 @@ TR_ENDO_SU3 = F(-6)
 def quoted_form_factor(R, i, eb):
     """2-form multiplying phi_i restricted to the block ``eb``."""
     r = R.ring
-    if R.geometry == "3ad":
+    if R.ring.geometry == "3ad":
         j, k = CYCLIC[i]
         return R.block("V", eb) * -r.eta(j, k) + R.block("H", eb) * r.Phi(i)
     return R.block("H", eb) * r.Phi()
@@ -53,7 +53,7 @@ def quoted_form_factor(R, i, eb):
 def quoted_trace(R, Rp):
     """sum over the blocks of tr(phi_i|eb ^ 2) (form factor ^ form factor)."""
     r = R.ring
-    if R.geometry == "su3":
+    if R.ring.geometry == "su3":
         return (TR_ENDO_SU3 * quoted_form_factor(R, 0, "H").wedge(
             quoted_form_factor(Rp, 0, "H"))).embed()
     out = r.zero()
@@ -110,7 +110,7 @@ class TestQuotedReference:
 
     def test_obstruction_su3(self):
         R = curvature_su3(RS, TS.sym("lam"))
-        ob = instanton_obstruction(R, RS.psi_theta())
+        ob = instanton_obstruction(R, RS.psi())
         terms, nat = quoted_obstruction_su3(R)
         assert ob.terms == terms and len(terms) == 3
         assert ob.norm_sq_natural == nat
@@ -126,11 +126,11 @@ class TestQuotedReference:
         l1, l2 = T3.sym("lam1"), T3.sym("lam2")
         for lams in ((LAM, LAM), (l1, l2), (T3.zero(), -BETA)):
             R, Rp = (curvature_3ad(R3, lam) for lam in lams)
-            assert wedge_trace(R, Rp).explicit == quoted_trace(R, Rp)
+            assert wedge_trace(R, Rp) == quoted_trace(R, Rp)
         l1, l2 = TS.sym("lam1"), TS.sym("lam2")
         R, Rp = curvature_su3(RS, l1), curvature_su3(RS, l2)
-        assert wedge_trace(R, Rp).explicit == quoted_trace(R, Rp)
-        assert wedge_trace(R).explicit == quoted_trace(R, R)
+        assert wedge_trace(R, Rp) == quoted_trace(R, Rp)
+        assert wedge_trace(R) == quoted_trace(R, R)
 
 
 def records(cls, name, perturb, ids):
@@ -206,13 +206,13 @@ def with_contorsion(change):
 
 
 def with_block(R, key, shift):
-    return CurvOp(R.geometry, R.ring, R.lam,
-                  {**R.blocks, key: R.block(*key) + shift})
+    return CurvOp(R.ring, R.lam, {**R.blocks, key: R.block(*key) + shift},
+                  R.zero_factors)
 
 
 def with_entry(R, key, value):
     """R with the array entry ``key`` set to ``value``."""
-    out = CurvOp(R.geometry, R.ring, R.lam, R.blocks)
+    out = CurvOp(R.ring, R.lam, R.blocks, R.zero_factors)
     out.array = {**R.array, key: value}
     return out
 
@@ -228,7 +228,7 @@ class TestRecordsReadTheirInputs:
         assert statuses(suites.Suite3ad, "psi", lambda p: 2 * p, ids) \
             == dict.fromkeys(ids, "fail")
         ids = self.INSTANTON_SU3 + ("su3.instanton.threshold",)
-        assert statuses(suites.SuiteSU3, "pst", lambda p: 2 * p, ids) == {
+        assert statuses(suites.SuiteSU3, "psi", lambda p: 2 * p, ids) == {
             **dict.fromkeys(self.INSTANTON_SU3, "fail"),
             "su3.instanton.threshold": "pass"}
 
@@ -277,6 +277,19 @@ class TestRecordsReadTheirInputs:
         assert named_failures(suites.Suite3ad, "tl", with_contorsion(change),
                               "3ad.torsion.lambda") == legs
 
+    @pytest.mark.parametrize("cls, ring_cls", [
+        (suites.Suite3ad, Ring3ad), (suites.SuiteSU3, RingSU3)],
+        ids=["3ad", "su3"])
+    def test_records_read_the_input_ring(self, cls, ring_cls):
+        # an equal ring built apart from the shared one: every record,
+        # torsion classes and T^c included, reads the suite's own ring
+        ids = [c.check_id for c in cls.checks]
+        fresh = records(
+            cls, "r", lambda _: ring_cls(make_table(cls.geometry)), ids)
+        assert {k: r.status for k, r in fresh.items()} == {
+            k: "flagged" if k == "su3.curvature.coefficient-discrepancy"
+            else "pass" for k in ids}
+
     def test_trace_records_read_the_blocks(self):
         ids = ("3ad.trace.lemma",)
         assert statuses(suites.Suite3ad, "R",
@@ -286,6 +299,13 @@ class TestRecordsReadTheirInputs:
         assert statuses(suites.SuiteSU3, "Rs",
                         lambda R: with_block(R, ("H", "H"), 1), ids) \
             == {"su3.trace.lemma": "fail"}
+        # the difference of traces at l = -b and l = 0 reads Rb
+        ids = ("3ad.trace.rho2-cancellation",)
+        assert statuses(suites.Suite3ad, "Rb", lambda R: R, ids) \
+            == dict.fromkeys(ids, "pass")
+        assert statuses(suites.Suite3ad, "Rb",
+                        lambda R: with_block(R, ("H", "H"), 1), ids) \
+            == dict.fromkeys(ids, "fail")
 
 
 class TestTorsionLambda:
@@ -386,7 +406,7 @@ class TestObstruction3ad:
 
     def test_geometry_mismatch(self):
         with pytest.raises(AlgebraError):
-            instanton_obstruction(curvature_3ad(R3, LAM), RS.psi_theta())
+            instanton_obstruction(curvature_3ad(R3, LAM), RS.psi())
 
     def test_zero_factors_are_checked(self):
         R = curvature_3ad(R3, LAM)
@@ -403,19 +423,22 @@ class TestObstruction3ad:
 class TestTrace3ad:
     def test_lemma(self):
         tr = wedge_trace(curvature_3ad(R3, LAM))
-        assert tr.explicit == trace_lemma_rhs_3ad(R3, LAM).embed()
-        assert tr.rho2 == T3.one()
+        assert tr == trace_lemma_rhs_3ad(R3, LAM).embed()
+
+    def test_operators_of_one_ring(self):
+        # an equal but separately built ring is another ring
+        with pytest.raises(AlgebraError):
+            wedge_trace(curvature_3ad(R3, LAM), curvature_3ad(G, GLAM))
 
     def test_rho2_cancellation(self):
         t0 = wedge_trace(curvature_3ad(R3, T3.zero()))
         tm = wedge_trace(curvature_3ad(R3, -BETA))
         diff = tm - t0
-        assert diff.rho2.is_zero
         b1, b2 = R3.zero(), R3.zero()
         for i, (j, k) in CYCLIC.items():
             b1 = b1 + R3.eta(j, k).wedge(R3.Phi(i))
             b2 = b2 + R3.Phi(i).wedge(R3.Phi(i))
-        assert diff.explicit \
+        assert diff \
             == (-12 * AL * BETA ** 2 * (4 * AL * b1 - AL * b2)).embed()
 
 
@@ -447,25 +470,25 @@ class TestSU3:
     def test_obstruction(self):
         lam = TS.sym("lam")
         k = su3_coefficient(RS, lam)
-        ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi_theta())
+        ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi())
         assert ob.norm_sq_natural == 54 * k ** 2
         assert ob.norm_sq == 81 * k ** 2
 
     def test_zero_factors_are_checked(self):
         lam = TS.sym("lam")
         R = curvature_su3(RS, lam)
-        ob = instanton_obstruction(R, RS.psi_theta())
+        ob = instanton_obstruction(R, RS.psi())
         assert [str(f) for f in ob.zero_factors] \
             == ["alpha", "12*alpha - 8*delta - 3*lam"]
         with pytest.raises(AlgebraError):
             check_zero_factors(ob.terms.values(), [TS.sym("delta")])
         with pytest.raises(AlgebraError):
             instanton_obstruction(with_block(R, ("H", "H"), 1),
-                                  RS.psi_theta())
+                                  RS.psi())
 
     def test_norm_at_branch_b(self):
         lam = TS.sym("lam")
-        ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi_theta())
+        ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi())
         ns = ob.norm_sq.subs({"lam": TS.sym("lam2"),
                               "delta": F(3, 2) * TS.sym("alpha")})
         tt = SymbolTable(TS.symbols)
@@ -477,11 +500,20 @@ class TestSU3:
     def test_trace(self):
         lam = TS.sym("lam")
         tr = wedge_trace(curvature_su3(RS, lam))
-        assert tr.explicit == trace_lemma_rhs_su3(RS, lam).embed()
+        assert tr == trace_lemma_rhs_su3(RS, lam).embed()
         l1, l2 = TS.sym("lam1"), TS.sym("lam2")
         same = wedge_trace(curvature_su3(RS, l1)) \
             - wedge_trace(curvature_su3(RS, l1))
-        assert same.explicit.is_zero and same.rho2.is_zero
+        assert same.is_zero
         diff = wedge_trace(curvature_su3(RS, l1)) \
             - wedge_trace(curvature_su3(RS, l2))
-        assert diff.rho2.is_zero
+        assert diff == (trace_lemma_rhs_su3(RS, l1)
+                        - trace_lemma_rhs_su3(RS, l2)).embed()
+
+    def test_curvature_picks_the_closed_form(self):
+        for ring, closed_form in ((R3, curvature_3ad), (RS, curvature_su3)):
+            lam = ring.table.sym("lam")
+            R = curvature.curvature(ring, lam)
+            expect = closed_form(ring, lam)
+            assert R.array == expect.array
+            assert R.zero_factors == expect.zero_factors

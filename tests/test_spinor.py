@@ -375,12 +375,12 @@ class TestReconstruction:
                                        rs.table)
         fam4 = sp.majorana_family_form(REP, plus, minus, 4, rs.coframe,
                                        rs.table)
-        assert fam3 == rs.phi_theta().embed()
-        assert fam4 == rs.psi_theta().embed()
+        assert fam3 == rs.phi().embed()
+        assert fam4 == rs.psi().embed()
         sub = {"s": F(3, 5), "c": F(4, 5)}
         lhs = {k: v.subs(sub) for k, v in fam3.terms.items()}
         rhs = {k: v.subs(sub)
-               for k, v in rs.phi_theta().embed().terms.items()}
+               for k, v in rs.phi().embed().terms.items()}
         assert lhs == rhs
 
     def test_stabilizer_dimension(self):
@@ -579,9 +579,9 @@ class TestRecordsReadTheirInputs:
     def test_su3_reconstruction_reads_psi(self):
         ids = ("spinor.su3.reconstruction",)
         other = sp.vec_scale(sp.u_spinor(REP, (1, 1, -1)), sp.GQ(1, 1))
-        assert statuses(suites.SuiteSpinor, "psi", lambda p: p, ids) \
+        assert statuses(suites.SuiteSpinor, "Psi", lambda p: p, ids) \
             == {"spinor.su3.reconstruction": "pass"}
-        assert statuses(suites.SuiteSpinor, "psi", lambda p: other, ids) \
+        assert statuses(suites.SuiteSpinor, "Psi", lambda p: other, ids) \
             == {"spinor.su3.reconstruction": "fail"}
 
     @pytest.mark.parametrize("name, check_id, leg", [

@@ -88,8 +88,7 @@ CIRCLE_POINTS = [(F(0), F(1)), (F(1), F(0)), (F(3, 5), F(4, 5))]
 def structure_inputs(geometry):
     """(phi, psi, d phi, d psi) of the distinguished structure, embedded."""
     ring = R3 if geometry == "3ad" else RS
-    phi, psi = ((ring.phi(), ring.psi()) if geometry == "3ad"
-                else (ring.phi_theta(), ring.psi_theta()))
+    phi, psi = ring.phi(), ring.psi()
     return phi.embed(), psi.embed(), phi.d().embed(), psi.d().embed()
 
 
@@ -165,10 +164,10 @@ class TestRingSU3:
         assert RS.Phi().wedge(RS.Om("+")).is_zero
 
     def test_family_is_g2(self):
-        assert is_g2_form(RS.phi_theta().embed(), RS.psi_theta().embed())
+        assert is_g2_form(RS.phi().embed(), RS.psi().embed())
 
     def test_star_roundtrip(self):
-        assert RS.from_form(RS.phi_theta().embed().star()) == RS.psi_theta()
+        assert RS.from_form(RS.phi().embed().star()) == RS.psi()
 
 
 @pytest.mark.parametrize("ring, npairs", [(R3, 946), (RS, 84)],
@@ -282,7 +281,7 @@ def tc_3ad():
 
 @pytest.fixture(scope="module")
 def tc_su3():
-    phi, psi = RS.phi_theta(), RS.psi_theta()
+    phi, psi = RS.phi(), RS.psi()
     return torsion_classes(phi.embed(), psi.embed(),
                            phi.d().embed(), psi.d().embed())
 
@@ -438,7 +437,7 @@ class TestProjection:
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_gram_matrix(self, perturbed):
-        phi = RS.phi_theta().embed()
+        phi = RS.phi().embed()
         cf = phi.space
         if perturbed:  # not G2: a full, symbolic Gram matrix
             phi = phi + cf.table.sym("alpha") * cf.e(1, 4, 5) \
@@ -471,7 +470,7 @@ class TestTorsionClassesSU3:
         assert tc.tau3 == expect
 
     def test_tau3_orthogonal_to_phi(self, tc):
-        assert tc.tau3.inner(RS.phi_theta().embed()).is_zero
+        assert tc.tau3.inner(RS.phi().embed()).is_zero
 
     def test_quoted_sign_variant_is_not_orthogonal(self):
         t = RS.table
@@ -480,14 +479,14 @@ class TestTorsionClassesSU3:
         quoted = F(4, 7) * (al - de) * (
             4 * RS.eta().wedge(RS.Phi())
             - 3 * (s * RS.Om("+") + c * RS.Om("-"))).embed()
-        val = quoted.inner(RS.phi_theta().embed())
+        val = quoted.inner(RS.phi().embed())
         assert not val.is_zero
 
     def test_characteristic_torsion_branch_values(self, tc):
         t = RS.table
         al = t.sym("alpha")
-        tcf = characteristic_torsion(tc, RS.phi_theta().embed(),
-                                     RS.psi_theta().embed())
+        tcf = characteristic_torsion(tc, RS.phi().embed(),
+                                     RS.psi().embed())
         tcg = RS.from_form(tcf)
         d_tc = tcg.d()
         pp = RS.Phi().wedge(RS.Phi())
@@ -557,9 +556,9 @@ class TestMisc:
         # a ring monomial is not a multi-index: these used to read it as one
         # (coefficient returned 0, star raised AttributeError)
         with pytest.raises(AlgebraError, match=method):
-            call(ring.phi() if ring is R3 else ring.phi_theta())
+            call(ring.phi())
         # the same methods on the embedded coframe form still work
-        call((ring.phi() if ring is R3 else ring.phi_theta()).embed())
+        call(ring.phi().embed())
 
     def test_homogeneous_part_of_genform(self):
         mixed = R3.eta(1) + R3.phi()
