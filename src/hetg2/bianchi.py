@@ -18,32 +18,16 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .curvature import (beta_of, curvature, instanton_obstruction,
-                        wedge_trace)
+from .curvature import curvature, instanton_obstruction, wedge_trace
 from .exterior import coefficient_matrix, form_to_vector
 from .linsolve import InconsistentSystemError, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
-from .structures import (CYCLIC, GenForm, NotInSpanError, Ring3ad, get_ring,
-                         structure_torsion)
-
-
-def basis_4forms(ring) -> list[GenForm]:
-    """Independent 4-form basis used for coefficient matching."""
-    if isinstance(ring, Ring3ad):
-        b1 = ring.zero()
-        b2 = ring.zero()
-        for i, (j, k) in CYCLIC.items():
-            b1 = b1 + ring.Phi(i).wedge(ring.eta(j, k))
-            b2 = b2 + ring.Phi(i).wedge(ring.Phi(i))
-        return [b1, b2]
-    return [ring.Phi().wedge(ring.Phi()),
-            ring.eta().wedge(ring.Om("+")),
-            ring.eta().wedge(ring.Om("-"))]
+from .structures import NotInSpanError, get_ring, structure_torsion
 
 
 class BianchiResidual(namedtuple("BianchiResidual", "form basis")):
-    """The residual as a coframe 4-form, with the coefficient basis embedded
-    in the same coframe."""
+    """The residual as a coframe 4-form, with the ring's coefficient basis
+    (``basis_4forms``) embedded in the same coframe."""
 
     __slots__ = ()
 
@@ -55,7 +39,7 @@ def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
     dtc = structure_torsion(ring).characteristic.d()
     tr1, tr2 = (wedge_trace(curvature(ring, lam)) for lam in (lam1, lam2))
     form = dtc.embed() - (ring.table.sym("alphap") / 4) * (tr1 - tr2)
-    return BianchiResidual(form, [b.embed() for b in basis_4forms(ring)])
+    return BianchiResidual(form, [b.embed() for b in ring.basis_4forms()])
 
 
 class ConstraintSystem(namedtuple("ConstraintSystem", "polynomials")):
@@ -168,7 +152,7 @@ def branches() -> list[SolutionBranch]:
     ts = get_ring("su3").table
     a3, d3 = t3.sym("alpha"), t3.sym("delta")
     l1_3, l2_3, ap3 = t3.sym("lam1"), t3.sym("lam2"), t3.sym("alphap")
-    beta3 = beta_of(get_ring("3ad"))
+    beta3 = get_ring("3ad").beta
     as_, ds_ = ts.sym("alpha"), ts.sym("delta")
     l1_s, l2_s, aps = ts.sym("lam1"), ts.sym("lam2"), ts.sym("alphap")
     out = []

@@ -53,7 +53,11 @@ def parse_params(text: str) -> dict:
                              f"(known: {', '.join(PARAM_KEYS)})")
         if key in out:
             raise ValueError(f"parameter {key!r} given twice")
-        out[key] = Fraction(val.strip())
+        try:
+            out[key] = Fraction(val.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"parameter {key!r}: {val.strip()!r} is not a "
+                             "rational number") from None
     return out
 
 
@@ -93,7 +97,7 @@ def list_checks(stream) -> None:
 def cmd_verify(args) -> int:
     try:
         params = parse_params(args.params or "")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.list:

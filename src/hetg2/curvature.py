@@ -6,13 +6,16 @@ characteristic torsion, not quoted (``torsion_lambda``).
 
 The curvature operators have a closed-form explicit part built from the
 hermitian 2-forms (block coefficients over the vertical/horizontal splitting)
-plus an opaque horizontal remainder R2 that enters only through stated
-rules: R2 ^ psi = 0, tr(R1 ^ R2) = 0, and tr(R2 ^ R2) does not depend on
-lambda, so it cancels in every difference of traces.  Every curvature
-operation reads a Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.array``
-here and the first-principles arrays of the Heisenberg model alike:
-``array_wedge`` (R ^ psi), ``array_trace`` (tr(R ^ R') as a coframe 4-form)
-and ``natural_norm_sq``.  On the Heisenberg model R2 = 0 and the closed forms
+plus an opaque horizontal remainder R2.  Each ring states the closed forms of
+its own family (``curvature_blocks``, ``trace_lemma_rhs``,
+``NORM_SQ_CALIBRATION``); ``curvature`` builds the operator from them and
+looks up nothing by geometry.  R2 enters only through stated rules:
+R2 ^ psi = 0, tr(R1 ^ R2) = 0, and tr(R2 ^ R2) does not depend on lambda,
+so it cancels in every difference of traces.  Every curvature operation
+reads a Lambda^2 (x) Lambda^2 coefficient array, ``CurvOp.array`` here and
+the first-principles arrays of the Heisenberg model alike: ``array_wedge``
+(R ^ psi), ``array_trace`` (tr(R ^ R') as a coframe 4-form) and
+``natural_norm_sq``.  On the Heisenberg model R2 = 0 and the closed forms
 are checked against a first-principles computation.
 """
 
@@ -22,24 +25,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from typing import Optional
 
 from .exterior import Coframe, Form, _merge, basis_multi_indices
 from .scalar import (AlgebraError, Scalar, SymbolTable, _accumulate, _Sums,
                      exact)
-from .structures import CYCLIC, GenForm, Ring3ad, RingSU3, get_ring
-
-# Calibration of the pointwise norm of End-valued 6-forms.  The natural
-# tensor norm (multi-index norm of the form part times the Frobenius norm of
-# the endomorphism part, summed over the orthogonal pieces) differs from the
-# values the closed-form obstruction magnitudes are quoted with by a constant
-# per geometry; norm_sq reports the calibrated value and norm_sq_natural the
-# uncalibrated one.
-NORM_SQ_CALIBRATION = {"3ad": Fraction(4), "su3": Fraction(3, 2)}
-
-
-def beta_of(ring: Ring3ad) -> Scalar:
-    return 2 * (ring.delta - 2 * ring.alpha)
+from .structures import GenForm, get_ring
 
 
 @cache
@@ -92,7 +82,8 @@ class CurvOp:
     a single one in the contact case.  ``array`` holds the explicit part as
     a Lambda^2 (x) Lambda^2 coefficient array; ``zero_factors`` are the
     factors its closed form states of every coefficient of R ^ psi, checked
-    by ``instanton_obstruction``.
+    by ``instanton_obstruction``.  ``curvature`` builds it from the blocks
+    and factors that the ring states.
     """
 
     __slots__ = ("ring", "lam", "blocks", "zero_factors", "array")
@@ -118,49 +109,9 @@ class CurvOp:
         return self.blocks.get((fb, eb), self.ring.table.zero())
 
 
-def curvature_3ad(ring: Ring3ad, lam: Scalar) -> CurvOp:
-    """Closed-form curvature of the lam-family on the 3-contact geometry."""
-    a, b_l = ring.alpha, beta_of(ring) + lam
-    pref = -b_l
-    blocks = {
-        ("V", "V"): pref * (4 * a - lam),
-        ("H", "V"): pref * (2 * a),
-        ("V", "H"): pref * (2 * a - lam / 2),
-        ("H", "H"): pref * a,
-    }
-    return CurvOp(ring, lam, blocks, [lam, b_l])
-
-
-def su3_coefficient(ring: RingSU3, lam: Scalar, variant: str = "derived") -> Scalar:
-    """Explicit coefficient K with R^lam = K Phi (x) phi + R2 (m = 3).
-
-    ``derived`` combines the horizontal-curvature comparison with the
-    Kaehler-Einstein eigenvalue of the base (K = a(4a - 8/3 d - lam)), which
-    reproduces the instanton threshold lam = (4/3)(3a - 2d).  ``printed``
-    is the quoted variant a(4a - 2/3 d - lam), kept for the consistency
-    report; it does not match the instanton threshold.
-    """
-    a, d = ring.alpha, ring.delta
-    if variant == "derived":
-        return a * (4 * a - Fraction(8, 3) * d - lam)
-    if variant == "printed":
-        return a * (4 * a - Fraction(2, 3) * d - lam)
-    raise AlgebraError(f"unknown coefficient variant: {variant}")
-
-
-def curvature_su3(ring: RingSU3, lam: Scalar) -> CurvOp:
-    """Closed-form curvature of the lam-family on the contact geometry."""
-    a, d = ring.alpha, ring.delta
-    return CurvOp(ring, lam, {("H", "H"): su3_coefficient(ring, lam)},
-                  [a, 4 * (3 * a - 2 * d) - 3 * lam])
-
-
-CLOSED_FORMS = {"3ad": curvature_3ad, "su3": curvature_su3}
-
-
 def curvature(ring, lam: Scalar) -> CurvOp:
-    """The closed-form curvature of the lam-family on the ring's geometry."""
-    return CLOSED_FORMS[ring.geometry](ring, lam)
+    """The closed-form curvature of the ring's lam-family."""
+    return CurvOp(ring, lam, *ring.curvature_blocks(lam))
 
 
 def array_wedge(arr: dict, form: Form) -> dict:
@@ -232,7 +183,10 @@ def check_zero_factors(coefficients, factors: list) -> None:
 def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
     """R ^ psi from the explicit array.  The opaque remainder is a stated
     rule, R2 ^ psi = 0: psi lies in (self-dual)^(self-dual) + (self-dual)^
-    vertical (3-contact), and R2 is (1,1)-primitive (contact case)."""
+    vertical (3-contact), and R2 is (1,1)-primitive (contact case).
+    norm_sq_natural is the natural tensor norm^2 (form part times the
+    Frobenius norm of the endomorphism part); norm_sq is it times the ring's
+    ``NORM_SQ_CALIBRATION``, the scale the closed-form magnitudes use."""
     ring = R.ring
     if psi.space is not ring:
         raise AlgebraError("coassociative form from a different geometry ring")
@@ -240,38 +194,15 @@ def instanton_obstruction(R: CurvOp, psi: GenForm) -> Obstruction:
     # the stated zero factors, checked on the derived coefficients
     check_zero_factors(terms.values(), R.zero_factors)
     nat = natural_norm_sq(terms, ring.table)
-    cal = NORM_SQ_CALIBRATION[ring.geometry]
-    return Obstruction(terms, cal * nat, nat, R.zero_factors)
+    return Obstruction(terms, ring.NORM_SQ_CALIBRATION * nat, nat,
+                       R.zero_factors)
 
 
-def wedge_trace(R: CurvOp, Rp: Optional[CurvOp] = None) -> Form:
-    """tr(R ^ R') of the explicit parts as a coframe 4-form, for operators
-    of one ring (R' defaults to R).  The remainder enters by stated rules:
-    tr(R1 ^ R2) = 0, and tr(R2 ^ R2) does not depend on lambda, so it
-    cancels in every difference of traces."""
-    if Rp is None:
-        Rp = R
-    if Rp.ring is not R.ring:
-        raise AlgebraError("wedge trace requires operators of one ring")
-    return array_trace(R.array, Rp.array, R.ring.coframe)
-
-
-def trace_lemma_rhs_3ad(ring: Ring3ad, lam: Scalar) -> GenForm:
-    """Closed form 12a(b+l)^2 sum_cyc((4a-l) eta_jk Phi_i - a Phi_i Phi_i)."""
-    a = ring.alpha
-    pref = 12 * a * (beta_of(ring) + lam) ** 2
-    out = ring.zero()
-    for i, (j, k) in CYCLIC.items():
-        out = out + pref * ((4 * a - lam) * ring.eta(j, k).wedge(ring.Phi(i))
-                            - a * ring.Phi(i).wedge(ring.Phi(i)))
-    return out
-
-
-def trace_lemma_rhs_su3(ring: RingSU3, lam: Scalar) -> GenForm:
-    """Closed form -(2a^2/3)(4(3a-2d) - 3l)^2 Phi ^ Phi."""
-    a, d = ring.alpha, ring.delta
-    pref = -Fraction(2, 3) * a * a * (4 * (3 * a - 2 * d) - 3 * lam) ** 2
-    return pref * ring.Phi().wedge(ring.Phi())
+def wedge_trace(R: CurvOp) -> Form:
+    """tr(R ^ R) of the explicit part as a coframe 4-form.  The remainder
+    enters by stated rules: tr(R1 ^ R2) = 0, and tr(R2 ^ R2) does not depend
+    on lambda, so it cancels in every difference of traces."""
+    return array_trace(R.array, R.array, R.ring.coframe)
 
 
 def antiselfdual_kernel(R: CurvOp) -> list:

@@ -20,7 +20,7 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .curvature import (array_trace, array_wedge, components,
-                        contorsion_3ad, curvature_3ad)
+                        contorsion_3ad, curvature)
 from .exterior import (Coframe, Form, basis_multi_indices, derivation,
                        leibniz)
 from .scalar import AlgebraError, Rat, exact
@@ -282,7 +282,7 @@ def _closed_form_in_lam() -> dict:
     """The closed-form array at POINT in the ring symbol lam: key -> {power
     of lam: rational coefficient}."""
     ring = get_ring("3ad")
-    arr = curvature_3ad(ring, ring.table.sym("lam")).array
+    arr = curvature(ring, ring.table.sym("lam")).array
     out = {}
     for key, val in arr.items():
         v = val.subs(POINT)

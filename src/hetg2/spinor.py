@@ -690,13 +690,12 @@ def sigma_fundamental_form(coframe: Coframe, m: int) -> Form:
 SigmaDecomposition = namedtuple("SigmaDecomposition", "projectors dims")
 
 
-def sigma_decompose(rep: CliffordRep, phi_form: Form,
-                    xi_index: int = 1) -> SigmaDecomposition:
+def sigma_decompose(rep: CliffordRep, phi_form: Form) -> SigmaDecomposition:
     """Exact eigenprojectors of the fundamental-form Clifford action.
 
-    Verifies the eigenvalues -i(2r - m) on Sigma_r, the Reeb eigenvalues
-    i(-1)^r(-1)^m, the binomial dimensions and the membership equations for
-    the extreme eigenspaces.
+    Verifies the eigenvalues -i(2r - m) on Sigma_r, the eigenvalues
+    i(-1)^r(-1)^m of the Reeb vector xi = e_1, the binomial dimensions and
+    the membership equations for the extreme eigenspaces.
     """
     m = rep.m
     n = rep.dim
@@ -705,7 +704,7 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form,
     factors = [word_rows(terms + [(-e, rep.word(()))], n)  # A - e
                for e in eigs]
     projectors, dims = [], []
-    perm, phase = rep.words[xi_index - 1]
+    perm, phase = rep.words[0]  # the word of xi = e_1
     # P_r = N_r / prod_{s != r} (e_r - e_s); the numerators N_r have
     # Gaussian-integral entries and carry the checks.  (A - e_r) N_r = 0 for
     # every r makes the P_r the eigenprojectors; their sum is 1 for every A,

@@ -199,10 +199,14 @@ class Ring3ad(_BaseRing):
     Monomials are pairs (etas, phis): etas a strictly increasing subset of
     (1,2,3); phis one of (), (i,), (1,1).  The square Phi_i^2 is canonicalised
     to (1,1) since all three squares equal twice the horizontal volume.
+
+    It also states the facts of its lam-family nabla^lam, with beta =
+    2(d - 2a): curvature blocks, trace lemma, 4-form basis, norm calibration.
     """
 
     geometry = "3ad"
     VERTICAL = frozenset({1, 2, 3})  # the Reeb legs of the frame
+    NORM_SQ_CALIBRATION = Fraction(4)  # see instanton_obstruction
 
     def _setup(self):
         self.frame = sp1_frame_forms(self.coframe)
@@ -294,6 +298,38 @@ class Ring3ad(_BaseRing):
             out = out - self.eta(ell).wedge(self.Phi(ell))
         return out
 
+    # the lam-family -------------------------------------------------------
+    @property
+    def beta(self) -> Scalar:
+        return 2 * (self.delta - 2 * self.alpha)
+
+    def curvature_blocks(self, lam: Scalar) -> tuple:
+        """Blocks -(b+l)(4a-l | 2a | 2a-l/2 | a) of the curvature, keyed as
+        ``CurvOp.blocks``, and the zero factors [l, b+l] of R ^ psi."""
+        a, b_l = self.alpha, self.beta + lam
+        return {("V", "V"): -b_l * (4 * a - lam), ("H", "V"): -b_l * (2 * a),
+                ("V", "H"): -b_l * (2 * a - lam / 2),
+                ("H", "H"): -b_l * a}, [lam, b_l]
+
+    def trace_lemma_rhs(self, lam: Scalar) -> GenForm:
+        """tr(R ^ R) explicit part 12a(b+l)^2 sum_cyc((4a-l) eta_jk Phi_i
+        - a Phi_i Phi_i)."""
+        a, eta, Phi = self.alpha, self.eta, self.Phi
+        pref = 12 * a * (self.beta + lam) ** 2
+        out = self.zero()
+        for i, (j, k) in CYCLIC.items():
+            out = out + pref * ((4 * a - lam) * eta(j, k).wedge(Phi(i))
+                                - a * Phi(i).wedge(Phi(i)))
+        return out
+
+    def basis_4forms(self) -> list:
+        """(sum Phi_i eta_jk, sum Phi_i Phi_i), for coefficient matching."""
+        b1 = b2 = self.zero()
+        for i, (j, k) in CYCLIC.items():
+            b1 = b1 + self.Phi(i).wedge(self.eta(j, k))
+            b2 = b2 + self.Phi(i).wedge(self.Phi(i))
+        return [b1, b2]
+
 
 class RingSU3(_BaseRing):
     """Generated ring of the contact SU(3) geometry.
@@ -302,11 +338,15 @@ class RingSU3(_BaseRing):
     Phi power, w in {'', '+', '-'} for a single Om factor.  Relations:
     eta^2 = 0, Phi^4 = 0, Phi^Om = 0, Om+^Om+ = Om-^Om- = 0 and
     Om+ ^ Om- = (2/3) Phi^3.
+
+    It also states the facts of its lam-family (m = 3), R^lam = K Phi (x)
+    phi + R2: K, curvature blocks, trace lemma, 4-form basis, calibration.
     """
 
     geometry = "su3"
     VERTICAL = frozenset({1})  # the Reeb leg of the frame
     OM_PAIR = Fraction(2, 3)
+    NORM_SQ_CALIBRATION = Fraction(3, 2)  # see instanton_obstruction
 
     def _setup(self):
         self.frame = su3_frame_forms(self.coframe)
@@ -388,6 +428,41 @@ class RingSU3(_BaseRing):
         half_pp = Fraction(1, 2) * self.Phi().wedge(self.Phi())
         return half_pp + s * self.eta().wedge(self.Om("-")) \
             - c * self.eta().wedge(self.Om("+"))
+
+    # the lam-family -------------------------------------------------------
+    def coefficient(self, lam: Scalar, variant: str = "derived") -> Scalar:
+        """Explicit coefficient K with R^lam = K Phi (x) phi + R2.
+
+        ``derived`` combines the horizontal-curvature comparison with the
+        Kaehler-Einstein eigenvalue of the base (K = a(4a - 8/3 d - lam)),
+        which reproduces the instanton threshold lam = (4/3)(3a - 2d).
+        ``printed`` is the quoted variant a(4a - 2/3 d - lam), kept for the
+        consistency report; it does not match the instanton threshold.
+        """
+        a, d = self.alpha, self.delta
+        if variant == "derived":
+            return a * (4 * a - Fraction(8, 3) * d - lam)
+        if variant == "printed":
+            return a * (4 * a - Fraction(2, 3) * d - lam)
+        raise AlgebraError(f"unknown coefficient variant: {variant}")
+
+    def curvature_blocks(self, lam: Scalar) -> tuple:
+        """The one block K of the curvature, keyed as ``CurvOp.blocks``, and
+        the zero factors [a, 4(3a - 2d) - 3l] of R ^ psi."""
+        a, d = self.alpha, self.delta
+        return ({("H", "H"): self.coefficient(lam)},
+                [a, 4 * (3 * a - 2 * d) - 3 * lam])
+
+    def trace_lemma_rhs(self, lam: Scalar) -> GenForm:
+        """tr(R ^ R) explicit part -(2a^2/3)(4(3a-2d) - 3l)^2 Phi ^ Phi."""
+        a, d = self.alpha, self.delta
+        pref = -Fraction(2, 3) * a * a * (4 * (3 * a - 2 * d) - 3 * lam) ** 2
+        return pref * self.Phi().wedge(self.Phi())
+
+    def basis_4forms(self) -> list:
+        """(Phi Phi, eta Om+, eta Om-), for coefficient matching."""
+        return [self.Phi().wedge(self.Phi()), self.eta().wedge(self.Om("+")),
+                self.eta().wedge(self.Om("-"))]
 
 
 class TorsionClasses:

@@ -97,7 +97,7 @@ class Suite:
     phi_f = cached_property(lambda s: s.phi.embed())
     psi_f = cached_property(lambda s: s.psi.embed())
     lam = cached_property(lambda s: s.t.sym("lam"))
-    beta = cached_property(lambda s: s.cv.beta_of(s.r))
+    beta = cached_property(lambda s: s.r.beta)
     # d(d m) for every monomial m of the ring
     dd = cached_property(lambda s: [s.r.genform({m: 1}).d().d()
                                     for k in range(8)
@@ -135,10 +135,10 @@ class Suite3ad(Suite):
         (2 * s.al * s.r.eta(i).wedge(s.r.Phi(i)) for i in (1, 2, 3)),
         2 * (s.de - 4 * s.al) * s.r.eta(1, 2, 3)))
     # (sum Phi_i eta_jk, sum Phi_i Phi_i)
-    b12 = cached_property(lambda s: s.bi.basis_4forms(s.r))
-    R = cached_property(lambda s: s.cv.curvature_3ad(s.r, s.lam))
-    R0 = cached_property(lambda s: s.cv.curvature_3ad(s.r, s.t.zero()))
-    Rb = cached_property(lambda s: s.cv.curvature_3ad(s.r, -s.beta))
+    b12 = cached_property(lambda s: s.r.basis_4forms())
+    R = cached_property(lambda s: s.cv.curvature(s.r, s.lam))
+    R0 = cached_property(lambda s: s.cv.curvature(s.r, s.t.zero()))
+    Rb = cached_property(lambda s: s.cv.curvature(s.r, -s.beta))
     ob = cached_property(lambda s: s.cv.instanton_obstruction(s.R, s.psi))
     tr = cached_property(lambda s: s.cv.wedge_trace(s.R))
     tr_diff = cached_property(lambda s: s.cv.wedge_trace(s.Rb)
@@ -170,8 +170,8 @@ class Suite3ad(Suite):
 
     def pair_symmetry(self) -> dict:
         # symmetric at l = 0, and l = 3 must break the symmetry
-        broken = self.cv.pair_symmetry(self.cv.curvature_3ad(self.r,
-                                                             self.t.rat(3)))
+        broken = self.cv.pair_symmetry(self.cv.curvature(self.r,
+                                                         self.t.rat(3)))
         return identities(self.cv.pair_symmetry(self.R0) + broken,
                           refuted={name for name, _, _ in broken})
 
@@ -254,12 +254,12 @@ class Suite3ad(Suite):
                   ok=s.ob.norm_sq.subs({"lam": 2 * s.de})
                   == (48 * (s.de - s.al) * s.de) ** 2,
                   notes="norm^2 calibration factor "
-                        f"{s.cv.NORM_SQ_CALIBRATION['3ad']} against the "
+                        f"{s.r.NORM_SQ_CALIBRATION} against the "
                         "natural tensor norm")),
         Check("3ad.trace.lemma",
               "tr(R^R) explicit part = 12a(b+l)^2 sum((4a-l) eta_jk Phi_i "
               "- a Phi_i Phi_i)",
-              lambda s: s.tr == s.cv.trace_lemma_rhs_3ad(s.r, s.lam).embed()),
+              lambda s: s.tr == s.r.trace_lemma_rhs(s.lam).embed()),
         Check("3ad.trace.rho2-cancellation",
               "the formal tr(R2^R2) token is lambda-independent and cancels "
               "in differences",
@@ -289,9 +289,9 @@ class SuiteSU3(Suite):
                             + s.t.sym("c") * s.r.Om("-"))
     # the instanton threshold
     lam_k0 = cached_property(lambda s: Fraction(4, 3) * (3 * s.al - 2 * s.de))
-    K = cached_property(lambda s: s.cv.su3_coefficient(s.r, s.lam))
-    Kp = cached_property(lambda s: s.cv.su3_coefficient(s.r, s.lam, "printed"))
-    Rs = cached_property(lambda s: s.cv.curvature_su3(s.r, s.lam))
+    K = cached_property(lambda s: s.r.coefficient(s.lam))
+    Kp = cached_property(lambda s: s.r.coefficient(s.lam, "printed"))
+    Rs = cached_property(lambda s: s.cv.curvature(s.r, s.lam))
     ob = cached_property(lambda s: s.cv.instanton_obstruction(s.Rs, s.psi))
     dtc = cached_property(lambda s: s.tcg.d())
     dtc_at = cached_property(lambda s: [s.st.GenForm(s.r, {
@@ -361,7 +361,7 @@ class SuiteSU3(Suite):
               "explicit coefficient vanishes iff l = (4/3)(3a - 2d); the "
               "undeformed connection is an instanton iff d = 3a/2",
               lambda s: s.K.subs({"lam": s.lam_k0}).is_zero
-              and s.cv.su3_coefficient(s.r, s.t.zero())
+              and s.r.coefficient(s.t.zero())
               .subs({"delta": Fraction(3, 2) * s.al}).is_zero
               and s.K.subs({"delta": 0}) == s.al * (4 * s.al - s.lam)),
         Check("su3.instanton.obstruction",
@@ -370,7 +370,7 @@ class SuiteSU3(Suite):
                   ok=s.ob.norm_sq_natural == 54 * s.K ** 2
                   and s.ob.norm_sq == 81 * s.K ** 2,
                   notes="norm^2 calibration factor "
-                        f"{s.cv.NORM_SQ_CALIBRATION['su3']} against the "
+                        f"{s.r.NORM_SQ_CALIBRATION} against the "
                         "natural tensor norm")),
         Check("su3.instanton.norm",
               "calibrated norm^2 at d = 3a/2 with 3a' lam2^2 = 8 equals "
@@ -378,7 +378,7 @@ class SuiteSU3(Suite):
         Check("su3.trace.lemma",
               "tr(R^R) explicit part = -(2a^2/3)(4(3a-2d) - 3l)^2 Phi^Phi",
               lambda s: s.cv.wedge_trace(s.Rs)
-              == s.cv.trace_lemma_rhs_su3(s.r, s.lam).embed()),
+              == s.r.trace_lemma_rhs(s.lam).embed()),
         Check("su3.curvature.coefficient-discrepancy",
               "the quoted explicit-coefficient variant a(4a - (m+1)/(2m) d "
               "- l) does not vanish at the instanton threshold; the variant "
@@ -461,7 +461,7 @@ class SuiteSpinor(Suite):
               "eigenvalues -i(2r-3), Reeb eigenvalues i(-1)^r(-1)^3 and "
               "dimensions (1, 3, 3, 1)",
               lambda s: s.sp.sigma_decompose(
-                  s.rep, s.frame["sigma_form"], 1).dims == [1, 3, 3, 1],
+                  s.rep, s.frame["sigma_form"]).dims == [1, 3, 3, 1],
               notes="uses the hermitian-form convention +sum e^{2a} "
                     "e^{2a+1} (the negative of the structure-module "
                     "fundamental form)"),

@@ -12,9 +12,7 @@ from hetg2 import spinor as sp
 from hetg2.bianchi import (approx_order_report, branches, get_ring,
                            root_table, sasaki_3alpha_impossibility,
                            verify_branch)
-from hetg2.curvature import (beta_of, curvature_3ad, curvature_su3,
-                             instanton_obstruction, su3_coefficient,
-                             trace_lemma_rhs_3ad, wedge_trace)
+from hetg2.curvature import curvature, instanton_obstruction, wedge_trace
 from hetg2.cli import report_payload, run_suite
 from hetg2.exterior import Coframe
 from hetg2.scalar import SymbolTable
@@ -68,24 +66,24 @@ def test_criterion_3_instanton_zero_sets():
     r3 = get_ring("3ad")
     t3 = r3.table
     lam = t3.sym("lam")
-    beta = beta_of(r3)
-    ob = instanton_obstruction(curvature_3ad(r3, lam), r3.psi())
+    beta = r3.beta
+    ob = instanton_obstruction(curvature(r3, lam), r3.psi())
     pref = -(beta + lam) * lam
     assert pref.div_exact(lam, "lam").div_exact(beta + lam, "lam") \
         == t3.rat(-1)
     assert ob.norm_sq_natural == 9 * lam ** 2 * (beta + lam) ** 2
-    assert instanton_obstruction(curvature_3ad(r3, t3.zero()),
+    assert instanton_obstruction(curvature(r3, t3.zero()),
                                  r3.psi()).is_zero
-    assert instanton_obstruction(curvature_3ad(r3, -beta), r3.psi()).is_zero
-    assert not instanton_obstruction(curvature_3ad(r3, t3.rat(1)),
+    assert instanton_obstruction(curvature(r3, -beta), r3.psi()).is_zero
+    assert not instanton_obstruction(curvature(r3, t3.rat(1)),
                                      r3.psi()).is_zero
     rs = get_ring("su3")
     ts = rs.table
     lam_s = ts.sym("lam")
-    k = su3_coefficient(rs, lam_s)
+    k = rs.coefficient(lam_s)
     assert k.subs({"lam": F(4, 3) * (3 * ts.sym("alpha")
                                      - 2 * ts.sym("delta"))}).is_zero
-    obs = instanton_obstruction(curvature_su3(rs, lam_s), rs.psi())
+    obs = instanton_obstruction(curvature(rs, lam_s), rs.psi())
     assert obs.norm_sq_natural == 54 * k ** 2
     _report(3, "instanton obstructions factor exactly; zero sets "
                "{0, -beta} and lam = (4/3)(3a - 2d)")
@@ -95,8 +93,8 @@ def test_criterion_4_trace_lemma():
     r3 = get_ring("3ad")
     t3 = r3.table
     lam = t3.sym("lam")
-    tr = wedge_trace(curvature_3ad(r3, lam))
-    assert tr == trace_lemma_rhs_3ad(r3, lam).embed()
+    tr = wedge_trace(curvature(r3, lam))
+    assert tr == r3.trace_lemma_rhs(lam).embed()
     _report(4, "wedge-trace closed form exact; the remainder's trace is "
                "lambda-independent and cancels in differences")
 
@@ -162,7 +160,7 @@ def test_criterion_9_spinor_suite():
         rep = sp.build_rep(m)  # relations checked at construction
         assert sp.volume_action(rep) == sp._minus_i_pow(m + 1) * sp.GQ(-1)
     rep = sp.build_rep(3)
-    dec = sp.sigma_decompose(rep, sp.sigma_fundamental_form(cf, 3), 1)
+    dec = sp.sigma_decompose(rep, sp.sigma_fundamental_form(cf, 3))
     assert dec.dims == [1, 3, 3, 1]
     f = su3_frame_forms(cf)
     psi = sp.canonical_su3_spinor(rep)
@@ -197,8 +195,8 @@ def test_criterion_10_consistency_flag():
     lam = ts.sym("lam")
     al, de = ts.sym("alpha"), ts.sym("delta")
     threshold = {"lam": F(4, 3) * (3 * al - 2 * de)}
-    derived = su3_coefficient(rs, lam)
-    printed = su3_coefficient(rs, lam, "printed")
+    derived = rs.coefficient(lam)
+    printed = rs.coefficient(lam, "printed")
     assert derived == al * (4 * al - F(8, 3) * de - lam)
     assert derived.subs(threshold).is_zero
     assert not printed.subs(threshold).is_zero

@@ -243,6 +243,20 @@ class TestParams:
         assert capsys.readouterr().err \
             == "error: parameter 'alpha' given twice\n"
 
+    @pytest.mark.parametrize("binding, literal", [
+        ("delta=1/0", "'1/0'"), ("alpha=abc", "'abc'")],
+        ids=["zero-denominator", "not-a-number"])
+    def test_bad_value_names_its_parameter(self, capsys, binding, literal):
+        # the message was the bare Fraction error: 'Fraction(1, 0)' or
+        # "Invalid literal for Fraction: 'abc'", naming no parameter
+        key = binding.split("=")[0]
+        message = f"parameter {key!r}: {literal} is not a rational number"
+        with pytest.raises(ValueError, match=message):
+            parse_params(binding)
+        assert main(["verify", "--suite", "bianchi", "--params",
+                     binding]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSuites:
     def test_each_suite_green(self):

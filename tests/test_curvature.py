@@ -1,17 +1,17 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from hetg2 import curvature, suites
-from hetg2.curvature import (NORM_SQ_CALIBRATION, CurvOp,
-                             antiselfdual_kernel, beta_of,
+from hetg2 import bianchi
+from hetg2 import curvature as cv
+from hetg2 import suites
+from hetg2.curvature import (CurvOp, antiselfdual_kernel, array_trace,
                              check_zero_factors, components, contorsion_3ad,
-                             curvature_3ad, curvature_su3,
-                             instanton_obstruction, pair_symmetry,
-                             skew_part, su3_coefficient, torsion_lambda,
-                             trace_lemma_rhs_3ad, trace_lemma_rhs_su3,
-                             wedge_trace)
+                             curvature, instanton_obstruction, pair_symmetry,
+                             skew_part, torsion_lambda, wedge_trace)
 from hetg2.scalar import AlgebraError, SymbolTable
 from hetg2.structures import (CYCLIC, Ring3ad, RingSU3, get_ring, make_table,
                               structure_torsion)
@@ -21,7 +21,7 @@ RS = RingSU3(make_table("su3"))
 T3 = R3.table
 TS = RS.table
 AL, DE, LAM = T3.sym("alpha"), T3.sym("delta"), T3.sym("lam")
-BETA = beta_of(R3)
+BETA = R3.beta
 
 
 SLOTS = "T^l has the claimed slot coefficients"
@@ -72,7 +72,7 @@ def quoted_obstruction_3ad(R):
     # [a_v phi_i|V + a_h phi_i|H] with a_v = 2 c_HV - c_VV, a_h = 2 c_HH - c_VH
     a_v = 2 * R.block("H", "V") - R.block("V", "V")
     a_h = 2 * R.block("H", "H") - R.block("V", "H")
-    pref = -(beta_of(r) + R.lam) * R.lam
+    pref = -(r.beta + R.lam) * R.lam
     assert a_v == pref and a_h == pref / 2
     coef = pref / 2
     terms, nat = {}, r.table.zero()
@@ -101,7 +101,7 @@ def quoted_obstruction_su3(R):
 class TestQuotedReference:
     def test_obstruction_3ad(self):
         for lam in (LAM, T3.rat(1), T3.zero()):
-            R = curvature_3ad(R3, lam)
+            R = curvature(R3, lam)
             ob = instanton_obstruction(R, R3.psi())
             terms, nat = quoted_obstruction_3ad(R)
             assert ob.terms == {key: v for key, v in terms.items()
@@ -109,7 +109,7 @@ class TestQuotedReference:
             assert ob.norm_sq_natural == nat
 
     def test_obstruction_su3(self):
-        R = curvature_su3(RS, TS.sym("lam"))
+        R = curvature(RS, TS.sym("lam"))
         ob = instanton_obstruction(R, RS.psi())
         terms, nat = quoted_obstruction_su3(R)
         assert ob.terms == terms and len(terms) == 3
@@ -124,12 +124,16 @@ class TestQuotedReference:
 
     def test_traces(self):
         l1, l2 = T3.sym("lam1"), T3.sym("lam2")
-        for lams in ((LAM, LAM), (l1, l2), (T3.zero(), -BETA)):
-            R, Rp = (curvature_3ad(R3, lam) for lam in lams)
-            assert wedge_trace(R, Rp) == quoted_trace(R, Rp)
+        assert wedge_trace(curvature(R3, LAM)) \
+            == quoted_trace(*[curvature(R3, LAM)] * 2)
+        for lams in ((l1, l2), (T3.zero(), -BETA)):
+            R, Rp = (curvature(R3, lam) for lam in lams)
+            assert array_trace(R.array, Rp.array, R3.coframe) \
+                == quoted_trace(R, Rp)
         l1, l2 = TS.sym("lam1"), TS.sym("lam2")
-        R, Rp = curvature_su3(RS, l1), curvature_su3(RS, l2)
-        assert wedge_trace(R, Rp) == quoted_trace(R, Rp)
+        R, Rp = curvature(RS, l1), curvature(RS, l2)
+        assert array_trace(R.array, Rp.array, RS.coframe) \
+            == quoted_trace(R, Rp)
         assert wedge_trace(R) == quoted_trace(R, R)
 
 
@@ -200,7 +204,7 @@ def with_contorsion(change):
 
     def derived(_):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(curvature, "contorsion_3ad", lambda: unit)
+            m.setattr(cv, "contorsion_3ad", lambda: unit)
             return [torsion_lambda(TC, lam) for lam in (GLAM, G.table.zero())]
     return derived
 
@@ -215,6 +219,22 @@ def with_entry(R, key, value):
     out = CurvOp(R.ring, R.lam, R.blocks, R.zero_factors)
     out.array = {**R.array, key: value}
     return out
+
+
+def shifted_hh(ring, lam):
+    """The 3ad blocks with the HH block shifted by 1."""
+    blocks, factors = Ring3ad.curvature_blocks(ring, lam)
+    return {**blocks, ("H", "H"): blocks[("H", "H")] + 1}, factors
+
+
+def mixed_basis(ring):
+    """The 3ad basis (b1, b2) replaced by (b1, b1 + b2)."""
+    b1, b2 = Ring3ad.basis_4forms(ring)
+    return [b1, b1 + b2]
+
+
+def shifted_coefficient(ring, lam, variant="derived"):
+    return RingSU3.coefficient(ring, lam, variant) + 1
 
 
 class TestRecordsReadTheirInputs:
@@ -290,6 +310,33 @@ class TestRecordsReadTheirInputs:
             k: "flagged" if k == "su3.curvature.coefficient-discrepancy"
             else "pass" for k in ids}
 
+    @pytest.mark.parametrize("cls, ring_cls, facts, failing", [
+        (suites.Suite3ad, Ring3ad, dict(curvature_blocks=shifted_hh),
+         {"3ad.curvature.blocks", "3ad.instanton.zero-set",
+          "3ad.instanton.norm", "3ad.trace.lemma",
+          "3ad.trace.rho2-cancellation"}),
+        (suites.Suite3ad, Ring3ad, dict(NORM_SQ_CALIBRATION=F(8)),
+         {"3ad.instanton.norm"}),
+        (suites.Suite3ad, Ring3ad, dict(basis_4forms=mixed_basis),
+         {"3ad.torsion.exterior-derivative",
+          "3ad.trace.rho2-cancellation"}),
+        (suites.SuiteSU3, RingSU3, dict(coefficient=shifted_coefficient),
+         {"su3.instanton.threshold", "su3.instanton.obstruction",
+          "su3.instanton.norm", "su3.trace.lemma"}),
+        (suites.SuiteSU3, RingSU3, dict(NORM_SQ_CALIBRATION=F(3)),
+         {"su3.instanton.obstruction", "su3.instanton.norm"}),
+    ], ids=["3ad-hh-block", "3ad-calibration", "3ad-basis",
+            "su3-coefficient", "su3-calibration"])
+    def test_records_read_the_stated_facts(self, cls, ring_cls, facts,
+                                           failing):
+        # a ring that states one fact of its lam-family otherwise: exactly
+        # the records that read the fact fail
+        ring = type(ring_cls.__name__, (ring_cls,), facts)(
+            make_table(cls.geometry))
+        ids = [c.check_id for c in cls.checks]
+        got = records(cls, "r", lambda _: ring, ids)
+        assert {k for k, r in got.items() if r.status == "fail"} == failing
+
     def test_trace_records_read_the_blocks(self):
         ids = ("3ad.trace.lemma",)
         assert statuses(suites.Suite3ad, "R",
@@ -328,7 +375,7 @@ class TestTorsionLambda:
         # at delta = 2 alpha the two instanton torsions coincide
         sub = {"delta": 2 * GAL}
         tl0, tlm = (torsion_lambda(TC, lam).items()
-                    for lam in (G.table.zero(), -beta_of(G)))
+                    for lam in (G.table.zero(), -G.beta))
         assert {k: v.subs(sub) for k, v in tlm} \
             == {k: v.subs(sub) for k, v in tl0}
 
@@ -352,32 +399,32 @@ class TestTorsionLambda:
 
 class TestCurvature3ad:
     def test_blocks(self):
-        R = curvature_3ad(R3, LAM)
+        R = curvature(R3, LAM)
         assert R.block("V", "V") == -(BETA + LAM) * (4 * AL - LAM)
         assert R.block("H", "V") == -(BETA + LAM) * 2 * AL
         assert R.block("V", "H") == -(BETA + LAM) * (2 * AL - LAM / 2)
         assert R.block("H", "H") == -(BETA + LAM) * AL
 
     def test_vvvv_sample(self):
-        R = curvature_3ad(R3, T3.zero())
+        R = curvature(R3, T3.zero())
         assert R.block("V", "V").subs({"delta": 0, "alpha": 1}) == 16
 
     def test_parallel_family_explicit_part_vanishes(self):
-        R = curvature_3ad(R3, -BETA)
+        R = curvature(R3, -BETA)
         assert all(v.is_zero for v in R.blocks.values())
 
     def test_pair_symmetry_only_at_zero(self):
-        (_, arr, transposed), = pair_symmetry(curvature_3ad(R3, T3.zero()))
+        (_, arr, transposed), = pair_symmetry(curvature(R3, T3.zero()))
         assert arr == transposed
-        (_, arr, transposed), = pair_symmetry(curvature_3ad(R3, T3.rat(3)))
+        (_, arr, transposed), = pair_symmetry(curvature(R3, T3.rat(3)))
         assert arr != transposed
 
     def test_asd_kernel(self):
-        triples = antiselfdual_kernel(curvature_3ad(R3, LAM))
+        triples = antiselfdual_kernel(curvature(R3, LAM))
         assert len(triples) == 6 and failed(triples) == []
 
     def test_hh_block_always_symmetric(self):
-        arr = curvature_3ad(R3, LAM).array
+        arr = curvature(R3, LAM).array
         for (I, J), v in arr.items():
             if min(I) >= 4 and min(J) >= 4:
                 assert arr[(J, I)] == v
@@ -385,31 +432,31 @@ class TestCurvature3ad:
 
 class TestObstruction3ad:
     def test_structure_and_factors(self):
-        ob = instanton_obstruction(curvature_3ad(R3, LAM), R3.psi())
+        ob = instanton_obstruction(curvature(R3, LAM), R3.psi())
         assert ob.norm_sq_natural == 9 * LAM ** 2 * (BETA + LAM) ** 2
-        assert ob.norm_sq == NORM_SQ_CALIBRATION["3ad"] * ob.norm_sq_natural
+        assert ob.norm_sq == Ring3ad.NORM_SQ_CALIBRATION * ob.norm_sq_natural
         assert [str(f) for f in ob.zero_factors] \
             == [str(LAM), str(BETA + LAM)]
 
     def test_zero_set(self):
-        assert instanton_obstruction(curvature_3ad(R3, T3.zero()),
+        assert instanton_obstruction(curvature(R3, T3.zero()),
                                      R3.psi()).is_zero
-        assert instanton_obstruction(curvature_3ad(R3, -BETA),
+        assert instanton_obstruction(curvature(R3, -BETA),
                                      R3.psi()).is_zero
-        assert not instanton_obstruction(curvature_3ad(R3, T3.rat(1)),
+        assert not instanton_obstruction(curvature(R3, T3.rat(1)),
                                          R3.psi()).is_zero
 
     def test_norm_at_case_i_slope(self):
-        ob = instanton_obstruction(curvature_3ad(R3, LAM), R3.psi())
+        ob = instanton_obstruction(curvature(R3, LAM), R3.psi())
         val = ob.norm_sq.subs({"lam": 2 * T3.sym("delta")})
         assert val == (48 * (DE - AL) * DE) ** 2
 
     def test_geometry_mismatch(self):
         with pytest.raises(AlgebraError):
-            instanton_obstruction(curvature_3ad(R3, LAM), RS.psi())
+            instanton_obstruction(curvature(R3, LAM), RS.psi())
 
     def test_zero_factors_are_checked(self):
-        R = curvature_3ad(R3, LAM)
+        R = curvature(R3, LAM)
         ob = instanton_obstruction(R, R3.psi())
         with pytest.raises(AlgebraError):
             check_zero_factors(ob.terms.values(), [LAM + 1])
@@ -422,17 +469,12 @@ class TestObstruction3ad:
 
 class TestTrace3ad:
     def test_lemma(self):
-        tr = wedge_trace(curvature_3ad(R3, LAM))
-        assert tr == trace_lemma_rhs_3ad(R3, LAM).embed()
-
-    def test_operators_of_one_ring(self):
-        # an equal but separately built ring is another ring
-        with pytest.raises(AlgebraError):
-            wedge_trace(curvature_3ad(R3, LAM), curvature_3ad(G, GLAM))
+        tr = wedge_trace(curvature(R3, LAM))
+        assert tr == R3.trace_lemma_rhs(LAM).embed()
 
     def test_rho2_cancellation(self):
-        t0 = wedge_trace(curvature_3ad(R3, T3.zero()))
-        tm = wedge_trace(curvature_3ad(R3, -BETA))
+        t0 = wedge_trace(curvature(R3, T3.zero()))
+        tm = wedge_trace(curvature(R3, -BETA))
         diff = tm - t0
         b1, b2 = R3.zero(), R3.zero()
         for i, (j, k) in CYCLIC.items():
@@ -446,12 +488,12 @@ class TestSU3:
     def test_coefficient_variants(self):
         lam = TS.sym("lam")
         al, de = TS.sym("alpha"), TS.sym("delta")
-        k = su3_coefficient(RS, lam)
+        k = RS.coefficient(lam)
         threshold = {"lam": F(4, 3) * (3 * al - 2 * de)}
         assert k.subs(threshold).is_zero
-        kp = su3_coefficient(RS, lam, "printed")
+        kp = RS.coefficient(lam, "printed")
         assert not kp.subs(threshold).is_zero
-        assert su3_coefficient(RS, TS.zero()) \
+        assert RS.coefficient(TS.zero()) \
             .subs({"delta": F(3, 2) * al}).is_zero
         assert k.subs({"delta": 0}) == al * (4 * al - lam)
         assert k.subs({"delta": 0, "lam": 4 * al}).is_zero
@@ -460,23 +502,23 @@ class TestSU3:
         # the explicit part K Phi (x) Phi over the three horizontal pairs;
         # e^23 is horizontal here, although it is vertical in the 3ad case
         lam = TS.sym("lam")
-        k = su3_coefficient(RS, lam)
+        k = RS.coefficient(lam)
         phi = RS.Phi().embed()
-        assert curvature_su3(RS, lam).array == {
+        assert curvature(RS, lam).array == {
             (I, J): k * phi.coefficient(I) * phi.coefficient(J)
             for I in phi.terms for J in phi.terms}
         assert set(phi.terms) == {(2, 3), (4, 5), (6, 7)}
 
     def test_obstruction(self):
         lam = TS.sym("lam")
-        k = su3_coefficient(RS, lam)
-        ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi())
+        k = RS.coefficient(lam)
+        ob = instanton_obstruction(curvature(RS, lam), RS.psi())
         assert ob.norm_sq_natural == 54 * k ** 2
         assert ob.norm_sq == 81 * k ** 2
 
     def test_zero_factors_are_checked(self):
         lam = TS.sym("lam")
-        R = curvature_su3(RS, lam)
+        R = curvature(RS, lam)
         ob = instanton_obstruction(R, RS.psi())
         assert [str(f) for f in ob.zero_factors] \
             == ["alpha", "12*alpha - 8*delta - 3*lam"]
@@ -488,7 +530,7 @@ class TestSU3:
 
     def test_norm_at_branch_b(self):
         lam = TS.sym("lam")
-        ob = instanton_obstruction(curvature_su3(RS, lam), RS.psi())
+        ob = instanton_obstruction(curvature(RS, lam), RS.psi())
         ns = ob.norm_sq.subs({"lam": TS.sym("lam2"),
                               "delta": F(3, 2) * TS.sym("alpha")})
         tt = SymbolTable(TS.symbols)
@@ -499,21 +541,58 @@ class TestSU3:
 
     def test_trace(self):
         lam = TS.sym("lam")
-        tr = wedge_trace(curvature_su3(RS, lam))
-        assert tr == trace_lemma_rhs_su3(RS, lam).embed()
+        tr = wedge_trace(curvature(RS, lam))
+        assert tr == RS.trace_lemma_rhs(lam).embed()
         l1, l2 = TS.sym("lam1"), TS.sym("lam2")
-        same = wedge_trace(curvature_su3(RS, l1)) \
-            - wedge_trace(curvature_su3(RS, l1))
+        same = wedge_trace(curvature(RS, l1)) \
+            - wedge_trace(curvature(RS, l1))
         assert same.is_zero
-        diff = wedge_trace(curvature_su3(RS, l1)) \
-            - wedge_trace(curvature_su3(RS, l2))
-        assert diff == (trace_lemma_rhs_su3(RS, l1)
-                        - trace_lemma_rhs_su3(RS, l2)).embed()
+        diff = wedge_trace(curvature(RS, l1)) \
+            - wedge_trace(curvature(RS, l2))
+        assert diff == (RS.trace_lemma_rhs(l1)
+                        - RS.trace_lemma_rhs(l2)).embed()
 
     def test_curvature_picks_the_closed_form(self):
-        for ring, closed_form in ((R3, curvature_3ad), (RS, curvature_su3)):
+        # the operator carries the blocks and zero factors its ring states
+        for ring in (R3, RS):
             lam = ring.table.sym("lam")
-            R = curvature.curvature(ring, lam)
-            expect = closed_form(ring, lam)
-            assert R.array == expect.array
-            assert R.zero_factors == expect.zero_factors
+            blocks, factors = ring.curvature_blocks(lam)
+            R = curvature(ring, lam)
+            assert R.ring is ring and R.lam == lam
+            assert R.blocks == blocks and R.zero_factors == factors
+
+
+def geometry_dispatch(source: str) -> list:
+    """The places in ``source`` that pick behaviour by geometry: isinstance
+    against a ring class, and subscripts indexed by a ``.geometry``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if names & {"Ring3ad", "RingSU3"}:
+                found.append(ast.get_source_segment(source, node))
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.slice, ast.Attribute) \
+                and node.slice.attr == "geometry":
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+class TestNoGeometryDispatch:
+    def test_the_guard_sees_dispatch(self):
+        assert geometry_dispatch(
+            "f = TABLE[ring.geometry]\n"
+            "if isinstance(ring, (structures.RingSU3, int)): pass\n"
+            "g = TABLE[ring.delta]; isinstance(ring, Form)\n") \
+            == ["TABLE[ring.geometry]",
+                "isinstance(ring, (structures.RingSU3, int))"]
+
+    @pytest.mark.parametrize("module", [cv, bianchi],
+                             ids=["curvature", "bianchi"])
+    def test_no_geometry_dispatch(self, module):
+        # each ring states the facts of its own family; these modules read
+        # them off the ring and do not pick them by geometry
+        assert geometry_dispatch(Path(module.__file__).read_text()) == []

@@ -234,7 +234,7 @@ class TestWords:
     def test_projectors_match_fraction_product(self, m):
         rep = sp.build_rep(m)
         form = sp.sigma_fundamental_form(Coframe(TAB, 2 * m + 1), m)
-        dec = sp.sigma_decompose(rep, form, 1)
+        dec = sp.sigma_decompose(rep, form)
         assert len(dec.projectors) == m + 1
         assert dec.projectors \
             == [dc.rows_of(p) for p in _fraction_projectors(rep, form)]
@@ -251,24 +251,23 @@ class TestWords:
 
 class TestSigma:
     def test_decomposition(self):
-        dec = sp.sigma_decompose(REP, sp.sigma_fundamental_form(CF, 3), 1)
+        dec = sp.sigma_decompose(REP, sp.sigma_fundamental_form(CF, 3))
         assert dec.dims == [1, 3, 3, 1]
 
     def test_decomposition_m2(self):
         rep2 = sp.build_rep(2)
         cf5 = Coframe(TAB, 5)
-        dec = sp.sigma_decompose(rep2, sp.sigma_fundamental_form(cf5, 2), 1)
+        dec = sp.sigma_decompose(rep2, sp.sigma_fundamental_form(cf5, 2))
         assert dec.dims == [1, 2, 1]
 
     def test_wrong_inputs_refused(self):
-        # 2 phi has eigenvalues -2i(2r - 3); e_2 does not commute with
-        # phi; -phi swaps Sigma_r with Sigma_{3-r}, against the Reeb signs
+        # 2 phi has eigenvalues -2i(2r - 3); -phi swaps Sigma_r with
+        # Sigma_{3-r}, against the Reeb signs
         phi = sp.sigma_fundamental_form(CF, 3)
-        for form, xi, match in ((2 * phi, 1, "eigenvalue check"),
-                                (phi, 2, "Reeb eigenvalue"),
-                                (-phi, 1, "Reeb eigenvalue")):
+        for form, match in ((2 * phi, "eigenvalue check"),
+                            (-phi, "Reeb eigenvalue")):
             with pytest.raises(AlgebraError, match=match):
-                sp.sigma_decompose(REP, form, xi)
+                sp.sigma_decompose(REP, form)
 
     @pytest.mark.parametrize("r", [0, 2])
     def test_eigenvalue_check_rejects_a_perturbed_numerator(self, monkeypatch,
@@ -286,7 +285,7 @@ class TestSigma:
         monkeypatch.setattr(sp, "lagrange_numerators", perturbed)
         with pytest.raises(AlgebraError,
                            match=f"eigenvalue check fails on Sigma_{r}"):
-            sp.sigma_decompose(REP, sp.sigma_fundamental_form(CF, 3), 1)
+            sp.sigma_decompose(REP, sp.sigma_fundamental_form(CF, 3))
 
     def test_membership(self):
         triples = sp.sigma_membership(REP, sp.sigma_fundamental_form(CF, 3))
