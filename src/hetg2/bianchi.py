@@ -22,7 +22,7 @@ from .curvature import curvature, instanton_obstruction, wedge_trace
 from .exterior import coefficient_matrix, form_to_vector
 from .linsolve import InconsistentSystemError, solve_ring_rhs
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
-from .structures import NotInSpanError, get_ring, structure_torsion
+from .structures import NotInSpanError, structure_torsion
 
 
 class BianchiResidual(namedtuple("BianchiResidual", "form basis")):
@@ -32,10 +32,9 @@ class BianchiResidual(namedtuple("BianchiResidual", "form basis")):
     __slots__ = ()
 
 
-def residual(geometry: str, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
+def residual(ring, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
     """dT^c - (a'/4)(tr R^{lam1} ^ R^{lam1} - tr R^{lam2} ^ R^{lam2}) in the
-    coframe."""
-    ring = get_ring(geometry)
+    ring's coframe."""
     dtc = structure_torsion(ring).characteristic.d()
     tr1, tr2 = (wedge_trace(curvature(ring, lam)) for lam in (lam1, lam2))
     form = dtc.embed() - (ring.table.sym("alphap") / 4) * (tr1 - tr2)
@@ -70,17 +69,17 @@ def extract_constraints(res: BianchiResidual,
 
 
 @cache
-def constraint_system(geometry: str) -> ConstraintSystem:
+def constraint_system(ring) -> ConstraintSystem:
     """The constraint system of the residual at symbolic (lam1, lam2)."""
-    table = get_ring(geometry).table
+    table = ring.table
     return extract_constraints(
-        residual(geometry, table.sym("lam1"), table.sym("lam2")))
+        residual(ring, table.sym("lam1"), table.sym("lam2")))
 
 
 class SolutionBranch(namedtuple(
-        "SolutionBranch", "branch_id bindings hypotheses samples "
+        "SolutionBranch", "branch_id ring bindings hypotheses samples "
         "conditional_pair", defaults=(None,))):
-    """One solution family: bindings, defining relations, sign samples.
+    """One solution family over ``ring``: bindings, relations, sign samples.
 
     ``hypotheses`` are (polynomial, main variable) pairs; a constraint holds
     on the branch when it pseudo-reduces to zero by the hypotheses in order.
@@ -91,10 +90,6 @@ class SolutionBranch(namedtuple(
     """
 
     __slots__ = ()
-
-    @property
-    def geometry(self) -> str:
-        return self.branch_id.split(".")[0]
 
 
 def _reduce_by_hypotheses(p: Scalar, hyps) -> Scalar:
@@ -107,8 +102,8 @@ def verify_branch(branch: SolutionBranch) -> tuple:
     """Substitute the branch into the constraint system: (the constraints
     reduced by the branch's relations, a (sample, constraint values) pair
     per sample point, the hypotheses as text)."""
-    table = get_ring(branch.geometry).table
-    system = constraint_system(branch.geometry)
+    table = branch.ring.table
+    system = constraint_system(branch.ring)
     reduced = []
     for p in system.substituted(branch.bindings):
         if branch.conditional_pair is not None and not p.is_zero:
@@ -145,20 +140,19 @@ def _conditional_identity_reduce(p: Scalar, branch: SolutionBranch) -> Scalar:
     return prem(r, *branch.conditional_pair)
 
 
-def branches() -> list[SolutionBranch]:
-    """The solution branches of both geometries plus a negative control, in
-    report order."""
-    t3 = get_ring("3ad").table
-    ts = get_ring("su3").table
+def branches(ring3, ring_su3) -> list[SolutionBranch]:
+    """The solution branches of the 3ad and su3 rings plus a negative
+    control, in report order."""
+    t3, ts = ring3.table, ring_su3.table
     a3, d3 = t3.sym("alpha"), t3.sym("delta")
     l1_3, l2_3, ap3 = t3.sym("lam1"), t3.sym("lam2"), t3.sym("alphap")
-    beta3 = get_ring("3ad").beta
+    beta3 = ring3.beta
     as_, ds_ = ts.sym("alpha"), ts.sym("delta")
     l1_s, l2_s, aps = ts.sym("lam1"), ts.sym("lam2"), ts.sym("alphap")
     out = []
     # exact solution: degenerate case, both instantons
     out.append(SolutionBranch(
-        "3ad.exact",
+        "3ad.exact", ring3,
         {"delta": t3.zero(), "lam1": -beta3.subs({"delta": 0}),
          "lam2": t3.zero()},
         [(12 * ap3 * a3 ** 2 - 1, "alphap")],
@@ -166,7 +160,7 @@ def branches() -> list[SolutionBranch]:
           "alphap": Fraction(1, 12)}]))
     # case i: lam2 = 2 delta with 1/a' = 12 (delta - alpha)^2
     out.append(SolutionBranch(
-        "3ad.case-i",
+        "3ad.case-i", ring3,
         {"lam1": -beta3, "lam2": 2 * d3},
         [(12 * ap3 * (d3 - a3) ** 2 - 1, "alphap")],
         [{"alpha": 1, "delta": 3, "lam1": -2, "lam2": 6,
@@ -176,7 +170,7 @@ def branches() -> list[SolutionBranch]:
     h2 = (4 + 3 * ap3 * (beta3 ** 2 - 2 * d3 ** 2 - 2 * d3 * beta3)) ** 2 \
         - 36 * ap3 ** 2 * d3 ** 3 * (d3 + 2 * beta3)
     out.append(SolutionBranch(
-        "3ad.case-ii",
+        "3ad.case-ii", ring3,
         {"lam1": t3.zero()},
         [(h1, "lam2")],
         [{"alpha": Fraction(1, 2), "delta": 1, "lam1": 0, "lam2": 2,
@@ -184,7 +178,7 @@ def branches() -> list[SolutionBranch]:
         conditional_pair=(h2, "alphap")))
     # contact case a: delta = 0
     out.append(SolutionBranch(
-        "su3.case-a",
+        "su3.case-a", ring_su3,
         {"delta": ts.zero()},
         [(3 * aps * (4 * as_ - l2_s) ** 2
           - 3 * aps * (4 * as_ - l1_s) ** 2 + 8, "lam2")],
@@ -194,14 +188,14 @@ def branches() -> list[SolutionBranch]:
           "alphap": Fraction(2, 9)}]))
     # contact case b: delta = 3 alpha / 2
     out.append(SolutionBranch(
-        "su3.case-b",
+        "su3.case-b", ring_su3,
         {"delta": Fraction(3, 2) * as_},
         [(3 * aps * l2_s ** 2 - 3 * aps * l1_s ** 2 - 8, "lam2")],
         [{"alpha": 1, "delta": Fraction(3, 2), "lam1": 1, "lam2": 3,
           "alphap": Fraction(1, 3)}]))
     # deliberately wrong branch: lam2 = 3 delta instead of 2 delta
     out.append(SolutionBranch(
-        "3ad.negative-control",
+        "3ad.negative-control", ring3,
         {"lam1": -beta3, "lam2": 3 * d3},
         [(12 * ap3 * (d3 - a3) ** 2 - 1, "alphap")],
         [{"alpha": 1, "delta": 3, "lam1": -2, "lam2": 9,
@@ -209,7 +203,7 @@ def branches() -> list[SolutionBranch]:
     return out
 
 
-def sasaki_3alpha_impossibility() -> list:
+def sasaki_3alpha_impossibility(ring) -> list:
     """No (lam1, lam2, a' > 0) solves the system when alpha = delta.
 
     By the fibre/base rescaling invariance the parameters are homogeneous, so
@@ -221,9 +215,9 @@ def sasaki_3alpha_impossibility() -> list:
     Returned as (name, lhs, rhs) triples: the eliminant, the discriminant
     and the boundary constraint against those closed forms.
     """
-    table = get_ring("3ad").table
+    table = ring.table
     l1, l2 = table.sym("lam1"), table.sym("lam2")
-    system = constraint_system("3ad")
+    system = constraint_system(ring)
     sub = {"delta": table.sym("alpha")}
     # order: [B1 coefficient, B2 coefficient] as returned by the basis
     e_b1, e_b2 = (p.subs(sub).subs({"alpha": 1}) for p in system.polynomials)
@@ -243,7 +237,7 @@ ApproxOrderReport = namedtuple("ApproxOrderReport",
                                "leading_order norm_sq_text")
 
 
-def approx_order_report(geometry: str, scaling: dict,
+def approx_order_report(ring, scaling: dict,
                         t_table: SymbolTable) -> ApproxOrderReport:
     """Leading t-order of the squared obstruction norm under a scaling.
 
@@ -252,7 +246,6 @@ def approx_order_report(geometry: str, scaling: dict,
     approximate-instanton condition demands order >= 8, i.e. the norm itself
     is O(a'^2).
     """
-    ring = get_ring(geometry)
     table = ring.table
     lam = table.sym("lam")
     ob = instanton_obstruction(curvature(ring, lam), ring.psi())
@@ -267,7 +260,7 @@ def root_table(d: int) -> SymbolTable:
     return table
 
 
-def approximate_order_reports() -> tuple:
+def approximate_order_reports(ring3, ring_su3) -> tuple:
     """Order reports of the approximate-solution scalings (a' = t^2): the
     3ad family at delta = t^5, lam = 2 t^5, alpha = t^5 - sqrt(3)/(6t), the
     su3 family at alpha = t^5, delta = 3 t^5 / 2, lam = 2 sqrt(6) / (3t), and
@@ -277,15 +270,15 @@ def approximate_order_reports() -> tuple:
     tt3 = root_table(3)
     t, r3 = tt3.sym("t"), tt3.sym("r")
     rep3 = approx_order_report(
-        "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
+        ring3, {"lam": 2 * t ** 5, "delta": t ** 5,
                 "alpha": t ** 5 - (r3 / 6) / t}, tt3)
     tt6 = root_table(6)
     t6, r6 = tt6.sym("t"), tt6.sym("r")
     rep6 = approx_order_report(
-        "su3", {"lam": (2 * r6 / 3) / t6, "alpha": t6 ** 5,
+        ring_su3, {"lam": (2 * r6 / 3) / t6, "alpha": t6 ** 5,
                 "delta": Fraction(3, 2) * t6 ** 5}, tt6)
     ttc = SymbolTable(("t",))
     repc = approx_order_report(
-        "3ad", {"lam": ttc.rat(1), "delta": ttc.rat(1),
+        ring3, {"lam": ttc.rat(1), "delta": ttc.rat(1),
                 "alpha": ttc.rat(3)}, ttc)
     return rep3, rep6, repc

@@ -5,7 +5,7 @@ prints one line per check; ``--json`` writes a byte-stable report (no
 timestamps), ``--params`` overrides the parameters of the exact-solution
 checks.  Exit code 0 means no failures (flagged findings are allowed and
 expected: the suites deliberately surface source-convention discrepancies),
-1 means at least one failure, 2 a usage error.
+1 means at least one failure, 2 a usage error or an unwritable report.
 """
 
 from __future__ import annotations
@@ -86,11 +86,12 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=False, ensure_ascii=True)
 
 
-def list_checks(stream) -> None:
+def list_checks(stream, suite: str = "all") -> None:
+    """The suite names, then the check ids of ``suite`` ("all": of each)."""
     from .suites import SUITE_CLASSES
     print("suites:", ", ".join(SUITES), file=stream)
-    for name, suite in SUITE_CLASSES.items():
-        for chk in suite.checks:
+    for name, cls in SUITE_CLASSES.items():
+        for chk in cls.checks if suite in ("all", name) else ():
             print(f"  {name}: {chk.check_id}", file=stream)
 
 
@@ -101,11 +102,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.list:
-        if params:
-            print(f"error: --list does not read parameter "
-                  f"{next(iter(params))!r}", file=sys.stderr)
+        if params or args.json:
+            what = f"parameter {next(iter(params))!r}" if params else "--json"
+            print(f"error: --list does not read {what}", file=sys.stderr)
             return 2
-        list_checks(sys.stdout)
+        list_checks(sys.stdout, args.suite or "all")
         return 0
     if args.suite is None:
         print("error: --suite is required (or use --list)", file=sys.stderr)
@@ -129,8 +130,13 @@ def cmd_verify(args) -> int:
     print(f"summary: {s['pass']} pass, {s['fail']} fail, "
           f"{s['flagged']} flagged")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(render_json(payload))
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(render_json(payload))
+        except OSError as exc:
+            print(f"error: cannot write '{args.json}': {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     return 0 if s["fail"] == 0 else 1
 
 
@@ -162,7 +168,7 @@ def main(argv=None) -> int:
                                       "alpha=1,delta=0,alphap=1/12")
     ver.add_argument("--json", help="write the report to this path")
     ver.add_argument("--list", action="store_true",
-                     help="list suites and check ids")
+                     help="list suites and the check ids of --suite")
     show = sub.add_parser("show", help="print a named form or spinor")
     show.add_argument("--name", required=True)
     args = parser.parse_args(argv)

@@ -1,8 +1,8 @@
 """Torsion and curvature of the one-parameter connection families.
 
 The 3ad family is nabla^lam = nabla^c + lam Delta with one contorsion Delta
-read off phi (``contorsion_3ad``); its torsion is derived from Delta and the
-characteristic torsion, not quoted (``torsion_lambda``).
+read off the ring's phi (``contorsion(ring)``); its torsion is derived from
+Delta and the characteristic torsion, not quoted (``torsion_lambda``).
 
 The curvature operators have a closed-form explicit part built from the
 hermitian 2-forms (block coefficients over the vertical/horizontal splitting)
@@ -29,16 +29,15 @@ from itertools import permutations
 from .exterior import Coframe, Form, _merge, basis_multi_indices
 from .scalar import (AlgebraError, Scalar, SymbolTable, _accumulate, _Sums,
                      exact)
-from .structures import GenForm, get_ring
+from .structures import GenForm
 
 
 @cache
-def contorsion_3ad() -> dict:
+def contorsion(ring) -> dict:
     """Unit difference tensor Delta(X; Y, Z) of the lam-family, read off the
-    3ad ring's phi: phi(X, Y, Z) when all three slots are vertical, -phi/2
-    when only Y is, zero elsewhere.  The family is linear in lam (Delta^lam
-    = lam Delta), and the values are rationals, for any table."""
-    ring = get_ring("3ad")
+    ring's phi: phi(X, Y, Z) when all three slots are vertical, -phi/2 when
+    only Y is, zero elsewhere.  The family is linear in lam (Delta^lam =
+    lam Delta), and the values are rationals, for any table."""
     vert, phi = ring.VERTICAL, ring.phi().embed()
     out = {}
     for idx in phi.terms:
@@ -62,12 +61,12 @@ def skew_part(tensor: dict, cf: Coframe) -> dict:
                                if k[0] < k[1]}))
 
 
-def torsion_lambda(torsion: Form, lam: Scalar) -> dict:
+def torsion_lambda(torsion: GenForm, lam: Scalar) -> dict:
     """T^lam(X; Y, Z) = T(X; Y, Z) + lam (Delta(X; Y, Z) - Delta(X; Z, Y)) of
-    the family through the connection with skew torsion ``torsion``, keyed
-    as by ``components``; only nonzero entries are kept."""
-    out = components(torsion)
-    for (x, y, z), v in contorsion_3ad().items():
+    the family through the skew torsion ``torsion``, a GenForm whose ring
+    gives Delta, keyed as by ``components``; only nonzero entries kept."""
+    out = components(torsion.embed())
+    for (x, y, z), v in contorsion(torsion.space).items():
         key = (x, y, z) if y < z else (x, z, y)
         out[key] = out.get(key, 0) + lam * (v if y < z else -v)
     return {k: v for k, v in out.items() if not v.is_zero}

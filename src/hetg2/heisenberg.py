@@ -20,7 +20,7 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .curvature import (array_trace, array_wedge, components,
-                        contorsion_3ad, curvature)
+                        contorsion, curvature)
 from .exterior import (Coframe, Form, basis_multi_indices, derivation,
                        leibniz)
 from .scalar import AlgebraError, Rat, exact
@@ -235,8 +235,8 @@ def connection_lambda(lam: Rat) -> Connection:
 def _connection_lambda(lam: Rat) -> Connection:
     if not lam:
         return canonical_connection()
-    return _shifted(canonical_connection(),
-                    {k: lam * v for k, v in contorsion_3ad().items()})
+    return _shifted(canonical_connection(), {
+        k: lam * v for k, v in contorsion(get_ring("3ad")).items()})
 
 
 def curvature_fp(conn: Connection) -> dict:

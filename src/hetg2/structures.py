@@ -54,9 +54,9 @@ def make_table(geometry: str) -> SymbolTable:
 
 
 # Caching policy: an exact object shared by several checks is built by one
-# function of the module that owns it, cached with functools.cache on value
-# arguments (a geometry name, m or lam) or on a ring, by identity, for the
-# life of the process; callers never mutate what it returns.
+# function of the module that owns it, cached with functools.cache on a ring,
+# by identity, or on value arguments (m or lam; only get_ring on a geometry
+# name) for the life of the process; callers never mutate what it returns.
 
 @cache
 def get_ring(geometry: str) -> "_BaseRing":

@@ -84,6 +84,7 @@ class Suite:
     sp = _module("spinor")
     st = _module("structures")
     r = cached_property(lambda s: s.st.get_ring(s.geometry))
+    rsu = cached_property(lambda s: s.st.get_ring("su3"))  # the su3 ring
     t = cached_property(lambda s: s.r.table)
     # torsion classes and characteristic torsion of the geometry
     tc = cached_property(lambda s: s.st.structure_torsion(s.r).classes)
@@ -144,7 +145,7 @@ class Suite3ad(Suite):
     tr_diff = cached_property(lambda s: s.cv.wedge_trace(s.Rb)
                               - s.cv.wedge_trace(s.R0))
     # T^l and T^0, derived from T^c and the contorsion
-    tl = cached_property(lambda s: [s.cv.torsion_lambda(s.tcg.embed(), lam)
+    tl = cached_property(lambda s: [s.cv.torsion_lambda(s.tcg, lam)
                                     for lam in (s.lam, s.t.zero())])
     n12 = cached_property(lambda s: s.st.lambda214_double_characterization(
         s.phi_f, s.psi_f))
@@ -398,7 +399,6 @@ class SuiteSpinor(Suite):
     rep = cached_property(lambda s: s.reps[3])
     vols = cached_property(lambda s: {m: s.sp.volume_action(s.reps[m])
                                       for m in (1, 2, 3)})
-    rsu = cached_property(lambda s: s.st.get_ring("su3"))
     cf = cached_property(lambda s: s.r.coframe)
     frame = cached_property(lambda s: {
         **s.st.sp1_frame_forms(s.cf),
@@ -627,7 +627,7 @@ class SuiteHeisenberg(Suite):
 
 
 # The solution branches by id, with their claims, in report order;
-# ``bianchi.branches()`` builds their data in the same order.
+# ``bianchi.branches`` builds their data in the same order.
 BRANCHES = {
     "3ad.exact": "delta = 0, A = parallel-family instanton, Theta = canonical, "
                  "12 a' alpha^2 = 1",
@@ -649,14 +649,15 @@ class SuiteBianchi(Suite):
     l2 = cached_property(lambda s: s.t.sym("lam2"))
     # the case-i system: the symbolic (lam1, lam2) system at lam1 = -beta
     sysm = cached_property(lambda s: s.bi.ConstraintSystem(
-        s.bi.constraint_system("3ad").substituted({"lam1": -s.beta})))
-    res_thm = cached_property(lambda s: s.bi.residual("3ad", s.t.rat(4),
+        s.bi.constraint_system(s.r).substituted({"lam1": -s.beta})))
+    res_thm = cached_property(lambda s: s.bi.residual(s.r, s.t.rat(4),
                                                       s.t.zero()))
     branches = cached_property(
-        lambda s: {b.branch_id: b for b in s.bi.branches()})
-    imp = cached_property(lambda s: s.bi.sasaki_3alpha_impossibility())
+        lambda s: {b.branch_id: b for b in s.bi.branches(s.r, s.rsu)})
+    imp = cached_property(lambda s: s.bi.sasaki_3alpha_impossibility(s.r))
     # the 3ad and su3 approximate solutions and a failing constant scaling
-    approx = cached_property(lambda s: s.bi.approximate_order_reports())
+    approx = cached_property(
+        lambda s: s.bi.approximate_order_reports(s.r, s.rsu))
     # the residual's constraints in its own basis and in (b1, b1 + b2)
     p1 = cached_property(lambda s: s.bi.extract_constraints(
         s.res_thm).polynomials)

@@ -9,15 +9,14 @@ from fractions import Fraction as F
 
 from hetg2 import heisenberg as hb
 from hetg2 import spinor as sp
-from hetg2.bianchi import (approx_order_report, branches, get_ring,
-                           root_table, sasaki_3alpha_impossibility,
-                           verify_branch)
+from hetg2.bianchi import (approx_order_report, branches, root_table,
+                           sasaki_3alpha_impossibility, verify_branch)
 from hetg2.curvature import curvature, instanton_obstruction, wedge_trace
 from hetg2.cli import report_payload, run_suite
 from hetg2.exterior import Coframe
 from hetg2.scalar import SymbolTable
-from hetg2.structures import (CYCLIC, sp1_frame_forms, su3_frame_forms,
-                              torsion_classes)
+from hetg2.structures import (CYCLIC, get_ring, sp1_frame_forms,
+                              su3_frame_forms, torsion_classes)
 from hetg2.suites import identities, sign
 
 
@@ -123,13 +122,13 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_bianchi_branches():
-    for branch in branches():
+    for branch in branches(get_ring("3ad"), get_ring("su3")):
         zero = branch.branch_id != "3ad.negative-control"
         reduced, samples, _ = verify_branch(branch)
         assert all(p.is_zero for p in reduced) == zero, branch.branch_id
         assert all(all(v.is_zero for v in vals) == zero
                    for _, vals in samples), branch.branch_id
-    assert identities(sasaki_3alpha_impossibility())["ok"]
+    assert identities(sasaki_3alpha_impossibility(get_ring("3ad")))["ok"]
     _report(7, "all five solution branches verified by resubstitution "
                "modulo their defining relations; the equal-parameter case "
                "is unsatisfiable")
@@ -139,14 +138,14 @@ def test_criterion_8_approximate_orders():
     tt3 = root_table(3)
     t = tt3.sym("t")
     rep3 = approx_order_report(
-        "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
-                "alpha": t ** 5 - (tt3.sym("r") / 6) / t}, tt3)
+        get_ring("3ad"), {"lam": 2 * t ** 5, "delta": t ** 5,
+                          "alpha": t ** 5 - (tt3.sym("r") / 6) / t}, tt3)
     assert rep3.leading_order is not None and rep3.leading_order >= 8
     tt6 = root_table(6)
     t6 = tt6.sym("t")
     rep6 = approx_order_report(
-        "su3", {"lam": (2 * tt6.sym("r") / 3) / t6, "alpha": t6 ** 5,
-                "delta": F(3, 2) * t6 ** 5}, tt6)
+        get_ring("su3"), {"lam": (2 * tt6.sym("r") / 3) / t6,
+                          "alpha": t6 ** 5, "delta": F(3, 2) * t6 ** 5}, tt6)
     assert rep6.leading_order is not None and rep6.leading_order >= 8
     _report(8, f"squared obstruction norms have t-orders "
                f"{rep3.leading_order} and {rep6.leading_order} (>= 8) "

@@ -4,14 +4,15 @@ import pytest
 
 from hetg2 import suites
 from hetg2.bianchi import (_conditional_identity_reduce, approx_order_report,
-                           branches, extract_constraints, get_ring, residual,
+                           branches, extract_constraints, residual,
                            root_table, sasaki_3alpha_impossibility,
                            verify_branch)
 from hetg2.scalar import AlgebraError, SymbolTable, prem
-from hetg2.structures import NotInSpanError, structure_torsion
+from hetg2.structures import NotInSpanError, get_ring, structure_torsion
 from test_curvature import doubled, failed, named_failures, records, with_leg
 
 R3 = get_ring("3ad")
+RS = get_ring("su3")
 T3 = R3.table
 AL, DE, AP = T3.sym("alpha"), T3.sym("delta"), T3.sym("alphap")
 L1, L2 = T3.sym("lam1"), T3.sym("lam2")
@@ -22,7 +23,7 @@ class TestResidual:
     def test_rho2_cancels(self):
         # at equal lambdas the traces cancel, the remainder's with them,
         # and the residual is d T^c
-        res = residual("3ad", L1, L1)
+        res = residual(R3, L1, L1)
         assert res.form == structure_torsion(R3).characteristic.d().embed()
 
     def test_flux_source_is_characteristic_torsion(self):
@@ -33,14 +34,14 @@ class TestResidual:
         assert tcg == expect
 
     def test_case_i_generic_system(self):
-        sysm = extract_constraints(residual("3ad", -BETA, L2))
+        sysm = extract_constraints(residual(R3, -BETA, L2))
         assert sysm.polynomials[1] == 4 * AL ** 2 \
             - 3 * AP * AL ** 2 * (BETA + L2) ** 2
         assert sysm.polynomials[0] == 4 * AL * BETA \
             - 3 * AP * AL * (BETA + L2) ** 2 * (L2 - 4 * AL)
 
     def test_exact_solution_system(self):
-        sysm = extract_constraints(residual("3ad", -BETA, T3.zero()))
+        sysm = extract_constraints(residual(R3, -BETA, T3.zero()))
         at0 = [p.subs({"delta": 0}) for p in sysm.polynomials]
         # {4a^2 = 3a^2 b^2 a', 4ab = -12 a^2 b^2 a'} at b = -4a
         assert at0[1] == 4 * AL ** 2 - 48 * AP * AL ** 4
@@ -53,10 +54,9 @@ class TestResidual:
         assert any(not v.is_zero for v in bad)
 
     def test_su3_eta_omega_coefficients(self):
-        rs = get_ring("su3")
-        ts = rs.table
+        ts = RS.table
         sysm = extract_constraints(
-            residual("su3", ts.sym("lam1"), ts.sym("lam2")))
+            residual(RS, ts.sym("lam1"), ts.sym("lam2")))
         de, al = ts.sym("delta"), ts.sym("alpha")
         s, c = ts.sym("s"), ts.sym("c")
         by_monomial = dict(zip(["PhiPhi", "etaOm+", "etaOm-"],
@@ -70,7 +70,7 @@ class TestResidual:
         assert not by_monomial["etaOm+"].subs({"delta": 1}).is_zero
 
     def test_zero_residual_gives_satisfiable_system(self):
-        res = residual("3ad", -BETA, T3.zero())
+        res = residual(R3, -BETA, T3.zero())
         sysm = extract_constraints(res)
         vals = [p.subs({"alpha": 1, "delta": 0, "alphap": F(1, 12)})
                 for p in sysm.polynomials]
@@ -78,11 +78,11 @@ class TestResidual:
 
 
 def branch(branch_id):
-    return [b for b in branches() if b.branch_id == branch_id][0]
+    return [b for b in branches(R3, RS) if b.branch_id == branch_id][0]
 
 
 class TestBranches:
-    @pytest.mark.parametrize("branch", branches(), ids=lambda b: b.branch_id)
+    @pytest.mark.parametrize("branch", branches(R3, RS), ids=lambda b: b.branch_id)
     def test_branch(self, branch):
         # zero on each branch; nonzero on the negative control
         zero = branch.branch_id != "3ad.negative-control"
@@ -118,7 +118,7 @@ class TestBranches:
 
 class TestImpossibility:
     def test_report(self):
-        triples = sasaki_3alpha_impossibility()
+        triples = sasaki_3alpha_impossibility(R3)
         assert failed(triples) == []
         (_, eliminant, _), (_, discriminant, _), (_, boundary, _) = triples
         assert eliminant == 12 * ((L2 - 2) ** 3 - (L1 - 2) ** 3)
@@ -127,7 +127,7 @@ class TestImpossibility:
 
     def test_numeric_samples(self):
         # a = d = 1: no rational (lam1, lam2, a' > 0) zeroes both constraints
-        sysm = extract_constraints(residual("3ad", L1, L2))
+        sysm = extract_constraints(residual(R3, L1, L2))
         for l1 in (F(0), F(2), F(4), F(-1)):
             for l2 in (F(0), F(1), F(3), F(7, 2)):
                 for ap in (F(1, 12), F(1, 3), F(2)):
@@ -142,7 +142,7 @@ class TestApproxOrders:
         tt = root_table(3)
         t, r = tt.sym("t"), tt.sym("r")
         rep = approx_order_report(
-            "3ad", {"lam": 2 * t ** 5, "delta": t ** 5,
+            R3, {"lam": 2 * t ** 5, "delta": t ** 5,
                     "alpha": t ** 5 - (r / 6) / t}, tt)
         assert rep.leading_order == 8
         assert rep.norm_sq_text == "192*t^8"
@@ -151,7 +151,7 @@ class TestApproxOrders:
         tt = root_table(6)
         t, r = tt.sym("t"), tt.sym("r")
         rep = approx_order_report(
-            "su3", {"lam": (2 * r / 3) / t, "alpha": t ** 5,
+            RS, {"lam": (2 * r / 3) / t, "alpha": t ** 5,
                     "delta": F(3, 2) * t ** 5}, tt)
         assert rep.leading_order == 8
         assert rep.norm_sq_text == "216*t^8"
@@ -179,14 +179,14 @@ class TestApproxOrders:
     def test_constant_scaling_fails(self):
         tt = SymbolTable(("t",))
         rep = approx_order_report(
-            "3ad", {"lam": tt.rat(1), "delta": tt.rat(1),
+            R3, {"lam": tt.rat(1), "delta": tt.rat(1),
                     "alpha": tt.rat(3)}, tt)
         assert rep.leading_order == 0
 
 
 class TestBasisHandling:
     def test_basis_independence(self):
-        res = residual("3ad", T3.rat(4), T3.zero())
+        res = residual(R3, T3.rat(4), T3.zero())
         s1 = extract_constraints(res)
         alt = [res.basis[0], res.basis[0] + res.basis[1]]
         s2 = extract_constraints(res, basis=alt)
@@ -195,12 +195,12 @@ class TestBasisHandling:
         assert (s2.polynomials[1] - s1.polynomials[1]).is_zero
 
     def test_leftover_detection(self):
-        res = residual("3ad", T3.rat(4), T3.zero())
+        res = residual(R3, T3.rat(4), T3.zero())
         with pytest.raises(NotInSpanError):
             extract_constraints(res, basis=[res.basis[0]])
 
     def test_dependent_basis_refused(self):
-        res = residual("3ad", T3.rat(4), T3.zero())
+        res = residual(R3, T3.rat(4), T3.zero())
         with pytest.raises(AlgebraError):
             extract_constraints(res, basis=[res.basis[0], res.basis[0]])
 

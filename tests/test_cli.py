@@ -17,6 +17,9 @@ from hetg2.spinor import spinor_registry
 
 ALL_REPORT_SHA256 = \
     "95120eb80e1491aa18e19a5bd4fb577fd6b99e0a7898900fe5a2e1d64090dfb4"
+# the stdout of ``verify --list``, every suite's ids
+LIST_SHA256 = \
+    "8bbec8ae8449af738b4d02a3e4557fcc19b4f4061cbec0bbf122b01e790b47a9"
 
 # sha256 of "<name>\n<stdout>" over every `show` name, in sorted order
 SHOW_OUTPUTS_SHA256 = \
@@ -353,8 +356,8 @@ class TestSuites:
         (structures.get_ring, ("3ad",)), (structures.get_ring, ("su3",)),
         (structures.structure_torsion, (structures.get_ring("3ad"),)),
         (structures.structure_torsion, (structures.get_ring("su3"),)),
-        (bianchi.constraint_system, ("3ad",)),
-        (bianchi.constraint_system, ("su3",)),
+        (bianchi.constraint_system, (structures.get_ring("3ad"),)),
+        (bianchi.constraint_system, (structures.get_ring("su3"),)),
         (heisenberg.heisenberg_model, ()), (heisenberg.levi_civita, ()),
         (heisenberg.canonical_connection, ()),
         (heisenberg.associative_torsion_classes, ()),
@@ -456,6 +459,40 @@ class TestDriver:
         assert capsys.readouterr().err \
             == "error: --list does not read parameter 'alpha'\n"
 
+    @pytest.mark.parametrize("suite", ["3ad", "bianchi"])
+    def test_list_reads_the_suite(self, capsys, suite):
+        # the suite names, then the ids of the selected suite alone
+        assert main(["verify", "--list", "--suite", suite]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "suites: " + ", ".join(cli.SUITES),
+            *(f"  {suite}: {c.check_id}"
+              for c in suites.SUITE_CLASSES[suite].checks)]
+
+    @pytest.mark.parametrize("argv", [[], ["--suite", "all"]],
+                             ids=["default", "all"])
+    def test_list_of_all_suites_pinned(self, capsys, argv):
+        assert main(["verify", "--list", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LIST_SHA256
+
+    def test_list_refuses_json(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        assert main(["verify", "--list", "--json", str(path)]) == 2
+        assert capsys.readouterr().err \
+            == "error: --list does not read --json\n"
+        assert not path.exists()
+
+    def test_unwritable_json_exits_two(self, capsys, monkeypatch, tmp_path):
+        # the report is printed; the write fails as a usage error, not with
+        # a traceback and the exit code of a failed check
+        monkeypatch.setattr(cli, "run_suite", lambda suite, params: [])
+        path = tmp_path / "missing" / "x.json"
+        assert main(["verify", "--suite", "3ad", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "summary: 0 pass, 0 fail, 0 flagged\n"
+        assert err == f"error: cannot write '{path}': " \
+                      "No such file or directory\n"
+
     def test_missing_suite_exit_two(self, capsys):
         assert main(["verify"]) == 2
 
@@ -508,7 +545,8 @@ class TestDriver:
         assert {"hetg2.structures", "hetg2.curvature"} <= logged
 
     def test_branch_claims_follow_the_branch_data(self):
-        assert [b.branch_id for b in bianchi.branches()] \
+        rings = structures.get_ring("3ad"), structures.get_ring("su3")
+        assert [b.branch_id for b in bianchi.branches(*rings)] \
             == list(suites.BRANCHES)
 
     def test_show(self, capsys):

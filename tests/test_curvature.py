@@ -9,7 +9,7 @@ from hetg2 import bianchi
 from hetg2 import curvature as cv
 from hetg2 import suites
 from hetg2.curvature import (CurvOp, antiselfdual_kernel, array_trace,
-                             check_zero_factors, components, contorsion_3ad,
+                             check_zero_factors, components, contorsion,
                              curvature, instanton_obstruction, pair_symmetry,
                              skew_part, torsion_lambda, wedge_trace)
 from hetg2.scalar import AlgebraError, SymbolTable
@@ -28,7 +28,7 @@ SLOTS = "T^l has the claimed slot coefficients"
 
 # the shared 3ad ring, over whose table the characteristic torsion lives
 G = get_ring("3ad")
-TC = structure_torsion(G).characteristic.embed()
+TC = structure_torsion(G).characteristic
 PHI = G.phi().embed()
 GAL, GDE, GLAM = (G.table.sym(n) for n in ("alpha", "delta", "lam"))
 
@@ -200,11 +200,11 @@ def statuses(cls, name, perturb, ids):
 def with_contorsion(change):
     """A stand-in for the suite's (T^l, T^0), derived from ``change`` of the
     unit contorsion."""
-    unit = change(contorsion_3ad())
+    unit = change(contorsion(G))
 
     def derived(_):
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cv, "contorsion_3ad", lambda: unit)
+            m.setattr(cv, "contorsion", lambda ring: unit)
             return [torsion_lambda(TC, lam) for lam in (GLAM, G.table.zero())]
     return derived
 
@@ -297,44 +297,59 @@ class TestRecordsReadTheirInputs:
         assert named_failures(suites.Suite3ad, "tl", with_contorsion(change),
                               "3ad.torsion.lambda") == legs
 
-    @pytest.mark.parametrize("cls, ring_cls", [
-        (suites.Suite3ad, Ring3ad), (suites.SuiteSU3, RingSU3)],
-        ids=["3ad", "su3"])
-    def test_records_read_the_input_ring(self, cls, ring_cls):
+    @pytest.mark.parametrize("cls, name, ring_cls", [
+        (suites.Suite3ad, "r", Ring3ad), (suites.SuiteSU3, "r", RingSU3),
+        (suites.SuiteBianchi, "r", Ring3ad),
+        (suites.SuiteBianchi, "rsu", RingSU3)],
+        ids=["3ad", "su3", "bianchi-r", "bianchi-rsu"])
+    def test_records_read_the_input_ring(self, cls, name, ring_cls):
         # an equal ring built apart from the shared one: every record,
-        # torsion classes and T^c included, reads the suite's own ring
+        # torsion classes, T^c and the Bianchi systems included, reads the
+        # suite's own ring
         ids = [c.check_id for c in cls.checks]
         fresh = records(
-            cls, "r", lambda _: ring_cls(make_table(cls.geometry)), ids)
+            cls, name, lambda _: ring_cls(make_table(ring_cls.geometry)), ids)
         assert {k: r.status for k, r in fresh.items()} == {
             k: "flagged" if k == "su3.curvature.coefficient-discrepancy"
             else "pass" for k in ids}
 
-    @pytest.mark.parametrize("cls, ring_cls, facts, failing", [
-        (suites.Suite3ad, Ring3ad, dict(curvature_blocks=shifted_hh),
+    @pytest.mark.parametrize("cls, name, ring_cls, facts, failing", [
+        (suites.Suite3ad, "r", Ring3ad, dict(curvature_blocks=shifted_hh),
          {"3ad.curvature.blocks", "3ad.instanton.zero-set",
           "3ad.instanton.norm", "3ad.trace.lemma",
           "3ad.trace.rho2-cancellation"}),
-        (suites.Suite3ad, Ring3ad, dict(NORM_SQ_CALIBRATION=F(8)),
+        (suites.Suite3ad, "r", Ring3ad, dict(NORM_SQ_CALIBRATION=F(8)),
          {"3ad.instanton.norm"}),
-        (suites.Suite3ad, Ring3ad, dict(basis_4forms=mixed_basis),
+        (suites.Suite3ad, "r", Ring3ad, dict(basis_4forms=mixed_basis),
          {"3ad.torsion.exterior-derivative",
           "3ad.trace.rho2-cancellation"}),
-        (suites.SuiteSU3, RingSU3, dict(coefficient=shifted_coefficient),
+        (suites.SuiteSU3, "r", RingSU3, dict(coefficient=shifted_coefficient),
          {"su3.instanton.threshold", "su3.instanton.obstruction",
           "su3.instanton.norm", "su3.trace.lemma"}),
-        (suites.SuiteSU3, RingSU3, dict(NORM_SQ_CALIBRATION=F(3)),
+        (suites.SuiteSU3, "r", RingSU3, dict(NORM_SQ_CALIBRATION=F(3)),
          {"su3.instanton.obstruction", "su3.instanton.norm"}),
+        (suites.SuiteBianchi, "r", Ring3ad, dict(curvature_blocks=shifted_hh),
+         {"bianchi.system.case-i", "bianchi.exact-solution",
+          "bianchi.branch.3ad.exact", "bianchi.branch.3ad.case-i",
+          "bianchi.branch.3ad.case-ii", "bianchi.impossibility.3-alpha",
+          "bianchi.approximate.orders"}),
+        (suites.SuiteBianchi, "r", Ring3ad, dict(basis_4forms=mixed_basis),
+         {"bianchi.system.case-i"}),
+        (suites.SuiteBianchi, "rsu", RingSU3,
+         dict(coefficient=shifted_coefficient),
+         {"bianchi.branch.su3.case-a", "bianchi.branch.su3.case-b",
+          "bianchi.approximate.orders"}),
     ], ids=["3ad-hh-block", "3ad-calibration", "3ad-basis",
-            "su3-coefficient", "su3-calibration"])
-    def test_records_read_the_stated_facts(self, cls, ring_cls, facts,
+            "su3-coefficient", "su3-calibration", "bianchi-hh-block",
+            "bianchi-basis", "bianchi-su3-coefficient"])
+    def test_records_read_the_stated_facts(self, cls, name, ring_cls, facts,
                                            failing):
         # a ring that states one fact of its lam-family otherwise: exactly
         # the records that read the fact fail
         ring = type(ring_cls.__name__, (ring_cls,), facts)(
-            make_table(cls.geometry))
+            make_table(ring_cls.geometry))
         ids = [c.check_id for c in cls.checks]
-        got = records(cls, "r", lambda _: ring, ids)
+        got = records(cls, name, lambda _: ring, ids)
         assert {k for k, r in got.items() if r.status == "fail"} == failing
 
     def test_trace_records_read_the_blocks(self):
@@ -389,12 +404,12 @@ class TestTorsionLambda:
         assert tl[(4, 1, 5)] - skew[(4, 1, 5)] == -GLAM / 2
 
     def test_contorsion_blocks(self):
-        delta = {k: 2 * v for k, v in contorsion_3ad().items()}  # lam = 2
+        delta = {k: 2 * v for k, v in contorsion(G).items()}  # lam = 2
         assert delta[(1, 2, 3)] == 2  # lam * phi(123)
         assert delta[(4, 1, 5)] == -1  # -lam/2 * phi(4,1,5) = -1*(+1)
         assert (1, 4, 5) not in delta  # value-vertical slot is unshifted
         # Delta^0 = 0: the family adds nothing to T^c at lam = 0
-        assert torsion_lambda(TC, G.table.zero()) == components(TC)
+        assert torsion_lambda(TC, G.table.zero()) == components(TC.embed())
 
 
 class TestCurvature3ad:
@@ -564,9 +579,14 @@ class TestSU3:
 
 def geometry_dispatch(source: str) -> list:
     """The places in ``source`` that pick behaviour by geometry: isinstance
-    against a ring class, and subscripts indexed by a ``.geometry``."""
+    against a ring class, subscripts indexed by a ``.geometry``, and calls
+    of ``get_ring``, which look a ring up by name."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "get_ring" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append(ast.get_source_segment(source, node))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "isinstance" and len(node.args) == 2:
             names = {n.id if isinstance(n, ast.Name) else n.attr
@@ -586,13 +606,16 @@ class TestNoGeometryDispatch:
         assert geometry_dispatch(
             "f = TABLE[ring.geometry]\n"
             "if isinstance(ring, (structures.RingSU3, int)): pass\n"
-            "g = TABLE[ring.delta]; isinstance(ring, Form)\n") \
+            "g = TABLE[ring.delta]; isinstance(ring, Form)\n"
+            "h = get_ring('3ad').table; k = st.get_ring(name)\n"
+            "get_rings(); ring.get_ring_name\n") \
             == ["TABLE[ring.geometry]",
-                "isinstance(ring, (structures.RingSU3, int))"]
+                "isinstance(ring, (structures.RingSU3, int))",
+                "st.get_ring(name)", "get_ring('3ad')"]
 
     @pytest.mark.parametrize("module", [cv, bianchi],
                              ids=["curvature", "bianchi"])
     def test_no_geometry_dispatch(self, module):
         # each ring states the facts of its own family; these modules read
-        # them off the ring and do not pick them by geometry
+        # them off the ring they are passed and do not pick it by geometry
         assert geometry_dispatch(Path(module.__file__).read_text()) == []

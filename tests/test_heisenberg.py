@@ -6,9 +6,10 @@ import pytest
 from hetg2 import heisenberg as hb
 from hetg2 import spinor as sp
 from hetg2 import suites
-from hetg2.curvature import contorsion_3ad
+from hetg2.curvature import contorsion
 from hetg2.scalar import AlgebraError
-from hetg2.structures import CYCLIC, sp1_frame_forms, torsion_classes
+from hetg2.structures import (CYCLIC, get_ring, sp1_frame_forms,
+                              torsion_classes)
 from test_curvature import (doubled, failed, holding, named_failures,
                             records, statuses, with_leg, with_result)
 
@@ -192,7 +193,8 @@ class TestCurvature:
         # contorsion
         can = hb.canonical_connection()
         for lam in (F(2), F(-1, 3)):
-            want = {k: lam * v for k, v in contorsion_3ad().items()}
+            want = {k: lam * v
+                    for k, v in contorsion(get_ring("3ad")).items()}
             conn = hb.connection_lambda(lam)
             got = {(x, y, z): conn.L[y][x - 1][z - 1] - can.L[y][x - 1][z - 1]
                    for y in range(1, 8) for x in range(1, 8)
