@@ -2,13 +2,13 @@
 
 The residual of the flux identity  dH = (a'/4)(tr F^F - tr R^R)  with H the
 characteristic torsion and both gauge connections drawn from the deformation
-family is assembled in the coframe, where the curvature traces live; the
+family is the coframe 4-form where the curvature traces live; the
 remainder's tr(R2 ^ R2) does not depend on lambda and cancels in the
-difference, and coefficients are matched against the independent 4-form
-basis, embedded alongside.  Branch verification is a polynomial-identity
-check: bindings are substituted and the remaining constraints reduced to
-zero modulo the branch's defining relations via pseudo-remainders.  No
-tolerances anywhere.
+difference.  Its constraint polynomials are its coordinates in the ring's
+4-form basis, embedded in the same coframe (``structures.coordinates``).
+Branch verification is a polynomial-identity check: bindings are
+substituted and the remaining constraints reduced to zero modulo the
+branch's defining relations via pseudo-remainders.  No tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -16,64 +16,28 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Optional
 
 from .curvature import curvature, instanton_obstruction, wedge_trace
-from .exterior import coefficient_matrix, form_to_vector
-from .linsolve import InconsistentSystemError, solve_ring_rhs
+from .exterior import Form
 from .scalar import AlgebraError, Scalar, SymbolTable, prem
-from .structures import NotInSpanError, structure_torsion
+from .structures import coordinates, structure_torsion
 
 
-class BianchiResidual(namedtuple("BianchiResidual", "form basis")):
-    """The residual as a coframe 4-form, with the ring's coefficient basis
-    (``basis_4forms``) embedded in the same coframe."""
-
-    __slots__ = ()
-
-
-def residual(ring, lam1: Scalar, lam2: Scalar) -> BianchiResidual:
+def residual(ring, lam1: Scalar, lam2: Scalar) -> Form:
     """dT^c - (a'/4)(tr R^{lam1} ^ R^{lam1} - tr R^{lam2} ^ R^{lam2}) in the
     ring's coframe."""
     dtc = structure_torsion(ring).characteristic.d()
     tr1, tr2 = (wedge_trace(curvature(ring, lam)) for lam in (lam1, lam2))
-    form = dtc.embed() - (ring.table.sym("alphap") / 4) * (tr1 - tr2)
-    return BianchiResidual(form, [b.embed() for b in ring.basis_4forms()])
-
-
-class ConstraintSystem(namedtuple("ConstraintSystem", "polynomials")):
-    __slots__ = ()
-
-    def substituted(self, bindings) -> list[Scalar]:
-        return [p.subs(bindings) for p in self.polynomials]
-
-
-def extract_constraints(res: BianchiResidual,
-                        basis: Optional[list] = None) -> ConstraintSystem:
-    """One polynomial per independent basis 4-form.
-
-    A residual outside the basis span raises :class:`NotInSpanError`
-    carrying the leftover component.
-    """
-    space = res.form.space
-    basis = basis if basis is not None else res.basis
-    monos = sorted({m for b in basis for m in b.terms} | set(res.form.terms),
-                   key=lambda m: (space.mono_degree(m), space.mono_label(m)))
-    rhs = form_to_vector(res.form, monos)
-    try:
-        sol = solve_ring_rhs(coefficient_matrix(basis, monos), rhs)
-    except InconsistentSystemError as exc:
-        raise NotInSpanError("residual is not in the span of the "
-                             "declared basis", exc.residual) from exc
-    return ConstraintSystem(sol)
+    return dtc.embed() - (ring.table.sym("alphap") / 4) * (tr1 - tr2)
 
 
 @cache
-def constraint_system(ring) -> ConstraintSystem:
-    """The constraint system of the residual at symbolic (lam1, lam2)."""
+def constraint_system(ring) -> tuple:
+    """The residual's polynomials at symbolic (lam1, lam2), one per basis
+    4-form of the ring."""
     table = ring.table
-    return extract_constraints(
-        residual(ring, table.sym("lam1"), table.sym("lam2")))
+    res = residual(ring, table.sym("lam1"), table.sym("lam2"))
+    return tuple(coordinates(res, [b.embed() for b in ring.basis_4forms()]))
 
 
 class SolutionBranch(namedtuple(
@@ -92,12 +56,6 @@ class SolutionBranch(namedtuple(
     __slots__ = ()
 
 
-def _reduce_by_hypotheses(p: Scalar, hyps) -> Scalar:
-    for h, var in hyps:
-        p = prem(p, h, var)
-    return p
-
-
 def verify_branch(branch: SolutionBranch) -> tuple:
     """Substitute the branch into the constraint system: (the constraints
     reduced by the branch's relations, a (sample, constraint values) pair
@@ -105,15 +63,17 @@ def verify_branch(branch: SolutionBranch) -> tuple:
     table = branch.ring.table
     system = constraint_system(branch.ring)
     reduced = []
-    for p in system.substituted(branch.bindings):
+    for p in system:
+        p = p.subs(branch.bindings)
         if branch.conditional_pair is not None and not p.is_zero:
             p = _conditional_identity_reduce(p, branch)
         else:
-            p = _reduce_by_hypotheses(p, branch.hypotheses)
+            for h, var in branch.hypotheses:
+                p = prem(p, h, var)
         reduced.append(p)
     # the numeric confirmation on the declared rational sample points
-    samples = [(sample, system.substituted({k: table.rat(v)
-                                            for k, v in sample.items()}))
+    samples = [(sample, [p.subs({k: table.rat(v) for k, v in sample.items()})
+                         for p in system])
                for sample in branch.samples]
     hyp_text = [f"{k} = {v}" for k, v in branch.bindings.items()]
     hyp_text += [f"{h} = 0" for h, _ in branch.hypotheses]
@@ -220,7 +180,7 @@ def sasaki_3alpha_impossibility(ring) -> list:
     system = constraint_system(ring)
     sub = {"delta": table.sym("alpha")}
     # order: [B1 coefficient, B2 coefficient] as returned by the basis
-    e_b1, e_b2 = (p.subs(sub).subs({"alpha": 1}) for p in system.polynomials)
+    e_b1, e_b2 = (p.subs(sub).subs({"alpha": 1}) for p in system)
     elim = prem(e_b1, e_b2, "alphap")
     cs = elim.div_exact(l2 - l1, "lam2").coeffs_in("lam2")
     return [

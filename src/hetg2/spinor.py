@@ -919,19 +919,16 @@ def stabilizer_dimension(phi: Form) -> int:
     return len(nullspace(coefficient_matrix(cols, basis_multi_indices(7, 3))))
 
 
-def su3_killing_consequences(table) -> list:
-    """Frame-level consequences of the generalized Killing endomorphism, as
-    (name, lhs, rhs) triples.
+def su3_killing_consequences(ring) -> list:
+    """Frame-level consequences of the generalized Killing endomorphism on
+    the su3 ring's coframe, as (name, lhs, rhs) triples.
 
     With S(xi) = -(3a - 4d) xi and S = a on the horizontal space, the stated
     covariant derivatives of (eta, Phi, Om) alternate into the structure
     equations: d eta = 2a Phi, d Phi = 0 and d Om = 4 i d eta ^ Om.
     """
-    from .exterior import Coframe
-    from .structures import endomorphism_from_form, su3_frame_forms
-    cf = Coframe(table, 7)
-    frame = su3_frame_forms(cf)
-    a, d = table.sym("alpha"), table.sym("delta")
+    from .structures import endomorphism_from_form
+    cf, frame, a, d = ring.coframe, ring.frame, ring.alpha, ring.delta
     # S(e_mu) = S[mu] e_mu
     S = {1: -(3 * a - 4 * d), **{mu: a for mu in range(2, 8)}}
     eta, phi = frame["eta"], frame["Phi"]

@@ -42,6 +42,24 @@ class NotInSpanError(AlgebraError):
         self.leftover = leftover
 
 
+def coordinates(form: Form, cols: list) -> list[Scalar]:
+    """The coefficients c with sum c_i cols[i] = form, solved over the
+    sorted union of the monomials of ``form`` and ``cols``.
+
+    The columns must be independent; a form outside their span raises
+    :class:`NotInSpanError` carrying the leftover entry.
+    """
+    space = form.space
+    rows = sorted({m for f in cols for m in f.terms} | set(form.terms),
+                  key=lambda m: (space.mono_degree(m), space.mono_label(m)))
+    try:
+        return solve_ring_rhs(coefficient_matrix(cols, rows),
+                              form_to_vector(form, rows))
+    except InconsistentSystemError as exc:
+        raise NotInSpanError("form is not in the span of the columns",
+                             exc.residual) from exc
+
+
 def make_table(geometry: str) -> SymbolTable:
     """Master symbol table for one geometry ('3ad' or 'su3')."""
     if geometry == "3ad":
@@ -158,27 +176,12 @@ class _BaseRing:
         return GenForm(self, fixed)
 
     def from_form(self, form: Form) -> GenForm:
-        """Express a coframe form in ring generators (error if impossible)."""
-        out = self.zero()
-        degs = sorted({len(k) for k in form.terms})
-        for k in degs:
-            part = form.homogeneous_part(k)
-            monos = self.monomials(k)
-            if not monos:
-                raise NotInSpanError(f"no degree-{k} monomials", part)
-            basis = basis_multi_indices(7, k)
-            matrix = coefficient_matrix([self.mono_embed(m) for m in monos],
-                                        basis)
-            rhs = form_to_vector(part, basis)
-            try:
-                sol = solve_ring_rhs(matrix, rhs)
-            except InconsistentSystemError as exc:
-                raise NotInSpanError("form is not in the ring's span",
-                                     exc.residual) from exc
-            for m, c in zip(monos, sol):
-                if not c.is_zero:
-                    out = out + GenForm(self, {m: c})
-        return out
+        """Express a coframe form in ring generators (error if impossible):
+        one solve over the ring's monomials in the degrees the form has."""
+        monos = [m for k in sorted({len(i) for i in form.terms})
+                 for m in self.monomials(k)]
+        sol = coordinates(form, [self.mono_embed(m) for m in monos])
+        return GenForm(self, dict(zip(monos, sol)))
 
     def _check_construction(self):
         for g in self.gens.values():
@@ -596,7 +599,8 @@ def structure_torsion(ring: _BaseRing) -> Torsion:
 
 
 def h_homothety(alpha: Scalar, delta: Scalar, a, c):
-    """Parameter map of the fibre/base rescaling: (c a/alpha ... ) -> (c*alpha/a, delta/c)."""
+    """Parameter map of the fibre/base rescaling with invertible factors
+    a and c: (alpha, delta) -> (c alpha / a, delta / c)."""
     table = alpha.table
     if not isinstance(a, Scalar):
         a = table.rat(a)

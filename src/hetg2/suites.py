@@ -412,7 +412,7 @@ class SuiteSpinor(Suite):
     pm_rel = cached_property(
         lambda s: s.sp.plus_minus_relations(s.rep, s.frame))
     killing = cached_property(
-        lambda s: s.sp.su3_killing_consequences(s.rsu.table))
+        lambda s: s.sp.su3_killing_consequences(s.rsu))
     pm = cached_property(lambda s: s.sp.majorana_pair(s.rep))
     real = cached_property(lambda s: s.sp.real_rep7())
     vs = cached_property(lambda s: s.sp.majorana_v_basis(s.rep))
@@ -648,10 +648,11 @@ class SuiteBianchi(Suite):
     ap = cached_property(lambda s: s.t.sym("alphap"))
     l2 = cached_property(lambda s: s.t.sym("lam2"))
     # the case-i system: the symbolic (lam1, lam2) system at lam1 = -beta
-    sysm = cached_property(lambda s: s.bi.ConstraintSystem(
-        s.bi.constraint_system(s.r).substituted({"lam1": -s.beta})))
+    sysm = cached_property(lambda s: [
+        p.subs({"lam1": -s.beta}) for p in s.bi.constraint_system(s.r)])
     res_thm = cached_property(lambda s: s.bi.residual(s.r, s.t.rat(4),
                                                       s.t.zero()))
+    b4 = cached_property(lambda s: [b.embed() for b in s.r.basis_4forms()])
     branches = cached_property(
         lambda s: {b.branch_id: b for b in s.bi.branches(s.r, s.rsu)})
     imp = cached_property(lambda s: s.bi.sasaki_3alpha_impossibility(s.r))
@@ -659,18 +660,16 @@ class SuiteBianchi(Suite):
     approx = cached_property(
         lambda s: s.bi.approximate_order_reports(s.r, s.rsu))
     # the residual's constraints in its own basis and in (b1, b1 + b2)
-    p1 = cached_property(lambda s: s.bi.extract_constraints(
-        s.res_thm).polynomials)
-    p2 = cached_property(lambda s: s.bi.extract_constraints(s.res_thm, basis=[
-        s.res_thm.basis[0], s.res_thm.basis[0] + s.res_thm.basis[1]])
-        .polynomials)
+    p1 = cached_property(lambda s: s.st.coordinates(s.res_thm, s.b4))
+    p2 = cached_property(lambda s: s.st.coordinates(
+        s.res_thm, [s.b4[0], s.b4[0] + s.b4[1]]))
 
     def exact_solution(self) -> dict:
         # the exact solution pairs lam1 = -beta with lam2 = 0; at alpha = 0
         # the residual vanishes identically, so that point is refused
         point = {"alpha": Fraction(1), "delta": Fraction(0),
                  "alphap": Fraction(1, 12), **self.params}
-        vals = self.sysm.substituted({"lam2": 0, **point})
+        vals = [p.subs({"lam2": 0, **point}) for p in self.sysm]
         return dict(ok=point["alpha"] != 0 and all(v.is_zero for v in vals),
                     lhs="; ".join(str(v) for v in vals),
                     notes="alpha = 0 is degenerate: the residual vanishes "
@@ -701,8 +700,7 @@ class SuiteBianchi(Suite):
 
     def basis_leftover(self) -> bool:
         try:
-            self.bi.extract_constraints(self.res_thm,
-                                        basis=[self.res_thm.basis[0]])
+            self.st.coordinates(self.res_thm, self.b4[:1])
         except self.st.NotInSpanError:
             return True
         return False
@@ -711,7 +709,7 @@ class SuiteBianchi(Suite):
         Check("bianchi.system.case-i",
               "the parallel-instanton residual coefficients are "
               "4a^2 - 3a' a^2 (b+l)^2 and 4ab - 3a' a (b+l)^2 (l - 4a)",
-              lambda s: s.sysm.polynomials[:2] == [
+              lambda s: s.sysm[:2] == [
                   4 * s.al * s.beta
                   - 3 * s.ap * s.al * (s.beta + s.l2) ** 2 * (s.l2 - 4 * s.al),
                   4 * s.al ** 2 - 3 * s.ap * s.al ** 2 * (s.beta + s.l2) ** 2,

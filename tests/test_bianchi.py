@@ -4,11 +4,11 @@ import pytest
 
 from hetg2 import suites
 from hetg2.bianchi import (_conditional_identity_reduce, approx_order_report,
-                           branches, extract_constraints, residual,
-                           root_table, sasaki_3alpha_impossibility,
-                           verify_branch)
+                           branches, residual, root_table,
+                           sasaki_3alpha_impossibility, verify_branch)
 from hetg2.scalar import AlgebraError, SymbolTable, prem
-from hetg2.structures import NotInSpanError, get_ring, structure_torsion
+from hetg2.structures import (NotInSpanError, coordinates, get_ring,
+                              structure_torsion)
 from test_curvature import doubled, failed, named_failures, records, with_leg
 
 R3 = get_ring("3ad")
@@ -19,12 +19,17 @@ L1, L2 = T3.sym("lam1"), T3.sym("lam2")
 BETA = 2 * (DE - 2 * AL)
 
 
+def basis(ring):
+    """The ring's 4-form basis, embedded in its coframe."""
+    return [b.embed() for b in ring.basis_4forms()]
+
+
 class TestResidual:
     def test_rho2_cancels(self):
         # at equal lambdas the traces cancel, the remainder's with them,
         # and the residual is d T^c
         res = residual(R3, L1, L1)
-        assert res.form == structure_torsion(R3).characteristic.d().embed()
+        assert res == structure_torsion(R3).characteristic.d().embed()
 
     def test_flux_source_is_characteristic_torsion(self):
         tcg = structure_torsion(R3).characteristic
@@ -34,33 +39,33 @@ class TestResidual:
         assert tcg == expect
 
     def test_case_i_generic_system(self):
-        sysm = extract_constraints(residual(R3, -BETA, L2))
-        assert sysm.polynomials[1] == 4 * AL ** 2 \
+        sysm = coordinates(residual(R3, -BETA, L2), basis(R3))
+        assert sysm[1] == 4 * AL ** 2 \
             - 3 * AP * AL ** 2 * (BETA + L2) ** 2
-        assert sysm.polynomials[0] == 4 * AL * BETA \
+        assert sysm[0] == 4 * AL * BETA \
             - 3 * AP * AL * (BETA + L2) ** 2 * (L2 - 4 * AL)
 
     def test_exact_solution_system(self):
-        sysm = extract_constraints(residual(R3, -BETA, T3.zero()))
-        at0 = [p.subs({"delta": 0}) for p in sysm.polynomials]
+        sysm = coordinates(residual(R3, -BETA, T3.zero()), basis(R3))
+        at0 = [p.subs({"delta": 0}) for p in sysm]
         # {4a^2 = 3a^2 b^2 a', 4ab = -12 a^2 b^2 a'} at b = -4a
         assert at0[1] == 4 * AL ** 2 - 48 * AP * AL ** 4
         assert at0[0] == -16 * AL ** 2 + 192 * AP * AL ** 4
         vals = [p.subs({"alpha": 1, "delta": 0, "alphap": F(1, 12)})
-                for p in sysm.polynomials]
+                for p in sysm]
         assert all(v.is_zero for v in vals)
         bad = [p.subs({"alpha": 1, "delta": 0, "alphap": F(1, 10)})
-               for p in sysm.polynomials]
+               for p in sysm]
         assert any(not v.is_zero for v in bad)
 
     def test_su3_eta_omega_coefficients(self):
         ts = RS.table
-        sysm = extract_constraints(
-            residual(RS, ts.sym("lam1"), ts.sym("lam2")))
+        sysm = coordinates(residual(RS, ts.sym("lam1"), ts.sym("lam2")),
+                           basis(RS))
         de, al = ts.sym("delta"), ts.sym("alpha")
         s, c = ts.sym("s"), ts.sym("c")
         by_monomial = dict(zip(["PhiPhi", "etaOm+", "etaOm-"],
-                               sysm.polynomials))
+                               sysm))
         assert by_monomial["etaOm+"] == -c * 4 * de * (6 * al - 4 * de) / 3
         assert by_monomial["etaOm-"] == s * 4 * de * (6 * al - 4 * de) / 3
         # nonzero unless delta (3 alpha - 2 delta) = 0
@@ -71,9 +76,9 @@ class TestResidual:
 
     def test_zero_residual_gives_satisfiable_system(self):
         res = residual(R3, -BETA, T3.zero())
-        sysm = extract_constraints(res)
+        sysm = coordinates(res, basis(R3))
         vals = [p.subs({"alpha": 1, "delta": 0, "alphap": F(1, 12)})
-                for p in sysm.polynomials]
+                for p in sysm]
         assert all(v.is_zero for v in vals)
 
 
@@ -127,13 +132,13 @@ class TestImpossibility:
 
     def test_numeric_samples(self):
         # a = d = 1: no rational (lam1, lam2, a' > 0) zeroes both constraints
-        sysm = extract_constraints(residual(R3, L1, L2))
+        sysm = coordinates(residual(R3, L1, L2), basis(R3))
         for l1 in (F(0), F(2), F(4), F(-1)):
             for l2 in (F(0), F(1), F(3), F(7, 2)):
                 for ap in (F(1, 12), F(1, 3), F(2)):
                     vals = [p.subs({"alpha": 1, "delta": 1, "lam1": l1,
                                     "lam2": l2, "alphap": ap})
-                            for p in sysm.polynomials]
+                            for p in sysm]
                     assert any(not v.is_zero for v in vals)
 
 
@@ -187,22 +192,21 @@ class TestApproxOrders:
 class TestBasisHandling:
     def test_basis_independence(self):
         res = residual(R3, T3.rat(4), T3.zero())
-        s1 = extract_constraints(res)
-        alt = [res.basis[0], res.basis[0] + res.basis[1]]
-        s2 = extract_constraints(res, basis=alt)
-        assert (s2.polynomials[0]
-                - (s1.polynomials[0] - s1.polynomials[1])).is_zero
-        assert (s2.polynomials[1] - s1.polynomials[1]).is_zero
+        b = basis(R3)
+        s1 = coordinates(res, b)
+        s2 = coordinates(res, [b[0], b[0] + b[1]])
+        assert (s2[0] - (s1[0] - s1[1])).is_zero
+        assert (s2[1] - s1[1]).is_zero
 
     def test_leftover_detection(self):
         res = residual(R3, T3.rat(4), T3.zero())
         with pytest.raises(NotInSpanError):
-            extract_constraints(res, basis=[res.basis[0]])
+            coordinates(res, basis(R3)[:1])
 
     def test_dependent_basis_refused(self):
         res = residual(R3, T3.rat(4), T3.zero())
         with pytest.raises(AlgebraError):
-            extract_constraints(res, basis=[res.basis[0], res.basis[0]])
+            coordinates(res, [basis(R3)[0]] * 2)
 
 
 def test_branch_record_payload():

@@ -352,6 +352,18 @@ class TestRecordsReadTheirInputs:
         got = records(cls, name, lambda _: ring, ids)
         assert {k for k, r in got.items() if r.status == "fail"} == failing
 
+    @pytest.mark.parametrize("name, perturb, failing", [
+        ("p2", lambda p: p, set()),
+        ("p2", lambda p: p[::-1], {"bianchi.basis-independence"}),
+        ("res_thm", lambda f: f.space.zero(), {"bianchi.basis-leftover"}),
+    ], ids=["unperturbed", "p2-swapped", "zero-residual"])
+    def test_basis_records_read_their_inputs(self, name, perturb, failing):
+        # the other basis must give the other coordinates, and only a
+        # residual outside b1's span leaves a leftover
+        ids = [c.check_id for c in suites.SuiteBianchi.checks]
+        assert statuses(suites.SuiteBianchi, name, perturb, ids) == {
+            k: "fail" if k in failing else "pass" for k in ids}
+
     def test_trace_records_read_the_blocks(self):
         ids = ("3ad.trace.lemma",)
         assert statuses(suites.Suite3ad, "R",
@@ -619,3 +631,41 @@ class TestNoGeometryDispatch:
         # each ring states the facts of its own family; these modules read
         # them off the ring they are passed and do not pick it by geometry
         assert geometry_dispatch(Path(module.__file__).read_text()) == []
+
+
+def callers(source: str, callee: str) -> list:
+    """The functions in ``source`` that name ``callee``, as a plain name or
+    an attribute, outside imports: the innermost enclosing def by its name,
+    ``<lambda>`` or ``<module>``, once per reference."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Lambda):
+            where = "<lambda>"
+        if callee in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestOneSpanSolve:
+    def test_the_guard_sees_callers(self):
+        assert callers(
+            "from .linsolve import solve_ring_rhs\n"
+            "def f(m, b):\n"
+            "    def g(): return ls.solve_ring_rhs(m, b)\n"
+            "    return solve_ring_rhs\n"
+            "h = lambda: solve_ring_rhs(1, 2)\n"
+            "x = solve_ring_rhs_fast(1); solve = solve_ring_rhs\n",
+            "solve_ring_rhs") == ["g", "f", "<lambda>", "<module>"]
+
+    def test_coordinates_is_the_one_caller(self):
+        # every coefficient read-off goes through one span solve
+        src = Path(cv.__file__).parent
+        assert [f"{path.stem}.{where}" for path in sorted(src.glob("*.py"))
+                for where in callers(path.read_text(), "solve_ring_rhs")] \
+            == ["structures.coordinates"]

@@ -9,8 +9,8 @@ from hetg2 import spinor as sp
 from hetg2 import suites
 from hetg2.exterior import Coframe
 from hetg2.scalar import AlgebraError, SymbolTable
-from hetg2.structures import (RingSU3, make_table, sp1_frame_forms,
-                              su3_frame_forms)
+from hetg2.structures import (RingSU3, get_ring, make_table,
+                              sp1_frame_forms, su3_frame_forms)
 from test_curvature import (doubled, failed, named_failures, records,
                             statuses, with_leg)
 
@@ -621,7 +621,7 @@ class TestRecordsReadTheirInputs:
 
 
 def test_killing_consequences():
-    cons = sp.su3_killing_consequences(make_table("su3"))
+    cons = sp.su3_killing_consequences(get_ring("su3"))
     assert len(cons) == 5
     assert all(suites.sign(lhs, rhs) == 1 for _, lhs, rhs in cons)
 

@@ -8,7 +8,8 @@ from hetg2.heisenberg import d_form, heisenberg_model
 from hetg2.scalar import AlgebraError
 from hetg2.structures import (CYCLIC, ExtractionError, GenForm, NotInSpanError,
                               Ring3ad, RingSU3, TorsionClasses,
-                              characteristic_torsion, get_ring, gram_matrix,
+                              characteristic_torsion, coordinates, get_ring,
+                              gram_matrix,
                               h_homothety, is_g2_form,
                               lambda214_double_characterization, make_table,
                               registry, sp1_frame_forms, torsion_classes)
@@ -168,6 +169,24 @@ class TestRingSU3:
 
     def test_star_roundtrip(self):
         assert RS.from_form(RS.phi().embed().star()) == RS.psi()
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("ring", [R3, RS], ids=["3ad", "su3"])
+    def test_one_solve_spans_several_degrees(self, ring):
+        mixed = ring.phi() + ring.psi() + ring.one()
+        assert ring.from_form(mixed.embed()) == mixed
+
+    def test_leftover_outside_the_span(self):
+        # e^{14} is no degree-2 ring element; phi is expressed alongside
+        with pytest.raises(NotInSpanError) as exc:
+            R3.from_form(R3.coframe.e(1, 4) + R3.phi().embed())
+        assert not exc.value.leftover.is_zero
+
+    def test_dependent_columns_refused(self):
+        phi = R3.phi().embed()
+        with pytest.raises(AlgebraError, match="full column rank"):
+            coordinates(phi, [phi, phi])
 
 
 @pytest.mark.parametrize("ring, npairs", [(R3, 946), (RS, 84)],
