@@ -145,11 +145,6 @@ class Form:
             raise DegreeError(f"mixed-degree form: degrees {sorted(degs)}")
         return degs.pop()
 
-    def homogeneous_part(self, k: int) -> "Form":
-        deg = self.space.mono_degree
-        return self.__class__(self.space, {m: c for m, c in self.terms.items()
-                                           if deg(m) == k})
-
     def _coframe(self, method: str) -> Coframe:
         if not isinstance(self.space, Coframe):
             raise AlgebraError(f"{method} needs a coframe form, not a form "

@@ -23,18 +23,22 @@ by index lookups and part swaps, with no multiplication;
 on words, each bilinear herm(x, W y) read off the word by ``word_herm``
 without building W y, and so is the real 8-dimensional representation
 ``real_rep7``.  ``CliffordRep.word`` builds the word of each product of
-generators once, from the word of its prefix.  Every other
-operator (a form's Clifford action, an eigenprojector) is held as sparse
-rows, one {column: entry} dict per row: ``word_rows`` turns a combination of
-words into sparse rows, and ``rows_apply``, ``rows_scale`` and ``matmul``
-act on them.  ``build_rep`` is cached per ``m``; the cached ``CliffordRep``
-is frozen and shared by every caller in the process.
+generators once, from the word of its prefix.  Every other operator (a
+form's Clifford action, an eigenprojector) is held as sparse rows, one
+{column: entry} dict per row: ``word_rows`` turns a combination of words
+into sparse rows, and ``rows_apply``, ``rows_scale`` and ``matmul`` act on
+them.  ``CliffordRep.terms`` is the one builder of a form's Clifford action,
+as the (coefficient, word) pairs that ``word_rows`` reads.  ``build_rep`` is
+cached per ``m``; the cached ``CliffordRep`` is frozen and shared by every
+caller in the process.
 
 Convention notes, fixed once and verified exhaustively by the test suite:
 
 * the fundamental 2-form acting on spinors in the eigenspace decomposition is
   sum_a e^{2a} ^ e^{2a+1}, the negative of the structure-module convention
   Phi(X, Y) = g(X, phi Y);
+* the spinor-side (1,1)-tensor of a 2-form Phi is phi(X) = X -| Phi, read
+  by ``Form.contract``: the negative of the structure-module phi;
 * the distinguished section of the lowest eigenspace carries a phase (1+i)
   relative to the plain basis spinor u(1,...,1) (this makes the holomorphic
   volume bilinear land exactly on the adapted-frame form);
@@ -415,11 +419,6 @@ class CliffordRep:
     def dim(self) -> int:
         return 2 ** self.m
 
-    @property
-    def charge_word(self) -> tuple:
-        """The word of the charge conjugation C, built once."""
-        return charge_conjugation(self)
-
     @cache
     def word(self, idx: tuple) -> tuple:
         """The word of the ordered product e_idx[0] ... e_idx[-1]; each
@@ -428,11 +427,14 @@ class CliffordRep:
             return tuple(range(self.dim)), (0,) * self.dim
         return word_mul(self.word(idx[:-1]), self.words[idx[-1] - 1])
 
+    def terms(self, form: Form) -> list:
+        """The (coefficient, word) pairs of the Clifford action of a form
+        with rational coefficients."""
+        return [(c.as_rat(), self.word(idx)) for idx, c in form.terms.items()]
+
     def form_matrix(self, form: Form) -> list:
-        """Sparse rows of the Clifford action of a form with rational
-        coefficients."""
-        return word_rows(((c.as_rat(), self.word(idx))
-                          for idx, c in form.terms.items()), self.dim)
+        """Sparse rows of the Clifford action of a form."""
+        return word_rows(self.terms(form), self.dim)
 
 
 @cache
@@ -535,7 +537,7 @@ def charge_conjugation(rep: CliffordRep) -> tuple:
 def charge_conjugation_relations(rep: CliffordRep) -> list:
     """C^2 = 1, C symmetric, C real (even phases) and C rho(e_mu) =
     -rho(e_mu)^T C, as (name, lhs, rhs) triples of words and phases."""
-    c = rep.charge_word
+    c = charge_conjugation(rep)
     tr = _word_transpose
     return [("C^2 = 1", word_mul(c, c), rep.word(())),
             ("C^T = C", tr(c), c),
@@ -546,7 +548,7 @@ def charge_conjugation_relations(rep: CliffordRep) -> list:
 
 
 def j_real_structure(rep: CliffordRep, psi):
-    return word_apply(rep.charge_word, vec_conj(psi))
+    return word_apply(charge_conjugation(rep), vec_conj(psi))
 
 
 def majorana_v_basis(rep: CliffordRep):
@@ -699,7 +701,7 @@ def sigma_decompose(rep: CliffordRep, phi_form: Form) -> SigmaDecomposition:
     """
     m = rep.m
     n = rep.dim
-    terms = [(c.as_rat(), rep.word(idx)) for idx, c in phi_form.terms.items()]
+    terms = rep.terms(phi_form)
     eigs = [GQ(0, -(2 * r - m)) for r in range(m + 1)]
     factors = [word_rows(terms + [(-e, rep.word(()))], n)  # A - e
                for e in eigs]
@@ -826,10 +828,7 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
     checks += [(f"xi{i} psi{j} = psi{k}", word_apply(xi(i), psi[j]), psi[k])
                for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
     # membership in the rank-2 bundles: psi_i solves the E_j equation, j != i
-    from .structures import endomorphism_from_form
-    phi_tensor = {i: endomorphism_from_form(frame["Phi"][i])
-                  for i in (1, 2, 3)}
-    checks += [_e_bundle_member(rep, phi_tensor[j], j, i, psi[i])
+    checks += [_e_bundle_member(rep, frame["Phi"][j], j, i, psi[i])
                for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
     # lowest-eigenspace identity used in the Ricci argument
     sec = canonical_su3_spinor(rep)
@@ -839,17 +838,17 @@ def sp1_spinor_suite(rep: CliffordRep, frame: dict) -> list:
     return checks
 
 
-def _e_bundle_member(rep: CliffordRep, phi_tensor: dict, j: int, i: int,
+def _e_bundle_member(rep: CliffordRep, phi_j: Form, j: int, i: int,
                      psi) -> tuple:
     """psi_i in E_j: (-2 phi_j(X) + xi_j X - X xi_j) psi = 0 for every frame
-    vector X, with phi_j the spinor-side tensor, the negative of
-    ``phi_tensor``; the left side is the seven vectors, flattened."""
+    vector X, where the spinor-side phi_j(X) is X -| Phi_j for the form
+    ``phi_j``; the left side is the seven vectors, flattened."""
     xi = rep.words[j - 1]
     g = rep.words
     lhs = []
     for x in range(1, 8):
-        terms = [(1, word_mul(xi, g[x - 1])), (-1, word_mul(g[x - 1], xi))]
-        terms += [(2 * v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
+        terms = [(1, word_mul(xi, g[x - 1])), (-1, word_mul(g[x - 1], xi)),
+                 *rep.terms(-2 * phi_j.contract(x))]
         lhs += rows_apply(word_rows(terms, rep.dim), psi)
     return f"psi{i} in E{j}", tuple(lhs), (_ZERO,) * len(lhs)
 
@@ -859,16 +858,12 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
     (name, lhs, rhs) triples.
 
     xi Psi_+ = Psi_-, X Psi_+ = phi(X) Psi_- and xi X Psi_+ = phi(X) Psi_+
-    for the horizontal frame vectors X (structure 1, spinor-side phi
-    convention: the negative of the form's tensor).
+    for the horizontal frame vectors X of structure 1, where the spinor-side
+    phi(X) is X -| Phi_1.
     """
     plus, minus = majorana_pair(rep)
-    from .structures import endomorphism_from_form
-    phi_tensor = endomorphism_from_form(frame["Phi"][1])
     g = rep.words
-    phi_x = [word_rows([(-v, g[y - 1])
-                        for y, v in phi_tensor.get(x, {}).items()], rep.dim)
-             for x in range(2, 8)]
+    phi_x = [rep.form_matrix(frame["Phi"][1].contract(x)) for x in range(2, 8)]
     return [("xi1 Psi+ = Psi-", word_apply(g[0], plus), minus),
             ("X Psi+ = phi(X) Psi-",
              tuple(word_apply(g[x - 1], plus) for x in range(2, 8)),
@@ -882,20 +877,18 @@ def plus_minus_relations(rep: CliffordRep, frame: dict) -> list:
 def sigma_membership(rep: CliffordRep, phi_form: Form) -> list:
     """Extreme-eigenspace membership equations for the canonical sections.
 
-    With the spinor-side (1,1)-tensor phi' derived from the hermitian-form
-    convention: -phi'(X) Psi + i X Psi + (-1)^m eta(X) Psi = 0 on the lowest
-    eigenspace and the conjugated equation on the highest.  As two (name,
-    lhs, rhs) triples: the left side at each frame vector X, and zeros.
+    phi(X) Psi + i X Psi + (-1)^m eta(X) Psi = 0 on the lowest eigenspace
+    and the conjugated equation on the highest, where the spinor-side phi(X)
+    is X -| Phi for the form ``phi_form``.  As two (name, lhs, rhs) triples:
+    the left side at each frame vector X, and zeros.
     """
     m = rep.m
     psi = canonical_su3_spinor(rep)
     bar = vec_conj(psi)
-    from .structures import endomorphism_from_form
-    phi_tensor = endomorphism_from_form(phi_form)
     g = rep.words
     low, high = [], []
     for x in range(1, 2 * m + 2):
-        phi_x = [(-v, g[y - 1]) for y, v in phi_tensor.get(x, {}).items()]
+        phi_x = rep.terms(phi_form.contract(x))
         eta_x = [((-1) ** m, rep.word(()))] if x == 1 else []
         eta_bar = [(-1, rep.word(()))] if x == 1 else []
         low.append(rows_apply(word_rows([(I, g[x - 1]), *phi_x, *eta_x],
@@ -927,7 +920,6 @@ def su3_killing_consequences(ring) -> list:
     covariant derivatives of (eta, Phi, Om) alternate into the structure
     equations: d eta = 2a Phi, d Phi = 0 and d Om = 4 i d eta ^ Om.
     """
-    from .structures import endomorphism_from_form
     cf, frame, a, d = ring.coframe, ring.frame, ring.alpha, ring.delta
     # S(e_mu) = S[mu] e_mu
     S = {1: -(3 * a - 4 * d), **{mu: a for mu in range(2, 8)}}
@@ -943,11 +935,10 @@ def su3_killing_consequences(ring) -> list:
                              for mu in range(2, 8)), cf.zero())
                         for om in (om_p, om_m))
     # the two quoted derivative routes agree: the metric dual of
-    # nabla xi = -phi(S(X)) equals nabla eta on every frame leg
-    phi_tensor = endomorphism_from_form(phi)
-    dual = tuple(sum((cf.form({(y,): -v}) * S[mu]
-                      for y, v in phi_tensor.get(mu, {}).items()), cf.zero())
-                 for mu in S)
+    # nabla xi = -phi(S(X)) equals nabla eta on every frame leg, with
+    # phi(e_mu) = sum_y Phi(e_y, e_mu) e_y read off the coefficients
+    dual = tuple(cf.form({(y,): -S[mu] * phi.coefficient((y, mu))
+                          for y in cf.indices if y != mu}) for mu in S)
     return [
         ("alternation of nabla eta gives 2a Phi", d_eta, 2 * a * phi),
         ("alternation of nabla Phi vanishes", d_phi, cf.zero()),
@@ -984,12 +975,13 @@ def _labelled_spinor(label: str):
 
 
 def majorana_family_form(rep: CliffordRep, plus, minus, degree: int,
-                         coframe: Coframe, table) -> Form:
+                         coframe: Coframe) -> Form:
     """Bilinear 3- or 4-form of the circle family of Majorana spinors.
 
     The family cos(t/2) Psi_+ - sin(t/2) Psi_- only enters bilinears through
     cos^2, sin^2 and sin cos, i.e. through ((1+c)/2, (1-c)/2, -s/2); the
-    result is a Form with coefficients polynomial in the circle symbols.
+    result is a Form with coefficients polynomial in the circle symbols
+    ``c`` and ``s`` of ``coframe.table``.
     (In this realization the quoted circle of forms is traversed with the
     opposite parameter sense, i.e. Psi_- enters with a minus sign.)
     """
@@ -1001,8 +993,8 @@ def majorana_family_form(rep: CliffordRep, plus, minus, degree: int,
     bpp = _bilinears(rep, [(plus, plus)], degree, pref)
     bmm = _bilinears(rep, [(minus, minus)], degree, pref)
     cross = _bilinears(rep, [(plus, minus), (minus, plus)], degree, pref)
-    c = table.sym("c")
-    w_pp, w_mm, w_cross = (1 + c) / 2, (1 - c) / 2, table.sym("s") / -2
+    c, s = coframe.table.sym("c"), coframe.table.sym("s")
+    w_pp, w_mm, w_cross = (1 + c) / 2, (1 - c) / 2, s / -2
     terms = {}
     for idx in sorted(bpp.keys() | bmm.keys() | cross.keys()):
         pp, mm, cr = (b.get(idx, _ZERO) for b in (bpp, bmm, cross))

@@ -622,22 +622,6 @@ def lambda214_double_characterization(phi: Form, psi: Form):
     return nullspace(rows_w), nullspace(rows_c)
 
 
-def endomorphism_from_form(phi_form: Form) -> dict:
-    """(1,1)-tensor phi(e_b) = sum_a c_ab e_a from Phi(X, Y) = g(X, phi Y).
-
-    Returned as a dict b -> {a: coefficient} over frame indices; only
-    rational-coefficient forms are supported.  This is the only
-    form-to-endomorphism convention of the package; the spinor side uses
-    the negative of a form's tensor where its convention differs.
-    """
-    out: dict[int, dict] = {}
-    for (a, b), c in phi_form.terms.items():
-        v = c.as_fraction()
-        out.setdefault(b, {})[a] = v
-        out.setdefault(a, {})[b] = -v
-    return out
-
-
 def registry() -> dict:
     """Named forms addressable from the command line.
 

@@ -520,7 +520,7 @@ class SuiteSpinor(Suite):
               "the circle of Majorana spinors reproduces phi(t), psi(t) with "
               "polynomial circle coefficients",
               lambda s: all(s.sp.majorana_family_form(
-                  s.rep, *s.pm, k, s.rsu.coframe, s.rsu.table) == f().embed()
+                  s.rep, *s.pm, k, s.rsu.coframe) == f().embed()
                   for k, f in ((3, s.rsu.phi), (4, s.rsu.psi))),
               notes="the quoted family combination enters with the opposite "
                     "parameter sense (Psi- carries a minus sign)"),
@@ -699,10 +699,13 @@ class SuiteBianchi(Suite):
                     failed=[] if symbolic else ["reduced constraints"])
 
     def basis_leftover(self) -> bool:
+        # outside b1's span lies the b2 coordinate: the leftover is a
+        # nonzero rational multiple of p1[1]
         try:
             self.st.coordinates(self.res_thm, self.b4[:1])
-        except self.st.NotInSpanError:
-            return True
+        except self.st.NotInSpanError as exc:
+            ratio = exc.leftover.div_exact(self.p1[1])
+            return ratio.is_rational() and not ratio.is_zero
         return False
 
     checks = (

@@ -355,11 +355,14 @@ class TestRecordsReadTheirInputs:
     @pytest.mark.parametrize("name, perturb, failing", [
         ("p2", lambda p: p, set()),
         ("p2", lambda p: p[::-1], {"bianchi.basis-independence"}),
+        ("p1", lambda p: p[::-1], {"bianchi.basis-independence",
+                                   "bianchi.basis-leftover"}),
         ("res_thm", lambda f: f.space.zero(), {"bianchi.basis-leftover"}),
-    ], ids=["unperturbed", "p2-swapped", "zero-residual"])
+    ], ids=["unperturbed", "p2-swapped", "p1-swapped", "zero-residual"])
     def test_basis_records_read_their_inputs(self, name, perturb, failing):
         # the other basis must give the other coordinates, and only a
-        # residual outside b1's span leaves a leftover
+        # residual outside b1's span leaves a leftover, a multiple of its
+        # b2 coordinate
         ids = [c.check_id for c in suites.SuiteBianchi.checks]
         assert statuses(suites.SuiteBianchi, name, perturb, ids) == {
             k: "fail" if k in failing else "pass" for k in ids}
@@ -669,3 +672,28 @@ class TestOneSpanSolve:
         assert [f"{path.stem}.{where}" for path in sorted(src.glob("*.py"))
                 for where in callers(path.read_text(), "solve_ring_rhs")] \
             == ["structures.coordinates"]
+
+
+def relative_imports(source: str) -> list:
+    """The modules that ``source`` imports relative to its package, each
+    once and sorted: "." for the package root, else the module's name."""
+    return sorted({node.module or "." for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom) and node.level})
+
+
+class TestSpinorLayering:
+    def test_the_guard_sees_relative_imports(self):
+        assert relative_imports(
+            "from . import AlgebraError\n"
+            "from .structures import f\n"
+            "import structures; from hetg2.linsolve import g\n"
+            "def h():\n"
+            "    from .exterior import Form\n") \
+            == [".", "exterior", "structures"]
+
+    def test_spinor_imports_no_structures(self):
+        # the spinor layer reads structure forms by contraction and sits
+        # below the structures module
+        path = Path(cv.__file__).parent / "spinor.py"
+        assert relative_imports(path.read_text()) \
+            == [".", "exterior", "linsolve"]

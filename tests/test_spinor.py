@@ -370,10 +370,8 @@ class TestReconstruction:
         bar = sp.vec_conj(psi)
         plus = sp.vec_add(psi, bar)
         minus = sp.vec_scale(sp.vec_add(psi, sp.vec_scale(bar, -1)), -sp.I)
-        fam3 = sp.majorana_family_form(REP, plus, minus, 3, rs.coframe,
-                                       rs.table)
-        fam4 = sp.majorana_family_form(REP, plus, minus, 4, rs.coframe,
-                                       rs.table)
+        fam3 = sp.majorana_family_form(REP, plus, minus, 3, rs.coframe)
+        fam4 = sp.majorana_family_form(REP, plus, minus, 4, rs.coframe)
         assert fam3 == rs.phi().embed()
         assert fam4 == rs.psi().embed()
         sub = {"s": F(3, 5), "c": F(4, 5)}
@@ -449,6 +447,20 @@ class TestSp1Suite:
         assert len(pm) == 3
         assert all(suites.sign(lhs, rhs) == 1 for _, lhs, rhs in pm)
 
+    def test_negated_phi_breaks_the_contraction_legs(self):
+        # the spinor-side phi(X) is X -| Phi: with every Phi_i negated, the
+        # legs that read phi(X) fail, and the sp1 legs that act by the form
+        # itself only flip sign, so the membership legs alone fail at both
+        frame = sp1_frame_forms(CF)
+        neg = {**frame, "Phi": {i: -f for i, f in frame["Phi"].items()}}
+        assert failed(sp.plus_minus_relations(REP, neg)) \
+            == ["X Psi+ = phi(X) Psi-", "xi X Psi+ = phi(X) Psi+"]
+        neg["sigma_form"] = sp.sigma_fundamental_form(CF, 3)
+        assert [name for name, lhs, rhs in sp.sp1_spinor_suite(REP, neg)
+                if suites.sign(lhs, rhs) == 0] \
+            == [f"psi{i} in E{j}" for i in (1, 2, 3) for j in (1, 2, 3)
+                if i != j]
+
     def test_all_majorana(self):
         for v in sp.sp1_spinors(REP).values():
             assert sp.j_real_structure(REP, v) == v
@@ -478,8 +490,7 @@ class TestRealStructure:
 
     def test_charge_word_cached(self):
         # built once per representation, not on every j_real_structure call
-        assert REP.charge_word == sp.charge_conjugation(REP)
-        assert REP.charge_word is REP.charge_word
+        assert sp.charge_conjugation(REP) is sp.charge_conjugation(REP)
 
     def test_j_is_antilinear_involution(self):
         psi = sp.u_spinor(REP, (1, -1, 1))

@@ -579,11 +579,6 @@ class TestMisc:
         # the same methods on the embedded coframe form still work
         call(ring.phi().embed())
 
-    def test_homogeneous_part_of_genform(self):
-        mixed = R3.eta(1) + R3.phi()
-        assert mixed.homogeneous_part(3) == R3.phi()
-        assert mixed.homogeneous_part(1) == R3.eta(1)
-
     def test_registry(self):
         reg = registry()
         assert "phi.canonical.3ad" in reg and "psi.theta.su3" in reg
@@ -599,9 +594,12 @@ class TestAlmostContactCompatibility:
     """Algebraic relations of the three (1,1)-tensors in the adapted frame."""
 
     def setup_method(self):
-        from hetg2.structures import endomorphism_from_form
+        # phi_i(e_b) = sum_a c_ab e_a from Phi_i(X, Y) = g(X, phi_i Y), that
+        # is phi_i(e_b) = -(e_b -| Phi_i), stored as b -> {a: c_ab}
         frame = sp1_frame_forms(R3.coframe)
-        self.phi = {i: endomorphism_from_form(frame["Phi"][i])
+        self.phi = {i: {b: {a: -c.as_fraction() for (a,), c in col.items()}
+                        for b in range(1, 8)
+                        if (col := frame["Phi"][i].contract(b).terms)}
                     for i in (1, 2, 3)}
 
     def test_phi_compose(self):
